@@ -2,10 +2,13 @@
 
 Each task writes one CSV (# metadata comments, header, rows with
 17-significant-digit scientific notation) plus a .meta.json sidecar with
-the fully resolved configuration, library version and wall time. Grid
-points are evaluated independently (optionally by a thread pool) and
-written in index order, so outputs are byte-identical across runs and
-thread counts.
+the fully resolved configuration, library version and wall time. Every
+task is a thin shell over the library: ``steady``, ``spectrum``, ``c1``,
+``c2`` and ``g2`` are one library call each, while ``counting``,
+``mandel-sweep`` and ``lineshape-sweep`` make one independent library call
+per grid point, spread over ``threads`` worker threads and written in
+index order. Outputs are therefore byte-identical across runs and thread
+counts.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
@@ -13,20 +16,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import __version__, correl, counting, scenarios, spectrum
-from .model import (BlockState, ConfigSpace, FluctuationRates, ModelSpec,
-                    PerStateParams, validate)
-from .steady import NullSpaceDegenerate, SingularShift, steady_state
-from .model import build_generator, trace_functional
+from .model import (ConfigSpace, FluctuationRates, ModelSpec, PerStateParams,
+                    build_generator, validate)
+from .steady import (NullSpaceDegenerate, SingularShift, config_populations,
+                     steady_state)
 
 TASKS = ("steady", "spectrum", "g2", "c1", "c2", "counting",
          "mandel-sweep", "lineshape-sweep")
@@ -56,8 +60,6 @@ class GridSpec:
     def build(self) -> np.ndarray:
         if self.spacing == "linear":
             return np.linspace(self.start, self.stop, self.count)
-        if self.start <= 0 or self.stop <= 0:
-            raise ConfigError("log grid requires positive start and stop")
         return np.logspace(np.log10(self.start), np.log10(self.stop), self.count)
 
 
@@ -72,7 +74,9 @@ class RunConfig:
     n_max: int | None
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
+def _require_keys(obj, allowed: set[str], required: set[str], path: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)} "
@@ -82,18 +86,48 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
         raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
 
 
-def _parse_grid(obj, path: str) -> GridSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: must be an object")
+def _integer(v, path: str) -> int:
+    if type(v) is not int:
+        raise ConfigError(f"{path}: must be an integer, got {v!r}")
+    return v
+
+
+def _finite(obj: dict, key: str, path: str) -> float:
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _parse_grid(obj, name: str) -> GridSpec:
+    """Validated grid; tau and time grids must start at >= 0."""
+    path = f"config.grids.{name}"
     _require_keys(obj, {"start", "stop", "count", "spacing"},
                   {"start", "stop", "count"}, path)
-    g = GridSpec(start=float(obj["start"]), stop=float(obj["stop"]),
-                 count=int(obj["count"]), spacing=obj.get("spacing", "linear"))
+    g = GridSpec(start=_finite(obj, "start", path), stop=_finite(obj, "stop", path),
+                 count=_integer(obj["count"], f"{path}.count"),
+                 spacing=obj.get("spacing", "linear"))
     if g.count < 2:
         raise ConfigError(f"{path}.count: must be >= 2, got {g.count}")
     if g.spacing not in ("linear", "log"):
         raise ConfigError(f"{path}.spacing: must be 'linear' or 'log'")
+    if g.stop <= g.start:
+        raise ConfigError(f"{path}: stop {g.stop} must exceed start {g.start}")
+    if name in ("tau", "time") and g.start < 0:
+        raise ConfigError(f"{path}.start: must be >= 0, got {g.start}")
+    if g.spacing == "log" and g.start <= 0:
+        raise ConfigError(f"{path}: log grid requires positive start and stop")
     return g
+
+
+def _require_task_inputs(config: RunConfig) -> None:
+    """The task's grid and, for counting, n_max must be present; checked
+    again after the command line overrides the task."""
+    needed = TASK_GRID[config.task]
+    if needed and needed not in config.grids:
+        raise ConfigError(f"config.grids: task {config.task!r} needs a {needed!r} grid")
+    if config.task == "counting" and config.n_max is None:
+        raise ConfigError("config.n_max: required for the counting task")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -103,8 +137,6 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
     _require_keys(raw, {"schema", "model", "task", "grids", "output",
                         "threads", "n_max"}, {"schema", "model", "task"}, "config")
     if raw["schema"] != 1:
@@ -122,6 +154,11 @@ def parse_config(text: str) -> RunConfig:
         if model["scenario"] not in SCENARIOS:
             raise ConfigError(f"config.model.scenario: unknown scenario "
                               f"{model['scenario']!r}; valid: {sorted(SCENARIOS)}")
+        # the params are the scenario constructor's keyword arguments
+        sig = inspect.signature(SCENARIOS[model["scenario"]]).parameters
+        _require_keys(model["params"], set(sig),
+                      {n for n, p in sig.items() if p.default is p.empty},
+                      "config.model.params")
     elif "inline" in model:
         _require_keys(model, {"inline"}, {"inline"}, "config.model")
         inline = model["inline"]
@@ -132,31 +169,28 @@ def parse_config(text: str) -> RunConfig:
     else:
         raise ConfigError("config.model: needs either 'scenario' or 'inline'")
 
-    grids = {}
-    for name, g in raw.get("grids", {}).items():
-        if name not in ("tau", "omega", "delta", "time"):
-            raise ConfigError(f"config.grids.{name}: unknown grid name")
-        grids[name] = _parse_grid(g, f"config.grids.{name}")
-    needed = TASK_GRID[task]
-    if needed and needed not in grids:
-        raise ConfigError(f"config.grids: task {task!r} needs a {needed!r} grid")
+    raw_grids = raw.get("grids", {})
+    _require_keys(raw_grids, {"tau", "omega", "delta", "time"}, set(), "config.grids")
+    grids = {name: _parse_grid(g, name) for name, g in raw_grids.items()}
 
     n_max = raw.get("n_max")
-    if task == "counting":
-        if n_max is None:
-            raise ConfigError("config.n_max: required for the counting task")
-        n_max = int(n_max)
+    if n_max is not None:
+        n_max = _integer(n_max, "config.n_max")
         if n_max < 0:
             raise ConfigError(f"config.n_max: must be >= 0, got {n_max}")
 
-    threads = int(raw.get("threads", 1))
+    threads = _integer(raw.get("threads", 1), "config.threads")
     if threads < 1:
         raise ConfigError(f"config.threads: must be >= 1, got {threads}")
 
     cfg = RunConfig(schema=1, model=model, task=task, grids=grids,
                     output=str(raw.get("output", "run")), threads=threads,
                     n_max=n_max)
-    problems = validate(build_model(cfg))
+    _require_task_inputs(cfg)
+    try:
+        problems = validate(build_model(cfg))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.model: {exc}") from exc
     if problems:
         raise ConfigError("config.model: invalid model:\n  " + "\n  ".join(problems))
     return cfg
@@ -228,67 +262,27 @@ def run(config: RunConfig) -> list[str]:
 
     if task == "steady":
         st = steady_state(build_generator(spec))
-        pops = np.real(st.blocks[:, 0, 0] + st.blocks[:, 1, 1])
-        exc = np.real(st.blocks[:, 1, 1])
-        rows = [(float(i), p, e) for i, (p, e) in enumerate(zip(pops, exc))]
+        rows = [(float(i), p, e) for i, (p, e) in
+                enumerate(zip(config_populations(st), np.real(st.blocks[:, 1, 1])))]
         _write_csv(csv_path, meta, ["state_index", "population",
                                     "excited_population"], rows)
     elif task == "spectrum":
-        gen = build_generator(spec)
-        st = steady_state(gen)
-        seeds, w = correl._c1_pieces(spec, st)
-        v = BlockState(seeds).to_vector()
-        theta = trace_functional(spec.r_max)
-        v_dec = BlockState.from_vector(v - st.to_vector() * (theta @ v))
-        from .steady import resolve_deflated
-
-        def point(i):
-            x = resolve_deflated(gen, -1j * grid[i], v_dec)
-            return 2.0 * float(np.real(w @ x.to_vector()))
-
-        vals = _parallel_map(point, grid.size, config.threads)
+        series = spectrum.incoherent_spectrum(spec, grid)
         meta["coherent_weight"] = _fmt(spectrum.coherent_weight(spec))
         meta["stationary_intensity"] = _fmt(correl.stationary_intensity(spec))
         meta["unit"] = "omega_minus_omegaL in model rate units"
         _write_csv(csv_path, meta, ["omega_minus_omegaL", "s_inc"],
-                   zip(grid, vals))
-    elif task in ("g2", "c1", "c2"):
-        gen = build_generator(spec)
-        st = steady_state(gen)
-        if task == "c1":
-            seed_blocks, w = correl._c1_pieces(spec, st)
-            norm = 1.0
-        else:
-            seed_blocks = correl._c2_seeds(spec, st)
-            w = np.zeros(4 * spec.r_max, dtype=complex)
-            w[3::4] = spec.effective_decays()
-            norm = 1.0
-            if task == "g2":
-                i_st = float(np.real(spec.effective_decays() @ st.blocks[:, 1, 1]))
-                if i_st <= 1e-300:
-                    raise correl.ZeroIntensity("stationary intensity is zero")
-                norm = i_st**2
-        v0 = BlockState(seed_blocks).to_vector()
-
-        def point(i):
-            # independent per point so results cannot depend on scheduling
-            x = la.expm(grid[i] * gen.matrix) @ v0
-            return complex(w @ x) / norm
-
-        vals = _parallel_map(point, grid.size, config.threads)
-        if task == "c1":
-            _write_csv(csv_path, meta, ["tau", "re_c1", "im_c1"],
-                       ((t, v.real, v.imag) for t, v in zip(grid, vals)))
-        else:
-            _write_csv(csv_path, meta, ["tau", task],
-                       ((t, v.real) for t, v in zip(grid, vals)))
+                   zip(series.abscissa, series.values))
+    elif task == "c1":
+        series = correl.c1(spec, grid)
+        _write_csv(csv_path, meta, ["tau", "re_c1", "im_c1"],
+                   ((t, v.real, v.imag) for t, v in zip(series.abscissa, series.values)))
+    elif task in ("c2", "g2"):
+        series = (correl.c2 if task == "c2" else correl.g2)(spec, grid)
+        _write_csv(csv_path, meta, ["tau", task], zip(series.abscissa, series.values))
     elif task == "counting":
-        if np.any(grid < 0):
-            raise ConfigError("counting time grid must be nonnegative")
-
         def point(i):
-            rec = counting.counting_record(spec, float(grid[i]), config.n_max)
-            return rec
+            return counting.counting_record(spec, float(grid[i]), config.n_max)
 
         recs = _parallel_map(point, grid.size, config.threads)
         header = ["t", "mean", "second_factorial", "mandel_q", "remainder"]
@@ -342,12 +336,8 @@ def main(argv=None) -> int:
         if args.threads is not None:
             overrides["threads"] = args.threads
         cfg = dataclasses.replace(cfg, **overrides)
-        needed = TASK_GRID[cfg.task]
-        if needed and needed not in cfg.grids:
-            raise ConfigError(f"config.grids: task {cfg.task!r} needs a {needed!r} grid")
-        if cfg.task == "counting" and cfg.n_max is None:
-            raise ConfigError("config.n_max: required for the counting task")
-    except (OSError, ConfigError) as exc:
+        _require_task_inputs(cfg)
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -19,14 +19,16 @@ would be a behavioural change, not a bug fix.
 """
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from .model import (SIGMA, BlockState, ModelSpec, SuperOp, _sandwich,
-                    build_generator, require_valid, trace_functional)
+from .correl import ObservableSeries, SeriesKind, stationary_intensity
+from .model import (BlockState, ModelSpec, SuperOp, build_generator,
+                    detection_jump, require_valid, trace_functional)
 from .steady import laurent_decomposition, steady_state
 
 
@@ -62,83 +64,75 @@ class CountingRecord:
 def counting_split(spec: ModelSpec) -> CountingSplit:
     """Split the generator into detection gains J and the drift L0 = L - J."""
     full = build_generator(spec)
-    r = spec.r_max
-    j = np.zeros_like(full.matrix)
-    gain = _sandwich(SIGMA)
-    gammas = spec.gammas()
-    gcross = spec.rates.gamma_cross
-    for a in range(r):
-        sl = slice(4 * a, 4 * a + 4)
-        j[sl, sl] += gammas[a] * gain
-        for b in range(r):
-            if b != a and gcross[a, b] != 0.0:
-                j[sl, slice(4 * b, 4 * b + 4)] += gcross[a, b] * gain
+    j = detection_jump(spec)
     return CountingSplit(drift=SuperOp(full.matrix - j), jump=SuperOp(j))
 
 
-def _initial_vector(spec: ModelSpec, initial: BlockState | None) -> np.ndarray:
+def _counting_inputs(spec: ModelSpec, t: float, initial: BlockState | None):
+    """(L, J, x0) for the counting hierarchy from one generator build;
+    x0 is the steady state unless an initial state is given."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    gen = build_generator(spec)
     if initial is None:
-        return steady_state(build_generator(spec)).to_vector()
-    if initial.r_max != spec.r_max:
+        x0 = steady_state(gen).to_vector()
+    elif initial.r_max != spec.r_max:
         raise ValueError(f"initial state has {initial.r_max} blocks, spec has {spec.r_max}")
-    return initial.to_vector()
+    else:
+        x0 = initial.to_vector()
+    return gen.matrix, detection_jump(spec), x0
+
+
+def _check_n_max(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+
+
+def _pn(full, j, x0, t, n_max) -> np.ndarray:
+    dim = full.shape[0]
+    levels = n_max + 1
+    big = np.kron(np.eye(levels), full - j) + np.kron(np.eye(levels, k=-1), j)
+    x = np.zeros(levels * dim, dtype=complex)
+    x[:dim] = x0
+    y = la.expm(t * big) @ x
+    theta = trace_functional(dim // 4)
+    probs = np.real(y.reshape(levels, dim) @ theta)
+    missing = 1.0 - probs.sum()
+    if missing > 1e-6:
+        warnings.warn(f"P_n truncation at n_max={n_max} leaves mass {missing:.3e}",
+                      stacklevel=3)
+    return probs
+
+
+def _moments(full, j, x0, t) -> tuple[float, float]:
+    dim = full.shape[0]
+    big = np.kron(np.eye(3), full) + np.kron(np.diag([1.0, 2.0], k=-1), j)
+    x = np.zeros(3 * dim, dtype=complex)
+    x[:dim] = x0
+    y = la.expm(t * big) @ x
+    theta = trace_functional(dim // 4)
+    mean = float(np.real(theta @ y[dim:2 * dim]))
+    second = float(np.real(theta @ y[2 * dim:]))
+    return mean, second
 
 
 def pn(spec: ModelSpec, t: float, n_max: int,
        initial: BlockState | None = None) -> np.ndarray:
     """P_0(t) .. P_nmax(t), starting from the steady state by default.
 
-    One block-triangular matrix exponential of the n-resolved hierarchy;
-    warns when the truncated mass 1 - sum P_n exceeds 1e-6.
+    One block-triangular matrix exponential of the n-resolved hierarchy
+    d rho^(n)/dt = L0 rho^(n) + J rho^(n-1); warns when the truncated mass
+    1 - sum P_n exceeds 1e-6.
     """
-    require_valid(spec)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    split = counting_split(spec)
-    dim = 4 * spec.r_max
-    levels = n_max + 1
-    big = np.zeros((levels * dim, levels * dim), dtype=complex)
-    for n in range(levels):
-        big[n * dim:(n + 1) * dim, n * dim:(n + 1) * dim] = split.drift.matrix
-        if n > 0:
-            big[n * dim:(n + 1) * dim, (n - 1) * dim:n * dim] = split.jump.matrix
-    x = np.zeros(levels * dim, dtype=complex)
-    x[:dim] = _initial_vector(spec, initial)
-    y = la.expm(t * big) @ x
-    theta = trace_functional(spec.r_max)
-    probs = np.array([np.real(theta @ y[n * dim:(n + 1) * dim]) for n in range(levels)])
-    missing = 1.0 - probs.sum()
-    if missing > 1e-6:
-        warnings.warn(f"P_n truncation at n_max={n_max} leaves mass {missing:.3e}",
-                      stacklevel=2)
-    return probs
+    _check_n_max(n_max)
+    return _pn(*_counting_inputs(spec, t, initial), t, n_max)
 
 
 def _factorial_moments(spec: ModelSpec, t: float,
                        initial: BlockState | None = None) -> tuple[float, float]:
     """Exact (N_bar, N_bar^(2)) via the augmented s-derivative chain at s=1:
     d/dt (x, x', x'') = ((L,0,0), (J,L,0), (0,2J,L)) (x, x', x'')."""
-    require_valid(spec)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    split = counting_split(spec)
-    full = split.drift.matrix + split.jump.matrix
-    j = split.jump.matrix
-    dim = full.shape[0]
-    big = np.zeros((3 * dim, 3 * dim), dtype=complex)
-    for n in range(3):
-        big[n * dim:(n + 1) * dim, n * dim:(n + 1) * dim] = full
-    big[dim:2 * dim, :dim] = j
-    big[2 * dim:, dim:2 * dim] = 2.0 * j
-    x = np.zeros(3 * dim, dtype=complex)
-    x[:dim] = _initial_vector(spec, initial)
-    y = la.expm(t * big) @ x
-    theta = trace_functional(spec.r_max)
-    mean = float(np.real(theta @ y[dim:2 * dim]))
-    second = float(np.real(theta @ y[2 * dim:]))
-    return mean, second
+    return _moments(*_counting_inputs(spec, t, initial), t)
 
 
 def mean_counts(spec: ModelSpec, t: float, initial: BlockState | None = None) -> float:
@@ -160,19 +154,12 @@ def mandel_q(spec: ModelSpec, t: float, initial: BlockState | None = None) -> fl
     return (second + mean - mean**2) / mean - 1.0
 
 
-def line_shape(spec: ModelSpec) -> float:
-    """Stationary count rate lim dN/dt = sum_R gamma_tilde_R <b|rho_R^inf|b>."""
-    require_valid(spec)
-    st = steady_state(build_generator(spec))
-    return float(np.real(spec.effective_decays() @ st.blocks[:, 1, 1]))
+# The stationary count rate lim dN/dt is the stationary intensity.
+line_shape = stationary_intensity
 
 
-def line_shape_sweep(spec: ModelSpec, delta_grid) -> "ObservableSeries":
+def line_shape_sweep(spec: ModelSpec, delta_grid) -> ObservableSeries:
     """line_shape as a function of the laser detuning."""
-    import dataclasses
-
-    from .correl import ObservableSeries, SeriesKind
-
     grid = np.asarray(delta_grid, dtype=float)
     vals = np.array([line_shape(dataclasses.replace(spec, detuning=d)) for d in grid])
     return ObservableSeries(grid, vals, SeriesKind.LINE_SHAPE)
@@ -181,8 +168,10 @@ def line_shape_sweep(spec: ModelSpec, delta_grid) -> "ObservableSeries":
 def counting_record(spec: ModelSpec, t: float, n_max: int,
                     initial: BlockState | None = None) -> CountingRecord:
     """Assemble the full counting snapshot at time t."""
-    probs = pn(spec, t, n_max, initial)
-    mean, second = _factorial_moments(spec, t, initial)
+    _check_n_max(n_max)
+    full, j, x0 = _counting_inputs(spec, t, initial)
+    probs = _pn(full, j, x0, t, n_max)
+    mean, second = _moments(full, j, x0, t)
     q = (second + mean - mean**2) / mean - 1.0 if mean > 1e-300 else float("nan")
     return CountingRecord(t=t, pn=probs, mean=mean, second_factorial=second,
                           mandel_q=q, remainder=float(1.0 - probs.sum()))
@@ -201,7 +190,7 @@ def stationary_mandel(spec: ModelSpec, initial: BlockState | None = None) -> flo
     """
     require_valid(spec)
     decomp = laurent_decomposition(build_generator(spec))
-    j = counting_split(spec).jump.matrix
+    j = detection_jump(spec)
     theta = trace_functional(spec.r_max)
     rho_inf = decomp.steady.to_vector()
     p = decomp.projector.matrix

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-
 # Two-level operators in the (|a>, |b>) basis.
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)       # |a><b|
 SIGMA_DAG = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |b><a|
@@ -332,73 +330,83 @@ def _sandwich(op):
     return np.kron(op.conj(), op)
 
 
+def _commutator(op):
+    """Superoperator of rho -> -i[op, rho]."""
+    return -1j * (_left(op) - _right(op))
+
+
+def _anticommutator(op):
+    return _left(op) + _right(op)
+
+
+# H_R = delta_R * _H_DETUNING + Omega_R * _H_DRIVE (see block_hamiltonians)
+_H_DETUNING = np.diag([0.5, -0.5]).astype(complex)
+_H_DRIVE = 0.5 * (SIGMA + SIGMA_DAG)
+
+
+def detection_jump(spec: ModelSpec) -> np.ndarray:
+    """Detection gains J = kron(diag(gamma) + gamma_cross, sigma . sigma†).
+
+    Own-block recycling gamma_R and emission-assisted cross gains
+    gamma_cross[R][R'], each feeding |a><a| of the destination block from
+    <b|rho_R'|b>. The one definition of the detection term: the generator
+    contains it and the counting split separates it.
+    """
+    return np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+                   _sandwich(SIGMA))
+
+
 def build_generator(spec: ModelSpec) -> SuperOp:
-    """Assemble the dense block generator.
+    """Assemble the dense block generator as a sum of
+    kron(r_max x r_max table, 4x4 superoperator) terms.
 
     Per block R: rotating-frame Hamiltonian commutator; radiative
-    dissipator with anticommutator weight gamma_tilde_R and own-block
-    recycling gain gamma_R; phi gain/loss; emission-assisted cross gains
-    gamma_cross[R][R']; plus any general channels (loss from eta column
-    sums, gain eta[R][R'] A · A†).
+    dissipator with anticommutator weight gamma_tilde_R; the detection
+    gains (:func:`detection_jump`); phi gain/loss; plus any general
+    channels (loss from eta column sums, gain eta[R][R'] A · A†).
     """
     require_valid(spec)
-    r = spec.r_max
-    dim = 4 * r
-    m = np.zeros((dim, dim), dtype=complex)
-    h = block_hamiltonians(spec)
-    gammas = spec.gammas()
-    gtilde = spec.effective_decays()
     phi = spec.rates.phi
-    gcross = spec.rates.gamma_cross
-    d_anti = _left(SIGMA_DAG @ SIGMA / 2) + _right(SIGMA_DAG @ SIGMA / 2)
-    jump = _sandwich(SIGMA)
-    phi_loss = phi.sum(axis=0)
-
-    for a in range(r):
-        sl = slice(4 * a, 4 * a + 4)
-        blk = -1j * (_left(h[a]) - _right(h[a]))
-        blk -= gtilde[a] * d_anti
-        blk += gammas[a] * jump
-        blk -= phi_loss[a] * np.eye(4)
-        m[sl, sl] += blk
-        for b in range(r):
-            if b == a:
-                continue
-            slb = slice(4 * b, 4 * b + 4)
-            m[sl, slb] += phi[a, b] * np.eye(4) + gcross[a, b] * jump
-
+    m = (np.kron(np.diag(spec.detuning - spec.delta_omegas()),
+                 _commutator(_H_DETUNING))
+         + np.kron(np.diag(spec.omega_rabis()), _commutator(_H_DRIVE))
+         - np.kron(np.diag(spec.effective_decays()),
+                   _anticommutator(SIGMA_DAG @ SIGMA / 2))
+         + detection_jump(spec)
+         + np.kron(phi - np.diag(phi.sum(axis=0)), np.eye(4)))
     for ch in spec.extra_channels:
         op = ch.operator_kind.matrix()
-        anti = _left(op.conj().T @ op) + _right(op.conj().T @ op)
-        gain = _sandwich(op)
-        loss = ch.eta.sum(axis=0)
-        for a in range(r):
-            sl = slice(4 * a, 4 * a + 4)
-            m[sl, sl] -= 0.5 * loss[a] * anti
-            for b in range(r):
-                if b != a:
-                    m[sl, slice(4 * b, 4 * b + 4)] += ch.eta[a, b] * gain
+        m += (np.kron(ch.eta, _sandwich(op))
+              - np.kron(np.diag(ch.eta.sum(axis=0)),
+                        _anticommutator(op.conj().T @ op) / 2))
     return SuperOp(m)
 
 
 def apply_generator(spec: ModelSpec, x: BlockState) -> BlockState:
-    """Matrix-free generator application (same physics as build_generator,
-    evaluated term by term on the blocks; numba-compiled when available)."""
+    """Matrix-free generator application: the physics of build_generator
+    evaluated term by term on the 2x2 blocks, kept as the independent
+    cross-check of the dense assembly."""
     require_valid(spec)
     if x.r_max != spec.r_max:
         raise ValueError(f"state has {x.r_max} blocks, spec has {spec.r_max}")
-    chan_ops = np.array([ch.operator_kind.matrix() for ch in spec.extra_channels],
-                        dtype=complex).reshape(-1, 2, 2)
-    chan_eta = np.array([ch.eta for ch in spec.extra_channels],
-                        dtype=float).reshape(-1, spec.r_max, spec.r_max)
-    out = _kernels.apply_blocks(
-        np.ascontiguousarray(x.blocks),
-        np.ascontiguousarray(block_hamiltonians(spec)),
-        spec.gammas(),
-        spec.effective_decays(),
-        np.ascontiguousarray(spec.rates.phi),
-        np.ascontiguousarray(spec.rates.gamma_cross),
-        chan_ops,
-        chan_eta,
-    )
+    blocks = x.blocks
+    ham = block_hamiltonians(spec)
+    gtilde = spec.effective_decays()
+    phi = spec.rates.phi
+    out = -1j * (ham @ blocks - blocks @ ham)
+    # radiative dissipator: anticommutator with sigma†sigma/2 = diag(0, 1/2)
+    out[:, 0, 1] -= 0.5 * gtilde * blocks[:, 0, 1]
+    out[:, 1, 0] -= 0.5 * gtilde * blocks[:, 1, 0]
+    out[:, 1, 1] -= gtilde * blocks[:, 1, 1]
+    bb = blocks[:, 1, 1]
+    out[:, 0, 0] += spec.gammas() * bb + spec.rates.gamma_cross @ bb
+    # system-independent mixing
+    out += np.einsum("rs,sij->rij", phi, blocks)
+    out -= phi.sum(axis=0)[:, None, None] * blocks
+    for ch in spec.extra_channels:
+        a = ch.operator_kind.matrix()
+        ada = a.conj().T @ a
+        loss = 0.5 * ch.eta.sum(axis=0)
+        out -= loss[:, None, None] * (ada @ blocks + blocks @ ada)
+        out += np.einsum("rs,sij->rij", ch.eta, a @ blocks @ a.conj().T)
     return BlockState(out)

@@ -6,6 +6,16 @@ resolvent) that underpins the exact stationary counting moments.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred, so LU/SVD exactness beats any iterative machinery.
+
+Deflated solves (steady state, trace-free resolvent, reduced resolvent)
+replace the fixed row 0 of the system, the aa entry of block 0, by the
+trace functional theta. This is safe for every generator of this package:
+theta is its left null vector (theta L = 0, trace preservation), so row 0
+is minus the sum of the other aa and bb rows and dropping it loses no
+equation; and with nullity 1 (certified by an SVD) theta is nonzero on the
+null vector, so the bordered matrix is nonsingular. All nonzero entries of
+theta equal 1, so no aa or bb row is better conditioned to sacrifice than
+another and no row search is needed.
 """
 from __future__ import annotations
 
@@ -50,12 +60,11 @@ def evolve(generator: SuperOp, x0: BlockState, t: float) -> BlockState:
     return BlockState.from_vector(la.expm(t * generator.matrix) @ v)
 
 
-def _null_row(m: np.ndarray) -> int:
-    """Row index to sacrifice for deflated solves: the largest component of
-    the left null vector, so the remaining rows keep full rank."""
-    s = la.svd(m, compute_uv=True)
-    u_null = s[0][:, -1]
-    return int(np.argmax(np.abs(u_null)))
+def _trace_row(a: np.ndarray, r_max: int) -> np.ndarray:
+    """Copy of a with its row 0 replaced by the trace functional."""
+    out = a.copy()
+    out[0, :] = trace_functional(r_max)
+    return out
 
 
 def _check_nullity(m: np.ndarray) -> None:
@@ -71,18 +80,15 @@ def _check_nullity(m: np.ndarray) -> None:
 def steady_state(generator: SuperOp) -> BlockState:
     """Unique trace-1 null state of the generator.
 
-    Solved by replacing one row of L with the trace functional (deterministic
-    and well conditioned for ergodic models); SVD is used only to certify
-    nullity 1 and pick the sacrificed row.
+    Solved with row 0 of L replaced by the trace functional and right-hand
+    side e_0, i.e. L x = 0 with Tr x = 1 (see the module docstring for why
+    the fixed row is safe); an SVD certifies nullity 1.
     """
     m = generator.matrix
     _check_nullity(m)
-    k = _null_row(m)
-    a = m.copy()
-    a[k, :] = trace_functional(generator.r_max)
     b = np.zeros(generator.dim, dtype=complex)
-    b[k] = 1.0
-    x = la.solve(a, b)
+    b[0] = 1.0
+    x = la.solve(_trace_row(m, generator.r_max), b)
     st = BlockState.from_vector(x)
     blocks = 0.5 * (st.blocks + st.blocks.conj().transpose(0, 2, 1))
     blocks = blocks / np.real(blocks[:, 0, 0].sum() + blocks[:, 1, 1].sum())
@@ -109,19 +115,19 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
 
     Valid only for trace-free right-hand sides; pins the trace of the
     solution to zero, which also regularizes u = 0 (the steady pole) where
-    the plain resolvent is singular but the complement solve is not.
+    the plain resolvent is singular but the complement solve is not. Row 0
+    of (u - L) becomes the trace functional: for trace-free v that row's
+    equation follows from the others, since theta (u - L) = u theta. The
+    residual is checked against the full, undeflated system.
     """
     rhs = v.to_vector()
     if rhs.size != generator.dim:
         raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
-    m = generator.matrix
-    a = u * np.eye(generator.dim) - m
-    k = _null_row(m)
-    a_defl = a.copy()
-    a_defl[k, :] = trace_functional(generator.r_max)
+    a = u * np.eye(generator.dim) - generator.matrix
     rhs_defl = rhs.copy()
-    rhs_defl[k] = 0.0
-    x = _checked_solve(a_defl, a, rhs, u, rhs_defl=rhs_defl)
+    rhs_defl[0] = 0.0
+    x = _checked_solve(_trace_row(a, generator.r_max), a, rhs, u,
+                       rhs_defl=rhs_defl)
     return BlockState.from_vector(x)
 
 
@@ -156,11 +162,9 @@ def laurent_decomposition(generator: SuperOp) -> SteadyDecomposition:
     dim = generator.dim
     theta = trace_functional(generator.r_max)
     p = np.outer(st.to_vector(), theta)
-    k = _null_row(m)
-    a = m.copy()
-    a[k, :] = theta
+    a = _trace_row(m, generator.r_max)
     b = p - np.eye(dim)
-    b[k, :] = 0.0
+    b[0, :] = 0.0
     lu, piv = la.lu_factor(a)
     r0 = la.lu_solve((lu, piv), b)
     r0 += la.lu_solve((lu, piv), b - a @ r0)   # one refinement step

@@ -268,8 +268,6 @@ def test_criterion_09_representation_cross_check():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    import os
-
     config = {
         "schema": 1,
         "model": {"scenario": "spectral_two_state",
@@ -283,7 +281,6 @@ def test_criterion_10_cli_determinism(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    env = dict(os.environ, FLUOROSPEC_NO_NUMBA="1")
     for task in ("spectrum", "g2", "lineshape-sweep"):
         blobs = []
         for run, threads in (("r1", "1"), ("r2", "3"), ("r3", "1")):
@@ -292,7 +289,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 [sys.executable, "-m", "fluorospec.cli", task,
                  "--config", str(cfg_path), "--out", str(out),
                  "--threads", threads],
-                capture_output=True, text=True, env=env)
+                capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             blobs.append((tmp_path / f"{task.replace('-', '_')}_{run}_"
                           f"{task.replace('-', '_')}.csv").read_bytes())

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import fluorospec as fs
 from fluorospec import cli
 
 FIG2A_CONFIG = {
@@ -140,14 +141,67 @@ def test_run_counting_task(tmp_path):
     assert float(first[5]) == pytest.approx(1.0, abs=1e-12)   # P0(0) = 1
 
 
+def _malformed_configs():
+    """Configs that must exit 2 with a ConfigError, one per hole."""
+    unknown_task = {"schema": 1, "task": "bogus",
+                    "model": {"scenario": "single_state", "params": {}}}
+    misspelled_param = dict(FIG2A_CONFIG, model={
+        "scenario": "single_state", "params": {"gamma": 1.0, "omega": 1.0}})
+    string_count = json.loads(json.dumps(FIG2A_CONFIG))
+    string_count["grids"]["omega"]["count"] = "x"
+    nan_stop = dict(FIG2A_CONFIG, task="g2",
+                    grids={"tau": {"start": 0.0, "stop": float("nan"), "count": 5}})
+    negative_time = dict(FIG2A_CONFIG, task="counting", n_max=4,
+                         grids={"time": {"start": -1.0, "stop": 1.0, "count": 3}})
+    reversed_grid = json.loads(json.dumps(FIG2A_CONFIG))
+    reversed_grid["grids"]["omega"].update(start=2.0, stop=-2.0)
+    return [("unknown_task", "steady", unknown_task),
+            ("misspelled_param", "steady", misspelled_param),
+            ("string_count", "spectrum", string_count),
+            ("nan_stop", "g2", nan_stop),
+            ("negative_time", "counting", negative_time),
+            ("reversed_grid", "spectrum", reversed_grid),
+            # the task comes from the command line; the grid check must hold
+            ("negative_time_override", "counting",
+             dict(negative_time, task="steady"))]
+
+
 def test_exit_code_config_error(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, {"schema": 1, "task": "bogus",
-                                       "model": {"scenario": "single_state",
-                                                 "params": {}}})
-    rc = cli.main(["steady", "--config", str(cfg_path)])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
+    for name, task, cfg in _malformed_configs():
+        cfg = dict(cfg, output=str(tmp_path / name))
+        cfg_path = write_config(tmp_path, cfg, name=f"{name}.json")
+        rc = cli.main([task, "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, (name, err)
+        assert json.loads(err)["error"] == "ConfigError", name
+        assert not list(tmp_path.glob(f"{name}_*.csv")), name
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["steady", "--config", str(not_utf8)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
+
+
+def test_csv_equals_library_series(tmp_path):
+    """The CLI writes the library's series unchanged (%.16e round-trips
+    float64), so it cannot drift from the library."""
+    spec = cli.build_model(cli.parse_config(json.dumps(FIG2A_CONFIG)))
+    tau = {"start": 0.0, "stop": 20.0, "count": 21}
+    cases = {"spectrum": (fs.incoherent_spectrum, FIG2A_CONFIG["grids"]),
+             "c1": (fs.c1, {"tau": tau}), "c2": (fs.c2, {"tau": tau}),
+             "g2": (fs.g2, {"tau": tau})}
+    for task, (fn, grids) in cases.items():
+        cfg = dict(FIG2A_CONFIG, task=task, grids=grids,
+                   output=str(tmp_path / task))
+        assert cli.main([task, "--config", str(write_config(tmp_path, cfg))]) == 0
+        lines = [l for l in (tmp_path / f"{task}_{task}.csv").read_text().splitlines()
+                 if not l.startswith("#")][1:]
+        rows = np.array([[float(x) for x in l.split(",")] for l in lines])
+        (name, g), = grids.items()
+        series = fn(spec, np.linspace(g["start"], g["stop"], g["count"]))
+        assert np.array_equal(rows[:, 0], series.abscissa), task
+        assert np.array_equal(rows[:, 1], np.real(series.values)), task
+        if task == "c1":
+            assert np.array_equal(rows[:, 2], np.imag(series.values))
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -165,15 +219,12 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
-    import os
-
     cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG, task="steady",
                                            output=str(tmp_path / "sub")))
-    env = dict(os.environ, FLUOROSPEC_NO_NUMBA="1")
     proc = subprocess.run(
         [sys.executable, "-m", "fluorospec.cli", "steady",
          "--config", str(cfg_path), "--verbose"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub_steady.csv").exists()
 

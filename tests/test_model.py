@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg as la
 
 import fluorospec as fs
-from fluorospec import _kernels
 from fluorospec.model import trace_functional
 
 from conftest import random_block_state, random_spec
@@ -147,19 +146,3 @@ def test_vectorization_round_trip():
     assert v[3] == x.blocks[0, 1, 1]
     assert v[4] == x.blocks[1, 0, 0]
 
-
-def test_kernel_backends_agree():
-    numba = pytest.importorskip("numba")
-    rng = np.random.default_rng(13)
-    spec = random_spec(rng, 4, with_channels=True)
-    x = random_block_state(rng, 4)
-    args = (np.ascontiguousarray(x.blocks),
-            np.ascontiguousarray(fs.model.block_hamiltonians(spec)),
-            spec.gammas(), spec.effective_decays(),
-            np.ascontiguousarray(spec.rates.phi),
-            np.ascontiguousarray(spec.rates.gamma_cross),
-            np.array([ch.operator_kind.matrix() for ch in spec.extra_channels]),
-            np.array([ch.eta for ch in spec.extra_channels]))
-    a = _kernels.apply_blocks_numpy(*args)
-    b = numba.njit(cache=True)(_kernels._apply_blocks_loops)(*args)
-    assert np.abs(a - b).max() < 1e-13

@@ -22,8 +22,8 @@ from .scenarios import (BlinkingApprox, blinking_rates,
                         mapped_self_fluct, scaled_triplet, single_state,
                         spectral_two_state)
 from .spectrum import coherent_weight, incoherent_spectrum, sum_rule_check
-from .steady import (NullSpaceDegenerate, SingularShift, SteadyDecomposition,
-                     config_populations, evolve, laurent_decomposition,
-                     resolve, steady_state)
+from .steady import (NullSpaceDegenerate, Prepared, SingularShift,
+                     SteadyDecomposition, config_populations, evolve,
+                     laurent_decomposition, prepare, resolve, steady_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, correl, counting, scenarios, spectrum
-from .model import (ConfigSpace, FluctuationRates, ModelSpec, PerStateParams,
-                    build_generator, validate)
-from .steady import (NullSpaceDegenerate, SingularShift, config_populations,
-                     steady_state)
+from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams, validate
+from .steady import NullSpaceDegenerate, SingularShift, config_populations, prepare
 
 TASKS = ("steady", "spectrum", "g2", "c1", "c2", "counting",
          "mandel-sweep", "lineshape-sweep")
@@ -121,8 +119,10 @@ def _parse_grid(obj, name: str) -> GridSpec:
 
 
 def _require_task_inputs(config: RunConfig) -> None:
-    """The task's grid and, for counting, n_max must be present; checked
-    again after the command line overrides the task."""
+    """The task's grid, for counting n_max, and threads >= 1; checked again
+    after the command line overrides the task and the thread count."""
+    if config.threads < 1:
+        raise ConfigError(f"config.threads: must be >= 1, got {config.threads}")
     needed = TASK_GRID[config.task]
     if needed and needed not in config.grids:
         raise ConfigError(f"config.grids: task {config.task!r} needs a {needed!r} grid")
@@ -179,12 +179,9 @@ def parse_config(text: str) -> RunConfig:
         if n_max < 0:
             raise ConfigError(f"config.n_max: must be >= 0, got {n_max}")
 
-    threads = _integer(raw.get("threads", 1), "config.threads")
-    if threads < 1:
-        raise ConfigError(f"config.threads: must be >= 1, got {threads}")
-
     cfg = RunConfig(schema=1, model=model, task=task, grids=grids,
-                    output=str(raw.get("output", "run")), threads=threads,
+                    output=str(raw.get("output", "run")),
+                    threads=_integer(raw.get("threads", 1), "config.threads"),
                     n_max=n_max)
     _require_task_inputs(cfg)
     try:
@@ -211,12 +208,12 @@ def build_model(config: RunConfig) -> ModelSpec:
     if "scenario" in m:
         return SCENARIOS[m["scenario"]](**m["params"])
     inline = m["inline"]
-    r = int(inline["r_max"])
-    per = tuple(PerStateParams(delta_omega=d, gamma=g, omega_rabi=o)
-                for d, g, o in zip(inline["delta_omega"], inline["gamma"],
-                                   inline["omega_rabi"]))
-    if len(per) != r:
+    r = _integer(inline["r_max"], "config.model.inline.r_max")
+    arrays = [inline[k] for k in ("delta_omega", "gamma", "omega_rabi")]
+    if any(len(a) != r for a in arrays):
         raise ConfigError("config.model.inline: per-state arrays must have length r_max")
+    per = tuple(PerStateParams(delta_omega=d, gamma=g, omega_rabi=o)
+                for d, g, o in zip(*arrays))
     zeros = np.zeros((r, r))
     phi = np.asarray(inline.get("phi") or zeros, dtype=float)
     cross = np.asarray(inline.get("gamma_cross") or zeros, dtype=float)
@@ -261,15 +258,16 @@ def run(config: RunConfig) -> list[str]:
     csv_path = f"{config.output}_{task.replace('-', '_')}.csv"
 
     if task == "steady":
-        st = steady_state(build_generator(spec))
+        st = prepare(spec).steady
         rows = [(float(i), p, e) for i, (p, e) in
                 enumerate(zip(config_populations(st), np.real(st.blocks[:, 1, 1])))]
         _write_csv(csv_path, meta, ["state_index", "population",
                                     "excited_population"], rows)
     elif task == "spectrum":
-        series = spectrum.incoherent_spectrum(spec, grid)
-        meta["coherent_weight"] = _fmt(spectrum.coherent_weight(spec))
-        meta["stationary_intensity"] = _fmt(correl.stationary_intensity(spec))
+        p = prepare(spec)
+        series = spectrum.incoherent_spectrum(p, grid)
+        meta["coherent_weight"] = _fmt(spectrum.coherent_weight(p))
+        meta["stationary_intensity"] = _fmt(correl.stationary_intensity(p))
         meta["unit"] = "omega_minus_omegaL in model rate units"
         _write_csv(csv_path, meta, ["omega_minus_omegaL", "s_inc"],
                    zip(series.abscissa, series.values))
@@ -281,8 +279,11 @@ def run(config: RunConfig) -> list[str]:
         series = (correl.c2 if task == "c2" else correl.g2)(spec, grid)
         _write_csv(csv_path, meta, ["tau", task], zip(series.abscissa, series.values))
     elif task == "counting":
+        p = prepare(spec)
+        p.steady    # solved here, once, rather than raced for by the workers
+
         def point(i):
-            return counting.counting_record(spec, float(grid[i]), config.n_max)
+            return counting.counting_record(p, float(grid[i]), config.n_max)
 
         recs = _parallel_map(point, grid.size, config.threads)
         header = ["t", "mean", "second_factorial", "mandel_q", "remainder"]

@@ -7,18 +7,20 @@ one-time generator, and reading out Tr{A .} per destination block. The
 field correlations carry sqrt(gamma_tilde) emission weights per block; all
 results are reported in the dimensionless normalization where the
 geometric far-field prefactor is 1.
+
+The intensity correlation is C2(tau) = Tr J e^{tau L} J rho_inf and the
+stationary intensity I_st = Tr J rho_inf, with J the detection jump.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from .model import (SIGMA, SIGMA_DAG, BlockState, ModelSpec, SuperOp,
-                    build_generator, require_valid)
-from .steady import steady_state
+from .model import SIGMA_DAG, BlockState, ModelSpec, SuperOp, trace_functional
+from .steady import Prepared, prepare
 
 
 class ZeroIntensity(Exception):
@@ -30,10 +32,7 @@ class SeriesKind(enum.Enum):
     C2 = "c2"
     G2 = "g2"
     SPECTRUM_INC = "spectrum_inc"
-    MANDEL_Q = "mandel_q"
-    MEAN_COUNTS = "mean_counts"
     LINE_SHAPE = "line_shape"
-    POPULATIONS = "populations"
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +42,6 @@ class ObservableSeries:
     abscissa: np.ndarray
     values: np.ndarray
     kind: SeriesKind
-    unit: str = ""
 
     def __post_init__(self):
         a = np.asarray(self.abscissa, dtype=float)
@@ -83,27 +81,23 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     return out
 
 
-def _qrt_series(generator, steady, seeds, readout, tau_grid):
-    """seeds: (r,2,2) per-block seed; readout: callable blocks -> scalar."""
-    v0 = BlockState(seeds).to_vector()
-    traj = propagate_on_grid(generator, v0, tau_grid)
-    vals = np.empty(traj.shape[0], dtype=complex)
-    for i, v in enumerate(traj):
-        vals[i] = readout(BlockState.from_vector(v).blocks)
-    return vals
+def _regression(p: Prepared, seed: np.ndarray, w: np.ndarray, tau_grid):
+    """(tau, w . e^{tau L} seed) on a tau grid, vectors in block vec order."""
+    tau = np.asarray(tau_grid, float)
+    return tau, propagate_on_grid(p.generator, seed, tau) @ w
 
 
-def qrt_two_time(spec: ModelSpec, o1: np.ndarray, a: np.ndarray, o2: np.ndarray,
-                 tau_grid) -> ObservableSeries:
-    """Stationary <O1(t) A(t+tau) O2(t)> on a tau grid (complex values)."""
-    require_valid(spec)
-    gen = build_generator(spec)
-    st = steady_state(gen)
-    seeds = np.einsum("ij,rjk,kl->ril", np.asarray(o2, complex), st.blocks,
+def qrt_two_time(model: ModelSpec | Prepared, o1: np.ndarray, a: np.ndarray,
+                 o2: np.ndarray, tau_grid) -> ObservableSeries:
+    """Stationary <O1(t) A(t+tau) O2(t)> of a ModelSpec or Prepared on a tau
+    grid (complex values)."""
+    p = prepare(model)
+    seeds = np.einsum("ij,rjk,kl->ril", np.asarray(o2, complex), p.steady.blocks,
                       np.asarray(o1, complex))
-    readout = lambda blocks: np.einsum("ij,rji->", np.asarray(a, complex), blocks)
-    vals = _qrt_series(gen, st, seeds, readout, np.asarray(tau_grid, float))
-    return ObservableSeries(np.asarray(tau_grid, float), vals, SeriesKind.C1)
+    # Tr{A x} = sum_ij A_ij x_ji; x is vectorized column-major per block
+    w = np.tile(np.asarray(a, complex).reshape(-1), p.spec.r_max)
+    tau, vals = _regression(p, BlockState(seeds).to_vector(), w, tau_grid)
+    return ObservableSeries(tau, vals, SeriesKind.C1)
 
 
 def _c1_pieces(spec: ModelSpec, st: BlockState):
@@ -116,55 +110,42 @@ def _c1_pieces(spec: ModelSpec, st: BlockState):
     return seeds, w
 
 
-def c1(spec: ModelSpec, tau_grid) -> ObservableSeries:
-    """Dimensionless first-order field correlation C1(tau), tau >= 0.
+def c1(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
+    """Dimensionless first-order field correlation C1(tau), tau >= 0, of a
+    ModelSpec or Prepared.
 
     C1(-tau) is defined by conjugation; C1(0) equals the stationary
     intensity and C1(inf) the coherent spectral weight.
     """
-    require_valid(spec)
-    gen = build_generator(spec)
-    st = steady_state(gen)
-    seeds, w = _c1_pieces(spec, st)
-    tau = np.asarray(tau_grid, float)
-    traj = propagate_on_grid(gen, BlockState(seeds).to_vector(), tau)
-    return ObservableSeries(tau, traj @ w, SeriesKind.C1)
+    p = prepare(model)
+    seeds, w = _c1_pieces(p.spec, p.steady)
+    tau, vals = _regression(p, BlockState(seeds).to_vector(), w, tau_grid)
+    return ObservableSeries(tau, vals, SeriesKind.C1)
 
 
-def _c2_seeds(spec: ModelSpec, st: BlockState) -> np.ndarray:
-    """Per-block emission seeds gamma_R' sigma rho_R'^inf sigma†
-    + sum_R'' gamma_cross[R'][R''] sigma rho_R''^inf sigma†."""
-    bb = st.blocks[:, 1, 1]
-    weights = spec.gammas() * bb + spec.rates.gamma_cross @ bb
-    seeds = np.zeros((spec.r_max, 2, 2), dtype=complex)
-    seeds[:, 0, 0] = weights
-    return seeds
+def c2(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
+    """Dimensionless intensity correlation C2(tau) = Tr J e^{tau L} J rho_inf
+    (real) of a ModelSpec or Prepared."""
+    p = prepare(model)
+    readout = trace_functional(p.spec.r_max) @ p.jump
+    tau, vals = _regression(p, p.jump @ p.steady.to_vector(), readout, tau_grid)
+    return ObservableSeries(tau, np.real(vals), SeriesKind.C2)
 
 
-def c2(spec: ModelSpec, tau_grid) -> ObservableSeries:
-    """Dimensionless intensity correlation C2(tau) (real)."""
-    require_valid(spec)
-    gen = build_generator(spec)
-    st = steady_state(gen)
-    seeds = _c2_seeds(spec, st)
-    w = np.zeros(4 * spec.r_max, dtype=complex)
-    w[3::4] = spec.effective_decays()   # gt_R Tr{sigma†sigma x} = gt_R x_bb
-    tau = np.asarray(tau_grid, float)
-    traj = propagate_on_grid(gen, BlockState(seeds).to_vector(), tau)
-    return ObservableSeries(tau, np.real(traj @ w), SeriesKind.C2)
+def stationary_intensity(model: ModelSpec | Prepared) -> float:
+    """I_st = Tr J rho_inf = sum_R gamma_tilde_R <b|rho_R^inf|b> (ModelSpec
+    or Prepared)."""
+    p = prepare(model)
+    theta = trace_functional(p.spec.r_max)
+    return float(np.real((theta @ p.jump) @ p.steady.to_vector()))
 
 
-def stationary_intensity(spec: ModelSpec) -> float:
-    """I_st = sum_R gamma_tilde_R <b|rho_R^inf|b>."""
-    require_valid(spec)
-    st = steady_state(build_generator(spec))
-    return float(np.real(spec.effective_decays() @ st.blocks[:, 1, 1]))
-
-
-def g2(spec: ModelSpec, tau_grid) -> ObservableSeries:
-    """Normalized intensity-intensity correlation g2(tau) = C2(tau)/I_st^2."""
-    i_st = stationary_intensity(spec)
+def g2(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
+    """Normalized intensity correlation g2(tau) = C2(tau)/I_st^2 (ModelSpec
+    or Prepared)."""
+    p = prepare(model)
+    i_st = stationary_intensity(p)
     if i_st <= 1e-300:
         raise ZeroIntensity("stationary intensity is zero; g2 undefined")
-    series = c2(spec, tau_grid)
+    series = c2(p, tau_grid)
     return ObservableSeries(series.abscissa, series.values / i_st**2, SeriesKind.G2)

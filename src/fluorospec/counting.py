@@ -27,9 +27,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .correl import ObservableSeries, SeriesKind, stationary_intensity
-from .model import (BlockState, ModelSpec, SuperOp, build_generator,
-                    detection_jump, require_valid, trace_functional)
-from .steady import laurent_decomposition, steady_state
+from .model import BlockState, ModelSpec, SuperOp, require_valid, trace_functional
+from .steady import Prepared, laurent_decomposition, prepare
 
 
 class ZeroCounts(Exception):
@@ -61,26 +60,26 @@ class CountingRecord:
     remainder: float
 
 
-def counting_split(spec: ModelSpec) -> CountingSplit:
-    """Split the generator into detection gains J and the drift L0 = L - J."""
-    full = build_generator(spec)
-    j = detection_jump(spec)
-    return CountingSplit(drift=SuperOp(full.matrix - j), jump=SuperOp(j))
+def counting_split(model: ModelSpec | Prepared) -> CountingSplit:
+    """Split L of a ModelSpec or Prepared into detection gains J and L0 = L - J."""
+    p = prepare(model)
+    return CountingSplit(drift=SuperOp(p.generator.matrix - p.jump),
+                         jump=SuperOp(p.jump))
 
 
-def _counting_inputs(spec: ModelSpec, t: float, initial: BlockState | None):
-    """(L, J, x0) for the counting hierarchy from one generator build;
-    x0 is the steady state unless an initial state is given."""
+def _counting_inputs(model: ModelSpec | Prepared, t: float, initial: BlockState | None):
+    """(L, J, x0) for the counting hierarchy; x0 is the steady state unless
+    an initial state is given."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    gen = build_generator(spec)
+    p = prepare(model)
     if initial is None:
-        x0 = steady_state(gen).to_vector()
-    elif initial.r_max != spec.r_max:
-        raise ValueError(f"initial state has {initial.r_max} blocks, spec has {spec.r_max}")
+        x0 = p.steady.to_vector()
+    elif initial.r_max != p.spec.r_max:
+        raise ValueError(f"initial state has {initial.r_max} blocks, spec has {p.spec.r_max}")
     else:
         x0 = initial.to_vector()
-    return gen.matrix, detection_jump(spec), x0
+    return p.generator.matrix, p.jump, x0
 
 
 def _check_n_max(n_max: int) -> None:
@@ -88,15 +87,20 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 
 
-def _pn(full, j, x0, t, n_max) -> np.ndarray:
-    dim = full.shape[0]
-    levels = n_max + 1
-    big = np.kron(np.eye(levels), full - j) + np.kron(np.eye(levels, k=-1), j)
+def _hierarchy(diag, sub, j, x0, t) -> np.ndarray:
+    """Traces at t of the levels of d x_k/dt = diag x_k + sub[k-1] J x_{k-1}
+    from x_0 = x0, x_k = 0 (k > 0): one block-bidiagonal matrix exponential."""
+    dim = diag.shape[0]
+    levels = len(sub) + 1
+    big = np.kron(np.eye(levels), diag) + np.kron(np.diag(sub, k=-1), j)
     x = np.zeros(levels * dim, dtype=complex)
     x[:dim] = x0
     y = la.expm(t * big) @ x
-    theta = trace_functional(dim // 4)
-    probs = np.real(y.reshape(levels, dim) @ theta)
+    return np.real(y.reshape(levels, dim) @ trace_functional(dim // 4))
+
+
+def _pn(full, j, x0, t, n_max) -> np.ndarray:
+    probs = _hierarchy(full - j, np.ones(n_max), j, x0, t)
     missing = 1.0 - probs.sum()
     if missing > 1e-6:
         warnings.warn(f"P_n truncation at n_max={n_max} leaves mass {missing:.3e}",
@@ -105,50 +109,46 @@ def _pn(full, j, x0, t, n_max) -> np.ndarray:
 
 
 def _moments(full, j, x0, t) -> tuple[float, float]:
-    dim = full.shape[0]
-    big = np.kron(np.eye(3), full) + np.kron(np.diag([1.0, 2.0], k=-1), j)
-    x = np.zeros(3 * dim, dtype=complex)
-    x[:dim] = x0
-    y = la.expm(t * big) @ x
-    theta = trace_functional(dim // 4)
-    mean = float(np.real(theta @ y[dim:2 * dim]))
-    second = float(np.real(theta @ y[2 * dim:]))
-    return mean, second
+    return tuple(float(v) for v in _hierarchy(full, [1.0, 2.0], j, x0, t)[1:])
 
 
-def pn(spec: ModelSpec, t: float, n_max: int,
+def pn(model: ModelSpec | Prepared, t: float, n_max: int,
        initial: BlockState | None = None) -> np.ndarray:
-    """P_0(t) .. P_nmax(t), starting from the steady state by default.
+    """P_0(t) .. P_nmax(t) of a ModelSpec or Prepared, from its steady state
+    by default.
 
     One block-triangular matrix exponential of the n-resolved hierarchy
     d rho^(n)/dt = L0 rho^(n) + J rho^(n-1); warns when the truncated mass
     1 - sum P_n exceeds 1e-6.
     """
     _check_n_max(n_max)
-    return _pn(*_counting_inputs(spec, t, initial), t, n_max)
+    return _pn(*_counting_inputs(model, t, initial), t, n_max)
 
 
-def _factorial_moments(spec: ModelSpec, t: float,
+def _factorial_moments(model: ModelSpec | Prepared, t: float,
                        initial: BlockState | None = None) -> tuple[float, float]:
     """Exact (N_bar, N_bar^(2)) via the augmented s-derivative chain at s=1:
     d/dt (x, x', x'') = ((L,0,0), (J,L,0), (0,2J,L)) (x, x', x'')."""
-    return _moments(*_counting_inputs(spec, t, initial), t)
+    return _moments(*_counting_inputs(model, t, initial), t)
 
 
-def mean_counts(spec: ModelSpec, t: float, initial: BlockState | None = None) -> float:
-    """Mean number of detections up to time t."""
-    return _factorial_moments(spec, t, initial)[0]
+def mean_counts(model: ModelSpec | Prepared, t: float,
+                initial: BlockState | None = None) -> float:
+    """Mean number of detections up to time t (ModelSpec or Prepared)."""
+    return _factorial_moments(model, t, initial)[0]
 
 
-def second_factorial(spec: ModelSpec, t: float,
+def second_factorial(model: ModelSpec | Prepared, t: float,
                      initial: BlockState | None = None) -> float:
-    """Second factorial moment <N(N-1)> up to time t."""
-    return _factorial_moments(spec, t, initial)[1]
+    """Second factorial moment <N(N-1)> up to time t (ModelSpec or Prepared)."""
+    return _factorial_moments(model, t, initial)[1]
 
 
-def mandel_q(spec: ModelSpec, t: float, initial: BlockState | None = None) -> float:
-    """Q(t) = (<N^2> - <N>^2)/<N> - 1 = (N2f + N - N^2)/N - 1."""
-    mean, second = _factorial_moments(spec, t, initial)
+def mandel_q(model: ModelSpec | Prepared, t: float,
+             initial: BlockState | None = None) -> float:
+    """Q(t) = (<N^2> - <N>^2)/<N> - 1 = (N2f + N - N^2)/N - 1 (ModelSpec or
+    Prepared)."""
+    mean, second = _factorial_moments(model, t, initial)
     if mean <= 1e-300:
         raise ZeroCounts(f"mean count {mean} at t={t}; Mandel factor undefined")
     return (second + mean - mean**2) / mean - 1.0
@@ -165,11 +165,11 @@ def line_shape_sweep(spec: ModelSpec, delta_grid) -> ObservableSeries:
     return ObservableSeries(grid, vals, SeriesKind.LINE_SHAPE)
 
 
-def counting_record(spec: ModelSpec, t: float, n_max: int,
+def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,
                     initial: BlockState | None = None) -> CountingRecord:
-    """Assemble the full counting snapshot at time t."""
+    """The full counting snapshot at time t (ModelSpec or Prepared)."""
     _check_n_max(n_max)
-    full, j, x0 = _counting_inputs(spec, t, initial)
+    full, j, x0 = _counting_inputs(model, t, initial)
     probs = _pn(full, j, x0, t, n_max)
     mean, second = _moments(full, j, x0, t)
     q = (second + mean - mean**2) / mean - 1.0 if mean > 1e-300 else float("nan")
@@ -177,8 +177,10 @@ def counting_record(spec: ModelSpec, t: float, n_max: int,
                           mandel_q=q, remainder=float(1.0 - probs.sum()))
 
 
-def stationary_mandel(spec: ModelSpec, initial: BlockState | None = None) -> float:
-    """Exact stationary Mandel factor from the Laurent expansion at u = 0.
+def stationary_mandel(model: ModelSpec | Prepared,
+                      initial: BlockState | None = None) -> float:
+    """Exact stationary Mandel factor of a ModelSpec or Prepared from the
+    Laurent expansion at u = 0.
 
     In the Laplace domain the first two s-derivatives of the half-trace of
     the generating operator have pole structures (p + q u)/(P u^2 + Q u^3)
@@ -188,10 +190,10 @@ def stationary_mandel(spec: ModelSpec, initial: BlockState | None = None) -> flo
     and Q_st = A/b - 4a, with B = 2 b^2 holding identically and the line
     shape fixed by I = 2b.
     """
-    require_valid(spec)
-    decomp = laurent_decomposition(build_generator(spec))
-    j = detection_jump(spec)
-    theta = trace_functional(spec.r_max)
+    p = prepare(model)
+    decomp = laurent_decomposition(p.generator)
+    j = p.jump
+    theta = trace_functional(p.spec.r_max)
     rho_inf = decomp.steady.to_vector()
     p = decomp.projector.matrix
     r0 = decomp.reduced_resolvent.matrix

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,10 +180,6 @@ class BlockState:
     def total_trace(self) -> complex:
         return self.blocks[:, 0, 0].sum() + self.blocks[:, 1, 1].sum()
 
-    def system_state(self) -> np.ndarray:
-        """2x2 reduced system density matrix (sum over blocks)."""
-        return self.blocks.sum(axis=0)
-
     def to_vector(self) -> np.ndarray:
         """Block-major, column-major-within-block (aa, ba, ab, bb) vector."""
         return self.blocks.transpose(0, 2, 1).reshape(-1).copy()
@@ -229,9 +225,6 @@ class SuperOp:
     @property
     def r_max(self) -> int:
         return self.dim // 4
-
-    def apply(self, x: BlockState) -> BlockState:
-        return BlockState.from_vector(self.matrix @ x.to_vector())
 
 
 def trace_functional(r_max: int) -> np.ndarray:
@@ -352,8 +345,8 @@ def detection_jump(spec: ModelSpec) -> np.ndarray:
     <b|rho_R'|b>. The one definition of the detection term: the generator
     contains it and the counting split separates it.
     """
-    return np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
-                   _sandwich(SIGMA))
+    return _frozen_array(np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+                                 _sandwich(SIGMA)), complex)
 
 
 def build_generator(spec: ModelSpec) -> SuperOp:

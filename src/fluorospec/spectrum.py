@@ -12,22 +12,21 @@ import warnings
 
 import numpy as np
 
-from .correl import ObservableSeries, SeriesKind, _c1_pieces
-from .model import BlockState, ModelSpec, build_generator, require_valid, trace_functional
-from .steady import resolve_deflated, steady_state
+from .correl import ObservableSeries, SeriesKind, _c1_pieces, stationary_intensity
+from .model import BlockState, ModelSpec, trace_functional
+from .steady import Prepared, prepare, resolve_deflated
 
 
-def coherent_weight(spec: ModelSpec) -> float:
-    """Weight of the delta peak at the laser frequency:
+def coherent_weight(model: ModelSpec | Prepared) -> float:
+    """Weight of the delta peak at the laser frequency (ModelSpec or Prepared):
     |sum_R sqrt(gamma_tilde_R) <a|rho_R^inf|b>|^2."""
-    require_valid(spec)
-    st = steady_state(build_generator(spec))
-    amp = np.sqrt(spec.effective_decays()) @ st.blocks[:, 0, 1]
+    p = prepare(model)
+    amp = np.sqrt(p.spec.effective_decays()) @ p.steady.blocks[:, 0, 1]
     return float(np.abs(amp) ** 2)
 
 
-def incoherent_spectrum(spec: ModelSpec, omega_grid) -> ObservableSeries:
-    """S_inc on a grid of omega - omega_L values.
+def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSeries:
+    """S_inc of a ModelSpec or Prepared on a grid of omega - omega_L values.
 
     The coherent plateau is subtracted from the C1 seed (projection onto
     the steady state), which regularizes the u -> 0 pole; each frequency
@@ -36,37 +35,35 @@ def incoherent_spectrum(spec: ModelSpec, omega_grid) -> ObservableSeries:
     by construction. A nonzero purely imaginary eigenvalue crossing still
     raises SingularShift (reported, not masked).
     """
-    require_valid(spec)
+    p = prepare(model)
     omega = np.asarray(omega_grid, dtype=float)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega grid must be finite")
-    gen = build_generator(spec)
-    st = steady_state(gen)
-    seeds, w = _c1_pieces(spec, st)
+    seeds, w = _c1_pieces(p.spec, p.steady)
     v = BlockState(seeds).to_vector()
-    theta = trace_functional(spec.r_max)
-    v_dec = v - st.to_vector() * (theta @ v)
+    theta = trace_functional(p.spec.r_max)
+    v_dec = v - p.steady.to_vector() * (theta @ v)
     v_state = BlockState.from_vector(v_dec)
     vals = np.empty(omega.size)
     for i, om in enumerate(omega):
-        x = resolve_deflated(gen, -1j * om, v_state)
+        x = resolve_deflated(p.generator, -1j * om, v_state)
         vals[i] = 2.0 * np.real(w @ x.to_vector())
     return ObservableSeries(omega, vals, SeriesKind.SPECTRUM_INC)
 
 
-def sum_rule_check(spec: ModelSpec, omega_grid) -> float:
-    """| (1/2pi) int S_inc + S_coh - I_st | / I_st by trapezoid quadrature.
+def sum_rule_check(model: ModelSpec | Prepared, omega_grid) -> float:
+    """| (1/2pi) int S_inc + S_coh - I_st | / I_st by trapezoid quadrature,
+    for a ModelSpec or Prepared.
 
     Warns when the estimated out-of-grid tail (1/omega^2 extrapolation from
     the edge values) is itself larger than 1e-3 of I_st. Dark models
     (I_st = 0) return 0 by definition.
     """
-    from .correl import stationary_intensity
-
-    i_st = stationary_intensity(spec)
+    p = prepare(model)
+    i_st = stationary_intensity(p)
     if i_st <= 1e-300:
         return 0.0
-    series = incoherent_spectrum(spec, omega_grid)
+    series = incoherent_spectrum(p, omega_grid)
     integral = np.trapezoid(series.values, series.abscissa) / (2.0 * np.pi)
     tail = (abs(series.values[0] * series.abscissa[0])
             + abs(series.values[-1] * series.abscissa[-1])) / (2.0 * np.pi)
@@ -74,4 +71,4 @@ def sum_rule_check(spec: ModelSpec, omega_grid) -> float:
         warnings.warn(
             f"spectrum grid may be too narrow: estimated tail {tail:.3e} "
             f"exceeds 1e-3 * I_st = {1e-3 * i_st:.3e}", stacklevel=2)
-    return float(abs(integral + coherent_weight(spec) - i_st) / i_st)
+    return float(abs(integral + coherent_weight(p) - i_st) / i_st)

@@ -19,12 +19,14 @@ another and no row search is needed.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from .model import BlockState, SuperOp, trace_functional
+from .model import (BlockState, ModelSpec, SuperOp, build_generator,
+                    detection_jump, trace_functional)
 
 
 class NullSpaceDegenerate(Exception):
@@ -44,6 +46,27 @@ class SteadyDecomposition:
     steady: BlockState
     projector: SuperOp
     reduced_resolvent: SuperOp
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """A spec with its generator L and detection jump J, built once, and its
+    steady state, solved on first use; every observable accepts one."""
+
+    spec: ModelSpec
+    generator: SuperOp
+    jump: np.ndarray
+
+    @functools.cached_property
+    def steady(self) -> BlockState:
+        return steady_state(self.generator)
+
+
+def prepare(model: ModelSpec | Prepared) -> Prepared:
+    """The Prepared form of a model; a Prepared is returned unchanged."""
+    if isinstance(model, Prepared):
+        return model
+    return Prepared(model, build_generator(model), detection_jump(model))
 
 
 def evolve(generator: SuperOp, x0: BlockState, t: float) -> BlockState:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fluorospec as fs
-from fluorospec import cli
+from fluorospec import cli, steady
 
 FIG2A_CONFIG = {
     "schema": 1,
@@ -155,12 +155,19 @@ def _malformed_configs():
                          grids={"time": {"start": -1.0, "stop": 1.0, "count": 3}})
     reversed_grid = json.loads(json.dumps(FIG2A_CONFIG))
     reversed_grid["grids"]["omega"].update(start=2.0, stop=-2.0)
+    inline = {"r_max": 2, "delta_omega": [0.0, 0.0], "gamma": [1.0, 1.0],
+              "omega_rabi": [0.7, 0.7], "phi": [[0.0, 0.01], [0.01, 0.0]]}
+    extra_entry = dict(FIG2A_CONFIG, model={"inline": dict(
+        inline, gamma=[1.0, 1.0, 7.0])})
+    fractional_r_max = dict(FIG2A_CONFIG, model={"inline": dict(inline, r_max=2.5)})
     return [("unknown_task", "steady", unknown_task),
             ("misspelled_param", "steady", misspelled_param),
             ("string_count", "spectrum", string_count),
             ("nan_stop", "g2", nan_stop),
             ("negative_time", "counting", negative_time),
             ("reversed_grid", "spectrum", reversed_grid),
+            ("extra_entry", "steady", extra_entry),
+            ("fractional_r_max", "steady", fractional_r_max),
             # the task comes from the command line; the grid check must hold
             ("negative_time_override", "counting",
              dict(negative_time, task="steady"))]
@@ -175,6 +182,16 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert rc == 2, (name, err)
         assert json.loads(err)["error"] == "ConfigError", name
         assert not list(tmp_path.glob(f"{name}_*.csv")), name
+    # the thread count from the command line must obey the config's bound
+    single = dict(FIG2A_CONFIG, task="steady", output=str(tmp_path / "threads"),
+                  model={"scenario": "single_state",
+                         "params": {"gamma": 1.0, "omega_rabi": 0.7}})
+    cfg_path = write_config(tmp_path, single, name="threads.json")
+    for threads in ("0", "-3"):
+        assert cli.main(["steady", "--config", str(cfg_path),
+                         "--threads", threads]) == 2, threads
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not list(tmp_path.glob("threads_*.csv"))
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff\xfe{}")
     assert cli.main(["steady", "--config", str(not_utf8)]) == 2
@@ -202,6 +219,20 @@ def test_csv_equals_library_series(tmp_path):
         assert np.array_equal(rows[:, 1], np.real(series.values)), task
         if task == "c1":
             assert np.array_equal(rows[:, 2], np.imag(series.values))
+
+
+@pytest.mark.parametrize("task", ["spectrum", "counting"])
+def test_task_solves_steady_state_once(task, tmp_path, monkeypatch):
+    calls = []
+    solve = steady.steady_state
+    monkeypatch.setattr(steady, "steady_state",
+                        lambda gen: calls.append(gen) or solve(gen))
+    cfg = dict(FIG2A_CONFIG, task=task, n_max=4, output=str(tmp_path / task))
+    cfg["grids"] = dict(FIG2A_CONFIG["grids"],
+                        time={"start": 0.0, "stop": 3.0, "count": 4})
+    assert cli.main([task, "--config", str(write_config(tmp_path, cfg)),
+                     "--threads", "4"]) == 0
+    assert len(calls) == 1
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

@@ -1,0 +1,117 @@
+"""One prepared model per spec: every observable gives the same result for a
+ModelSpec and for its Prepared form, and calls that share a Prepared share
+one steady solve."""
+import warnings
+
+import numpy as np
+import pytest
+
+import fluorospec as fs
+from fluorospec import steady
+from fluorospec.model import SIGMA, SIGMA_DAG, UPPER_PROJECTOR
+from conftest import random_block_state, random_spec
+
+TAU = np.linspace(0.0, 5.0, 6)
+OMEGA = np.linspace(-6.0, 6.0, 13)
+T = 1.5
+
+
+def _record(m):
+    rec = fs.counting_record(m, T, 8)
+    return np.array([rec.mean, rec.second_factorial, rec.mandel_q,
+                     rec.remainder, *rec.pn])
+
+
+def _split(m):
+    split = fs.counting_split(m)
+    return np.concatenate([split.drift.matrix, split.jump.matrix])
+
+
+OBSERVABLES = {
+    "qrt_two_time": lambda m: fs.qrt_two_time(m, SIGMA_DAG, UPPER_PROJECTOR,
+                                              SIGMA, TAU).values,
+    "c1": lambda m: fs.c1(m, TAU).values,
+    "c2": lambda m: fs.c2(m, TAU).values,
+    "g2": lambda m: fs.g2(m, TAU).values,
+    "stationary_intensity": fs.stationary_intensity,
+    "line_shape": fs.line_shape,
+    "coherent_weight": fs.coherent_weight,
+    "incoherent_spectrum": lambda m: fs.incoherent_spectrum(m, OMEGA).values,
+    "sum_rule_check": lambda m: fs.sum_rule_check(m, OMEGA),
+    "counting_split": _split,
+    "pn": lambda m: fs.pn(m, T, 8),
+    "pn_from_initial": lambda m: fs.pn(
+        m, T, 8, random_block_state(np.random.default_rng(3), 3, physical=True)),
+    "mean_counts": lambda m: fs.mean_counts(m, T),
+    "second_factorial": lambda m: fs.second_factorial(m, T),
+    "mandel_q": lambda m: fs.mandel_q(m, T),
+    "counting_record": _record,
+    "stationary_mandel": fs.stationary_mandel,
+}
+
+
+@pytest.fixture(scope="module")
+def spec():
+    return random_spec(np.random.default_rng(11), 3, with_channels=True)
+
+
+@pytest.fixture(scope="module")
+def shared(spec):
+    """One Prepared reused by every observable below, in any order."""
+    return fs.prepare(spec)
+
+
+@pytest.fixture
+def steady_calls(monkeypatch):
+    calls = []
+    solve = steady.steady_state
+
+    def counted(generator):
+        calls.append(generator)
+        return solve(generator)
+
+    monkeypatch.setattr(steady, "steady_state", counted)
+    return calls
+
+
+def test_prepare_returns_prepared_unchanged(spec):
+    p = fs.prepare(spec)
+    assert fs.prepare(p) is p
+    assert p.spec is spec
+    assert np.array_equal(p.generator.matrix, fs.build_generator(spec).matrix)
+    assert not p.jump.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVABLES))
+def test_prepared_gives_bit_identical_results(name, spec, shared):
+    fn = OBSERVABLES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # P_n truncation at n_max = 8
+        assert np.array_equal(fn(spec), fn(shared)), name
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVABLES))
+def test_invalid_spec_rejected(name, spec):
+    bad = fs.ModelSpec(space=spec.space, per_state=spec.per_state[:1],
+                       rates=spec.rates)
+    with pytest.raises(ValueError, match="per_state"):
+        OBSERVABLES[name](bad)
+
+
+def test_steady_state_solved_on_first_use_only(spec, steady_calls):
+    p = fs.prepare(spec)
+    fs.counting_split(p)
+    fs.pn(p, T, 4, initial=fs.BlockState.ground(spec.r_max))
+    assert steady_calls == []
+    assert p.steady is p.steady
+    assert len(steady_calls) == 1
+
+
+def test_g2_solves_steady_state_once(fig2a, steady_calls):
+    fs.g2(fig2a, TAU)
+    assert len(steady_calls) == 1
+
+
+def test_sum_rule_check_solves_steady_state_once(fig2a, steady_calls):
+    fs.sum_rule_check(fig2a, np.linspace(-40.0, 40.0, 401))
+    assert len(steady_calls) == 1

@@ -286,6 +286,7 @@ def run(config: RunConfig) -> list[str]:
             return counting.counting_record(p, float(grid[i]), config.n_max)
 
         recs = _parallel_map(point, grid.size, config.threads)
+        meta["aliasing_bound"] = _fmt(max(r.aliasing for r in recs))
         header = ["t", "mean", "second_factorial", "mandel_q", "remainder"]
         header += [f"p{n}" for n in range(config.n_max + 1)]
         rows = [[r.t, r.mean, r.second_factorial, r.mandel_q, r.remainder, *r.pn]

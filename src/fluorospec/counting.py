@@ -5,11 +5,17 @@ generating operator G(t,s) = sum_n s^n rho^(n) evolves under L0 + s J,
 where J collects exactly the detection gains (the own-block gamma_R and
 cross gamma_RR' recycling terms) and L0 everything else, L0 + J = L.
 
-P_n(t) follows from the block-triangular hierarchy
-d rho^(n)/dt = L0 rho^(n) + J rho^(n-1); factorial moments from the exact
-s-derivative chain at s = 1 (never finite-differenced); and the stationary
-Mandel factor from the Laurent expansion of the Laplace-domain resolvent
-around u = 0 (steady projector + reduced resolvent).
+P_n(t) follows by inverting the probability generating function
+g(s) = theta e^{t(L0 + s J)} x0 = sum_n P_n s^n: one small matrix
+exponential at each of N points s_k = r e^{2 pi i k/N} on a circle and one
+inverse FFT (Abate & Whitt, ORSA J. Comput. 4, 5 (1992); s is the counting
+field of full counting statistics). The inversion folds the mass at n >= N
+onto P_0..P_{N-1}; a Chernoff bound P(n >= N) <= g(z) z^-N at one real
+z > 1 bounds that aliased mass and is reported next to the truncation
+remainder. Factorial moments come from the exact s-derivative chain at
+s = 1 (never finite-differenced), and the stationary Mandel factor from the
+Laurent expansion of the Laplace-domain resolvent around u = 0 (steady
+projector + reduced resolvent).
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -49,7 +55,8 @@ class CountingRecord:
     """Counting distribution and moments at one time.
 
     remainder = 1 - sum(pn) is the probability mass beyond the truncation
-    n_max; it is reported, never silently renormalized away.
+    n_max; aliasing bounds the mass that the FFT inversion folded onto pn.
+    Both are reported, never silently renormalized away.
     """
 
     t: float
@@ -58,6 +65,7 @@ class CountingRecord:
     second_factorial: float
     mandel_q: float
     remainder: float
+    aliasing: float
 
 
 def counting_split(model: ModelSpec | Prepared) -> CountingSplit:
@@ -70,8 +78,8 @@ def counting_split(model: ModelSpec | Prepared) -> CountingSplit:
 def _counting_inputs(model: ModelSpec | Prepared, t: float, initial: BlockState | None):
     """(L, J, x0) for the counting hierarchy; x0 is the steady state unless
     an initial state is given."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     p = prepare(model)
     if initial is None:
         x0 = p.steady.to_vector()
@@ -87,29 +95,79 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 
 
-def _hierarchy(diag, sub, j, x0, t) -> np.ndarray:
-    """Traces at t of the levels of d x_k/dt = diag x_k + sub[k-1] J x_{k-1}
-    from x_0 = x0, x_k = 0 (k > 0): one block-bidiagonal matrix exponential."""
-    dim = diag.shape[0]
-    levels = len(sub) + 1
-    big = np.kron(np.eye(levels), diag) + np.kron(np.diag(sub, k=-1), j)
-    x = np.zeros(levels * dim, dtype=complex)
-    x[:dim] = x0
-    y = la.expm(t * big) @ x
-    return np.real(y.reshape(levels, dim) @ trace_functional(dim // 4))
+_LOG_EPS = np.log(np.finfo(float).eps)
 
 
-def _pn(full, j, x0, t, n_max) -> np.ndarray:
-    probs = _hierarchy(full - j, np.ones(n_max), j, x0, t)
+def _log_chernoff(g) -> tuple[float, float]:
+    """(log g(z), log z) at the largest z = 1 + 2^-k with g(z) finite and
+    positive, so that P(n >= N) <= exp(log g(z) - N log z). g(z) grows
+    like e^{t lambda(z)} and overflows for long times; (0, 0) is the
+    trivial bound P(n >= N) <= 1 when no such z is found."""
+    for k in range(53):
+        z = 1.0 + 2.0**-k
+        with np.errstate(all="ignore"):
+            gz = g(z).real
+        if np.isfinite(gz) and gz > 0:
+            return float(np.log(gz)), float(np.log(z))
+    return 0.0, 0.0
+
+
+def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
+    """(P_0..P_nmax, bound on the aliased mass) by FFT inversion of
+    g(s) = theta e^{t(L0 + s J)} x0 at s_k = r e^{2 pi i k/N}.
+
+    The inversion returns P_n + sum_{m>=1} P_{n+mN} r^{mN}, so the aliased
+    mass on P_0..P_nmax is at most r^N P(n >= N). N is the smallest power
+    of two >= 2(n_max+1) at which that bound reaches double-precision
+    rounding with a radius r <= 1 whose amplification r^-n_max of rounding
+    errors stays <= 2; r = 1 unless the mean count far exceeds n_max, where
+    the unit circle would need N of the order of the mean count.
+    """
+    theta = trace_functional(j.shape[0] // 4)
+    drift = full - j
+
+    def g(s):
+        return theta @ (la.expm(t * (drift + s * j)) @ x0)
+
+    log_g, log_z = _log_chernoff(g)
+    n = 1 << (2 * n_max + 1).bit_length()
+    while True:
+        log_tail = min(0.0, log_g - n * log_z)
+        log_r = min(0.0, (_LOG_EPS - log_tail) / n)
+        if -n_max * log_r <= np.log(2.0):
+            break
+        n *= 2
+    radius = np.exp(log_r)
+    # P_n is real, so g(conj s) = conj g(s): the half circle suffices
+    vals = np.array([g(radius * np.exp(2j * np.pi * k / n)) for k in range(n // 2 + 1)])
+    probs = np.fft.irfft(np.conj(vals), n)[:n_max + 1] / radius ** np.arange(n_max + 1)
     missing = 1.0 - probs.sum()
     if missing > 1e-6:
         warnings.warn(f"P_n truncation at n_max={n_max} leaves mass {missing:.3e}",
                       stacklevel=3)
-    return probs
+    return probs, float(np.exp(n * log_r + log_tail))
 
 
 def _moments(full, j, x0, t) -> tuple[float, float]:
-    return tuple(float(v) for v in _hierarchy(full, [1.0, 2.0], j, x0, t)[1:])
+    """Traces of x' and x'' in the chain of ``_factorial_moments`` from
+    (x0, 0, 0): one block-bidiagonal matrix exponential."""
+    dim = full.shape[0]
+    big = np.kron(np.eye(3), full) + np.kron(np.diag([1.0, 2.0], k=-1), j)
+    x = np.zeros(3 * dim, dtype=complex)
+    x[:dim] = x0
+    y = la.expm(t * big) @ x
+    traces = np.real(y.reshape(3, dim) @ trace_functional(dim // 4))
+    return float(traces[1]), float(traces[2])
+
+
+def _mandel(mean, second, t) -> float:
+    """Q(t) = (N2f + N - N^2)/N - 1; Q(0) = 0 is the t -> 0 limit, since
+    N2f = O(t^2) and N = O(t)."""
+    if t == 0:
+        return 0.0
+    if mean <= 1e-300:
+        raise ZeroCounts(f"mean count {mean} at t={t}; Mandel factor undefined")
+    return (second + mean - mean**2) / mean - 1.0
 
 
 def pn(model: ModelSpec | Prepared, t: float, n_max: int,
@@ -117,12 +175,14 @@ def pn(model: ModelSpec | Prepared, t: float, n_max: int,
     """P_0(t) .. P_nmax(t) of a ModelSpec or Prepared, from its steady state
     by default.
 
-    One block-triangular matrix exponential of the n-resolved hierarchy
-    d rho^(n)/dt = L0 rho^(n) + J rho^(n-1); warns when the truncated mass
-    1 - sum P_n exceeds 1e-6.
+    FFT inversion of the generating function theta e^{t(L0 + s J)} x0 from
+    one 4r_max x 4r_max matrix exponential per point on a circle, with the
+    aliased mass held at double-precision rounding (``counting_record``
+    reports its bound); warns when the truncated mass 1 - sum P_n exceeds
+    1e-6.
     """
     _check_n_max(n_max)
-    return _pn(*_counting_inputs(model, t, initial), t, n_max)
+    return _pn(*_counting_inputs(model, t, initial), t, n_max)[0]
 
 
 def _factorial_moments(model: ModelSpec | Prepared, t: float,
@@ -147,11 +207,8 @@ def second_factorial(model: ModelSpec | Prepared, t: float,
 def mandel_q(model: ModelSpec | Prepared, t: float,
              initial: BlockState | None = None) -> float:
     """Q(t) = (<N^2> - <N>^2)/<N> - 1 = (N2f + N - N^2)/N - 1 (ModelSpec or
-    Prepared)."""
-    mean, second = _factorial_moments(model, t, initial)
-    if mean <= 1e-300:
-        raise ZeroCounts(f"mean count {mean} at t={t}; Mandel factor undefined")
-    return (second + mean - mean**2) / mean - 1.0
+    Prepared); 0 at t = 0, ZeroCounts when the mean count vanishes at t > 0."""
+    return _mandel(*_factorial_moments(model, t, initial), t)
 
 
 # The stationary count rate lim dN/dt is the stationary intensity.
@@ -167,14 +224,15 @@ def line_shape_sweep(spec: ModelSpec, delta_grid) -> ObservableSeries:
 
 def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,
                     initial: BlockState | None = None) -> CountingRecord:
-    """The full counting snapshot at time t (ModelSpec or Prepared)."""
+    """The full counting snapshot at time t (ModelSpec or Prepared); raises
+    ZeroCounts, like ``mandel_q``, when the mean count vanishes at t > 0."""
     _check_n_max(n_max)
     full, j, x0 = _counting_inputs(model, t, initial)
-    probs = _pn(full, j, x0, t, n_max)
+    probs, aliasing = _pn(full, j, x0, t, n_max)
     mean, second = _moments(full, j, x0, t)
-    q = (second + mean - mean**2) / mean - 1.0 if mean > 1e-300 else float("nan")
     return CountingRecord(t=t, pn=probs, mean=mean, second_factorial=second,
-                          mandel_q=q, remainder=float(1.0 - probs.sum()))
+                          mandel_q=_mandel(mean, second, t),
+                          remainder=float(1.0 - probs.sum()), aliasing=aliasing)
 
 
 def stationary_mandel(model: ModelSpec | Prepared,
@@ -191,7 +249,7 @@ def stationary_mandel(model: ModelSpec | Prepared,
     shape fixed by I = 2b.
     """
     p = prepare(model)
-    decomp = laurent_decomposition(p.generator)
+    decomp = laurent_decomposition(p)
     j = p.jump
     theta = trace_functional(p.spec.r_max)
     rho_inf = decomp.steady.to_vector()

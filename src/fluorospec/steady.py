@@ -20,6 +20,7 @@ another and no row search is needed.
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,9 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
 
 
 def _checked_solve(a_solve, a_resid, rhs, u, rhs_defl=None):
-    import warnings as _warnings
-
     try:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", la.LinAlgWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", la.LinAlgWarning)
             lu, piv = la.lu_factor(a_solve)
             x = la.lu_solve((lu, piv), rhs if rhs_defl is None else rhs_defl)
     except la.LinAlgError as exc:
@@ -174,13 +173,15 @@ def _checked_solve(a_solve, a_resid, rhs, u, rhs_defl=None):
     return x
 
 
-def laurent_decomposition(generator: SuperOp) -> SteadyDecomposition:
-    """Steady state plus projector P and reduced resolvent R0.
+def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
+    """Steady state plus projector P and reduced resolvent R0 of a ModelSpec
+    or Prepared, reusing the Prepared's steady state.
 
     R0 is obtained from the deflated solve L X = P - Id with the trace of
     every column pinned to zero, which lands exactly on the reduced
     resolvent (the trace functional is the only left null vector)."""
-    st = steady_state(generator)
+    prepared = prepare(model)
+    st, generator = prepared.steady, prepared.generator
     m = generator.matrix
     dim = generator.dim
     theta = trace_functional(generator.r_max)

@@ -235,6 +235,26 @@ def test_task_solves_steady_state_once(task, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_counting_csv_has_no_nan(tmp_path, capsys):
+    cfg = dict(FIG2A_CONFIG, task="counting", n_max=4, output=str(tmp_path / "q"),
+               grids={"time": {"start": 0.0, "stop": 2.0, "count": 3}})
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["counting", "--config", str(cfg_path)]) == 0
+    text = (tmp_path / "q_counting.csv").read_text()
+    assert "nan" not in text
+    meta = dict(l[2:].split(" = ") for l in text.splitlines() if l.startswith("# "))
+    assert 0.0 <= float(meta["aliasing_bound"]) <= 1e-14
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    assert float(rows[0][3]) == 0.0          # Q(0) is its t -> 0 limit
+    # a dark model has no counts, so Q(t > 0) is undefined: exit 3, no CSV
+    dark = dict(cfg, output=str(tmp_path / "dark"),
+                model={"scenario": "single_state",
+                       "params": {"gamma": 1.0, "omega_rabi": 0.0}})
+    assert cli.main(["counting", "--config", str(write_config(tmp_path, dark))]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ZeroCounts"
+    assert not (tmp_path / "dark_counting.csv").exists()
+
+
 def test_exit_code_numerical_failure(tmp_path, capsys):
     cfg = {"schema": 1,
            "model": {"scenario": "lifetime_fluct",

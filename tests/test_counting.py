@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from fluorospec.counting import counting_split, _factorial_moments
 from fluorospec.model import trace_functional
 
 import markovian_oracle
+from block_oracle import block_pn
 from conftest import random_block_state, random_spec
 
 
@@ -70,9 +72,81 @@ def test_pn_moment_consistency(markovian):
     assert probs.max() <= 1.0 + 1e-12
 
 
+def test_counting_rejects_bad_time(markovian):
+    # a NaN time would otherwise give NaN P_n under a finite aliasing bound
+    for t in (-1.0, float("nan"), float("inf")):
+        for fn in (lambda: fs.pn(markovian, t, 3),
+                   lambda: fs.counting_record(markovian, t, 3),
+                   lambda: fs.mean_counts(markovian, t)):
+            with pytest.raises(ValueError, match="finite"):
+                fn()
+
+
 def test_pn_truncation_warning(markovian):
     with pytest.warns(UserWarning, match="truncation"):
         fs.pn(markovian, 40.0, 2)
+
+
+def _oracle_case(name, request):
+    """(spec, t, n_max, initial, truncated) of one block-oracle comparison."""
+    fig5 = request.getfixturevalue("fig5")
+    markovian = request.getfixturevalue("markovian")
+    rng = np.random.default_rng(21)
+    if name == "fig5_workload":
+        return fig5, 60.0, 60, None, False
+    if name == "random5_workload":
+        return random_spec(rng, 5), 10.0, 30, None, False
+    if name == "eta_channel":
+        return random_spec(rng, 3, with_channels=True), 5.0, 20, None, False
+    if name == "initial_state":
+        return fig5, 30.0, 40, random_block_state(rng, 2, physical=True), False
+    if name == "heavy_truncation":
+        return markovian, 40.0, 2, None, True
+    # g(2) overflows to nan here; every exact P_n is below 1e-100
+    return fig5, 3000.0, 20, None, True
+
+
+@pytest.mark.parametrize("name", ["fig5_workload", "random5_workload", "eta_channel",
+                                  "initial_state", "heavy_truncation",
+                                  "long_time_overflow"])
+def test_pn_matches_block_oracle(name, request):
+    spec, t, n_max, initial, truncated = _oracle_case(name, request)
+    warns = (pytest.warns(UserWarning, match="truncation") if truncated
+             else contextlib.nullcontext())
+    with warns:
+        rec = fs.counting_record(spec, t, n_max, initial)
+    assert np.abs(rec.pn - block_pn(spec, t, n_max, initial)).max() <= 1e-13
+    assert np.isfinite(rec.aliasing) and rec.aliasing <= 1e-14
+    assert rec.remainder == 1.0 - rec.pn.sum()
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    calls = []
+    expm = la.expm
+    monkeypatch.setattr(la, "expm", lambda a: calls.append(a) or expm(a))
+    return calls
+
+
+def test_pn_cost_bounded_when_mean_count_far_exceeds_n_max(markovian, expm_calls):
+    # mean count I_st t = 2500: the unit circle would need N > 2500 points;
+    # the shrunk circle needs N = 512, i.e. 257 expms plus the Chernoff one
+    with pytest.warns(UserWarning, match="truncation"):
+        rec = fs.counting_record(markovian, 1e4, 5)
+    assert len(expm_calls) < 300
+    assert rec.aliasing == pytest.approx(np.finfo(float).eps, rel=1e-12)
+    assert np.abs(rec.pn - block_pn(markovian, 1e4, 5)).max() <= 1e-13
+
+
+def test_pn_overflow_safe_chernoff_point(fig5, expm_calls):
+    # g(2) overflows at t = 3000; the Chernoff point z = 1 + 2^-k where
+    # g(z) is finite keeps N = 2048 on the unit circle, where the trivial
+    # bound P(n >= N) <= 1 would need N > 52 n_max
+    with pytest.warns(UserWarning, match="truncation"):
+        probs = fs.pn(fig5, 3000.0, 600)
+    assert len(expm_calls) < 1100
+    assert probs.min() > -1e-13
+    assert np.abs(probs[:21] - block_pn(fig5, 3000.0, 20)).max() <= 1e-13
 
 
 def test_pn_monotone_mass_in_nmax(markovian):
@@ -153,6 +227,17 @@ def test_mandel_q_zero_counts():
     dark = fs.single_state(gamma=1.0, omega_rabi=0.0)
     with pytest.raises(fs.ZeroCounts):
         fs.mandel_q(dark, 1.0)
+    with pytest.raises(fs.ZeroCounts):
+        fs.counting_record(dark, 1.0, 3)
+
+
+def test_mandel_q_at_zero_time_is_its_limit(markovian):
+    # N2f = O(t^2) and N = O(t), so Q -> 0 as t -> 0, also for a dark model
+    dark = fs.single_state(gamma=1.0, omega_rabi=0.0)
+    for spec in (markovian, dark):
+        assert fs.mandel_q(spec, 0.0) == 0.0
+        assert fs.counting_record(spec, 0.0, 3).mandel_q == 0.0
+    assert abs(fs.mandel_q(markovian, 1e-4)) < 1e-3
 
 
 def test_line_shape_equals_stationary_intensity(markovian, fig2a, fig5):

@@ -19,7 +19,7 @@ T = 1.5
 def _record(m):
     rec = fs.counting_record(m, T, 8)
     return np.array([rec.mean, rec.second_factorial, rec.mandel_q,
-                     rec.remainder, *rec.pn])
+                     rec.remainder, rec.aliasing, *rec.pn])
 
 
 def _split(m):
@@ -47,6 +47,8 @@ OBSERVABLES = {
     "mandel_q": lambda m: fs.mandel_q(m, T),
     "counting_record": _record,
     "stationary_mandel": fs.stationary_mandel,
+    "laurent_decomposition": lambda m: fs.laurent_decomposition(
+        m).reduced_resolvent.matrix,
 }
 
 
@@ -114,4 +116,11 @@ def test_g2_solves_steady_state_once(fig2a, steady_calls):
 
 def test_sum_rule_check_solves_steady_state_once(fig2a, steady_calls):
     fs.sum_rule_check(fig2a, np.linspace(-40.0, 40.0, 401))
+    assert len(steady_calls) == 1
+
+
+def test_stationary_mandel_reuses_steady_state(fig5, steady_calls):
+    p = fs.prepare(fig5)
+    fs.stationary_intensity(p)
+    fs.stationary_mandel(p)
     assert len(steady_calls) == 1

@@ -9,13 +9,12 @@ from .correl import (ObservableSeries, SeriesKind, ZeroIntensity, c1, c2, g2,
                      qrt_two_time, stationary_intensity)
 from .counting import (CountingRecord, CountingSplit, ZeroCounts,
                        counting_record, counting_split, line_shape,
-                       line_shape_sweep, mandel_q, mean_counts,
-                       optical_bloch_rhs, pn, second_factorial,
-                       stationary_mandel)
+                       line_shape_sweep, mandel_q, mean_counts, pn,
+                       second_factorial, stationary_mandel)
 from .model import (BlockState, ConfigSpace, FluctuationRates,
                     GeneralJumpChannel, ModelSpec, OperatorKind,
-                    PerStateParams, SuperOp, apply_generator, build_generator,
-                    effective_decay, validate)
+                    PerStateParams, SuperOp, build_generator, effective_decay,
+                    validate)
 from .scenarios import (BlinkingApprox, blinking_rates,
                         classical_blinking_populations, diffusion_chain,
                         lifetime_fluct, light_assisted, mandel_detuning_limit,
@@ -23,7 +22,7 @@ from .scenarios import (BlinkingApprox, blinking_rates,
                         spectral_two_state)
 from .spectrum import coherent_weight, incoherent_spectrum, sum_rule_check
 from .steady import (NullSpaceDegenerate, Prepared, SingularShift,
-                     SteadyDecomposition, config_populations, evolve,
-                     laurent_decomposition, prepare, resolve, steady_state)
+                     SteadyDecomposition, config_populations,
+                     laurent_decomposition, prepare, steady_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -214,9 +214,9 @@ def build_model(config: RunConfig) -> ModelSpec:
         raise ConfigError("config.model.inline: per-state arrays must have length r_max")
     per = tuple(PerStateParams(delta_omega=d, gamma=g, omega_rabi=o)
                 for d, g, o in zip(*arrays))
-    zeros = np.zeros((r, r))
-    phi = np.asarray(inline.get("phi") or zeros, dtype=float)
-    cross = np.asarray(inline.get("gamma_cross") or zeros, dtype=float)
+    # only an absent or null rate matrix means zeros; [], 0 or false is malformed
+    phi, cross = (np.asarray(np.zeros((r, r)) if inline.get(k) is None else inline[k],
+                             dtype=float) for k in ("phi", "gamma_cross"))
     labels = inline.get("labels")
     return ModelSpec(
         space=ConfigSpace(r_max=r, labels=tuple(labels) if labels else None),

@@ -13,9 +13,12 @@ field of full counting statistics). The inversion folds the mass at n >= N
 onto P_0..P_{N-1}; a Chernoff bound P(n >= N) <= g(z) z^-N at one real
 z > 1 bounds that aliased mass and is reported next to the truncation
 remainder. Factorial moments come from the exact s-derivative chain at
-s = 1 (never finite-differenced), and the stationary Mandel factor from the
-Laurent expansion of the Laplace-domain resolvent around u = 0 (steady
-projector + reduced resolvent).
+s = 1 (never finite-differenced). The stationary Mandel factor comes from
+the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
+resolvent, applied to vectors: R0 v is the trace-free solution of
+L x = (P - Id) v, one LU of the deflated generator for R0 J rho_inf (and
+R0 x0 from an explicit initial state), each solve certified by its
+normwise backward error against the undeflated generator.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -33,8 +36,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .correl import ObservableSeries, SeriesKind, stationary_intensity
-from .model import BlockState, ModelSpec, SuperOp, require_valid, trace_functional
-from .steady import Prepared, laurent_decomposition, prepare
+from .model import BlockState, ModelSpec, SuperOp, trace_functional
+from .steady import Prepared, _trace_row, prepare
 
 
 class ZeroCounts(Exception):
@@ -235,32 +238,71 @@ def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,
                           remainder=float(1.0 - probs.sum()), aliasing=aliasing)
 
 
+# Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for the R0 solves:
+# LAPACK's test suite accepts an LU solve when |b - A x|_1 / (|A|_1 |x|_1
+# n eps) < 30 (xGET02); |b|_1 <= |A|_1 |x|_1 up to rounding, so the extra
+# term changes the ratio by at most a factor 2.
+_BACKWARD_ERROR_FACTOR = 30.0
+
+
+def _reduced_resolvent_apply(p: Prepared, vs: np.ndarray) -> np.ndarray:
+    """R0 applied to the columns of vs by one LU of the trace-row matrix.
+
+    R0 v is the trace-free solution of L x = (P - Id) v with P = rho_inf
+    theta; row 0 of L is redundant there (theta L = 0 and the right-hand
+    side is trace-free) and becomes the trace functional with right-hand
+    side 0. Each column is certified against the undeflated system: the
+    normwise backward error of [L; theta] x = [(P - Id) v; 0] in the
+    1-norm must stay below _BACKWARD_ERROR_FACTOR * dim * eps.
+    """
+    m = p.generator.matrix
+    dim = m.shape[0]
+    theta = trace_functional(p.spec.r_max)
+    rhs = np.outer(p.steady.to_vector(), theta @ vs) - vs
+    rhs_defl = rhs.copy()
+    rhs_defl[0, :] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", la.LinAlgWarning)
+        x = la.lu_solve(la.lu_factor(_trace_row(m, p.spec.r_max)), rhs_defl)
+    resid = np.abs(m @ x - rhs).sum(axis=0) + np.abs(theta @ x)
+    norm_a = (np.abs(m).sum(axis=0) + theta).max()
+    backward = resid / (norm_a * np.abs(x).sum(axis=0) + np.abs(rhs).sum(axis=0))
+    bound = _BACKWARD_ERROR_FACTOR * dim * np.finfo(float).eps
+    if not np.all(backward <= bound):
+        raise ArithmeticError(
+            f"reduced-resolvent solve backward error {np.max(backward):.3e} "
+            f"exceeds {bound:.3e}")
+    return x
+
+
 def stationary_mandel(model: ModelSpec | Prepared,
                       initial: BlockState | None = None) -> float:
     """Exact stationary Mandel factor of a ModelSpec or Prepared from the
-    Laurent expansion at u = 0.
+    Laurent expansion at u = 0, applied to vectors.
 
     In the Laplace domain the first two s-derivatives of the half-trace of
     the generating operator have pole structures (p + q u)/(P u^2 + Q u^3)
     and (pt + qt u)/(Pt u^3 + Qt u^4); substituting
-    (u - L)^-1 = P/u + R0 + O(u) identifies the asymptotic coefficients
-    a, b, A, B of 2Y'(t) ~ 2(a + b t), 2Y''(t) ~ 2(C + A t + B t^2)
-    and Q_st = A/b - 4a, with B = 2 b^2 holding identically and the line
-    shape fixed by I = 2b.
+    (u - L)^-1 = P/u + R0 + O(u), P = rho_inf theta, identifies the
+    asymptotic coefficients a, b, A of 2Y'(t) ~ 2(a + b t),
+    2Y''(t) ~ 2(C + A t + B t^2) and Q_st = A/b - 4a, with the line shape
+    fixed by I = 2b and B = 2 b^2 holding identically (both checked).
+    Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
+    needed, from one LU of the trace-row matrix with a backward-error
+    certificate (``_reduced_resolvent_apply``); from the steady state
+    R0 rho_inf = 0, so a = 0 and Q_st = 2 theta J R0 J rho_inf / I_st.
     """
     p = prepare(model)
-    decomp = laurent_decomposition(p)
     j = p.jump
     theta = trace_functional(p.spec.r_max)
-    rho_inf = decomp.steady.to_vector()
-    p = decomp.projector.matrix
-    r0 = decomp.reduced_resolvent.matrix
+    rho_inf = p.steady.to_vector()
     x0 = rho_inf if initial is None else initial.to_vector()
 
     tj = theta @ j
     i_st = float(np.real(tj @ rho_inf))
-    b = 0.5 * np.real(tj @ p @ x0)                 # u^-2 coefficient of Y'
-    u3_coef = np.real(tj @ p @ (j @ (p @ x0)))     # u^-3 coefficient of Y''
+    px0 = rho_inf * (theta @ x0)
+    b = 0.5 * np.real(tj @ px0)                    # u^-2 coefficient of Y'
+    u3_coef = np.real((tj @ rho_inf) * (tj @ px0))  # u^-3 coefficient of Y''
     scale = max(i_st, 1.0)
     if abs(2.0 * b - i_st) > 1e-9 * scale:
         raise ArithmeticError(
@@ -271,40 +313,12 @@ def stationary_mandel(model: ModelSpec | Prepared,
     if i_st <= 1e-300:
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
 
-    a = 0.5 * np.real(tj @ r0 @ x0)
-    a_coef = np.real(tj @ p @ (j @ (r0 @ x0))) + np.real(tj @ r0 @ (j @ rho_inf))
+    vs = [j @ rho_inf] if initial is None else [j @ rho_inf, x0]
+    r0 = _reduced_resolvent_apply(p, np.column_stack(vs))
+    a_coef = np.real(tj @ r0[:, 0])
+    a = 0.0
+    if initial is not None:
+        tj_r0x0 = tj @ r0[:, 1]
+        a = 0.5 * np.real(tj_r0x0)
+        a_coef += np.real((tj @ rho_inf) * tj_r0x0)
     return float(a_coef / b - 4.0 * a)
-
-
-def optical_bloch_rhs(spec: ModelSpec, s: float, state):
-    """Right-hand side of the generalized optical Bloch equations.
-
-    state is a 4-tuple of length-r_max arrays (U, V, W, Y): the rotating-
-    frame coherence quadratures, half population inversion and half trace
-    of each conditional generating-operator block. Provided as an
-    independent representation for cross-validating the counting split.
-    Specs with extra (eta) channels are rejected: this representation does
-    not include them.
-    """
-    require_valid(spec)
-    if spec.extra_channels:
-        raise ValueError("optical Bloch form does not cover extra jump channels")
-    u, v, w, y = (np.asarray(c, dtype=complex) for c in state)
-    r = spec.r_max
-    if not (u.shape == v.shape == w.shape == y.shape == (r,)):
-        raise ValueError(f"state components must all have shape ({r},)")
-    deltas = spec.detuning - spec.delta_omegas()
-    omegas = spec.omega_rabis()
-    gammas = spec.gammas()
-    gtilde = spec.effective_decays()
-    phi = spec.rates.phi
-    gcross = spec.rates.gamma_cross
-    phi_loss = phi.sum(axis=0)
-    wy = w + y
-    du = deltas * v - (0.5 * gtilde + phi_loss) * u + phi @ u
-    dv = -deltas * u - omegas * w - (0.5 * gtilde + phi_loss) * v + phi @ v
-    dw = (omegas * v - 0.5 * (gtilde + s * gammas) * wy - 0.5 * s * (gcross @ wy)
-          - phi_loss * w + phi @ w)
-    dy = (-0.5 * (gtilde - s * gammas) * wy + 0.5 * s * (gcross @ wy)
-          - phi_loss * y + phi @ y)
-    return du, dv, dw, dy

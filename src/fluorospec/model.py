@@ -293,22 +293,6 @@ def effective_decay(spec: ModelSpec, r: int) -> float:
     return float(spec.effective_decays()[r])
 
 
-def block_hamiltonians(spec: ModelSpec) -> np.ndarray:
-    """Rotating-frame Hamiltonians H_R, shape (r_max, 2, 2).
-
-    H_R = -(delta_R/2) sigma_z + (Omega_R/2)(sigma + sigma†) with
-    delta_R = detuning - delta_omega[R] and sigma_z = |b><b| - |a><a|.
-    """
-    deltas = spec.detuning - spec.delta_omegas()
-    omegas = spec.omega_rabis()
-    h = np.zeros((spec.r_max, 2, 2), dtype=complex)
-    h[:, 0, 0] = 0.5 * deltas
-    h[:, 1, 1] = -0.5 * deltas
-    h[:, 0, 1] = 0.5 * omegas
-    h[:, 1, 0] = 0.5 * omegas
-    return h
-
-
 # vec(A rho) = kron(I, A) vec(rho); vec(rho B) = kron(B.T, I) vec(rho);
 # vec(A rho A†) = kron(A.conj(), A) vec(rho)  [column-major vec]
 def _left(op):
@@ -332,7 +316,9 @@ def _anticommutator(op):
     return _left(op) + _right(op)
 
 
-# H_R = delta_R * _H_DETUNING + Omega_R * _H_DRIVE (see block_hamiltonians)
+# H_R = -(delta_R/2) sigma_z + (Omega_R/2)(sigma + sigma†)
+#     = delta_R * _H_DETUNING + Omega_R * _H_DRIVE,
+# delta_R = detuning - delta_omega[R], sigma_z = |b><b| - |a><a|
 _H_DETUNING = np.diag([0.5, -0.5]).astype(complex)
 _H_DRIVE = 0.5 * (SIGMA + SIGMA_DAG)
 
@@ -373,33 +359,3 @@ def build_generator(spec: ModelSpec) -> SuperOp:
               - np.kron(np.diag(ch.eta.sum(axis=0)),
                         _anticommutator(op.conj().T @ op) / 2))
     return SuperOp(m)
-
-
-def apply_generator(spec: ModelSpec, x: BlockState) -> BlockState:
-    """Matrix-free generator application: the physics of build_generator
-    evaluated term by term on the 2x2 blocks, kept as the independent
-    cross-check of the dense assembly."""
-    require_valid(spec)
-    if x.r_max != spec.r_max:
-        raise ValueError(f"state has {x.r_max} blocks, spec has {spec.r_max}")
-    blocks = x.blocks
-    ham = block_hamiltonians(spec)
-    gtilde = spec.effective_decays()
-    phi = spec.rates.phi
-    out = -1j * (ham @ blocks - blocks @ ham)
-    # radiative dissipator: anticommutator with sigma†sigma/2 = diag(0, 1/2)
-    out[:, 0, 1] -= 0.5 * gtilde * blocks[:, 0, 1]
-    out[:, 1, 0] -= 0.5 * gtilde * blocks[:, 1, 0]
-    out[:, 1, 1] -= gtilde * blocks[:, 1, 1]
-    bb = blocks[:, 1, 1]
-    out[:, 0, 0] += spec.gammas() * bb + spec.rates.gamma_cross @ bb
-    # system-independent mixing
-    out += np.einsum("rs,sij->rij", phi, blocks)
-    out -= phi.sum(axis=0)[:, None, None] * blocks
-    for ch in spec.extra_channels:
-        a = ch.operator_kind.matrix()
-        ada = a.conj().T @ a
-        loss = 0.5 * ch.eta.sum(axis=0)
-        out -= loss[:, None, None] * (ada @ blocks + blocks @ ada)
-        out += np.einsum("rs,sij->rij", ch.eta, a @ blocks @ a.conj().T)
-    return BlockState(out)

@@ -1,8 +1,10 @@
 """Linear-algebra kernels on the block generator.
 
-Time propagation (scaling-and-squaring expm), steady state, resolvent
-solves, and the Laurent decomposition (steady projector + reduced
-resolvent) that underpins the exact stationary counting moments.
+Steady state, trace-free resolvent solves, and the dense Laurent
+decomposition (steady projector + reduced resolvent). The stationary
+counting moments do not form the dense reduced resolvent: they apply it to
+one or two vectors by deflated solves (``counting.stationary_mandel``),
+and ``laurent_decomposition`` is their dense cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred, so LU/SVD exactness beats any iterative machinery.
@@ -70,20 +72,6 @@ def prepare(model: ModelSpec | Prepared) -> Prepared:
     return Prepared(model, build_generator(model), detection_jump(model))
 
 
-def evolve(generator: SuperOp, x0: BlockState, t: float) -> BlockState:
-    """e^{t L} x0 (t >= 0)."""
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"propagation time must be finite and >= 0, got {t}")
-    v = x0.to_vector()
-    if v.size != generator.dim:
-        raise ValueError(f"state dim {v.size} != generator dim {generator.dim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("state contains non-finite entries")
-    if t == 0:
-        return x0
-    return BlockState.from_vector(la.expm(t * generator.matrix) @ v)
-
-
 def _trace_row(a: np.ndarray, r_max: int) -> np.ndarray:
     """Copy of a with its row 0 replaced by the trace functional."""
     out = a.copy()
@@ -122,16 +110,6 @@ def steady_state(generator: SuperOp) -> BlockState:
             f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
             "model or assembly bug")
     return BlockState(blocks)
-
-
-def resolve(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
-    """Solve (u Id - L) x = v by dense LU; residual must stay <= 1e-10 |v|."""
-    rhs = v.to_vector()
-    if rhs.size != generator.dim:
-        raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
-    a = u * np.eye(generator.dim) - generator.matrix
-    x = _checked_solve(a, a, rhs, u)
-    return BlockState.from_vector(x)
 
 
 def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockState:

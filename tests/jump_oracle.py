@@ -11,7 +11,7 @@ advance in lockstep through vectorized numpy rounds.
 import numpy as np
 
 import fluorospec as fs
-from fluorospec.model import block_hamiltonians
+from generator_oracle import block_hamiltonians
 
 
 def sample_counts(spec, t_final, n_trajectories, seed, bisect_iters=48):

@@ -20,6 +20,7 @@ from fluorospec.model import trace_functional
 import jump_oracle
 import markovian_oracle
 from conftest import random_spec
+from generator_oracle import optical_bloch_rhs
 from util import fit_lorentzian, fwhm, log_symmetric_grid, peak_position
 
 SQRT_HALF = 2**-0.5
@@ -250,7 +251,7 @@ def test_criterion_09_representation_cross_check():
             np.real(0.5 * (blocks[:, 1, 1] + blocks[:, 0, 0]))])
         for s in (0.0, 0.5, 1.0):
             def rhs(t, y):
-                du, dv, dw, dy = fs.optical_bloch_rhs(
+                du, dv, dw, dy = optical_bloch_rhs(
                     spec, s, (y[0:2], y[2:4], y[4:6], y[6:8]))
                 return np.concatenate([np.real(du), np.real(dv),
                                        np.real(dw), np.real(dy)])

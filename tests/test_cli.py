@@ -160,6 +160,8 @@ def _malformed_configs():
     extra_entry = dict(FIG2A_CONFIG, model={"inline": dict(
         inline, gamma=[1.0, 1.0, 7.0])})
     fractional_r_max = dict(FIG2A_CONFIG, model={"inline": dict(inline, r_max=2.5)})
+    empty_phi = dict(FIG2A_CONFIG, model={"inline": dict(inline, phi=[])})
+    scalar_cross = dict(FIG2A_CONFIG, model={"inline": dict(inline, gamma_cross=0)})
     return [("unknown_task", "steady", unknown_task),
             ("misspelled_param", "steady", misspelled_param),
             ("string_count", "spectrum", string_count),
@@ -168,6 +170,9 @@ def _malformed_configs():
             ("reversed_grid", "spectrum", reversed_grid),
             ("extra_entry", "steady", extra_entry),
             ("fractional_r_max", "steady", fractional_r_max),
+            # a falsy rate matrix is malformed, not zero
+            ("empty_phi", "steady", empty_phi),
+            ("scalar_cross", "steady", scalar_cross),
             # the task comes from the command line; the grid check must hold
             ("negative_time_override", "counting",
              dict(negative_time, task="steady"))]

@@ -13,6 +13,7 @@ from fluorospec.model import trace_functional
 import markovian_oracle
 from block_oracle import block_pn
 from conftest import random_block_state, random_spec
+from generator_oracle import apply_generator, optical_bloch_rhs
 
 
 def test_split_single_state(markovian):
@@ -286,6 +287,89 @@ def test_stationary_mandel_fig5_detuning_limit(fig5):
     assert q_large == pytest.approx(limit, rel=0.01)
 
 
+def _laurent_mandel(p, initial=None):
+    """Q_st = A/b - 4a from the dense projector P and reduced resolvent R0
+    of ``laurent_decomposition``: the oracle of the deflated solves."""
+    dec = fs.laurent_decomposition(p)
+    theta = trace_functional(p.spec.r_max)
+    rho_inf = dec.steady.to_vector()
+    proj, r0 = dec.projector.matrix, dec.reduced_resolvent.matrix
+    x0 = rho_inf if initial is None else initial.to_vector()
+    tj = theta @ p.jump
+    b = 0.5 * np.real(tj @ proj @ x0)
+    a = 0.5 * np.real(tj @ r0 @ x0)
+    a_coef = (np.real(tj @ proj @ (p.jump @ (r0 @ x0)))
+              + np.real(tj @ r0 @ (p.jump @ rho_inf)))
+    return a_coef / b - 4.0 * a
+
+
+@pytest.mark.parametrize("initial", [False, True], ids=["steady", "initial"])
+@pytest.mark.parametrize("eta", [False, True], ids=["no_eta", "eta"])
+@pytest.mark.parametrize("r_max", [1, 3, 20, 40])
+def test_stationary_mandel_matches_laurent_oracle(r_max, eta, initial):
+    rng = np.random.default_rng(100 + r_max)
+    p = fs.prepare(random_spec(rng, r_max, with_channels=eta))
+    x0 = random_block_state(rng, r_max, physical=True) if initial else None
+    assert fs.stationary_mandel(p, x0) == pytest.approx(_laurent_mandel(p, x0),
+                                                        rel=1e-12)
+
+
+def test_stationary_mandel_stiff_telegraph_limit():
+    """Lifetimes 1 and 3 switching at rates 2 phi and phi: Q_st tends to the
+    telegraph term 2 p0 p1 (I0 - I1)^2 / (I_bar 3 phi) plus the constant
+    -0.416 of the fast dynamics. The dense reduced resolvent failed its
+    defect check from phi = 1e-10 on; the deflated solves stay certified
+    down to 1e-14, within the eps/phi conditioning of the dense generator."""
+    omega = 0.5
+    p0, p1 = 1.0 / 3.0, 2.0 / 3.0
+    i0, i1 = (g * (omega**2 / 4) / (g**2 / 4 + omega**2 / 2) for g in (1.0, 3.0))
+    i_bar = p0 * i0 + p1 * i1
+    for phi in (1e-8, 1e-10, 1e-12, 1e-14):
+        spec = fs.lifetime_fluct([1.0, 3.0], phi * np.array([[0.0, 1.0], [2.0, 0.0]]),
+                                 omega)
+        q = fs.stationary_mandel(spec)
+        telegraph = 2 * p0 * p1 * (i0 - i1) ** 2 / (i_bar * 3 * phi)
+        assert np.isfinite(q), phi
+        assert q == pytest.approx(telegraph, rel=1e-4), phi
+        if phi >= 1e-10:
+            assert q == pytest.approx(telegraph - 0.416, rel=1e-7), phi
+
+
+@pytest.mark.parametrize("corrupt", ["scaled", "steady_direction"])
+def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
+    """A corrupted R0 solve fails the backward-error certificate, also when
+    the error lies along the steady state, which only the trace row sees."""
+    p = fs.prepare(fig5)
+    rho_inf = p.steady.to_vector()
+    lu_solve = la.lu_solve
+
+    def perturbed(lu_and_piv, b):
+        x = lu_solve(lu_and_piv, b)
+        if corrupt == "scaled":
+            return x * (1.0 + 1e-7)
+        return x + 1e-7 * np.abs(x).max() * rho_inf[:, None]
+
+    monkeypatch.setattr(la, "lu_solve", perturbed)
+    with pytest.raises(ArithmeticError, match="backward error"):
+        fs.stationary_mandel(p)
+
+
+def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
+    """One factorization per call, solved for one right-hand side from the
+    steady state and two from an explicit initial state."""
+    p = fs.prepare(fig5)
+    p.steady
+    factored, solved = [], []
+    lu_factor, lu_solve = la.lu_factor, la.lu_solve
+    monkeypatch.setattr(la, "lu_factor", lambda a: factored.append(a) or lu_factor(a))
+    monkeypatch.setattr(la, "lu_solve",
+                        lambda f, b: solved.append(b.shape) or lu_solve(f, b))
+    fs.stationary_mandel(p)
+    fs.stationary_mandel(p, initial=fs.BlockState.ground(2))
+    assert len(factored) == 2
+    assert solved == [(8, 1), (8, 2)]
+
+
 def test_optical_bloch_s1_matches_generator(fig2a):
     rng = np.random.default_rng(4)
     x = random_block_state(rng, 2, physical=True)
@@ -294,8 +378,8 @@ def test_optical_bloch_s1_matches_generator(fig2a):
     v = (blocks[:, 0, 1] - blocks[:, 1, 0]) / 2j
     w = 0.5 * (blocks[:, 1, 1] - blocks[:, 0, 0])
     y = 0.5 * (blocks[:, 1, 1] + blocks[:, 0, 0])
-    du, dv, dw, dy = fs.optical_bloch_rhs(fig2a, 1.0, (u, v, w, y))
-    d = fs.apply_generator(fig2a, x).blocks
+    du, dv, dw, dy = optical_bloch_rhs(fig2a, 1.0, (u, v, w, y))
+    d = apply_generator(fig2a, x).blocks
     assert np.abs(du - 0.5 * (d[:, 0, 1] + d[:, 1, 0])).max() < 1e-10
     assert np.abs(dv - (d[:, 0, 1] - d[:, 1, 0]) / 2j).max() < 1e-10
     assert np.abs(dw - 0.5 * (d[:, 1, 1] - d[:, 0, 0])).max() < 1e-10
@@ -310,7 +394,7 @@ def test_optical_bloch_dark_structure():
     w = rng.normal(size=r)
     y = rng.normal(size=r)
     zero = np.zeros(r)
-    _, _, dw, dy = fs.optical_bloch_rhs(spec, 0.0, (zero, zero, w, y))
+    _, _, dw, dy = optical_bloch_rhs(spec, 0.0, (zero, zero, w, y))
     phi = spec.rates.phi
     gtilde = spec.effective_decays()
     expect_dy = -0.5 * gtilde * (w + y) - phi.sum(axis=0) * y + phi @ y
@@ -325,7 +409,7 @@ def test_optical_bloch_rejects_channels():
         rates=fs.FluctuationRates.none(2),
         extra_channels=(fs.GeneralJumpChannel(fs.OperatorKind.IDENTITY, eta),))
     with pytest.raises(ValueError):
-        fs.optical_bloch_rhs(spec, 1.0, (np.zeros(2),) * 4)
+        optical_bloch_rhs(spec, 1.0, (np.zeros(2),) * 4)
 
 
 def test_generating_function_dual_representation(fig2a):
@@ -344,7 +428,7 @@ def test_generating_function_dual_representation(fig2a):
 
     def rhs(t, y):
         parts = (y[0:2], y[2:4], y[4:6], y[6:8])
-        du, dv, dw, dy = fs.optical_bloch_rhs(fig2a, s, parts)
+        du, dv, dw, dy = optical_bloch_rhs(fig2a, s, parts)
         return np.concatenate([np.real(du), np.real(dv), np.real(dw), np.real(dy)])
 
     for t_end in (2.0, 10.0):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, correl, counting, scenarios, spectrum
 from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams, validate
-from .steady import NullSpaceDegenerate, SingularShift, config_populations, prepare
+from .steady import NullSpaceDegenerate, config_populations, prepare
 
 TASKS = ("steady", "spectrum", "g2", "c1", "c2", "counting",
          "mandel-sweep", "lineshape-sweep")
@@ -97,6 +97,17 @@ def _finite(obj: dict, key: str, path: str) -> float:
     return float(v)
 
 
+def _numbers(v, path: str):
+    """v if it is a number or a nested list of numbers; bools and strings,
+    which float() and numpy would silently convert, are rejected."""
+    if isinstance(v, list):
+        for i, x in enumerate(v):
+            _numbers(x, f"{path}[{i}]")
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: must be a number, got {v!r}")
+    return v
+
+
 def _parse_grid(obj, name: str) -> GridSpec:
     """Validated grid; tau and time grids must start at >= 0."""
     path = f"config.grids.{name}"
@@ -159,6 +170,8 @@ def parse_config(text: str) -> RunConfig:
         _require_keys(model["params"], set(sig),
                       {n for n, p in sig.items() if p.default is p.empty},
                       "config.model.params")
+        for k, v in model["params"].items():
+            _numbers(v, f"config.model.params.{k}")
     elif "inline" in model:
         _require_keys(model, {"inline"}, {"inline"}, "config.model")
         inline = model["inline"]
@@ -207,22 +220,24 @@ def build_model(config: RunConfig) -> ModelSpec:
     m = config.model
     if "scenario" in m:
         return SCENARIOS[m["scenario"]](**m["params"])
-    inline = m["inline"]
-    r = _integer(inline["r_max"], "config.model.inline.r_max")
-    arrays = [inline[k] for k in ("delta_omega", "gamma", "omega_rabi")]
+    inline, path = m["inline"], "config.model.inline"
+    r = _integer(inline["r_max"], f"{path}.r_max")
+    arrays = [_numbers(inline[k], f"{path}.{k}")
+              for k in ("delta_omega", "gamma", "omega_rabi")]
     if any(len(a) != r for a in arrays):
-        raise ConfigError("config.model.inline: per-state arrays must have length r_max")
+        raise ConfigError(f"{path}: per-state arrays must have length r_max")
     per = tuple(PerStateParams(delta_omega=d, gamma=g, omega_rabi=o)
                 for d, g, o in zip(*arrays))
     # only an absent or null rate matrix means zeros; [], 0 or false is malformed
-    phi, cross = (np.asarray(np.zeros((r, r)) if inline.get(k) is None else inline[k],
-                             dtype=float) for k in ("phi", "gamma_cross"))
+    phi, cross = (np.asarray(np.zeros((r, r)) if inline.get(k) is None
+                             else _numbers(inline[k], f"{path}.{k}"), dtype=float)
+                  for k in ("phi", "gamma_cross"))
     labels = inline.get("labels")
     return ModelSpec(
         space=ConfigSpace(r_max=r, labels=tuple(labels) if labels else None),
         per_state=per,
         rates=FluctuationRates(phi=phi, gamma_cross=cross),
-        detuning=float(inline.get("detuning", 0.0)),
+        detuning=_finite(inline, "detuning", path) if "detuning" in inline else 0.0,
     )
 
 
@@ -345,8 +360,8 @@ def main(argv=None) -> int:
         return 2
     try:
         files = run(cfg)
-    except (NullSpaceDegenerate, SingularShift, correl.ZeroIntensity,
-            counting.ZeroCounts, ArithmeticError, ValueError) as exc:
+    except (NullSpaceDegenerate, correl.ZeroIntensity, counting.ZeroCounts,
+            ArithmeticError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3

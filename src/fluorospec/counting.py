@@ -16,9 +16,9 @@ remainder. Factorial moments come from the exact s-derivative chain at
 s = 1 (never finite-differenced). The stationary Mandel factor comes from
 the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to vectors: R0 v is the trace-free solution of
-L x = (P - Id) v, one LU of the deflated generator for R0 J rho_inf (and
-R0 x0 from an explicit initial state), each solve certified by its
-normwise backward error against the undeflated generator.
+L x = (P - Id) v, one bordered solve (``steady._bordered_solve``, one LU,
+certified by its backward error) for R0 J rho_inf and, from an explicit
+initial state, R0 x0.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -37,7 +37,7 @@ import scipy.linalg as la
 
 from .correl import ObservableSeries, SeriesKind, stationary_intensity
 from .model import BlockState, ModelSpec, SuperOp, trace_functional
-from .steady import Prepared, _trace_row, prepare
+from .steady import Prepared, _bordered_solve, prepare
 
 
 class ZeroCounts(Exception):
@@ -238,43 +238,6 @@ def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,
                           remainder=float(1.0 - probs.sum()), aliasing=aliasing)
 
 
-# Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for the R0 solves:
-# LAPACK's test suite accepts an LU solve when |b - A x|_1 / (|A|_1 |x|_1
-# n eps) < 30 (xGET02); |b|_1 <= |A|_1 |x|_1 up to rounding, so the extra
-# term changes the ratio by at most a factor 2.
-_BACKWARD_ERROR_FACTOR = 30.0
-
-
-def _reduced_resolvent_apply(p: Prepared, vs: np.ndarray) -> np.ndarray:
-    """R0 applied to the columns of vs by one LU of the trace-row matrix.
-
-    R0 v is the trace-free solution of L x = (P - Id) v with P = rho_inf
-    theta; row 0 of L is redundant there (theta L = 0 and the right-hand
-    side is trace-free) and becomes the trace functional with right-hand
-    side 0. Each column is certified against the undeflated system: the
-    normwise backward error of [L; theta] x = [(P - Id) v; 0] in the
-    1-norm must stay below _BACKWARD_ERROR_FACTOR * dim * eps.
-    """
-    m = p.generator.matrix
-    dim = m.shape[0]
-    theta = trace_functional(p.spec.r_max)
-    rhs = np.outer(p.steady.to_vector(), theta @ vs) - vs
-    rhs_defl = rhs.copy()
-    rhs_defl[0, :] = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        x = la.lu_solve(la.lu_factor(_trace_row(m, p.spec.r_max)), rhs_defl)
-    resid = np.abs(m @ x - rhs).sum(axis=0) + np.abs(theta @ x)
-    norm_a = (np.abs(m).sum(axis=0) + theta).max()
-    backward = resid / (norm_a * np.abs(x).sum(axis=0) + np.abs(rhs).sum(axis=0))
-    bound = _BACKWARD_ERROR_FACTOR * dim * np.finfo(float).eps
-    if not np.all(backward <= bound):
-        raise ArithmeticError(
-            f"reduced-resolvent solve backward error {np.max(backward):.3e} "
-            f"exceeds {bound:.3e}")
-    return x
-
-
 def stationary_mandel(model: ModelSpec | Prepared,
                       initial: BlockState | None = None) -> float:
     """Exact stationary Mandel factor of a ModelSpec or Prepared from the
@@ -288,9 +251,10 @@ def stationary_mandel(model: ModelSpec | Prepared,
     2Y''(t) ~ 2(C + A t + B t^2) and Q_st = A/b - 4a, with the line shape
     fixed by I = 2b and B = 2 b^2 holding identically (both checked).
     Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
-    needed, from one LU of the trace-row matrix with a backward-error
-    certificate (``_reduced_resolvent_apply``); from the steady state
-    R0 rho_inf = 0, so a = 0 and Q_st = 2 theta J R0 J rho_inf / I_st.
+    needed: R0 v is the trace-free solution of L x = (P - Id) v, one
+    bordered solve for both columns (SingularShift if its backward error
+    fails); from the steady state R0 rho_inf = 0, so a = 0 and
+    Q_st = 2 theta J R0 J rho_inf / I_st.
     """
     p = prepare(model)
     j = p.jump
@@ -313,8 +277,8 @@ def stationary_mandel(model: ModelSpec | Prepared,
     if i_st <= 1e-300:
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
 
-    vs = [j @ rho_inf] if initial is None else [j @ rho_inf, x0]
-    r0 = _reduced_resolvent_apply(p, np.column_stack(vs))
+    vs = np.column_stack([j @ rho_inf] if initial is None else [j @ rho_inf, x0])
+    r0 = _bordered_solve(p.generator.matrix, np.outer(rho_inf, theta @ vs) - vs, 0.0)
     a_coef = np.real(tj @ r0[:, 0])
     a = 0.0
     if initial is not None:

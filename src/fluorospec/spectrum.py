@@ -32,8 +32,10 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     the steady state), which regularizes the u -> 0 pole; each frequency
     is then one trace-deflated resolvent solve at u = -i(omega - omega_L)
     and the two conjugate Laplace evaluations combine to 2 Re[...], real
-    by construction. A nonzero purely imaginary eigenvalue crossing still
-    raises SingularShift (reported, not masked).
+    by construction. Each solve is certified by its backward error; an
+    omega near a purely imaginary eigenvalue gives the large value of the
+    resolvent there, and SingularShift is raised only when the solve
+    itself fails (a shift on that eigenvalue to working precision).
     """
     p = prepare(model)
     omega = np.asarray(omega_grid, dtype=float)

@@ -1,23 +1,24 @@
 """Linear-algebra kernels on the block generator.
 
-Steady state, trace-free resolvent solves, and the dense Laurent
-decomposition (steady projector + reduced resolvent). The stationary
-counting moments do not form the dense reduced resolvent: they apply it to
-one or two vectors by deflated solves (``counting.stationary_mandel``),
-and ``laurent_decomposition`` is their dense cross-check.
+Every solve of a model is one bordered solve, ``_bordered_solve``: the
+steady state (L x = 0, Tr x = 1), the spectrum's trace-free resolvent
+((u - L) x = v, Tr x = 0) and the reduced resolvent of the stationary
+counting moments (L x = (P - Id) v, Tr x = 0). The dense Laurent
+decomposition (steady projector + reduced resolvent) is their cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred, so LU/SVD exactness beats any iterative machinery.
 
-Deflated solves (steady state, trace-free resolvent, reduced resolvent)
-replace the fixed row 0 of the system, the aa entry of block 0, by the
-trace functional theta. This is safe for every generator of this package:
-theta is its left null vector (theta L = 0, trace preservation), so row 0
-is minus the sum of the other aa and bb rows and dropping it loses no
-equation; and with nullity 1 (certified by an SVD) theta is nonzero on the
-null vector, so the bordered matrix is nonsingular. All nonzero entries of
-theta equal 1, so no aa or bb row is better conditioned to sacrifice than
-another and no row search is needed.
+The bordered solve replaces row 0 of a, the aa entry of block 0, by the
+trace functional theta and takes one LU for all right-hand sides. Dropping
+that row loses no equation: theta a = c theta (c = 0 for a = L, trace
+preservation; c = u for a = u - L) and theta rhs = c Tr x, so row 0's
+equation is minus the sum of the other aa and bb rows'. With nullity 1
+(certified by an SVD) theta is nonzero on the null vector of L, so the
+bordered matrix is nonsingular. All nonzero entries of theta equal 1, so
+no row is better conditioned to sacrifice and no row search is needed.
+Each solution is certified by its normwise backward error on the
+undeflated system [a; theta], the ratio LAPACK's tests check (xGET02).
 """
 from __future__ import annotations
 
@@ -36,8 +37,10 @@ class NullSpaceDegenerate(Exception):
     """Generator nullity != 1 (disconnected configurational space)."""
 
 
-class SingularShift(Exception):
-    """Resolvent shift u is (numerically) on the spectrum of the generator."""
+class SingularShift(ArithmeticError):
+    """A bordered solve is singular to working precision: its solution is
+    not finite or fails the backward-error check. A resolvent shift u near
+    the spectrum gives a large, accurate solution, not this error."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,15 +95,12 @@ def _check_nullity(m: np.ndarray) -> None:
 def steady_state(generator: SuperOp) -> BlockState:
     """Unique trace-1 null state of the generator.
 
-    Solved with row 0 of L replaced by the trace functional and right-hand
-    side e_0, i.e. L x = 0 with Tr x = 1 (see the module docstring for why
-    the fixed row is safe); an SVD certifies nullity 1.
+    The bordered solve L x = 0 with Tr x = 1 (see the module docstring for
+    why the fixed row is safe); an SVD certifies nullity 1.
     """
     m = generator.matrix
     _check_nullity(m)
-    b = np.zeros(generator.dim, dtype=complex)
-    b[0] = 1.0
-    x = la.solve(_trace_row(m, generator.r_max), b)
+    x = _bordered_solve(m, np.zeros(generator.dim, dtype=complex), 1.0)
     st = BlockState.from_vector(x)
     blocks = 0.5 * (st.blocks + st.blocks.conj().transpose(0, 2, 1))
     blocks = blocks / np.real(blocks[:, 0, 0].sum() + blocks[:, 1, 1].sum())
@@ -115,39 +115,48 @@ def steady_state(generator: SuperOp) -> BlockState:
 def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
     """Resolvent solve restricted to the trace-zero complement.
 
-    Valid only for trace-free right-hand sides; pins the trace of the
-    solution to zero, which also regularizes u = 0 (the steady pole) where
-    the plain resolvent is singular but the complement solve is not. Row 0
-    of (u - L) becomes the trace functional: for trace-free v that row's
-    equation follows from the others, since theta (u - L) = u theta. The
-    residual is checked against the full, undeflated system.
+    Valid only for trace-free right-hand sides: the bordered solve
+    (u - L) x = v with Tr x = 0, which also regularizes u = 0 (the steady
+    pole) where the plain resolvent is singular but the complement solve
+    is not.
     """
     rhs = v.to_vector()
     if rhs.size != generator.dim:
         raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
+    return BlockState.from_vector(_bordered_solve(a, rhs, 0.0))
+
+
+# Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a bordered
+# solve: LAPACK's test suite accepts an LU solve when |b - A x|_1 /
+# (|A|_1 |x|_1 n eps) < 30 (xGET02); |b|_1 <= |A|_1 |x|_1 up to rounding,
+# so the extra term changes the ratio by at most a factor 2.
+_BACKWARD_ERROR_FACTOR = 30.0
+
+
+def _bordered_solve(a: np.ndarray, rhs: np.ndarray, trace: complex) -> np.ndarray:
+    """The columns x with a x = rhs and theta x = trace, by one LU of a with
+    row 0 replaced by theta (see the module docstring); each column's
+    1-norm backward error on [a; theta] x = [rhs; trace] must stay below
+    _BACKWARD_ERROR_FACTOR * dim * eps."""
+    dim = a.shape[0]
+    theta = trace_functional(dim // 4)
     rhs_defl = rhs.copy()
-    rhs_defl[0] = 0.0
-    x = _checked_solve(_trace_row(a, generator.r_max), a, rhs, u,
-                       rhs_defl=rhs_defl)
-    return BlockState.from_vector(x)
-
-
-def _checked_solve(a_solve, a_resid, rhs, u, rhs_defl=None):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", la.LinAlgWarning)
-            lu, piv = la.lu_factor(a_solve)
-            x = la.lu_solve((lu, piv), rhs if rhs_defl is None else rhs_defl)
-    except la.LinAlgError as exc:
-        raise SingularShift(f"factorization failed at u={u}") from exc
+    rhs_defl[0] = trace
+    with warnings.catch_warnings():   # an exactly singular LU shows as x = inf
+        warnings.simplefilter("ignore", la.LinAlgWarning)
+        x = la.lu_solve(la.lu_factor(_trace_row(a, dim // 4)), rhs_defl)
     if not np.all(np.isfinite(x)):
-        raise SingularShift(f"resolvent solve diverged at u={u}")
-    resid = la.norm(a_resid @ x - rhs)
-    if resid > 1e-10 * max(la.norm(rhs), 1e-300):
+        raise SingularShift("bordered solve diverged: backward error not finite")
+    resid = np.abs(a @ x - rhs).sum(axis=0) + np.abs(theta @ x - trace)
+    norm_a = (np.abs(a).sum(axis=0) + theta).max()
+    backward = resid / (norm_a * np.abs(x).sum(axis=0)
+                        + np.abs(rhs).sum(axis=0) + abs(trace))
+    bound = _BACKWARD_ERROR_FACTOR * dim * np.finfo(float).eps
+    if not np.all(backward <= bound):
         raise SingularShift(
-            f"residual {resid:.3e} exceeds tolerance at u={u} "
-            "(shift too close to the spectrum)")
+            f"bordered solve backward error {np.max(backward):.3e} exceeds "
+            f"{bound:.3e} (dim {dim})")
     return x
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import scipy.linalg as la
 
 from fluorospec.model import BlockState, SuperOp
-from fluorospec.steady import _checked_solve
+from fluorospec.steady import SingularShift
 
 
 def evolve(generator: SuperOp, x0: BlockState, t: float) -> BlockState:
@@ -28,5 +28,11 @@ def resolve(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
     if rhs.size != generator.dim:
         raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
-    x = _checked_solve(a, a, rhs, u)
+    try:
+        x = la.solve(a, rhs)
+    except la.LinAlgError as exc:
+        raise SingularShift(f"factorization failed at u={u}") from exc
+    resid = la.norm(a @ x - rhs)
+    if not resid <= 1e-10 * max(la.norm(rhs), 1e-300):
+        raise SingularShift(f"residual {resid:.3e} exceeds tolerance at u={u}")
     return BlockState.from_vector(x)

@@ -162,6 +162,14 @@ def _malformed_configs():
     fractional_r_max = dict(FIG2A_CONFIG, model={"inline": dict(inline, r_max=2.5)})
     empty_phi = dict(FIG2A_CONFIG, model={"inline": dict(inline, phi=[])})
     scalar_cross = dict(FIG2A_CONFIG, model={"inline": dict(inline, gamma_cross=0)})
+    # bools and strings are not numbers, though float() would take them
+    not_numbers = {"string_detuning": dict(inline, detuning="5"),
+                   "bool_detuning": dict(inline, detuning=True),
+                   "bool_gamma": dict(inline, gamma=[True, 1.0]),
+                   "string_phi": dict(inline, phi=[[0, "1"], ["1", 0]])}
+    bool_param = dict(FIG2A_CONFIG, model={
+        "scenario": "single_state",
+        "params": {"gamma": 1.0, "omega_rabi": 0.7, "detuning": True}})
     return [("unknown_task", "steady", unknown_task),
             ("misspelled_param", "steady", misspelled_param),
             ("string_count", "spectrum", string_count),
@@ -175,7 +183,9 @@ def _malformed_configs():
             ("scalar_cross", "steady", scalar_cross),
             # the task comes from the command line; the grid check must hold
             ("negative_time_override", "counting",
-             dict(negative_time, task="steady"))]
+             dict(negative_time, task="steady"))] + [
+        (name, "steady", dict(FIG2A_CONFIG, model={"inline": bad}))
+        for name, bad in not_numbers.items()] + [("bool_param", "steady", bool_param)]
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -304,3 +314,19 @@ def test_mandel_sweep_fig5_shape(tmp_path):
     assert q.min() > 100.0
     assert np.all(np.diff(q[1:]) > 0.0)
     assert q[-1] == pytest.approx(298.12, rel=1e-3)
+
+
+def test_spectrum_fig5_far_detuned(tmp_path):
+    cfg = {"schema": 1,
+           "model": {"scenario": "light_assisted",
+                     "params": {"gammas": [1.0, 10.0],
+                                "gamma_cross": [[0.0, 0.02], [0.0015, 0.0]],
+                                "omega_rabi": 1.0, "detuning": 100.0}},
+           "task": "spectrum",
+           "grids": {"omega": {"start": -150.0, "stop": 150.0, "count": 31}},
+           "output": str(tmp_path / "far")}
+    assert cli.main(["spectrum", "--config", str(write_config(tmp_path, cfg))]) == 0
+    lines = [l for l in (tmp_path / "far_spectrum.csv").read_text().splitlines()
+             if not l.startswith("#")][1:]
+    s_inc = np.array([float(l.split(",")[1]) for l in lines])
+    assert s_inc.size == 31 and np.all(np.isfinite(s_inc))

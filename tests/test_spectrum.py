@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fluorospec as fs
+from fluorospec.correl import _c1_pieces
+from fluorospec.model import trace_functional
 
 import markovian_oracle
+import propagation_oracle
 from util import fit_lorentzian, fwhm, log_symmetric_grid, peak_position
 
 
@@ -120,3 +125,53 @@ def test_laplace_vs_cosine_transform(markovian):
         ft = 2.0 * np.trapezoid(c1_vals * np.cos(w * tau), tau)
         s = fs.incoherent_spectrum(markovian, np.array([w])).values[0]
         assert s == pytest.approx(ft, rel=1e-4, abs=1e-8)
+
+
+def _c1_seed(p):
+    """The readout w and the trace-free C1 seed v_dec of S_inc."""
+    seeds, w = _c1_pieces(p.spec, p.steady)
+    v = fs.BlockState(seeds).to_vector()
+    return w, v - p.steady.to_vector() * (trace_functional(p.spec.r_max) @ v)
+
+
+@pytest.mark.parametrize("detuning", [1e2, 1e3, 1e4])
+def test_fig5_detuned_spectrum_matches_laurent(fig5, detuning):
+    """Far detuned light-assisted blinking: S_inc(0) = 2 Re(w R0 v_dec)
+    with R0 the dense reduced resolvent of the Laurent decomposition."""
+    p = fs.prepare(dataclasses.replace(fig5, detuning=detuning))
+    w, v_dec = _c1_seed(p)
+    r0 = fs.laurent_decomposition(p).reduced_resolvent.matrix
+    ref = 2.0 * np.real(w @ r0 @ v_dec)
+    assert fs.incoherent_spectrum(p, [0.0]).values[0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_fig5_detuned_spectrum_matches_plain_resolvent(fig5):
+    """Away from the steady pole the trace-free solve equals the plain
+    resolvent (u - L)^-1 v_dec of the dense oracle."""
+    delta = 1e2
+    p = fs.prepare(dataclasses.replace(fig5, detuning=delta))
+    w, v_dec = _c1_seed(p)
+    omega = np.array([-delta, -1.0, 1.0, delta])
+    ref = [2.0 * np.real(w @ propagation_oracle.resolve(
+        p.generator, -1j * om, fs.BlockState.from_vector(v_dec)).to_vector())
+        for om in omega]
+    assert fs.incoherent_spectrum(p, omega).values == pytest.approx(ref, rel=1e-9)
+
+
+def test_stiff_lifetime_fluct_telegraph_peak():
+    """Slow switching between gamma = 1 and 3 (rates phi and 2 phi): the
+    zero-frequency S_inc is the telegraph peak 2 Var_p(c) / (3 phi) of the
+    coherent amplitudes c_R = sqrt(gamma_R) <a|rho_R|b> of the isolated
+    states, weighted by p = (1/3, 2/3)."""
+    gammas = [1.0, 3.0]
+    amps = np.array([np.sqrt(g) * fs.steady_state(fs.build_generator(
+        fs.single_state(g, 0.5))).blocks[0, 0, 1] for g in gammas])
+    weights = np.array([1.0, 2.0]) / 3.0
+    telegraph = 2.0 * weights @ np.abs(amps - weights @ amps) ** 2
+    assert telegraph == pytest.approx(0.00159209655093, rel=1e-10)
+    for phi in (1e-8, 1e-10, 1e-12):
+        spec = fs.lifetime_fluct(gammas, phi * np.array([[0.0, 1.0], [2.0, 0.0]]), 0.5)
+        s0 = fs.incoherent_spectrum(spec, [0.0]).values[0]
+        assert s0 * 3.0 * phi == pytest.approx(telegraph, rel=1e-5), phi
+    spec = fs.lifetime_fluct(gammas, 1e-14 * np.array([[0.0, 1.0], [2.0, 0.0]]), 0.5)
+    assert np.all(np.isfinite(fs.incoherent_spectrum(spec, [0.0, 0.01]).values))

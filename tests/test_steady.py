@@ -203,3 +203,19 @@ def test_config_populations(fig2a, fig5):
     predicted = np.array([g12, g21]) / (g12 + g21)
     pops = fs.config_populations(fs.steady_state(fs.build_generator(fig5)))
     assert np.abs(pops - predicted).max() / predicted.min() < 5e-2
+
+
+@pytest.mark.parametrize("caller", ["steady_state", "incoherent_spectrum",
+                                    "stationary_mandel"])
+def test_bordered_solve_certified(caller, fig5, monkeypatch):
+    """Every caller of the bordered solve checks its backward error: a
+    solution off by a relative 1e-7 is rejected."""
+    p = fs.prepare(fig5)
+    p.steady
+    calls = {"steady_state": lambda: fs.steady_state(p.generator),
+             "incoherent_spectrum": lambda: fs.incoherent_spectrum(p, [0.0, 0.5]),
+             "stationary_mandel": lambda: fs.stationary_mandel(p)}
+    lu_solve = la.lu_solve
+    monkeypatch.setattr(la, "lu_solve", lambda f, b: lu_solve(f, b) * (1.0 + 1e-7))
+    with pytest.raises(SingularShift, match="backward error"):
+        calls[caller]()

@@ -170,8 +170,6 @@ def parse_config(text: str) -> RunConfig:
         _require_keys(model["params"], set(sig),
                       {n for n, p in sig.items() if p.default is p.empty},
                       "config.model.params")
-        for k, v in model["params"].items():
-            _numbers(v, f"config.model.params.{k}")
     elif "inline" in model:
         _require_keys(model, {"inline"}, {"inline"}, "config.model")
         inline = model["inline"]
@@ -181,6 +179,10 @@ def parse_config(text: str) -> RunConfig:
                       "config.model.inline")
     else:
         raise ConfigError("config.model: needs either 'scenario' or 'inline'")
+    part = "params" if "scenario" in model else "inline"
+    for k, v in model[part].items():
+        if k != "labels" and v is not None:
+            _numbers(v, f"config.model.{part}.{k}")
 
     raw_grids = raw.get("grids", {})
     _require_keys(raw_grids, {"tau", "omega", "delta", "time"}, set(), "config.grids")
@@ -220,24 +222,23 @@ def build_model(config: RunConfig) -> ModelSpec:
     m = config.model
     if "scenario" in m:
         return SCENARIOS[m["scenario"]](**m["params"])
-    inline, path = m["inline"], "config.model.inline"
-    r = _integer(inline["r_max"], f"{path}.r_max")
-    arrays = [_numbers(inline[k], f"{path}.{k}")
-              for k in ("delta_omega", "gamma", "omega_rabi")]
+    inline = m["inline"]
+    r = _integer(inline["r_max"], "config.model.inline.r_max")
+    arrays = [inline[k] for k in ("delta_omega", "gamma", "omega_rabi")]
     if any(len(a) != r for a in arrays):
-        raise ConfigError(f"{path}: per-state arrays must have length r_max")
+        raise ConfigError("config.model.inline: per-state arrays must have length r_max")
     per = tuple(PerStateParams(delta_omega=d, gamma=g, omega_rabi=o)
                 for d, g, o in zip(*arrays))
     # only an absent or null rate matrix means zeros; [], 0 or false is malformed
-    phi, cross = (np.asarray(np.zeros((r, r)) if inline.get(k) is None
-                             else _numbers(inline[k], f"{path}.{k}"), dtype=float)
-                  for k in ("phi", "gamma_cross"))
+    phi, cross = (np.asarray(np.zeros((r, r)) if inline.get(k) is None else inline[k],
+                             dtype=float) for k in ("phi", "gamma_cross"))
     labels = inline.get("labels")
     return ModelSpec(
         space=ConfigSpace(r_max=r, labels=tuple(labels) if labels else None),
         per_state=per,
         rates=FluctuationRates(phi=phi, gamma_cross=cross),
-        detuning=_finite(inline, "detuning", path) if "detuning" in inline else 0.0,
+        detuning=_finite(inline, "detuning", "config.model.inline")
+        if "detuning" in inline else 0.0,
     )
 
 

@@ -10,7 +10,7 @@ per grid point, spread over ``threads`` worker threads and written in
 index order. Outputs are therefore byte-identical across runs and thread
 counts.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure.
+Exit codes: 0 ok, 2 config error or unwritable output, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -208,14 +208,19 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def emit_config(config: RunConfig) -> str:
-    """Canonical JSON text of a resolved config (round-trips through parse)."""
+def _config_dict(config: RunConfig) -> dict:
+    """The resolved config as the JSON object that emit_config writes."""
     d = {"schema": config.schema, "model": config.model, "task": config.task,
          "grids": {k: dataclasses.asdict(g) for k, g in config.grids.items()},
          "output": config.output, "threads": config.threads}
     if config.n_max is not None:
         d["n_max"] = config.n_max
-    return json.dumps(d, indent=2, sort_keys=True)
+    return d
+
+
+def emit_config(config: RunConfig) -> str:
+    """Canonical JSON text of a resolved config (round-trips through parse)."""
+    return json.dumps(_config_dict(config), indent=2, sort_keys=True)
 
 
 def build_model(config: RunConfig) -> ModelSpec:
@@ -233,8 +238,12 @@ def build_model(config: RunConfig) -> ModelSpec:
     phi, cross = (np.asarray(np.zeros((r, r)) if inline.get(k) is None else inline[k],
                              dtype=float) for k in ("phi", "gamma_cross"))
     labels = inline.get("labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == r
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ConfigError(f"config.model.inline.labels: must be a list of "
+                          f"r_max = {r} strings, got {labels!r}")
     return ModelSpec(
-        space=ConfigSpace(r_max=r, labels=tuple(labels) if labels else None),
+        space=ConfigSpace(r_max=r, labels=None if labels is None else tuple(labels)),
         per_state=per,
         rates=FluctuationRates(phi=phi, gamma_cross=cross),
         detuning=_finite(inline, "detuning", "config.model.inline")
@@ -325,10 +334,17 @@ def run(config: RunConfig) -> list[str]:
 
     sidecar = f"{config.output}.meta.json"
     with open(sidecar, "w") as fh:
-        json.dump({"config": json.loads(emit_config(config)),
-                   "version": __version__,
-                   "wall_time_s": time.perf_counter() - t0}, fh, indent=2)
+        json.dump({"config": _config_dict(config), "version": __version__,
+                   "wall_time_s": time.perf_counter() - t0},
+                  fh, indent=2, sort_keys=True)
     return [csv_path, sidecar]
+
+
+def _report(exc: Exception, code: int) -> int:
+    """Print exc as a one-line JSON error on stderr; returns the exit code."""
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+          file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -356,16 +372,14 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
         _require_task_inputs(cfg)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _report(exc, 2)
     try:
         files = run(cfg)
+    except OSError as exc:   # the CSV or the sidecar could not be written
+        return _report(exc, 2)
     except (NullSpaceDegenerate, correl.ZeroIntensity, counting.ZeroCounts,
             ArithmeticError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        return _report(exc, 3)
     if args.verbose:
         for f in files:
             print(f, file=sys.stderr)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .model import SIGMA_DAG, BlockState, ModelSpec, SuperOp, trace_functional
+from .model import (SIGMA_DAG, BlockState, ModelSpec, SuperOp, from_real,
+                    real_form, to_real, trace_functional)
 from .steady import Prepared, prepare
 
 
@@ -57,28 +58,29 @@ class ObservableSeries:
 def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """e^{t L} v0 for every t in a strictly increasing grid, t >= 0.
 
-    Sequential expm stepping; a uniform grid reuses one step propagator.
-    Returns shape (len(grid), dim).
+    Sequential expm stepping on the real form of the generator; a uniform
+    grid reuses one step propagator. Returns shape (len(grid), dim).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size and (grid[0] < 0 or not np.all(np.isfinite(grid))):
         raise ValueError("grid must be finite and nonnegative")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
-    m = generator.matrix
-    out = np.empty((grid.size, v0.size), dtype=complex)
+    m = real_form(generator)
+    out = np.empty((v0.size, grid.size), dtype=complex)   # columns in real coordinates
     steps = np.diff(grid, prepend=0.0)
     uniform = grid.size > 1 and np.allclose(steps[1:], steps[1], rtol=1e-12, atol=0.0)
     prop = la.expm(steps[1] * m) if uniform else None
-    v = v0
+    y = to_real(v0)
+    v = np.column_stack([y.real, y.imag])    # real products with the propagators
     for i, dt in enumerate(steps):
         if dt > 0:
             if uniform and i > 0 and abs(dt - steps[1]) <= 1e-12 * steps[1]:
                 v = prop @ v
             else:
                 v = la.expm(dt * m) @ v
-        out[i] = v
-    return out
+        out[:, i] = v[:, 0] + 1j * v[:, 1]
+    return from_real(out).T
 
 
 def _regression(p: Prepared, seed: np.ndarray, w: np.ndarray, tau_grid):

@@ -18,7 +18,7 @@ the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to vectors: R0 v is the trace-free solution of
 L x = (P - Id) v, one bordered solve (``steady._bordered_solve``, one LU,
 certified by its backward error) for R0 J rho_inf and, from an explicit
-initial state, R0 x0.
+initial state, R0 x0, factorized in real arithmetic.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -36,7 +36,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .correl import ObservableSeries, SeriesKind, stationary_intensity
-from .model import BlockState, ModelSpec, SuperOp, trace_functional
+from .model import (BlockState, ModelSpec, SuperOp, from_real, real_form,
+                    real_trace_functional, to_real, trace_functional)
 from .steady import Prepared, _bordered_solve, prepare
 
 
@@ -252,8 +253,8 @@ def stationary_mandel(model: ModelSpec | Prepared,
     fixed by I = 2b and B = 2 b^2 holding identically (both checked).
     Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
     needed: R0 v is the trace-free solution of L x = (P - Id) v, one
-    bordered solve for both columns (SingularShift if its backward error
-    fails); from the steady state R0 rho_inf = 0, so a = 0 and
+    bordered solve on the real form for both columns (SingularShift if its
+    backward error fails); from the steady state R0 rho_inf = 0, so a = 0 and
     Q_st = 2 theta J R0 J rho_inf / I_st.
     """
     p = prepare(model)
@@ -278,7 +279,9 @@ def stationary_mandel(model: ModelSpec | Prepared,
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
 
     vs = np.column_stack([j @ rho_inf] if initial is None else [j @ rho_inf, x0])
-    r0 = _bordered_solve(p.generator.matrix, np.outer(rho_inf, theta @ vs) - vs, 0.0)
+    r0 = from_real(_bordered_solve(real_form(p.generator),
+                                   to_real(np.outer(rho_inf, theta @ vs) - vs), 0.0,
+                                   real_trace_functional(p.spec.r_max)))
     a_coef = np.real(tj @ r0[:, 0])
     a = 0.0
     if initial is not None:

@@ -22,11 +22,23 @@ Basis and vectorization conventions (fixed so golden files are stable):
 index 0 = ``|a>``, 1 = ``|b>``; a block state is vectorized block-major,
 each 2x2 block column-major, i.e. ``(aa, ba, ab, bb)`` per block.
 
+Real coordinates: the dense factorizations run on y = T x, where per
+block T has the rows e_aa, e_bb, (e_ba + e_ab)/2 and -i(e_ba - e_ab)/2
+(so y = (aa, bb, Re ba, Im ba) for a Hermitian block) and T^-1 has the
+columns e_aa, e_bb, e_ba + e_ab and i(e_ba - e_ab). The generator maps
+Hermitian blocks to Hermitian blocks, so its real form T L T^-1 is a real
+matrix; every entry of T and T^-1 is dyadic (0, ±1, ±i, 1/2), so the
+changes of coordinates round only where they add two entries and the real
+form equals the dense product exactly (:func:`real_form`, :func:`to_real`,
+:func:`from_real`). The trace functional reads (1, 1, 0, 0) per block in
+these coordinates.
+
 hbar = 1 throughout; rates and angular frequencies share one time unit.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +50,10 @@ SIGMA_DAG = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |b><a|
 UPPER_PROJECTOR = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 LOWER_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
+
+# T and T^-1 of the real coordinates (module docstring), per block in vec order
+_T = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
+_T_INV = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
 
 
 class OperatorKind(enum.Enum):
@@ -155,6 +171,12 @@ class ModelSpec:
         """gamma_tilde_R = gamma_R + sum_R' gamma_cross[R'][R] (column sums)."""
         return self.gammas() + self.rates.gamma_cross.sum(axis=0)
 
+    @functools.cached_property
+    def _detection_jump(self) -> np.ndarray:
+        # built on first use by detection_jump, which documents it
+        return _frozen_array(np.kron(np.diag(self.gammas()) + self.rates.gamma_cross,
+                                     _sandwich(SIGMA)), complex)
+
 
 @dataclass(frozen=True, eq=False)
 class BlockState:
@@ -222,6 +244,15 @@ class SuperOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def _real_form(self) -> np.ndarray:
+        # built on first use by real_form, which documents it
+        out = to_real((self.matrix.reshape(-1, 4) @ _T_INV).reshape(self.matrix.shape))
+        if out.imag.any():
+            raise ValueError("generator does not preserve Hermiticity: "
+                             "its real form has a nonzero imaginary part")
+        return _frozen_array(out.real)
+
     @property
     def r_max(self) -> int:
         return self.dim // 4
@@ -230,6 +261,32 @@ class SuperOp:
 def trace_functional(r_max: int) -> np.ndarray:
     """Row vector theta with theta @ vec(x) = total trace of x."""
     return np.tile(np.array([1.0, 0.0, 0.0, 1.0]), r_max)
+
+
+def real_trace_functional(r_max: int) -> np.ndarray:
+    """The trace functional in real coordinates, theta T^-1."""
+    return np.tile(np.array([1.0, 1.0, 0.0, 0.0]), r_max)
+
+
+def to_real(x: np.ndarray) -> np.ndarray:
+    """T x for a vector or a column stack x in vec order (complex result;
+    its imaginary part vanishes for Hermitian blocks)."""
+    return (_T @ x.reshape(x.shape[0] // 4, 4, -1)).reshape(x.shape)
+
+
+def from_real(y: np.ndarray) -> np.ndarray:
+    """T^-1 y for a vector or a column stack y of real coordinates."""
+    return (_T_INV @ y.reshape(y.shape[0] // 4, 4, -1)).reshape(y.shape)
+
+
+def real_form(op: SuperOp) -> np.ndarray:
+    """The real matrix T L T^-1 of a generator L, read-only and computed
+    once per SuperOp in O(dim^2).
+
+    Raises ValueError when L does not map Hermitian blocks to Hermitian
+    blocks, i.e. when T L T^-1 has a nonzero imaginary part.
+    """
+    return op._real_form
 
 
 def validate(spec: ModelSpec) -> list[str]:
@@ -329,10 +386,9 @@ def detection_jump(spec: ModelSpec) -> np.ndarray:
     Own-block recycling gamma_R and emission-assisted cross gains
     gamma_cross[R][R'], each feeding |a><a| of the destination block from
     <b|rho_R'|b>. The one definition of the detection term: the generator
-    contains it and the counting split separates it.
+    contains it and the counting split separates it. Built once per spec.
     """
-    return _frozen_array(np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
-                                 _sandwich(SIGMA)), complex)
+    return spec._detection_jump
 
 
 def build_generator(spec: ModelSpec) -> SuperOp:

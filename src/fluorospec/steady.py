@@ -9,16 +9,26 @@ decomposition (steady projector + reduced resolvent) is their cross-check.
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred, so LU/SVD exactness beats any iterative machinery.
 
-The bordered solve replaces row 0 of a, the aa entry of block 0, by the
-trace functional theta and takes one LU for all right-hand sides. Dropping
-that row loses no equation: theta a = c theta (c = 0 for a = L, trace
-preservation; c = u for a = u - L) and theta rhs = c Tr x, so row 0's
-equation is minus the sum of the other aa and bb rows'. With nullity 1
-(certified by an SVD) theta is nonzero on the null vector of L, so the
-bordered matrix is nonsingular. All nonzero entries of theta equal 1, so
-no row is better conditioned to sacrifice and no row search is needed.
-Each solution is certified by its normwise backward error on the
-undeflated system [a; theta], the ratio LAPACK's tests check (xGET02).
+The steady state and the reduced resolvent are factorized in real
+arithmetic, on the real form L_T = T L T^-1 of the generator in the
+coordinates (aa, bb, Re ba, Im ba) per block (see ``model``); right-hand
+sides map into these coordinates and solutions map back without rounding,
+complex ones with complex coordinates. The resolvent at a complex shift u stays in
+the (aa, ba, ab, bb) basis.
+
+The bordered solve replaces row 0 of a, the aa entry of block 0 in both
+bases, by the trace functional theta and takes one LU for all right-hand
+sides. Dropping that row loses no equation: theta a = c theta (c = 0 for
+a = L, trace preservation; c = u for a = u - L) and theta rhs = c Tr x, so
+row 0's equation is minus the sum of the other aa and bb rows'. With
+nullity 1 theta is nonzero on the null vector of L, so the bordered
+matrix is nonsingular. All nonzero entries of theta equal 1, so no row is
+better conditioned to sacrifice and no row search is needed. Each
+solution is certified by its normwise backward error on the system
+actually factored, [a; theta] undeflated, the ratio LAPACK's tests check
+(xGET02). Nullity 1 is certified by the singular values of D L_T D^-1,
+D = diag(1, 1, sqrt 2, sqrt 2) per block: D T is unitary, so these are
+the singular values of L.
 """
 from __future__ import annotations
 
@@ -30,7 +40,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .model import (BlockState, ModelSpec, SuperOp, build_generator,
-                    detection_jump, trace_functional)
+                    detection_jump, from_real, real_form, real_trace_functional,
+                    trace_functional)
 
 
 class NullSpaceDegenerate(Exception):
@@ -75,14 +86,18 @@ def prepare(model: ModelSpec | Prepared) -> Prepared:
     return Prepared(model, build_generator(model), detection_jump(model))
 
 
-def _trace_row(a: np.ndarray, r_max: int) -> np.ndarray:
-    """Copy of a with its row 0 replaced by the trace functional."""
+def _trace_row(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Copy of a with its row 0 replaced by the trace functional theta."""
     out = a.copy()
-    out[0, :] = trace_functional(r_max)
+    out[0, :] = theta
     return out
 
 
-def _check_nullity(m: np.ndarray) -> None:
+def _check_nullity(real: np.ndarray) -> None:
+    """Nullity 1 of L from the singular values of D L_T D^-1 (the module
+    docstring), with the tolerance dim * eps * |L|_F."""
+    d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], real.shape[0] // 4)
+    m = d[:, None] * real / d
     svals = la.svdvals(m)
     tol = m.shape[0] * np.finfo(float).eps * la.norm(m, "fro")
     nullity = int(np.sum(svals < tol))
@@ -95,21 +110,21 @@ def _check_nullity(m: np.ndarray) -> None:
 def steady_state(generator: SuperOp) -> BlockState:
     """Unique trace-1 null state of the generator.
 
-    The bordered solve L x = 0 with Tr x = 1 (see the module docstring for
-    why the fixed row is safe); an SVD certifies nullity 1.
+    The bordered solve L x = 0 with Tr x = 1 on the real form (see the
+    module docstring for why the fixed row is safe), so the blocks are
+    exactly Hermitian; an SVD certifies nullity 1.
     """
-    m = generator.matrix
-    _check_nullity(m)
-    x = _bordered_solve(m, np.zeros(generator.dim, dtype=complex), 1.0)
-    st = BlockState.from_vector(x)
-    blocks = 0.5 * (st.blocks + st.blocks.conj().transpose(0, 2, 1))
-    blocks = blocks / np.real(blocks[:, 0, 0].sum() + blocks[:, 1, 1].sum())
-    eigmin = min(la.eigvalsh(blk).min() for blk in blocks)
+    real = real_form(generator)
+    _check_nullity(real)
+    theta = real_trace_functional(generator.r_max)
+    y = _bordered_solve(real, np.zeros(generator.dim), 1.0, theta)
+    st = BlockState.from_vector(from_real(y / (theta @ y)))
+    eigmin = np.linalg.eigvalsh(st.blocks).min()
     if eigmin < -1e-10:
         raise ValueError(
             f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
             "model or assembly bug")
-    return BlockState(blocks)
+    return st
 
 
 def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
@@ -124,7 +139,8 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
     if rhs.size != generator.dim:
         raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
-    return BlockState.from_vector(_bordered_solve(a, rhs, 0.0))
+    return BlockState.from_vector(
+        _bordered_solve(a, rhs, 0.0, trace_functional(generator.r_max)))
 
 
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a bordered
@@ -134,18 +150,19 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
 _BACKWARD_ERROR_FACTOR = 30.0
 
 
-def _bordered_solve(a: np.ndarray, rhs: np.ndarray, trace: complex) -> np.ndarray:
+def _bordered_solve(a: np.ndarray, rhs: np.ndarray, trace: complex,
+                    theta: np.ndarray) -> np.ndarray:
     """The columns x with a x = rhs and theta x = trace, by one LU of a with
-    row 0 replaced by theta (see the module docstring); each column's
-    1-norm backward error on [a; theta] x = [rhs; trace] must stay below
+    row 0 replaced by theta, the trace functional in the coordinates of a
+    (see the module docstring); each column's 1-norm backward error on
+    [a; theta] x = [rhs; trace] must stay below
     _BACKWARD_ERROR_FACTOR * dim * eps."""
     dim = a.shape[0]
-    theta = trace_functional(dim // 4)
     rhs_defl = rhs.copy()
     rhs_defl[0] = trace
     with warnings.catch_warnings():   # an exactly singular LU shows as x = inf
         warnings.simplefilter("ignore", la.LinAlgWarning)
-        x = la.lu_solve(la.lu_factor(_trace_row(a, dim // 4)), rhs_defl)
+        x = la.lu_solve(la.lu_factor(_trace_row(a, theta)), rhs_defl)
     if not np.all(np.isfinite(x)):
         raise SingularShift("bordered solve diverged: backward error not finite")
     resid = np.abs(a @ x - rhs).sum(axis=0) + np.abs(theta @ x - trace)
@@ -173,7 +190,7 @@ def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
     dim = generator.dim
     theta = trace_functional(generator.r_max)
     p = np.outer(st.to_vector(), theta)
-    a = _trace_row(m, generator.r_max)
+    a = _trace_row(m, theta)
     b = p - np.eye(dim)
     b[0, :] = 0.0
     lu, piv = la.lu_factor(a)

@@ -82,11 +82,13 @@ def test_inline_model_config():
         "model": {"inline": {"r_max": 2, "delta_omega": [0.1, -0.1],
                              "gamma": [1.0, 1.0], "omega_rabi": [0.7, 0.7],
                              "phi": [[0.0, 0.01], [0.01, 0.0]],
-                             "gamma_cross": None, "detuning": 0.0}},
+                             "gamma_cross": None, "detuning": 0.0,
+                             "labels": ["open", "closed"]}},
         "task": "steady"}))
     spec = cli.build_model(cfg)
     assert spec.r_max == 2
     assert spec.rates.phi[0, 1] == 0.01
+    assert spec.space.labels == ("open", "closed")
 
 
 def test_run_steady_symmetric_two_state(tmp_path):
@@ -106,6 +108,8 @@ def test_run_writes_metadata_sidecar(tmp_path):
     assert cli.main(["spectrum", "--config", str(cfg_path)]) == 0
     sidecar = json.loads((tmp_path / "meta.meta.json").read_text())
     assert sidecar["config"]["task"] == "spectrum"
+    cfg = cli.parse_config(cfg_path.read_text())
+    assert sidecar["config"] == json.loads(cli.emit_config(cfg))
     assert "wall_time_s" in sidecar
     header = [l for l in (tmp_path / "meta_spectrum.csv").read_text().splitlines()
               if not l.startswith("#")][0]
@@ -167,6 +171,9 @@ def _malformed_configs():
                    "bool_detuning": dict(inline, detuning=True),
                    "bool_gamma": dict(inline, gamma=[True, 1.0]),
                    "string_phi": dict(inline, phi=[[0, "1"], ["1", 0]])}
+    # labels must be a list of r_max strings
+    bad_labels = {"string_labels": dict(inline, labels="ab"),
+                  "number_labels": dict(inline, labels=[1, 2])}
     bool_param = dict(FIG2A_CONFIG, model={
         "scenario": "single_state",
         "params": {"gamma": 1.0, "omega_rabi": 0.7, "detuning": True}})
@@ -185,7 +192,8 @@ def _malformed_configs():
             ("negative_time_override", "counting",
              dict(negative_time, task="steady"))] + [
         (name, "steady", dict(FIG2A_CONFIG, model={"inline": bad}))
-        for name, bad in not_numbers.items()] + [("bool_param", "steady", bool_param)]
+        for name, bad in {**not_numbers, **bad_labels}.items()] + [
+        ("bool_param", "steady", bool_param)]
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -211,6 +219,16 @@ def test_exit_code_config_error(tmp_path, capsys):
     not_utf8.write_bytes(b"\xff\xfe{}")
     assert cli.main(["steady", "--config", str(not_utf8)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    """An output path in a missing directory is reported as a JSON error
+    with exit code 2, not a traceback."""
+    cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG, task="steady"))
+    rc = cli.main(["steady", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "missing" / "x")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
 def test_csv_equals_library_series(tmp_path):

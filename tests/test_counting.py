@@ -8,7 +8,7 @@ from scipy.integrate import simpson, solve_ivp
 
 import fluorospec as fs
 from fluorospec.counting import counting_split, _factorial_moments
-from fluorospec.model import trace_functional
+from fluorospec.model import to_real, trace_functional
 
 import markovian_oracle
 from block_oracle import block_pn
@@ -340,7 +340,7 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
     """A corrupted R0 solve fails the backward-error certificate, also when
     the error lies along the steady state, which only the trace row sees."""
     p = fs.prepare(fig5)
-    rho_inf = p.steady.to_vector()
+    rho_inf = to_real(p.steady.to_vector())     # the solve's coordinates
     lu_solve = la.lu_solve
 
     def perturbed(lu_and_piv, b):

@@ -10,6 +10,14 @@ per grid point, spread over ``threads`` worker threads and written in
 index order. Outputs are therefore byte-identical across runs and thread
 counts.
 
+The sidecar is one line of sorted-key JSON without indentation, so that
+the json module's C encoder makes it: ``indent`` would switch to the
+pure-Python encoder, about three times as slow on a large inline model.
+The model is encoded once per run, for the CSV's model line and the
+sidecar. Both files are encoded before either is written, and a CSV
+whose sidecar cannot be written is removed again, so no result file is
+left without its sidecar.
+
 Exit codes: 0 ok, 2 config error or unwritable output, 3 numerical failure.
 """
 from __future__ import annotations
@@ -19,6 +27,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -97,9 +106,17 @@ def _finite(obj: dict, key: str, path: str) -> float:
     return float(v)
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _numbers(v, path: str):
     """v if it is a number or a nested list of numbers; bools and strings,
-    which float() and numpy would silently convert, are rejected."""
+    which float() and numpy would silently convert, are rejected, naming
+    the first such entry. A list of numbers is checked in one pass over its
+    element types: JSON numbers decode to exactly int or float, and
+    type(True) is bool, so the check is exact."""
+    if type(v) is list and set(map(type, v)) <= _NUMBER_TYPES:
+        return v
     if isinstance(v, list):
         for i, x in enumerate(v):
             _numbers(x, f"{path}[{i}]")
@@ -262,13 +279,26 @@ def _parallel_map(fn, n: int, threads: int) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
+def _csv_text(meta: dict, header: list[str], rows) -> str:
     lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _sidecar_text(config: RunConfig, model_json: str, wall_time_s: float) -> str:
+    """Sorted-key JSON of the resolved config, version and wall time.
+
+    The model is not encoded a second time: model_json, the CSV's model
+    line, takes the place of '"model": null' in the encoded rest. JSON
+    escapes every quote inside a string, so that text can only be a key
+    with a null value, and config.model is the one key of that name.
+    """
+    text = json.dumps({"config": dict(_config_dict(config), model=None),
+                       "version": __version__, "wall_time_s": wall_time_s},
+                      sort_keys=True, separators=(", ", ": "))
+    return text.replace('"model": null', f'"model": {model_json}', 1)
 
 
 def run(config: RunConfig) -> list[str]:
@@ -278,31 +308,30 @@ def run(config: RunConfig) -> list[str]:
     task = config.task
     grid_name = TASK_GRID[task]
     grid = config.grids[grid_name].build() if grid_name else None
-    meta = {"task": task, "version": __version__,
-            "model": json.dumps(config.model, sort_keys=True)}
+    model_json = json.dumps(config.model, sort_keys=True)
+    meta = {"task": task, "version": __version__, "model": model_json}
     csv_path = f"{config.output}_{task.replace('-', '_')}.csv"
 
     if task == "steady":
         st = prepare(spec).steady
+        header = ["state_index", "population", "excited_population"]
         rows = [(float(i), p, e) for i, (p, e) in
                 enumerate(zip(config_populations(st), np.real(st.blocks[:, 1, 1])))]
-        _write_csv(csv_path, meta, ["state_index", "population",
-                                    "excited_population"], rows)
     elif task == "spectrum":
         p = prepare(spec)
         series = spectrum.incoherent_spectrum(p, grid)
         meta["coherent_weight"] = _fmt(spectrum.coherent_weight(p))
         meta["stationary_intensity"] = _fmt(correl.stationary_intensity(p))
         meta["unit"] = "omega_minus_omegaL in model rate units"
-        _write_csv(csv_path, meta, ["omega_minus_omegaL", "s_inc"],
-                   zip(series.abscissa, series.values))
+        header = ["omega_minus_omegaL", "s_inc"]
+        rows = zip(series.abscissa, series.values)
     elif task == "c1":
         series = correl.c1(spec, grid)
-        _write_csv(csv_path, meta, ["tau", "re_c1", "im_c1"],
-                   ((t, v.real, v.imag) for t, v in zip(series.abscissa, series.values)))
+        header = ["tau", "re_c1", "im_c1"]
+        rows = ((t, v.real, v.imag) for t, v in zip(series.abscissa, series.values))
     elif task in ("c2", "g2"):
         series = (correl.c2 if task == "c2" else correl.g2)(spec, grid)
-        _write_csv(csv_path, meta, ["tau", task], zip(series.abscissa, series.values))
+        header, rows = ["tau", task], zip(series.abscissa, series.values)
     elif task == "counting":
         p = prepare(spec)
         p.steady    # solved here, once, rather than raced for by the workers
@@ -316,27 +345,32 @@ def run(config: RunConfig) -> list[str]:
         header += [f"p{n}" for n in range(config.n_max + 1)]
         rows = [[r.t, r.mean, r.second_factorial, r.mandel_q, r.remainder, *r.pn]
                 for r in recs]
-        _write_csv(csv_path, meta, header, rows)
     elif task == "mandel-sweep":
         def point(i):
             return counting.stationary_mandel(
                 dataclasses.replace(spec, detuning=float(grid[i])))
 
         vals = _parallel_map(point, grid.size, config.threads)
-        _write_csv(csv_path, meta, ["delta", "q_st"], zip(grid, vals))
+        header, rows = ["delta", "q_st"], zip(grid, vals)
     elif task == "lineshape-sweep":
         def point(i):
             return counting.line_shape(
                 dataclasses.replace(spec, detuning=float(grid[i])))
 
         vals = _parallel_map(point, grid.size, config.threads)
-        _write_csv(csv_path, meta, ["delta", "intensity"], zip(grid, vals))
+        header, rows = ["delta", "intensity"], zip(grid, vals)
 
+    csv_text = _csv_text(meta, header, rows)
     sidecar = f"{config.output}.meta.json"
-    with open(sidecar, "w") as fh:
-        json.dump({"config": _config_dict(config), "version": __version__,
-                   "wall_time_s": time.perf_counter() - t0},
-                  fh, indent=2, sort_keys=True)
+    sidecar_text = _sidecar_text(config, model_json, time.perf_counter() - t0)
+    with open(csv_path, "w") as fh:
+        fh.write(csv_text)
+    try:
+        with open(sidecar, "w") as fh:
+            fh.write(sidecar_text)
+    except OSError:
+        os.unlink(csv_path)   # a CSV without its sidecar would look complete
+        raise
     return [csv_path, sidecar]
 
 

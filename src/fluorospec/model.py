@@ -174,8 +174,8 @@ class ModelSpec:
     @functools.cached_property
     def _detection_jump(self) -> np.ndarray:
         # built on first use by detection_jump, which documents it
-        return _frozen_array(np.kron(np.diag(self.gammas()) + self.rates.gamma_cross,
-                                     _sandwich(SIGMA)), complex)
+        return _frozen_array(_kron(np.diag(self.gammas()) + self.rates.gamma_cross,
+                                   _DETECTION), complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +379,20 @@ def _anticommutator(op):
 _H_DETUNING = np.diag([0.5, -0.5]).astype(complex)
 _H_DRIVE = 0.5 * (SIGMA + SIGMA_DAG)
 
+# the 4x4 superoperators of build_generator that no model parameter changes
+_DETUNING = _commutator(_H_DETUNING)
+_DRIVE = _commutator(_H_DRIVE)
+_DECAY = _anticommutator(SIGMA_DAG @ SIGMA / 2)
+_DETECTION = _sandwich(SIGMA)
+_EYE4 = np.eye(4)
+
+
+def _kron(table: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """np.kron(table, s) for an r x r table and a 4x4 s, by one broadcast
+    product (the same products as np.kron, without its dispatch cost)."""
+    r = table.shape[0]
+    return (table[:, None, :, None] * s[None, :, None, :]).reshape(4 * r, 4 * r)
+
 
 def detection_jump(spec: ModelSpec) -> np.ndarray:
     """Detection gains J = kron(diag(gamma) + gamma_cross, sigma . sigma†).
@@ -402,16 +416,14 @@ def build_generator(spec: ModelSpec) -> SuperOp:
     """
     require_valid(spec)
     phi = spec.rates.phi
-    m = (np.kron(np.diag(spec.detuning - spec.delta_omegas()),
-                 _commutator(_H_DETUNING))
-         + np.kron(np.diag(spec.omega_rabis()), _commutator(_H_DRIVE))
-         - np.kron(np.diag(spec.effective_decays()),
-                   _anticommutator(SIGMA_DAG @ SIGMA / 2))
+    m = (_kron(np.diag(spec.detuning - spec.delta_omegas()), _DETUNING)
+         + _kron(np.diag(spec.omega_rabis()), _DRIVE)
+         - _kron(np.diag(spec.effective_decays()), _DECAY)
          + detection_jump(spec)
-         + np.kron(phi - np.diag(phi.sum(axis=0)), np.eye(4)))
+         + _kron(phi - np.diag(phi.sum(axis=0)), _EYE4))
     for ch in spec.extra_channels:
         op = ch.operator_kind.matrix()
-        m += (np.kron(ch.eta, _sandwich(op))
-              - np.kron(np.diag(ch.eta.sum(axis=0)),
-                        _anticommutator(op.conj().T @ op) / 2))
+        m += (_kron(ch.eta, _sandwich(op))
+              - _kron(np.diag(ch.eta.sum(axis=0)),
+                      _anticommutator(op.conj().T @ op) / 2))
     return SuperOp(m)

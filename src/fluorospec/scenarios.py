@@ -3,7 +3,6 @@ scenarios: spectral diffusion, lifetime fluctuations, diffusing molecules,
 and light-assisted (emission-gated) blinking."""
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 

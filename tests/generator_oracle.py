@@ -1,10 +1,35 @@
-"""Two independent representations of the block generator, kept to
-cross-check the dense assembly of ``fluorospec.build_generator``: the
-generator applied term by term to the 2x2 blocks, and the generalized
-optical Bloch equations of the counting-field-dressed generator."""
+"""Representations of the block generator, kept to cross-check the dense
+assembly of ``fluorospec.build_generator``: the same sum of Kronecker
+products formed with ``np.kron``, the generator applied term by term to
+the 2x2 blocks, and the generalized optical Bloch equations of the
+counting-field-dressed generator."""
 import numpy as np
 
-from fluorospec.model import BlockState, ModelSpec, require_valid
+from fluorospec.model import (SIGMA, SIGMA_DAG, BlockState, ModelSpec, SuperOp,
+                              _anticommutator, _commutator, _H_DETUNING, _H_DRIVE,
+                              _sandwich, require_valid)
+
+
+def kron_generator(spec: ModelSpec) -> SuperOp:
+    """build_generator's sum of kron(table, 4x4 superoperator) terms, in
+    the same order, with every term formed by np.kron (the detection
+    gains included)."""
+    require_valid(spec)
+    phi = spec.rates.phi
+    m = (np.kron(np.diag(spec.detuning - spec.delta_omegas()),
+                 _commutator(_H_DETUNING))
+         + np.kron(np.diag(spec.omega_rabis()), _commutator(_H_DRIVE))
+         - np.kron(np.diag(spec.effective_decays()),
+                   _anticommutator(SIGMA_DAG @ SIGMA / 2))
+         + np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+                   _sandwich(SIGMA))
+         + np.kron(phi - np.diag(phi.sum(axis=0)), np.eye(4)))
+    for ch in spec.extra_channels:
+        op = ch.operator_kind.matrix()
+        m += (np.kron(ch.eta, _sandwich(op))
+              - np.kron(np.diag(ch.eta.sum(axis=0)),
+                        _anticommutator(op.conj().T @ op) / 2))
+    return SuperOp(m)
 
 
 def block_hamiltonians(spec: ModelSpec) -> np.ndarray:

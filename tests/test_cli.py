@@ -114,6 +114,23 @@ def test_run_writes_metadata_sidecar(tmp_path):
     header = [l for l in (tmp_path / "meta_spectrum.csv").read_text().splitlines()
               if not l.startswith("#")][0]
     assert header == "omega_minus_omegaL,s_inc"
+    # an inline model with rate tables and labels survives the sidecar's encoding
+    inline = {"r_max": 3, "delta_omega": [0.1, -0.1, 0.25], "gamma": [1.0, 0.5, 2],
+              "omega_rabi": [0.7, 0.7, 1.3],
+              "phi": [[0.0, 0.01, 0.125], [0.02, 0.0, 1e-9], [0.5, 3, 0.0]],
+              "gamma_cross": [[0.0, 0.1, 0.0], [0.2, 0.0, 0.3], [0.0, 1e-3, 0.0]],
+              "labels": ["open", "closed", "\u00e9tat"], "detuning": -0.4}
+    cfg_path = write_config(tmp_path, {"schema": 1, "task": "steady",
+                                       "model": {"inline": inline},
+                                       "output": str(tmp_path / "inline")},
+                            name="inline.json")
+    assert cli.main(["steady", "--config", str(cfg_path)]) == 0
+    text = (tmp_path / "inline.meta.json").read_text()
+    sidecar = json.loads(text)
+    assert text == json.dumps(sidecar, sort_keys=True)   # sorted keys, one object
+    cfg = cli.parse_config(cfg_path.read_text())
+    assert sidecar["config"] == json.loads(cli.emit_config(cfg))
+    assert cli.parse_config(json.dumps(sidecar["config"])) == cfg
 
 
 def test_run_deterministic_across_runs_and_threads(tmp_path):
@@ -170,7 +187,10 @@ def _malformed_configs():
     not_numbers = {"string_detuning": dict(inline, detuning="5"),
                    "bool_detuning": dict(inline, detuning=True),
                    "bool_gamma": dict(inline, gamma=[True, 1.0]),
-                   "string_phi": dict(inline, phi=[[0, "1"], ["1", 0]])}
+                   "string_phi": dict(inline, phi=[[0, "1"], ["1", 0]]),
+                   "bool_phi": dict(inline, phi=[[0, True], [0.01, 0]]),
+                   "null_gamma": dict(inline, gamma=[1.0, None]),
+                   "string_cross": dict(inline, gamma_cross=[[0, 0.1], ["0.1", 0]])}
     # labels must be a list of r_max strings
     bad_labels = {"string_labels": dict(inline, labels="ab"),
                   "number_labels": dict(inline, labels=[1, 2])}
@@ -204,6 +224,8 @@ def test_exit_code_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, (name, err)
         assert json.loads(err)["error"] == "ConfigError", name
+        if name == "bool_phi":   # the first entry that is not a number is named
+            assert "config.model.inline.phi[0][1]" in json.loads(err)["message"]
         assert not list(tmp_path.glob(f"{name}_*.csv")), name
     # the thread count from the command line must obey the config's bound
     single = dict(FIG2A_CONFIG, task="steady", output=str(tmp_path / "threads"),
@@ -229,6 +251,17 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "missing" / "x")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+def test_unwritable_sidecar_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    """When the sidecar cannot be written the run exits 2 and removes the
+    CSV it wrote, so no result file is left that looks complete."""
+    cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG, task="steady"))
+    (tmp_path / "x.meta.json").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["steady", "--config", str(cfg_path), "--out", "x"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+    assert not (tmp_path / "x_steady.csv").exists()
 
 
 def test_csv_equals_library_series(tmp_path):

@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg as la
 
 import fluorospec as fs
-from fluorospec.model import trace_functional
+from fluorospec.model import SIGMA, detection_jump, trace_functional
 
 from conftest import random_block_state, random_spec
 import markovian_oracle
-from generator_oracle import apply_generator
+from generator_oracle import apply_generator, kron_generator
 
 
 def test_validate_minimal_spec_is_empty(markovian):
@@ -68,6 +68,26 @@ def test_dense_matches_matrix_free(r_max):
         dense = m @ x.to_vector()
         free = apply_generator(spec, x).to_vector()
         assert np.abs(dense - free).max() <= 1e-12 * max(np.abs(dense).max(), 1.0)
+
+
+@pytest.mark.parametrize("kind", [None, *fs.OperatorKind],
+                         ids=lambda k: "no_eta" if k is None else k.value)
+@pytest.mark.parametrize("r_max", [1, 3, 20, 60])
+def test_assembly_equals_kron_sum_bit_for_bit(r_max, kind):
+    """The broadcast assembly forms the same products, summed in the same
+    order, as the np.kron sum of generator_oracle."""
+    rng = np.random.default_rng(300 + r_max)
+    spec = random_spec(rng, r_max)
+    if kind is not None:
+        eta = rng.uniform(0.0, 0.5, (r_max, r_max))
+        np.fill_diagonal(eta, 0.0)
+        spec = fs.ModelSpec(spec.space, spec.per_state, spec.rates,
+                            (fs.GeneralJumpChannel(kind, eta),), spec.detuning)
+    want = kron_generator(spec).matrix
+    assert fs.build_generator(spec).matrix.tobytes() == want.tobytes()
+    jump = np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+                   np.kron(SIGMA.conj(), SIGMA))
+    assert detection_jump(spec).tobytes() == jump.tobytes()
 
 
 def test_dense_matches_matrix_free_fig2a(fig2a):

@@ -1,4 +1,6 @@
-"""The benchmark's per-layer tracer (perfbench/layers.py) wraps fluorospec
+"""Checks on the source tree itself.
+
+The benchmark's per-layer tracer (perfbench/layers.py) wraps fluorospec
 functions by ``module.function`` name. A rename that leaves one of them
 dangling breaks only the traced benchmark run, so it is checked here. The
 names are read from the source of layers.py, which is not imported."""
@@ -6,7 +8,8 @@ import ast
 import importlib
 from pathlib import Path
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PY = ROOT / "perfbench" / "layers.py"
 
 
 def _traced_layers() -> dict:
@@ -24,3 +27,23 @@ def test_traced_layers_resolve():
         home = importlib.import_module(f"fluorospec.{mod}")
         for fn in fns:
             assert callable(getattr(home, fn, None)), f"fluorospec.{mod}.{fn}"
+
+
+def test_src_has_no_unused_imports():
+    """Every module-level import of src/ binds a name the module reads.
+    Package __init__ files import to re-export, so they are skipped."""
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
+    assert not unused, unused

@@ -8,7 +8,10 @@ task is a thin shell over the library: ``steady``, ``spectrum``, ``c1``,
 ``mandel-sweep`` and ``lineshape-sweep`` make one independent library call
 per grid point, spread over ``threads`` worker threads and written in
 index order. Outputs are therefore byte-identical across runs and thread
-counts.
+counts. A sweep prepares its model once per run, at detuning 0, and
+shifts that model to each delta point (``Prepared.at_detuning``) instead
+of building and validating it again; the result is bit for bit the
+model built at that detuning.
 
 The sidecar is one line of sorted-key JSON without indentation, so that
 the json module's C encoder makes it: ``indent`` would switch to the
@@ -36,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, correl, counting, scenarios, spectrum
-from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams, validate
+from .model import (ConfigSpace, FluctuationRates, ModelSpec, PerStateParams,
+                    real_form, validate)
 from .steady import NullSpaceDegenerate, config_populations, prepare
 
 TASKS = ("steady", "spectrum", "g2", "c1", "c2", "counting",
@@ -345,20 +349,17 @@ def run(config: RunConfig) -> list[str]:
         header += [f"p{n}" for n in range(config.n_max + 1)]
         rows = [[r.t, r.mean, r.second_factorial, r.mandel_q, r.remainder, *r.pn]
                 for r in recs]
-    elif task == "mandel-sweep":
+    elif task in ("mandel-sweep", "lineshape-sweep"):
+        observable, column = {"mandel-sweep": (counting.stationary_mandel, "q_st"),
+                              "lineshape-sweep": (counting.line_shape, "intensity")}[task]
+        base = prepare(dataclasses.replace(spec, detuning=0.0))
+        real_form(base.generator)   # made here, once, not raced for by the workers
+
         def point(i):
-            return counting.stationary_mandel(
-                dataclasses.replace(spec, detuning=float(grid[i])))
+            return observable(base.at_detuning(float(grid[i])))
 
         vals = _parallel_map(point, grid.size, config.threads)
-        header, rows = ["delta", "q_st"], zip(grid, vals)
-    elif task == "lineshape-sweep":
-        def point(i):
-            return counting.line_shape(
-                dataclasses.replace(spec, detuning=float(grid[i])))
-
-        vals = _parallel_map(point, grid.size, config.threads)
-        header, rows = ["delta", "intensity"], zip(grid, vals)
+        header, rows = ["delta", column], zip(grid, vals)
 
     csv_text = _csv_text(meta, header, rows)
     sidecar = f"{config.output}.meta.json"

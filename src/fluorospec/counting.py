@@ -16,9 +16,12 @@ remainder. Factorial moments come from the exact s-derivative chain at
 s = 1 (never finite-differenced). The stationary Mandel factor comes from
 the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to vectors: R0 v is the trace-free solution of
-L x = (P - Id) v, one bordered solve (``steady._bordered_solve``, one LU,
-certified by its backward error) for R0 J rho_inf and, from an explicit
-initial state, R0 x0, factorized in real arithmetic.
+L x = (P - Id) v, solved for R0 J rho_inf and, from an explicit initial
+state, R0 x0 with the steady state's bordered LU of the real form, which
+the ``Prepared`` keeps (``steady._bordered_solve``, certified by its
+backward error), so Q_st factors nothing of its own. A detuning sweep
+prepares its model once and shifts it to each detuning
+(``Prepared.at_detuning``).
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -220,9 +223,11 @@ line_shape = stationary_intensity
 
 
 def line_shape_sweep(spec: ModelSpec, delta_grid) -> ObservableSeries:
-    """line_shape as a function of the laser detuning."""
+    """line_shape as a function of the laser detuning, from spec prepared
+    once at detuning 0 and shifted to each point (``Prepared.at_detuning``)."""
     grid = np.asarray(delta_grid, dtype=float)
-    vals = np.array([line_shape(dataclasses.replace(spec, detuning=d)) for d in grid])
+    base = prepare(dataclasses.replace(spec, detuning=0.0))
+    vals = np.array([line_shape(base.at_detuning(float(d))) for d in grid])
     return ObservableSeries(grid, vals, SeriesKind.LINE_SHAPE)
 
 
@@ -252,10 +257,10 @@ def stationary_mandel(model: ModelSpec | Prepared,
     2Y''(t) ~ 2(C + A t + B t^2) and Q_st = A/b - 4a, with the line shape
     fixed by I = 2b and B = 2 b^2 holding identically (both checked).
     Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
-    needed: R0 v is the trace-free solution of L x = (P - Id) v, one
-    bordered solve on the real form for both columns (SingularShift if its
-    backward error fails); from the steady state R0 rho_inf = 0, so a = 0 and
-    Q_st = 2 theta J R0 J rho_inf / I_st.
+    needed: R0 v is the trace-free solution of L x = (P - Id) v, solved
+    for both columns on the real form with the steady state's bordered LU
+    (SingularShift if its backward error fails); from the steady state
+    R0 rho_inf = 0, so a = 0 and Q_st = 2 theta J R0 J rho_inf / I_st.
     """
     p = prepare(model)
     j = p.jump
@@ -279,7 +284,7 @@ def stationary_mandel(model: ModelSpec | Prepared,
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
 
     vs = np.column_stack([j @ rho_inf] if initial is None else [j @ rho_inf, x0])
-    r0 = from_real(_bordered_solve(real_form(p.generator),
+    r0 = from_real(_bordered_solve(real_form(p.generator), p._solved[1],
                                    to_real(np.outer(rho_inf, theta @ vs) - vs), 0.0,
                                    real_trace_functional(p.spec.r_max)))
     a_coef = np.real(tj @ r0[:, 0])

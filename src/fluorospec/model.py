@@ -387,6 +387,12 @@ _DETECTION = _sandwich(SIGMA)
 _EYE4 = np.eye(4)
 
 
+# the detuning term per block: diagonal in vec order, a rotation of
+# (Re ba, Im ba) in real coordinates
+_DETUNING_DIAG = np.diag(_DETUNING)
+_DETUNING_REAL = (_T @ _DETUNING @ _T_INV).real
+
+
 def _kron(table: np.ndarray, s: np.ndarray) -> np.ndarray:
     """np.kron(table, s) for an r x r table and a 4x4 s, by one broadcast
     product (the same products as np.kron, without its dispatch cost)."""
@@ -427,3 +433,34 @@ def build_generator(spec: ModelSpec) -> SuperOp:
               - _kron(np.diag(ch.eta.sum(axis=0)),
                       _anticommutator(op.conj().T @ op) / 2))
     return SuperOp(m)
+
+
+def shift_detuning(op: SuperOp, delta: float) -> SuperOp:
+    """The generator op + delta * kron(Id, _DETUNING), i.e. the same model
+    with its laser detuning raised by delta, and its real form.
+
+    The detuning enters L only through kron(diag(detuning - delta_omega),
+    _DETUNING), which is diagonal: per block the shift adds ±delta to the
+    imaginary parts of the ba and ab diagonal entries of L and ±delta to
+    the two rotation entries of the real form, so the real form is
+    shifted instead of formed again by real_form. Only these entries
+    change; adding zero elsewhere could flip the sign of a zero. From
+    op = build_generator(spec) with spec.detuning = 0, both equal
+    build_generator(spec at detuning delta) and its real form bit for
+    bit: those entries hold nothing but the detuning term, so each gets
+    the one rounding of delta - delta_omega that the rebuild gives it.
+
+    Raises ValueError for a non-finite delta.
+    """
+    if not math.isfinite(delta):
+        raise ValueError(f"detuning shift {delta} is not finite")
+    m = op.matrix.copy()
+    m.flat[::m.shape[0] + 1] += delta * np.tile(_DETUNING_DIAG, op.r_max)
+    real = real_form(op).copy()
+    block = 4 * np.arange(op.r_max)
+    for i, j in zip(*np.nonzero(_DETUNING_REAL)):
+        real[block + i, block + j] += delta * _DETUNING_REAL[i, j]
+    real.setflags(write=False)
+    out = SuperOp(m)
+    object.__setattr__(out, "_real_form", real)
+    return out

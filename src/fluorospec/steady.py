@@ -3,8 +3,10 @@
 Every solve of a model is one bordered solve, ``_bordered_solve``: the
 steady state (L x = 0, Tr x = 1), the spectrum's trace-free resolvent
 ((u - L) x = v, Tr x = 0) and the reduced resolvent of the stationary
-counting moments (L x = (P - Id) v, Tr x = 0). The dense Laurent
-decomposition (steady projector + reduced resolvent) is their cross-check.
+counting moments (L x = (P - Id) v, Tr x = 0). The last has the steady
+state's bordered matrix, so it reuses the steady LU that ``Prepared``
+keeps and factors nothing. The dense Laurent decomposition (steady
+projector + reduced resolvent) is their cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred, so LU/SVD exactness beats any iterative machinery.
@@ -32,6 +34,7 @@ the singular values of L.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import warnings
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ import scipy.linalg as la
 
 from .model import (BlockState, ModelSpec, SuperOp, build_generator,
                     detection_jump, from_real, real_form, real_trace_functional,
-                    trace_functional)
+                    shift_detuning, trace_functional)
 
 
 class NullSpaceDegenerate(Exception):
@@ -68,15 +71,34 @@ class SteadyDecomposition:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """A spec with its generator L and detection jump J, built once, and its
-    steady state, solved on first use; every observable accepts one."""
+    steady state, solved on first use; every observable accepts one. The
+    steady solve's bordered LU of the real form is kept for the Q_st solve
+    of ``counting.stationary_mandel``, which has the same matrix."""
 
     spec: ModelSpec
     generator: SuperOp
     jump: np.ndarray
 
     @functools.cached_property
+    def _solved(self) -> tuple[BlockState, tuple]:
+        # the steady state and the bordered LU it was solved with
+        return _steady_solve(self.generator)
+
+    @property
     def steady(self) -> BlockState:
-        return steady_state(self.generator)
+        return self._solved[0]
+
+    def at_detuning(self, detuning: float) -> Prepared:
+        """The same model at laser detuning ``detuning``, from L shifted by
+        detuning - spec.detuning (``model.shift_detuning``), neither rebuilt
+        nor validated again; J does not depend on the detuning and is
+        shared, and the steady state is solved anew on first use. From a
+        spec at detuning 0 the result equals ``prepare`` of the spec at
+        ``detuning`` bit for bit. ValueError when the shift is not finite.
+        """
+        return Prepared(dataclasses.replace(self.spec, detuning=detuning),
+                        shift_detuning(self.generator, detuning - self.spec.detuning),
+                        self.jump)
 
 
 def prepare(model: ModelSpec | Prepared) -> Prepared:
@@ -99,7 +121,9 @@ def _check_nullity(real: np.ndarray) -> None:
     d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], real.shape[0] // 4)
     m = d[:, None] * real / d
     svals = la.svdvals(m)
-    tol = m.shape[0] * np.finfo(float).eps * la.norm(m, "fro")
+    # |M|_F by BLAS nrm2, which scales instead of squaring, so that entries
+    # above 1e154 do not overflow the tolerance to inf
+    tol = m.shape[0] * np.finfo(float).eps * la.blas.dnrm2(m.ravel())
     nullity = int(np.sum(svals < tol))
     if nullity != 1:
         raise NullSpaceDegenerate(
@@ -114,17 +138,23 @@ def steady_state(generator: SuperOp) -> BlockState:
     module docstring for why the fixed row is safe), so the blocks are
     exactly Hermitian; an SVD certifies nullity 1.
     """
+    return _steady_solve(generator)[0]
+
+
+def _steady_solve(generator: SuperOp) -> tuple[BlockState, tuple]:
+    """``steady_state`` and the bordered LU of the real form it solved with."""
     real = real_form(generator)
     _check_nullity(real)
     theta = real_trace_functional(generator.r_max)
-    y = _bordered_solve(real, np.zeros(generator.dim), 1.0, theta)
+    lu = _bordered_lu(real, theta)
+    y = _bordered_solve(real, lu, np.zeros(generator.dim), 1.0, theta)
     st = BlockState.from_vector(from_real(y / (theta @ y)))
     eigmin = np.linalg.eigvalsh(st.blocks).min()
     if eigmin < -1e-10:
         raise ValueError(
             f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
             "model or assembly bug")
-    return st
+    return st, lu
 
 
 def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
@@ -139,8 +169,9 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
     if rhs.size != generator.dim:
         raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
+    theta = trace_functional(generator.r_max)
     return BlockState.from_vector(
-        _bordered_solve(a, rhs, 0.0, trace_functional(generator.r_max)))
+        _bordered_solve(a, _bordered_lu(a, theta), rhs, 0.0, theta))
 
 
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a bordered
@@ -150,19 +181,24 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
 _BACKWARD_ERROR_FACTOR = 30.0
 
 
-def _bordered_solve(a: np.ndarray, rhs: np.ndarray, trace: complex,
+def _bordered_lu(a: np.ndarray, theta: np.ndarray) -> tuple:
+    """LU factors of a with row 0 replaced by theta, the trace functional in
+    the coordinates of a (see the module docstring)."""
+    with warnings.catch_warnings():   # an exactly singular LU shows as x = inf
+        warnings.simplefilter("ignore", la.LinAlgWarning)
+        return la.lu_factor(_trace_row(a, theta))
+
+
+def _bordered_solve(a: np.ndarray, lu: tuple, rhs: np.ndarray, trace: complex,
                     theta: np.ndarray) -> np.ndarray:
-    """The columns x with a x = rhs and theta x = trace, by one LU of a with
-    row 0 replaced by theta, the trace functional in the coordinates of a
-    (see the module docstring); each column's 1-norm backward error on
+    """The columns x with a x = rhs and theta x = trace, from lu =
+    ``_bordered_lu(a, theta)``; each column's 1-norm backward error on
     [a; theta] x = [rhs; trace] must stay below
     _BACKWARD_ERROR_FACTOR * dim * eps."""
     dim = a.shape[0]
     rhs_defl = rhs.copy()
     rhs_defl[0] = trace
-    with warnings.catch_warnings():   # an exactly singular LU shows as x = inf
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        x = la.lu_solve(la.lu_factor(_trace_row(a, theta)), rhs_defl)
+    x = la.lu_solve(lu, rhs_defl)
     if not np.all(np.isfinite(x)):
         raise SingularShift("bordered solve diverged: backward error not finite")
     resid = np.abs(a @ x - rhs).sum(axis=0) + np.abs(theta @ x - trace)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,16 +136,20 @@ def test_run_writes_metadata_sidecar(tmp_path):
 
 
 def test_run_deterministic_across_runs_and_threads(tmp_path):
-    outputs = []
-    for tag, threads in (("a", 1), ("b", 4), ("c", 1)):
-        cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG,
-                                               output=str(tmp_path / tag)),
-                                name=f"cfg_{tag}.json")
-        rc = cli.main(["spectrum", "--config", str(cfg_path),
-                       "--threads", str(threads)])
-        assert rc == 0
-        outputs.append((tmp_path / f"{tag}_spectrum.csv").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    delta = {"delta": {"start": -3.0, "stop": 3.0, "count": 9}}
+    for task, grids in (("spectrum", FIG2A_CONFIG["grids"]),
+                        ("mandel-sweep", delta), ("lineshape-sweep", delta)):
+        outputs = []
+        for tag, threads in (("a", 1), ("b", 4), ("c", 1)):
+            cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG, task=task, grids=grids,
+                                                   output=str(tmp_path / tag)),
+                                    name=f"cfg_{tag}.json")
+            rc = cli.main([task, "--config", str(cfg_path),
+                           "--threads", str(threads)])
+            assert rc == 0
+            csv = tmp_path / f"{tag}_{task.replace('-', '_')}.csv"
+            outputs.append(csv.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2], task
 
 
 def test_run_counting_task(tmp_path):
@@ -285,13 +291,30 @@ def test_csv_equals_library_series(tmp_path):
         assert np.array_equal(rows[:, 1], np.real(series.values)), task
         if task == "c1":
             assert np.array_equal(rows[:, 2], np.imag(series.values))
+    # a sweep row is the observable of the model rebuilt at that detuning;
+    # the config's own detuning is overridden by the grid
+    model = json.loads(json.dumps(FIG2A_CONFIG["model"]))
+    model["params"]["detuning"] = 0.5
+    delta = {"start": -3.0, "stop": 3.0, "count": 7}
+    for task, fn in (("mandel-sweep", fs.stationary_mandel),
+                     ("lineshape-sweep", fs.line_shape)):
+        cfg = dict(FIG2A_CONFIG, task=task, model=model, grids={"delta": delta},
+                   output=str(tmp_path / "sweep"))
+        assert cli.main([task, "--config", str(write_config(tmp_path, cfg))]) == 0
+        csv = tmp_path / f"sweep_{task.replace('-', '_')}.csv"
+        lines = [l for l in csv.read_text().splitlines() if not l.startswith("#")][1:]
+        rows = np.array([[float(x) for x in l.split(",")] for l in lines])
+        grid = np.linspace(delta["start"], delta["stop"], delta["count"])
+        want = [fn(dataclasses.replace(spec, detuning=float(d))) for d in grid]
+        assert np.array_equal(rows[:, 0], grid), task
+        assert np.array_equal(rows[:, 1], want), task
 
 
 @pytest.mark.parametrize("task", ["spectrum", "counting"])
 def test_task_solves_steady_state_once(task, tmp_path, monkeypatch):
     calls = []
-    solve = steady.steady_state
-    monkeypatch.setattr(steady, "steady_state",
+    solve = steady._steady_solve
+    monkeypatch.setattr(steady, "_steady_solve",
                         lambda gen: calls.append(gen) or solve(gen))
     cfg = dict(FIG2A_CONFIG, task=task, n_max=4, output=str(tmp_path / task))
     cfg["grids"] = dict(FIG2A_CONFIG["grids"],
@@ -333,6 +356,24 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NullSpaceDegenerate"
+    # entries above 1e154 must not overflow the nullity tolerance |L|_F to
+    # inf, which would count every singular value as zero (nullity 8) after
+    # a numpy overflow warning; a warning raised here fails the test
+    inline = {"r_max": 2, "delta_omega": [0.1, -0.1], "gamma": [1.0, 1.0],
+              "omega_rabi": [0.7, 0.7], "phi": [[0.0, 0.01], [0.01, 0.0]]}
+    for name, huge in (("rabi", {"omega_rabi": [1e200, 1e200]}),
+                       ("detuning", {"detuning": 1e300})):
+        cfg = {"schema": 1, "model": {"inline": dict(inline, **huge)},
+               "task": "steady", "output": str(tmp_path / name)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["steady", "--config", str(write_config(tmp_path, cfg))])
+        assert rc == 3, name
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, (name, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "NullSpaceDegenerate", name
+        assert "nullity is 4" in err["message"], name
 
 
 def test_console_entry_point(tmp_path):

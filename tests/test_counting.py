@@ -355,19 +355,26 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
 
 
 def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
-    """One factorization per call, solved for one right-hand side from the
-    steady state and two from an explicit initial state."""
-    p = fs.prepare(fig5)
-    p.steady
+    """Q_st reuses the steady state's bordered LU: once the steady state is
+    solved it factors nothing and solves one right-hand side from the
+    steady state, two from an explicit initial state; a fresh Prepared
+    takes one factorization in all."""
     factored, solved = [], []
     lu_factor, lu_solve = la.lu_factor, la.lu_solve
     monkeypatch.setattr(la, "lu_factor", lambda a: factored.append(a) or lu_factor(a))
     monkeypatch.setattr(la, "lu_solve",
                         lambda f, b: solved.append(b.shape) or lu_solve(f, b))
+    p = fs.prepare(fig5)
+    p.steady
+    assert len(factored) == 1
+    factored.clear()
+    solved.clear()
     fs.stationary_mandel(p)
     fs.stationary_mandel(p, initial=fs.BlockState.ground(2))
-    assert len(factored) == 2
+    assert factored == []
     assert solved == [(8, 1), (8, 2)]
+    fs.stationary_mandel(fs.prepare(fig5))
+    assert len(factored) == 1
 
 
 def test_optical_bloch_s1_matches_generator(fig2a):

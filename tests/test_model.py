@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 import fluorospec as fs
-from fluorospec.model import SIGMA, detection_jump, trace_functional
+from fluorospec.model import (SIGMA, detection_jump, real_form, shift_detuning,
+                              trace_functional)
 
 from conftest import random_block_state, random_spec
 import markovian_oracle
@@ -88,6 +91,34 @@ def test_assembly_equals_kron_sum_bit_for_bit(r_max, kind):
     jump = np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
                    np.kron(SIGMA.conj(), SIGMA))
     assert detection_jump(spec).tobytes() == jump.tobytes()
+
+
+SHIFTS = [0.0, 0.37, -0.37, 1.0 / 3.0, 1e4, -1e4, 1e-300, 1e200]
+
+
+@pytest.mark.parametrize("kind", [None, *fs.OperatorKind],
+                         ids=lambda k: "no_eta" if k is None else k.value)
+@pytest.mark.parametrize("r_max", [1, 3, 20, 60])
+def test_detuning_shift_equals_rebuild_bit_for_bit(r_max, kind):
+    """The generator at detuning 0 shifted to delta, and its shifted real
+    form, are the generator built at delta and its real form."""
+    rng = np.random.default_rng(400 + r_max)
+    spec = random_spec(rng, r_max)
+    if kind is not None:
+        eta = rng.uniform(0.0, 0.5, (r_max, r_max))
+        np.fill_diagonal(eta, 0.0)
+        spec = dataclasses.replace(
+            spec, extra_channels=(fs.GeneralJumpChannel(kind, eta),))
+    base = fs.build_generator(dataclasses.replace(spec, detuning=0.0))
+    for delta in SHIFTS:
+        want = fs.build_generator(dataclasses.replace(spec, detuning=delta))
+        got = shift_detuning(base, delta)
+        assert got.matrix.tobytes() == want.matrix.tobytes(), delta
+        assert real_form(got).tobytes() == real_form(want).tobytes(), delta
+        assert not real_form(got).flags.writeable
+    for delta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            shift_detuning(base, delta)
 
 
 def test_dense_matches_matrix_free_fig2a(fig2a):

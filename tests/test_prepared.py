@@ -1,6 +1,7 @@
 """One prepared model per spec: every observable gives the same result for a
 ModelSpec and for its Prepared form, and calls that share a Prepared share
 one steady solve."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -65,14 +66,15 @@ def shared(spec):
 
 @pytest.fixture
 def steady_calls(monkeypatch):
+    """Generators of every steady solve, by ``steady_state`` or a Prepared."""
     calls = []
-    solve = steady.steady_state
+    solve = steady._steady_solve
 
     def counted(generator):
         calls.append(generator)
         return solve(generator)
 
-    monkeypatch.setattr(steady, "steady_state", counted)
+    monkeypatch.setattr(steady, "_steady_solve", counted)
     return calls
 
 
@@ -124,3 +126,20 @@ def test_stationary_mandel_reuses_steady_state(fig5, steady_calls):
     fs.stationary_intensity(p)
     fs.stationary_mandel(p)
     assert len(steady_calls) == 1
+
+
+def test_at_detuning_equals_prepare_at_that_detuning(spec):
+    """A Prepared shifted to delta gives the results of the spec prepared at
+    delta bit for bit."""
+    base = fs.prepare(dataclasses.replace(spec, detuning=0.0))
+    for delta in (-2.5, 1.0 / 3.0, 40.0):
+        shifted = base.at_detuning(delta)
+        rebuilt = fs.prepare(dataclasses.replace(spec, detuning=delta))
+        assert shifted.spec.detuning == delta
+        assert shifted.jump is base.jump
+        assert shifted.steady.to_vector().tobytes() == rebuilt.steady.to_vector().tobytes()
+        for name in ("stationary_mandel", "c2", "incoherent_spectrum"):
+            got, want = (np.asarray(OBSERVABLES[name](m)) for m in (shifted, rebuilt))
+            assert got.tobytes() == want.tobytes(), (name, delta)
+    with pytest.raises(ValueError, match="not finite"):
+        base.at_detuning(np.nan)

@@ -13,8 +13,7 @@ from .counting import (CountingRecord, CountingSplit, ZeroCounts,
                        second_factorial, stationary_mandel)
 from .model import (BlockState, ConfigSpace, FluctuationRates,
                     GeneralJumpChannel, ModelSpec, OperatorKind,
-                    PerStateParams, SuperOp, build_generator, effective_decay,
-                    validate)
+                    PerStateParams, SuperOp, build_generator, validate)
 from .scenarios import (BlinkingApprox, blinking_rates,
                         classical_blinking_populations, diffusion_chain,
                         lifetime_fluct, light_assisted, mandel_detuning_limit,

@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .model import (SIGMA_DAG, BlockState, ModelSpec, SuperOp, from_real,
                     real_form, to_real, trace_functional)
@@ -61,6 +60,8 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     Sequential expm stepping on the real form of the generator; a uniform
     grid reuses one step propagator. Returns shape (len(grid), dim).
     """
+    import scipy.linalg as la
+
     grid = np.asarray(grid, dtype=float)
     if grid.size and (grid[0] < 0 or not np.all(np.isfinite(grid))):
         raise ValueError("grid must be finite and nonnegative")

@@ -17,11 +17,12 @@ s = 1 (never finite-differenced). The stationary Mandel factor comes from
 the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to vectors: R0 v is the trace-free solution of
 L x = (P - Id) v, solved for R0 J rho_inf and, from an explicit initial
-state, R0 x0 with the steady state's bordered LU of the real form, which
-the ``Prepared`` keeps (``steady._bordered_solve``, certified by its
-backward error), so Q_st factors nothing of its own. A detuning sweep
-prepares its model once and shifts it to each detuning
-(``Prepared.at_detuning``).
+state, R0 x0 by one bordered solve on the real form: one real LU by
+``numpy.linalg.solve`` (``steady._bordered_solve``, certified by its
+backward error). A detuning sweep prepares its model once and shifts it
+to each detuning (``Prepared.at_detuning``). The matrix exponentials of
+P_n and of the factorial moments are scipy.linalg's ``expm``, imported on
+first use, so that Q_st and the line shape never load scipy.linalg.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -36,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .correl import ObservableSeries, SeriesKind, stationary_intensity
 from .model import (BlockState, ModelSpec, SuperOp, from_real, real_form,
@@ -130,6 +130,8 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
     errors stays <= 2; r = 1 unless the mean count far exceeds n_max, where
     the unit circle would need N of the order of the mean count.
     """
+    import scipy.linalg as la
+
     theta = trace_functional(j.shape[0] // 4)
     drift = full - j
 
@@ -158,6 +160,8 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
 def _moments(full, j, x0, t) -> tuple[float, float]:
     """Traces of x' and x'' in the chain of ``_factorial_moments`` from
     (x0, 0, 0): one block-bidiagonal matrix exponential."""
+    import scipy.linalg as la
+
     dim = full.shape[0]
     big = np.kron(np.eye(3), full) + np.kron(np.diag([1.0, 2.0], k=-1), j)
     x = np.zeros(3 * dim, dtype=complex)
@@ -258,8 +262,8 @@ def stationary_mandel(model: ModelSpec | Prepared,
     fixed by I = 2b and B = 2 b^2 holding identically (both checked).
     Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
     needed: R0 v is the trace-free solution of L x = (P - Id) v, solved
-    for both columns on the real form with the steady state's bordered LU
-    (SingularShift if its backward error fails); from the steady state
+    for both columns on the real form by one real LU of the bordered
+    matrix (SingularShift if its backward error fails); from the steady state
     R0 rho_inf = 0, so a = 0 and Q_st = 2 theta J R0 J rho_inf / I_st.
     """
     p = prepare(model)
@@ -284,7 +288,7 @@ def stationary_mandel(model: ModelSpec | Prepared,
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
 
     vs = np.column_stack([j @ rho_inf] if initial is None else [j @ rho_inf, x0])
-    r0 = from_real(_bordered_solve(real_form(p.generator), p._solved[1],
+    r0 = from_real(_bordered_solve(real_form(p.generator),
                                    to_real(np.outer(rho_inf, theta @ vs) - vs), 0.0,
                                    real_trace_functional(p.spec.r_max)))
     a_coef = np.real(tj @ r0[:, 0])

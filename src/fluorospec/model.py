@@ -343,13 +343,6 @@ def require_valid(spec: ModelSpec) -> None:
         raise ValueError("invalid model spec:\n  " + "\n  ".join(problems))
 
 
-def effective_decay(spec: ModelSpec, r: int) -> float:
-    """gamma_tilde_R for macrostate r (0-based)."""
-    if not 0 <= r < spec.r_max:
-        raise IndexError(f"state index {r} out of range for r_max={spec.r_max}")
-    return float(spec.effective_decays()[r])
-
-
 # vec(A rho) = kron(I, A) vec(rho); vec(rho B) = kron(B.T, I) vec(rho);
 # vec(A rho A†) = kron(A.conj(), A) vec(rho)  [column-major vec]
 def _left(op):

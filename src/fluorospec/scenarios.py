@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .model import (ConfigSpace, FluctuationRates, ModelSpec, PerStateParams,
                     require_valid)
@@ -111,6 +110,8 @@ def blinking_rates(spec: ModelSpec) -> BlinkingApprox:
 def classical_blinking_populations(approx: BlinkingApprox, p0, t: float) -> np.ndarray:
     """Populations of the classical master equation built from big_gamma,
     started from distribution p0, at time t."""
+    import scipy.linalg as la
+
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     p0 = np.asarray(p0, dtype=float)

@@ -3,13 +3,18 @@
 Every solve of a model is one bordered solve, ``_bordered_solve``: the
 steady state (L x = 0, Tr x = 1), the spectrum's trace-free resolvent
 ((u - L) x = v, Tr x = 0) and the reduced resolvent of the stationary
-counting moments (L x = (P - Id) v, Tr x = 0). The last has the steady
-state's bordered matrix, so it reuses the steady LU that ``Prepared``
-keeps and factors nothing. The dense Laurent decomposition (steady
-projector + reduced resolvent) is their cross-check.
+counting moments (L x = (P - Id) v, Tr x = 0). Each factors its own
+bordered matrix; no factorization is kept between solves. The dense
+Laurent decomposition (steady projector + reduced resolvent) is their
+cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
-a few hundred, so LU/SVD exactness beats any iterative machinery.
+a few hundred, so LU/SVD exactness beats any iterative machinery. The
+kernels are numpy's: ``numpy.linalg.solve`` (LAPACK gesv, one LU) for the
+bordered solves and ``numpy.linalg.svd`` (gesdd, singular values only) for
+the nullity check. scipy.linalg, which takes longer to import than numpy
+itself, is imported only where a matrix exponential is needed and by the
+Laurent cross-check.
 
 The steady state and the reduced resolvent are factorized in real
 arithmetic, on the real form L_T = T L T^-1 of the generator in the
@@ -20,27 +25,26 @@ the (aa, ba, ab, bb) basis.
 
 The bordered solve replaces row 0 of a, the aa entry of block 0 in both
 bases, by the trace functional theta and takes one LU for all right-hand
-sides. Dropping that row loses no equation: theta a = c theta (c = 0 for
-a = L, trace preservation; c = u for a = u - L) and theta rhs = c Tr x, so
-row 0's equation is minus the sum of the other aa and bb rows'. With
-nullity 1 theta is nonzero on the null vector of L, so the bordered
-matrix is nonsingular. All nonzero entries of theta equal 1, so no row is
-better conditioned to sacrifice and no row search is needed. Each
-solution is certified by its normwise backward error on the system
-actually factored, [a; theta] undeflated, the ratio LAPACK's tests check
-(xGET02). Nullity 1 is certified by the singular values of D L_T D^-1,
-D = diag(1, 1, sqrt 2, sqrt 2) per block: D T is unitary, so these are
-the singular values of L.
+sides; on the real form a complex right-hand side is solved as its real
+and imaginary columns, so that the LU stays real. Dropping that row loses
+no equation: theta a = c theta (c = 0 for a = L, trace preservation;
+c = u for a = u - L) and theta rhs = c Tr x, so row 0's equation is minus
+the sum of the other aa and bb rows'. With nullity 1 theta is nonzero on
+the null vector of L, so the bordered matrix is nonsingular. All nonzero
+entries of theta equal 1, so no row is better conditioned to sacrifice
+and no row search is needed. Each solution is certified by its normwise
+backward error on the system actually factored, [a; theta] undeflated,
+the ratio LAPACK's tests check (xGET02). Nullity 1 is certified by the
+singular values of D L_T D^-1, D = diag(1, 1, sqrt 2, sqrt 2) per block:
+D T is unitary, so these are the singular values of L.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .model import (BlockState, ModelSpec, SuperOp, build_generator,
                     detection_jump, from_real, real_form, real_trace_functional,
@@ -71,22 +75,17 @@ class SteadyDecomposition:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """A spec with its generator L and detection jump J, built once, and its
-    steady state, solved on first use; every observable accepts one. The
-    steady solve's bordered LU of the real form is kept for the Q_st solve
-    of ``counting.stationary_mandel``, which has the same matrix."""
+    steady state, solved on first use; every observable accepts one. No
+    factorization is kept: each solve on it factors its own bordered
+    matrix by ``numpy.linalg.solve``."""
 
     spec: ModelSpec
     generator: SuperOp
     jump: np.ndarray
 
     @functools.cached_property
-    def _solved(self) -> tuple[BlockState, tuple]:
-        # the steady state and the bordered LU it was solved with
-        return _steady_solve(self.generator)
-
-    @property
     def steady(self) -> BlockState:
-        return self._solved[0]
+        return steady_state(self.generator)
 
     def at_detuning(self, detuning: float) -> Prepared:
         """The same model at laser detuning ``detuning``, from L shifted by
@@ -120,11 +119,14 @@ def _check_nullity(real: np.ndarray) -> None:
     docstring), with the tolerance dim * eps * |L|_F."""
     d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], real.shape[0] // 4)
     m = d[:, None] * real / d
-    svals = la.svdvals(m)
-    # |M|_F by BLAS nrm2, which scales instead of squaring, so that entries
-    # above 1e154 do not overflow the tolerance to inf
-    tol = m.shape[0] * np.finfo(float).eps * la.blas.dnrm2(m.ravel())
-    nullity = int(np.sum(svals < tol))
+    svals = np.linalg.svd(m, compute_uv=False)
+    # |M|_F = s |M/s|_F with s = max|M|, so that entries above 1e154 do not
+    # overflow the tolerance to inf; M = 0 has |M|_F = 0
+    s = np.abs(m).max()
+    tol = m.shape[0] * np.finfo(float).eps * (s * np.linalg.norm(m / s) if s else 0.0)
+    # a singular value at the tolerance counts as zero (the convention of
+    # numpy's matrix_rank), so that L = 0 has full nullity, not nullity 0
+    nullity = int(np.sum(svals <= tol))
     if nullity != 1:
         raise NullSpaceDegenerate(
             f"generator nullity is {nullity}, expected 1 "
@@ -138,23 +140,17 @@ def steady_state(generator: SuperOp) -> BlockState:
     module docstring for why the fixed row is safe), so the blocks are
     exactly Hermitian; an SVD certifies nullity 1.
     """
-    return _steady_solve(generator)[0]
-
-
-def _steady_solve(generator: SuperOp) -> tuple[BlockState, tuple]:
-    """``steady_state`` and the bordered LU of the real form it solved with."""
     real = real_form(generator)
     _check_nullity(real)
     theta = real_trace_functional(generator.r_max)
-    lu = _bordered_lu(real, theta)
-    y = _bordered_solve(real, lu, np.zeros(generator.dim), 1.0, theta)
+    y = _bordered_solve(real, np.zeros(generator.dim), 1.0, theta)
     st = BlockState.from_vector(from_real(y / (theta @ y)))
     eigmin = np.linalg.eigvalsh(st.blocks).min()
     if eigmin < -1e-10:
         raise ValueError(
             f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
             "model or assembly bug")
-    return st, lu
+    return st
 
 
 def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
@@ -169,9 +165,8 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
     if rhs.size != generator.dim:
         raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
-    theta = trace_functional(generator.r_max)
     return BlockState.from_vector(
-        _bordered_solve(a, _bordered_lu(a, theta), rhs, 0.0, theta))
+        _bordered_solve(a, rhs, 0.0, trace_functional(generator.r_max)))
 
 
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a bordered
@@ -181,24 +176,28 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
 _BACKWARD_ERROR_FACTOR = 30.0
 
 
-def _bordered_lu(a: np.ndarray, theta: np.ndarray) -> tuple:
-    """LU factors of a with row 0 replaced by theta, the trace functional in
-    the coordinates of a (see the module docstring)."""
-    with warnings.catch_warnings():   # an exactly singular LU shows as x = inf
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        return la.lu_factor(_trace_row(a, theta))
-
-
-def _bordered_solve(a: np.ndarray, lu: tuple, rhs: np.ndarray, trace: complex,
+def _bordered_solve(a: np.ndarray, rhs: np.ndarray, trace: complex,
                     theta: np.ndarray) -> np.ndarray:
-    """The columns x with a x = rhs and theta x = trace, from lu =
-    ``_bordered_lu(a, theta)``; each column's 1-norm backward error on
+    """The columns x with a x = rhs and theta x = trace, by one LU of a with
+    row 0 replaced by theta, the trace functional in the coordinates of a
+    (see the module docstring). Each column's 1-norm backward error on
     [a; theta] x = [rhs; trace] must stay below
-    _BACKWARD_ERROR_FACTOR * dim * eps."""
+    _BACKWARD_ERROR_FACTOR * dim * eps; SingularShift if it does not, or if
+    the LU meets an exactly zero pivot."""
     dim = a.shape[0]
-    rhs_defl = rhs.copy()
-    rhs_defl[0] = trace
-    x = la.lu_solve(lu, rhs_defl)
+    b = rhs.copy()
+    b[0] = trace
+    bordered = _trace_row(a, theta)
+    try:
+        if np.iscomplexobj(b) and not np.iscomplexobj(a):
+            cols = b.reshape(dim, -1)
+            k = cols.shape[1]
+            y = np.linalg.solve(bordered, np.hstack([cols.real, cols.imag]))
+            x = (y[:, :k] + 1j * y[:, k:]).reshape(b.shape)
+        else:
+            x = np.linalg.solve(bordered, b)
+    except np.linalg.LinAlgError as exc:   # a zero pivot, or NaN in the LU
+        raise SingularShift(f"bordered solve failed: {exc}") from None
     if not np.all(np.isfinite(x)):
         raise SingularShift("bordered solve diverged: backward error not finite")
     resid = np.abs(a @ x - rhs).sum(axis=0) + np.abs(theta @ x - trace)
@@ -220,6 +219,8 @@ def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
     R0 is obtained from the deflated solve L X = P - Id with the trace of
     every column pinned to zero, which lands exactly on the reduced
     resolvent (the trace functional is the only left null vector)."""
+    import scipy.linalg as la
+
     prepared = prepare(model)
     st, generator = prepared.steady, prepared.generator
     m = generator.matrix

@@ -313,8 +313,8 @@ def test_csv_equals_library_series(tmp_path):
 @pytest.mark.parametrize("task", ["spectrum", "counting"])
 def test_task_solves_steady_state_once(task, tmp_path, monkeypatch):
     calls = []
-    solve = steady._steady_solve
-    monkeypatch.setattr(steady, "_steady_solve",
+    solve = steady.steady_state
+    monkeypatch.setattr(steady, "steady_state",
                         lambda gen: calls.append(gen) or solve(gen))
     cfg = dict(FIG2A_CONFIG, task=task, n_max=4, output=str(tmp_path / task))
     cfg["grids"] = dict(FIG2A_CONFIG["grids"],
@@ -374,6 +374,66 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         err = json.loads(lines[0])
         assert err["error"] == "NullSpaceDegenerate", name
         assert "nullity is 4" in err["message"], name
+    # no decay and no drive: L = 0, whose four singular values all sit at
+    # the tolerance dim eps |L|_F = 0 and must all count as zero
+    zero = {"zero_inline": {"inline": {"r_max": 1, "delta_omega": [0.0],
+                                       "gamma": [0.0], "omega_rabi": [0.0]}},
+            "zero_scenario": {"scenario": "single_state",
+                              "params": {"gamma": 0.0, "omega_rabi": 0.0}}}
+    for name, model in zero.items():
+        cfg = {"schema": 1, "model": model, "task": "steady",
+               "output": str(tmp_path / name)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["steady", "--config", str(write_config(tmp_path, cfg))])
+        assert rc == 3, name
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, (name, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "NullSpaceDegenerate", name
+        assert "nullity is 4" in err["message"], name
+
+
+# Runs CLI tasks in one fresh interpreter and reports, after the import and
+# after each task, whether scipy.linalg has been imported.
+_IMPORT_PROBE = """
+import json, sys
+from fluorospec import cli
+loaded = ["scipy.linalg" in sys.modules]
+for task, path in json.loads(sys.argv[1]):
+    assert cli.main([task, "--config", path]) == 0, task
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_expm_tasks_import_scipy_linalg(tmp_path):
+    """``import fluorospec`` and the tasks that need no matrix exponential
+    (steady, spectrum, both sweeps) leave scipy.linalg unimported; c1 and
+    counting import it on first use and write the same CSV as a run in a
+    process that had it loaded already."""
+    delta = {"start": -1.0, "stop": 1.0, "count": 3}
+    grids = {"steady": {}, "spectrum": FIG2A_CONFIG["grids"],
+             "mandel-sweep": {"delta": delta}, "lineshape-sweep": {"delta": delta},
+             "c1": {"tau": {"start": 0.0, "stop": 2.0, "count": 3}},
+             "counting": {"time": {"start": 0.0, "stop": 2.0, "count": 3}}}
+    paths = {}
+    for task, g in grids.items():
+        for where in ("fresh", "here"):
+            cfg = dict(FIG2A_CONFIG, task=task, grids=g, n_max=4,
+                       output=str(tmp_path / where))
+            paths[where, task] = str(write_config(tmp_path, cfg, f"{where}_{task}.json"))
+    fresh = json.dumps([(task, paths["fresh", task]) for task in grids])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, fresh],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == [False, False, False, False, False, True, True], loaded
+    for task in grids:
+        assert cli.main([task, "--config", paths["here", task]]) == 0, task
+        name = f"_{task.replace('-', '_')}.csv"
+        assert ((tmp_path / f"fresh{name}").read_bytes()
+                == (tmp_path / f"here{name}").read_bytes()), task
 
 
 def test_console_entry_point(tmp_path):

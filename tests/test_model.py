@@ -148,14 +148,14 @@ def test_decay_direction_from_mixed_state():
 
 
 def test_effective_decay_no_cross(markovian):
-    assert fs.effective_decay(markovian, 0) == 1.0
+    assert markovian.effective_decays()[0] == 1.0
 
 
 def test_effective_decay_fig5(fig5):
-    assert fs.effective_decay(fig5, 0) == pytest.approx(1.0015, abs=1e-12)
-    assert fs.effective_decay(fig5, 1) == pytest.approx(10.02, abs=1e-12)
-    with pytest.raises(IndexError):
-        fs.effective_decay(fig5, 2)
+    decays = fig5.effective_decays()
+    assert decays.shape == (2,)
+    assert decays[0] == pytest.approx(1.0015, abs=1e-12)
+    assert decays[1] == pytest.approx(10.02, abs=1e-12)
 
 
 @pytest.mark.parametrize("r_max", [1, 2, 5])

@@ -68,13 +68,13 @@ def shared(spec):
 def steady_calls(monkeypatch):
     """Generators of every steady solve, by ``steady_state`` or a Prepared."""
     calls = []
-    solve = steady._steady_solve
+    solve = steady.steady_state
 
     def counted(generator):
         calls.append(generator)
         return solve(generator)
 
-    monkeypatch.setattr(steady, "_steady_solve", counted)
+    monkeypatch.setattr(steady, "steady_state", counted)
     return calls
 
 

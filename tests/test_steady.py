@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -205,6 +207,19 @@ def test_config_populations(fig2a, fig5):
     assert np.abs(pops - predicted).max() / predicted.min() < 5e-2
 
 
+def test_exactly_singular_bordered_solve_raises_singular_shift():
+    """With L = 0 the bordered matrix at u = 0 has a zero pivot; the solve
+    reports SingularShift, without a warning."""
+    gen = fs.build_generator(fs.single_state(gamma=0.0, omega_rabi=0.0))
+    assert not gen.matrix.any()
+    v = fs.BlockState(np.array([[[1.0, 0.0], [0.0, -1.0]]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularShift, match="bordered solve") as info:
+            fs.steady.resolve_deflated(gen, 0.0, v)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 @pytest.mark.parametrize("caller", ["steady_state", "incoherent_spectrum",
                                     "stationary_mandel"])
 def test_bordered_solve_certified(caller, fig5, monkeypatch):
@@ -215,7 +230,7 @@ def test_bordered_solve_certified(caller, fig5, monkeypatch):
     calls = {"steady_state": lambda: fs.steady_state(p.generator),
              "incoherent_spectrum": lambda: fs.incoherent_spectrum(p, [0.0, 0.5]),
              "stationary_mandel": lambda: fs.stationary_mandel(p)}
-    lu_solve = la.lu_solve
-    monkeypatch.setattr(la, "lu_solve", lambda f, b: lu_solve(f, b) * (1.0 + 1e-7))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-7))
     with pytest.raises(SingularShift, match="backward error"):
         calls[caller]()

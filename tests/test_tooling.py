@@ -29,6 +29,24 @@ def test_traced_layers_resolve():
             assert callable(getattr(home, fn, None)), f"fluorospec.{mod}.{fn}"
 
 
+def test_src_imports_no_scipy_at_module_level():
+    """scipy.linalg takes longer to import than numpy itself, so its users
+    import it inside the functions that need it (the matrix exponentials),
+    and ``import fluorospec`` does not load it."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, found
+
+
 def test_src_has_no_unused_imports():
     """Every module-level import of src/ binds a name the module reads.
     Package __init__ files import to re-export, so they are skipped."""

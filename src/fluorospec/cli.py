@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -230,18 +231,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _config_dict(config: RunConfig) -> dict:
-    """The resolved config as the JSON object that emit_config writes."""
+    """The resolved config as the JSON object of the sidecar's "config"."""
     d = {"schema": config.schema, "model": config.model, "task": config.task,
          "grids": {k: dataclasses.asdict(g) for k, g in config.grids.items()},
          "output": config.output, "threads": config.threads}
     if config.n_max is not None:
         d["n_max"] = config.n_max
     return d
-
-
-def emit_config(config: RunConfig) -> str:
-    """Canonical JSON text of a resolved config (round-trips through parse)."""
-    return json.dumps(_config_dict(config), indent=2, sort_keys=True)
 
 
 def build_model(config: RunConfig) -> ModelSpec:
@@ -382,7 +378,10 @@ def _report(exc: Exception, code: int) -> int:
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of ``main`` (not at
+    import) and reused by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="fluorospec",
         description="Fluorophore emission observables from block Lindblad rate models")
@@ -393,7 +392,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output path prefix")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config) as fh:

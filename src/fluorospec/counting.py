@@ -17,10 +17,13 @@ s = 1 (never finite-differenced). The stationary Mandel factor comes from
 the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to vectors: R0 v is the trace-free solution of
 L x = (P - Id) v, solved for R0 J rho_inf and, from an explicit initial
-state, R0 x0 by one bordered solve on the real form: one real LU by
-``numpy.linalg.solve`` (``steady._bordered_solve``, certified by its
-backward error). A detuning sweep prepares its model once and shifts it
-to each detuning (``Prepared.at_detuning``). The matrix exponentials of
+state, R0 x0 by the elimination onto the configurational chain that
+solves the steady state (``steady._chain_solve``): one real LU of the
+fast block, then the r_max x r_max stochastic complement S with
+sum x_t = 0, so that slow configurational hops enter Q_st only through
+S, as they enter the steady state; the fast solve and the result on the
+full system are certified by their backward errors. A detuning sweep prepares its model once and shifts it to each detuning
+(``Prepared.at_detuning``). The matrix exponentials of
 P_n and of the factorial moments are scipy.linalg's ``expm``, imported on
 first use, so that Q_st and the line shape never load scipy.linalg.
 
@@ -39,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correl import ObservableSeries, SeriesKind, stationary_intensity
-from .model import (BlockState, ModelSpec, SuperOp, from_real, real_form,
-                    real_trace_functional, to_real, trace_functional)
-from .steady import Prepared, _bordered_solve, prepare
+from .model import (BlockState, ModelSpec, SuperOp, from_real, real_form, to_real,
+                    trace_functional)
+from .steady import Prepared, _solve_real, prepare
 
 
 class ZeroCounts(Exception):
@@ -262,9 +265,10 @@ def stationary_mandel(model: ModelSpec | Prepared,
     fixed by I = 2b and B = 2 b^2 holding identically (both checked).
     Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
     needed: R0 v is the trace-free solution of L x = (P - Id) v, solved
-    for both columns on the real form by one real LU of the bordered
-    matrix (SingularShift if its backward error fails); from the steady state
-    R0 rho_inf = 0, so a = 0 and Q_st = 2 theta J R0 J rho_inf / I_st.
+    for both columns on the real form by elimination onto the
+    configurational chain (SingularShift if a backward error fails); from
+    the steady state R0 rho_inf = 0, so a = 0 and
+    Q_st = 2 theta J R0 J rho_inf / I_st.
     """
     p = prepare(model)
     j = p.jump
@@ -288,9 +292,9 @@ def stationary_mandel(model: ModelSpec | Prepared,
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
 
     vs = np.column_stack([j @ rho_inf] if initial is None else [j @ rho_inf, x0])
-    r0 = from_real(_bordered_solve(real_form(p.generator),
-                                   to_real(np.outer(rho_inf, theta @ vs) - vs), 0.0,
-                                   real_trace_functional(p.spec.r_max)))
+    c = to_real(np.outer(rho_inf, theta @ vs) - vs)
+    y = _solve_real(real_form(p.generator), np.hstack([c.real, c.imag]), 0.0)
+    r0 = from_real(y[:, :vs.shape[1]] + 1j * y[:, vs.shape[1]:])
     a_coef = np.real(tj @ r0[:, 0])
     a = 0.0
     if initial is not None:

@@ -258,14 +258,16 @@ class SuperOp:
         return self.dim // 4
 
 
+@functools.cache
 def trace_functional(r_max: int) -> np.ndarray:
-    """Row vector theta with theta @ vec(x) = total trace of x."""
-    return np.tile(np.array([1.0, 0.0, 0.0, 1.0]), r_max)
+    """Row vector theta with theta @ vec(x) = total trace of x (read-only)."""
+    return _frozen_array(np.tile([1.0, 0.0, 0.0, 1.0], r_max))
 
 
+@functools.cache
 def real_trace_functional(r_max: int) -> np.ndarray:
-    """The trace functional in real coordinates, theta T^-1."""
-    return np.tile(np.array([1.0, 1.0, 0.0, 0.0]), r_max)
+    """The trace functional in real coordinates, theta T^-1 (read-only)."""
+    return _frozen_array(np.tile([1.0, 1.0, 0.0, 0.0], r_max))
 
 
 def to_real(x: np.ndarray) -> np.ndarray:

@@ -1,42 +1,74 @@
 """Linear-algebra kernels on the block generator.
 
-Every solve of a model is one bordered solve, ``_bordered_solve``: the
-steady state (L x = 0, Tr x = 1), the spectrum's trace-free resolvent
-((u - L) x = v, Tr x = 0) and the reduced resolvent of the stationary
-counting moments (L x = (P - Id) v, Tr x = 0). Each factors its own
-bordered matrix; no factorization is kept between solves. The dense
-Laurent decomposition (steady projector + reduced resolvent) is their
-cross-check.
+The steady state (L x = 0, Tr x = 1) and the reduced resolvent of the
+stationary counting moments (L x = (P - Id) v, Tr x = 0) are solved by
+elimination onto the r_max-state configurational chain, ``_chain_solve``,
+with the dense bordered solve as the fallback where the elimination is not
+certified; the spectrum's trace-free resolvent ((u - L) x = v, Tr x = 0)
+by one bordered solve, ``_bordered_solve``. No factorization is kept between
+solves. The dense Laurent decomposition (steady projector + reduced
+resolvent) is their cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
-a few hundred, so LU/SVD exactness beats any iterative machinery. The
-kernels are numpy's: ``numpy.linalg.solve`` (LAPACK gesv, one LU) for the
-bordered solves and ``numpy.linalg.svd`` (gesdd, singular values only) for
-the nullity check. scipy.linalg, which takes longer to import than numpy
-itself, is imported only where a matrix exponential is needed and by the
-Laurent cross-check.
+a few hundred. The kernels are numpy's: ``numpy.linalg.solve`` (LAPACK
+gesv, one LU) and ``numpy.linalg.svd`` (gesdd, singular values only).
+scipy.linalg, which takes longer to import than numpy itself, is imported
+only where a matrix exponential is needed and by the Laurent cross-check.
 
-The steady state and the reduced resolvent are factorized in real
-arithmetic, on the real form L_T = T L T^-1 of the generator in the
-coordinates (aa, bb, Re ba, Im ba) per block (see ``model``); right-hand
-sides map into these coordinates and solutions map back without rounding,
-complex ones with complex coordinates. The resolvent at a complex shift u stays in
-the (aa, ba, ab, bb) basis.
+Elimination. On the real form L_T = T L T^-1 (coordinates (aa, bb, Re ba,
+Im ba) per block, see ``model``) one more exact per-block change of
+coordinates, aa -> t = aa + bb, gives Z: add each bb row to its aa row
+and subtract each aa column from its bb column. The trace functional
+reads 1 on every t and 0 elsewhere, so theta L = 0 says that the columns
+of the t rows of Z sum to zero. With t the r_max trace coordinates and f
+the 3 r_max others, one LU of the fast block Z_ff gives X = Z_ff^-1 Z_ft
+and the r_max x r_max stochastic complement S = Z_tt - Z_tf X (Meyer,
+SIAM Rev. 31, 240 (1989)), the generator of the slow hops between
+configurations. 1^T S = 0 exactly, so the diagonal of S is reset to minus
+its off-diagonal column sums (as in Grassmann, Taksar & Heyman, Oper. Res.
+33, 1107 (1985)); that drops the rounding of the fast decay rates, which
+the dense path carried as an error eps |L| / (slow rate). For a
+right-hand side c in these coordinates the t part of the solution solves
+S x_t = c_t - Z_tf Z_ff^-1 c_f with sum x_t = Tr x, as a bordered solve of
+S (row 0 replaced by ones, which drops no equation since 1^T S = 0), and
+back-substitution gives x_f = Z_ff^-1 c_f - X x_t. S is scaled by a power
+of two before it is factored, so tiny slow rates neither lose bits nor
+draw warnings. Where S is nonnegative off its diagonal it generates a
+Markov chain, whose stationary vector is well conditioned in the
+off-diagonal rates: the populations then carry the error of those rates,
+not eps / (slow rate), as long as every block relaxes fast (Z_ff well
+conditioned) and no rate is the difference of much larger fluxes. The
+rates are then as accurate as the excited populations X that the fast
+solve gives per unit trace, which is backward stable but not
+componentwise accurate (5e-10 relative on a far-detuned block damped only
+at 0.13). A rate that cancels more than half its digits stops the
+elimination (``_CANCELLATION``). Coherent coupling can make off-diagonal
+entries of S slightly negative; for such S no accuracy is claimed beyond
+the backward errors below.
 
-The bordered solve replaces row 0 of a, the aa entry of block 0 in both
-bases, by the trace functional theta and takes one LU for all right-hand
-sides; on the real form a complex right-hand side is solved as its real
-and imaginary columns, so that the LU stays real. Dropping that row loses
-no equation: theta a = c theta (c = 0 for a = L, trace preservation;
-c = u for a = u - L) and theta rhs = c Tr x, so row 0's equation is minus
-the sum of the other aa and bb rows'. With nullity 1 theta is nonzero on
-the null vector of L, so the bordered matrix is nonsingular. All nonzero
-entries of theta equal 1, so no row is better conditioned to sacrifice
-and no row search is needed. Each solution is certified by its normwise
-backward error on the system actually factored, [a; theta] undeflated,
-the ratio LAPACK's tests check (xGET02). Nullity 1 is certified by the
-singular values of D L_T D^-1, D = diag(1, 1, sqrt 2, sqrt 2) per block:
-D T is unitary, so these are the singular values of L.
+Certificates. The solve with Z_ff and every solution on the full system
+[L_T; theta] are checked by their normwise backward error, the ratio
+LAPACK's tests check (xGET02). Nullity 1 of L rests on rank L = rank Z_ff
++ rank S, which holds when Z_ff is nonsingular. The steady solve shows
+that Z_ff is nonsingular to working precision from the norm of Z_ff^-1,
+taken from the same LU (``_require_nonsingular``), and counts the
+nullity of S by the singular values of the scaled r_max x r_max S against
+a bound on the error of the computed S (``_chain_nullity``). Where the
+elimination fails (a fast block singular to working precision, such as a
+block that traps its excited population, a slow rate lost to
+cancellation, a failed backward error, or a negative block eigenvalue of
+the state), the dense nullity check of ``_check_nullity`` (singular values of
+the whole 4 r_max x 4 r_max real form) names the nullity of L, and with
+nullity 1 the dense bordered solve of the real form takes over
+(``_solve_dense``). Q_st takes the dense solve when its elimination
+raises SingularShift (``_solve_real``).
+
+The bordered solve of the resolvent replaces row 0 of a, the aa entry of
+block 0, by the trace functional theta and takes one LU for all
+right-hand sides. Dropping that row loses no equation: theta a = u theta
+and theta rhs = u Tr x, so row 0's equation is minus the sum of the other
+aa and bb rows'. All nonzero entries of theta equal 1, so no row is better
+conditioned to sacrifice and no row search is needed.
 """
 from __future__ import annotations
 
@@ -56,8 +88,8 @@ class NullSpaceDegenerate(Exception):
 
 
 class SingularShift(ArithmeticError):
-    """A bordered solve is singular to working precision: its solution is
-    not finite or fails the backward-error check. A resolvent shift u near
+    """A solve is singular to working precision: its solution is not finite
+    or fails the backward-error check. A resolvent shift u near
     the spectrum gives a large, accurate solution, not this error."""
 
 
@@ -76,8 +108,8 @@ class SteadyDecomposition:
 class Prepared:
     """A spec with its generator L and detection jump J, built once, and its
     steady state, solved on first use; every observable accepts one. No
-    factorization is kept: each solve on it factors its own bordered
-    matrix by ``numpy.linalg.solve``."""
+    factorization is kept: each solve on it factors its own matrices by
+    ``numpy.linalg.solve``."""
 
     spec: ModelSpec
     generator: SuperOp
@@ -115,18 +147,26 @@ def _trace_row(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def _check_nullity(real: np.ndarray) -> None:
-    """Nullity 1 of L from the singular values of D L_T D^-1 (the module
-    docstring), with the tolerance dim * eps * |L|_F."""
+    """Nullity 1 of L from the singular values of D L_T D^-1 with
+    D = diag(1, 1, sqrt 2, sqrt 2) per block (D T is unitary, so these are
+    the singular values of L), with the tolerance dim * eps * |L|_F."""
     d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], real.shape[0] // 4)
     m = d[:, None] * real / d
     svals = np.linalg.svd(m, compute_uv=False)
-    # |M|_F = s |M/s|_F with s = max|M|, so that entries above 1e154 do not
-    # overflow the tolerance to inf; M = 0 has |M|_F = 0
-    s = np.abs(m).max()
-    tol = m.shape[0] * np.finfo(float).eps * (s * np.linalg.norm(m / s) if s else 0.0)
+    tol = m.shape[0] * _EPS * _frobenius(m)
     # a singular value at the tolerance counts as zero (the convention of
     # numpy's matrix_rank), so that L = 0 has full nullity, not nullity 0
-    nullity = int(np.sum(svals <= tol))
+    _require_nullity_one(int(np.sum(svals <= tol)))
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """|M|_F as s |M/s|_F with s = max|M|, so that entries above 1e154 do
+    not overflow it to inf; M = 0 has |M|_F = 0."""
+    s = np.abs(m).max()
+    return s * np.linalg.norm(m / s) if s else 0.0
+
+
+def _require_nullity_one(nullity: int) -> None:
     if nullity != 1:
         raise NullSpaceDegenerate(
             f"generator nullity is {nullity}, expected 1 "
@@ -136,21 +176,36 @@ def _check_nullity(real: np.ndarray) -> None:
 def steady_state(generator: SuperOp) -> BlockState:
     """Unique trace-1 null state of the generator.
 
-    The bordered solve L x = 0 with Tr x = 1 on the real form (see the
-    module docstring for why the fixed row is safe), so the blocks are
-    exactly Hermitian; an SVD certifies nullity 1.
+    Solved by elimination onto the configurational chain on the real form
+    (see the module docstring), so the blocks are exactly Hermitian; the
+    singular values of the stochastic complement certify nullity 1. Where
+    the elimination is not certified, the dense check names the nullity and
+    the dense bordered solve takes over. NullSpaceDegenerate when the
+    nullity is not 1, SingularShift when a solve fails its backward-error
+    check, ValueError when a block of the state has a negative eigenvalue.
     """
     real = real_form(generator)
-    _check_nullity(real)
-    theta = real_trace_functional(generator.r_max)
-    y = _bordered_solve(real, np.zeros(generator.dim), 1.0, theta)
-    st = BlockState.from_vector(from_real(y / (theta @ y)))
-    eigmin = np.linalg.eigvalsh(st.blocks).min()
-    if eigmin < -1e-10:
-        raise ValueError(
-            f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
-            "model or assembly bug")
+    zero = np.zeros((generator.dim, 1))
+    try:
+        st, eigmin = _block_state(_chain_solve(real, zero, 1.0, certify_nullity=True))
+    except SingularShift:
+        eigmin = -np.inf
+    if eigmin < -1e-10:         # the elimination is not certified here
+        _check_nullity(real)    # names the nullity of L when it is not 1
+        st, eigmin = _block_state(_solve_dense(real, zero, 1.0))
+        if eigmin < -1e-10:
+            raise ValueError(
+                f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
+                "model or assembly bug")
     return st
+
+
+def _block_state(y: np.ndarray) -> tuple[BlockState, float]:
+    """The state of the real column y scaled to trace 1, and the least
+    eigenvalue of its blocks."""
+    y = y[:, 0] / (real_trace_functional(y.shape[0] // 4) @ y[:, 0])
+    st = BlockState.from_vector(from_real(y))
+    return st, np.linalg.eigvalsh(st.blocks).min()
 
 
 def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
@@ -166,50 +221,182 @@ def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockStat
         raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
     return BlockState.from_vector(
-        _bordered_solve(a, rhs, 0.0, trace_functional(generator.r_max)))
+        _bordered_solve(a, rhs, trace_functional(generator.r_max)))
 
 
-# Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a bordered
-# solve: LAPACK's test suite accepts an LU solve when |b - A x|_1 /
+# Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a solve:
+# LAPACK's test suite accepts an LU solve when |b - A x|_1 /
 # (|A|_1 |x|_1 n eps) < 30 (xGET02); |b|_1 <= |A|_1 |x|_1 up to rounding,
 # so the extra term changes the ratio by at most a factor 2.
 _BACKWARD_ERROR_FACTOR = 30.0
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+# a slow rate may be formed from fluxes up to 1/sqrt(eps) times larger
+_CANCELLATION = 2.0 ** 26
 
 
-def _bordered_solve(a: np.ndarray, rhs: np.ndarray, trace: complex,
-                    theta: np.ndarray) -> np.ndarray:
-    """The columns x with a x = rhs and theta x = trace, by one LU of a with
-    row 0 replaced by theta, the trace functional in the coordinates of a
-    (see the module docstring). Each column's 1-norm backward error on
-    [a; theta] x = [rhs; trace] must stay below
-    _BACKWARD_ERROR_FACTOR * dim * eps; SingularShift if it does not, or if
-    the LU meets an exactly zero pivot."""
+def _certify(what: str, a: np.ndarray, x: np.ndarray, b: np.ndarray,
+             theta: np.ndarray | None = None, trace: float = 0.0) -> None:
+    """Check that the columns x are finite and that each one's 1-norm
+    backward error on a x = b, with the row theta x = trace appended when
+    theta is given, stays below _BACKWARD_ERROR_FACTOR * dim * eps;
+    SingularShift otherwise."""
+    if not np.isfinite(x).all():
+        raise SingularShift(f"{what} diverged: backward error not finite")
+    resid = np.abs(a @ x - b).sum(axis=0)
+    norm_a = np.abs(a).sum(axis=0)
+    norm_b = np.abs(b).sum(axis=0)
+    if theta is not None:
+        resid += np.abs(theta @ x - trace)
+        norm_a += theta
+        norm_b += abs(trace)
+    scale = norm_a.max() * np.abs(x).sum(axis=0) + norm_b
     dim = a.shape[0]
+    bound = _BACKWARD_ERROR_FACTOR * dim * _EPS
+    if not (resid <= bound * scale).all():
+        with np.errstate(all="ignore"):
+            worst = np.max(resid / scale)
+        raise SingularShift(f"{what} backward error {worst:.3e} exceeds "
+                            f"{bound:.3e} (dim {dim})")
+
+
+def _solve(what: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:   # a zero pivot, or NaN in the LU
+        raise SingularShift(f"{what} failed: {exc}") from None
+
+
+def _bordered_solve(a: np.ndarray, rhs: np.ndarray, theta: np.ndarray,
+                    trace: float = 0.0) -> np.ndarray:
+    """The x with a x = rhs and theta x = trace, by one LU of a with row 0
+    replaced by theta (see the module docstring), certified by its backward
+    error on [a; theta] x = [rhs; trace]; SingularShift if that fails, or if
+    the LU meets an exactly zero pivot."""
     b = rhs.copy()
     b[0] = trace
-    bordered = _trace_row(a, theta)
-    try:
-        if np.iscomplexobj(b) and not np.iscomplexobj(a):
-            cols = b.reshape(dim, -1)
-            k = cols.shape[1]
-            y = np.linalg.solve(bordered, np.hstack([cols.real, cols.imag]))
-            x = (y[:, :k] + 1j * y[:, k:]).reshape(b.shape)
-        else:
-            x = np.linalg.solve(bordered, b)
-    except np.linalg.LinAlgError as exc:   # a zero pivot, or NaN in the LU
-        raise SingularShift(f"bordered solve failed: {exc}") from None
-    if not np.all(np.isfinite(x)):
-        raise SingularShift("bordered solve diverged: backward error not finite")
-    resid = np.abs(a @ x - rhs).sum(axis=0) + np.abs(theta @ x - trace)
-    norm_a = (np.abs(a).sum(axis=0) + theta).max()
-    backward = resid / (norm_a * np.abs(x).sum(axis=0)
-                        + np.abs(rhs).sum(axis=0) + abs(trace))
-    bound = _BACKWARD_ERROR_FACTOR * dim * np.finfo(float).eps
-    if not np.all(backward <= bound):
-        raise SingularShift(
-            f"bordered solve backward error {np.max(backward):.3e} exceeds "
-            f"{bound:.3e} (dim {dim})")
+    x = _solve("bordered solve", _trace_row(a, theta), b)
+    _certify("bordered solve", a, x, rhs, theta, trace)
     return x
+
+
+def _solve_dense(real: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
+    """The bordered solve of L_T y = rhs, theta_T y = trace on the whole
+    4 r_max x 4 r_max real form, for models where the elimination is not
+    certified (for example a fast block made singular by blocks without
+    decay)."""
+    return _bordered_solve(real, rhs, real_trace_functional(real.shape[0] // 4), trace)
+
+
+def _solve_real(real: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
+    """The real columns y with L_T y = rhs and theta_T y = trace: by
+    elimination, or by the dense bordered solve where the elimination
+    raises SingularShift."""
+    try:
+        return _chain_solve(real, rhs, trace)
+    except SingularShift:
+        return _solve_dense(real, rhs, trace)
+
+
+def _chain_solve(real: np.ndarray, rhs: np.ndarray, trace: float,
+                 certify_nullity: bool = False) -> np.ndarray:
+    """The real columns y with L_T y = rhs and theta_T y = trace, by
+    elimination onto the trace coordinates (see the module docstring).
+
+    With certify_nullity, Z_ff must be nonsingular to working precision
+    (``_require_nonsingular``; SingularShift otherwise) and S must have
+    nullity 1 (``_chain_nullity``; NullSpaceDegenerate otherwise), so that
+    L has nullity 1. SingularShift when a solve fails or its backward error
+    does not hold.
+    """
+    r, k = real.shape[0] // 4, rhs.shape[1]
+    blocks = real.reshape(r, 4, r, 4)
+    c = rhs.reshape(r, 4, k)
+    z_t = blocks[:, 0] + blocks[:, 1]          # t rows: aa + bb, (r, r, 4)
+    z_t[..., 1] -= z_t[..., 0]                 # bb columns: bb - aa
+    z_ff = blocks[:, 1:, :, 1:].copy()         # fast rows and columns
+    z_ff[..., 0] -= blocks[:, 1:, :, 0]
+    z_ff = z_ff.reshape(3 * r, 3 * r)
+    b = np.empty((r, 3, r + k))                # [Z_ft, c_f]
+    b[..., :r] = blocks[:, 1:, :, 0]
+    b[..., r:] = c[:, 1:]
+    b = b.reshape(3 * r, r + k)
+    if certify_nullity:                        # Z_ff^-1 from the same LU
+        xw = _solve("fast block solve", z_ff, np.hstack([b, np.eye(3 * r)]))
+        _require_nonsingular(z_ff, xw[:, r + k:])
+        xw = xw[:, :r + k]
+    else:
+        xw = _solve("fast block solve", z_ff, b)
+    _certify("fast block solve", z_ff, xw, b)
+    x, w = xw[:, :r], xw[:, r:]
+    z_tf = z_t[..., 1:].reshape(r, 3 * r)
+    s = z_t[..., 0] - z_tf @ x
+    # a slow rate that is the difference of much larger fluxes has lost
+    # digits to cancellation; beyond half of them the elimination stops
+    lost = np.abs(z_t[..., 0]) + np.abs(z_tf) @ np.abs(x) > _CANCELLATION * np.abs(s)
+    lost.reshape(-1)[::r + 1] = False
+    if lost.any():
+        raise SingularShift("chain solve failed: a slow rate is lost to "
+                            "cancellation of faster fluxes")
+    diag = s.reshape(-1)[::r + 1]              # a view: the reset diagonal
+    diag[:] = 0.0
+    diag[:] = -s.sum(axis=0)
+    g = c[:, 0] + c[:, 1] - z_tf @ w
+    # scale by a power of two, exactly, so that max |S| lies in [1/2, 1)
+    exp = -np.frexp(np.abs(s).max())[1]
+    s, g = np.ldexp(s, exp), np.ldexp(g, exp)
+    if certify_nullity:
+        _require_nullity_one(_chain_nullity(blocks, x, s, exp))
+    s[0] = 1.0
+    g[0] = trace
+    x_t = _solve("chain solve", s, g)
+    y = np.empty((r, 4, k))
+    y[:, 1:] = (w - x @ x_t).reshape(r, 3, k)
+    y[:, 0] = x_t - y[:, 1]
+    y = y.reshape(4 * r, k)
+    _certify("chain solve", real, y, rhs, real_trace_functional(r), trace)
+    return y
+
+
+def _require_nonsingular(z_ff: np.ndarray, inv: np.ndarray) -> None:
+    """SingularShift unless D Z_ff is nonsingular to working precision, D
+    scaling each row to max 1 (so that a strong drive or detuning counts
+    relative to its own row): its smallest singular value, at least
+    1/|Z_ff^-1 D^-1|_F, must exceed dim eps |D Z_ff|_F, the tolerance of
+    the dense check. A backward error alone does not show this: blocks
+    sharing an undamped mode make Z_ff singular and still give a small one.
+    """
+    rows = np.abs(z_ff).max(axis=1)
+    if not (np.isfinite(inv).all() and z_ff.shape[0] * _EPS
+            * _frobenius(z_ff / rows[:, None]) * _frobenius(inv * rows) < 1.0):
+        raise SingularShift("fast block solve failed: the fast block is "
+                            "singular to working precision")
+
+
+def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray, exp: int) -> int:
+    """The number of singular values of the scaled S = 2^exp S_computed at
+    or below the bound on the error of the computed S.
+
+    S_computed is the exact stochastic complement of L_T with Z_ff and Z_ft
+    perturbed within the certified backward error of the fast solve, plus
+    an error F. With B = |Z_tt| + |Z_tf| |X|, |Z| taken as |M| |L_T| |M^-1|
+    (M the map to the t coordinates), and u = eps/2: off the diagonal
+    |F_ij| <= (3 r + 3) u B_ij (two roundings in forming Z, 3 r in the
+    product, one in the subtraction); the reset diagonal adds
+    |F_jj| <= sum_i |F_ij| + r u sum_i B_ij. So |F|_2 <= sum |F_ij| <=
+    (7 r + 6) u sum_{i != j} B_ij to first order, and the bound is
+    (7 r + 7) (eps sum_{i != j} B_ij + r^2 eta), where the eta term (the
+    smallest subnormal) covers the absolute error of gradual underflow. A
+    singular value at the bound counts as zero, so that S = 0 (no hops
+    between configurations) has full nullity.
+    """
+    r = s.shape[0]
+    abs_t = np.abs(blocks[:, 0]) + np.abs(blocks[:, 1])
+    abs_t[..., 1] += abs_t[..., 0]
+    bound = abs_t[..., 0] + abs_t[..., 1:].reshape(r, 3 * r) @ np.abs(x)
+    bound.reshape(-1)[::r + 1] = 0.0
+    tol = np.ldexp((7 * r + 7) * (_EPS * bound.sum() + r * r * _TINY), exp)
+    return int((np.linalg.svd(s, compute_uv=False) <= tol).sum())
 
 
 def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:

@@ -318,8 +318,8 @@ def test_stationary_mandel_stiff_telegraph_limit():
     """Lifetimes 1 and 3 switching at rates 2 phi and phi: Q_st tends to the
     telegraph term 2 p0 p1 (I0 - I1)^2 / (I_bar 3 phi) plus the constant
     -0.416 of the fast dynamics. The dense reduced resolvent failed its
-    defect check from phi = 1e-10 on; the deflated solves stay certified
-    down to 1e-14, within the eps/phi conditioning of the dense generator."""
+    defect check from phi = 1e-10 on; the solves by elimination onto the
+    configurational chain stay certified down to 1e-14."""
     omega = 0.5
     p0, p1 = 1.0 / 3.0, 2.0 / 3.0
     i0, i1 = (g * (omega**2 / 4) / (g**2 / 4 + omega**2 / 2) for g in (1.0, 3.0))
@@ -340,14 +340,18 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
     """A corrupted R0 solve fails the backward-error certificate, also when
     the error lies along the steady state, which only the trace row sees."""
     p = fs.prepare(fig5)
-    rho_inf = to_real(p.steady.to_vector())     # the solve's coordinates
+    # the null vectors of the chain and of the real form, whose solves the
+    # steady direction corrupts (the fast block's solve stays exact)
+    null = {2: fs.config_populations(p.steady), 8: to_real(p.steady.to_vector()).real}
     solve = np.linalg.solve
 
     def perturbed(a, b):
         x = solve(a, b)
         if corrupt == "scaled":
             return x * (1.0 + 1e-7)
-        return x + 1e-7 * np.abs(x).max() * rho_inf.real[:, None]
+        if a.shape[0] not in null:
+            return x
+        return x + 1e-7 * np.abs(x).max() * null[a.shape[0]][:, None]
 
     monkeypatch.setattr(np.linalg, "solve", perturbed)
     with pytest.raises(ArithmeticError, match="backward error"):
@@ -355,26 +359,29 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
 
 
 def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
-    """Q_st factors its bordered matrix once per call: once the steady state
-    is solved, one real LU solves the (Re, Im) columns of one right-hand
-    side from the steady state, of two from an explicit initial state; a
-    fresh Prepared takes two factorizations in all, the steady state's and
-    Q_st's."""
+    """Q_st factors its fast block once per call: once the steady state is
+    solved, one real LU of the 3 r_max x 3 r_max fast block solves for
+    Z_ft and the (Re, Im) columns of one right-hand side from the steady
+    state, of two from an explicit initial state, and one r_max x r_max LU
+    solves the chain; a fresh Prepared takes two such pairs in all, the
+    steady state's and Q_st's."""
     solved = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: solved.append((a.dtype, b.shape)) or solve(a, b))
+                        lambda a, b: solved.append((a.dtype, a.shape, b.shape))
+                        or solve(a, b))
     p = fs.prepare(fig5)
     p.steady
-    assert len(solved) == 1
+    assert len(solved) == 2
     solved.clear()
     fs.stationary_mandel(p)
     fs.stationary_mandel(p, initial=fs.BlockState.ground(2))
     real = np.dtype(np.float64)
-    assert solved == [(real, (8, 2)), (real, (8, 4))]
+    assert solved == [(real, (6, 6), (6, 4)), (real, (2, 2), (2, 2)),
+                      (real, (6, 6), (6, 6)), (real, (2, 2), (2, 4))]
     solved.clear()
     fs.stationary_mandel(fs.prepare(fig5))
-    assert len(solved) == 2
+    assert len(solved) == 4
 
 
 def test_optical_bloch_s1_matches_generator(fig2a):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as la
 from conftest import random_block_state, random_spec
 from propagation_oracle import evolve, resolve
+from steady_oracle import dense_steady
 
 import fluorospec as fs
 from fluorospec.correl import _c1_pieces
@@ -69,15 +70,17 @@ def test_coordinate_maps_round_trip():
 @pytest.mark.parametrize("eta", [False, True], ids=["no_eta", "eta"])
 @pytest.mark.parametrize("r_max", R_MAX)
 def test_nullity_singular_values_are_those_of_L(r_max, eta, monkeypatch):
-    """The matrix whose singular values certify nullity 1 is unitarily
-    similar to L: same singular values, same n eps |L|_F tolerance."""
+    """The matrix whose singular values certify nullity 1 on the dense path
+    (the oracle, and the library's error path) is unitarily similar to L:
+    same singular values, same n eps |L|_F tolerance."""
     gen = fs.build_generator(_spec(r_max, eta))
     seen = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, **kwargs: seen.append(a) or svd(a, **kwargs))
-    fs.steady_state(gen)
+    st = dense_steady(gen)
     (m,) = seen
+    assert _close(fs.steady_state(gen).to_vector(), st.to_vector())
     svdvals = la.svdvals
     d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], r_max)
     assert np.array_equal(m, d[:, None] * real_form(gen) / d)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,11 +7,14 @@ import scipy.linalg as la
 from scipy.integrate import quad, solve_ivp
 
 import fluorospec as fs
-from fluorospec.model import trace_functional
+from fluorospec.model import real_form, trace_functional
 from fluorospec.steady import NullSpaceDegenerate, SingularShift
 
 from conftest import random_block_state, random_spec
 from propagation_oracle import evolve, resolve
+from steady_oracle import dense_steady
+
+EPS = np.finfo(float).eps
 
 
 def test_evolve_t0_is_identity(fig2a):
@@ -234,3 +238,194 @@ def test_bordered_solve_certified(caller, fig5, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-7))
     with pytest.raises(SingularShift, match="backward error"):
         calls[caller]()
+
+
+def _chain_complement(gen):
+    """S = Z_tt - Z_tf Z_ff^-1 Z_ft of the real form taken to the
+    coordinates (aa + bb, bb, Re ba, Im ba), by dense products and a scipy
+    solve."""
+    r = gen.r_max
+    to_t = np.kron(np.eye(r), [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    z = to_t @ real_form(gen) @ la.inv(to_t)
+    t = np.arange(4 * r) % 4 == 0
+    return z[np.ix_(t, t)] - z[np.ix_(t, ~t)] @ la.solve(z[np.ix_(~t, ~t)],
+                                                         z[np.ix_(~t, t)])
+
+
+def _recording_svd(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kwargs: seen.append(a.copy()) or svd(a, **kwargs))
+    return seen
+
+
+@pytest.mark.parametrize("eta", [False, True], ids=["no_eta", "eta"])
+@pytest.mark.parametrize("r_max", [1, 3, 20, 60])
+def test_nullity_certified_on_the_chain(r_max, eta, monkeypatch):
+    """On a nullity-1 model steady_state and Q_st make no 4 r_max x 4 r_max
+    SVD: nullity 1 rests on the singular values of the r_max x r_max
+    stochastic complement S, scaled by a power of two, whose columns sum
+    to zero and of which exactly one singular value vanishes."""
+    spec = random_spec(np.random.default_rng(200 + r_max), r_max, with_channels=eta)
+    gen = fs.build_generator(spec)
+    seen = _recording_svd(monkeypatch)
+    st = fs.steady_state(gen)
+    fs.stationary_mandel(fs.prepare(spec))
+    assert [m.shape for m in seen] == [(r_max, r_max)] * 2
+    s = seen[0]
+    assert np.abs(dense_steady(gen).to_vector() - st.to_vector()).max() <= 1e-13
+    if r_max == 1:      # a single configuration: S = 0, nullity 1
+        assert not s.any()
+        return
+    oracle = _chain_complement(gen)
+    scale = 2.0 ** np.round(np.log2(np.abs(oracle).max() / np.abs(s).max()))
+    assert np.abs(s * scale - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert 0.5 <= np.abs(s).max() < 1.0
+    assert np.abs(s.sum(axis=0)).max() <= 4 * r_max * EPS
+    svals = la.svdvals(s)
+    assert svals[-1] <= 4 * r_max * EPS < 1e-6 < svals[-2]
+
+
+@pytest.mark.parametrize("kind", list(fs.OperatorKind))
+def test_steady_state_matches_dense_oracle(kind):
+    """Every eta channel operator, a diffusion chain and random models up to
+    r_max = 60: the elimination agrees with the dense solve."""
+    rng = np.random.default_rng(11)
+    specs = [random_spec(rng, r) for r in (2, 40, 60)]
+    specs.append(fs.diffusion_chain(20, np.linspace(0.2, 1.5, 20), 0.05, 1.0, 0.3))
+    eta = rng.uniform(0.0, 0.5, (5, 5))
+    np.fill_diagonal(eta, 0.0)
+    base = random_spec(rng, 5)
+    specs.append(fs.ModelSpec(base.space, base.per_state, base.rates,
+                              (fs.GeneralJumpChannel(kind, eta),), base.detuning))
+    for spec in specs:
+        gen = fs.build_generator(spec)
+        x = fs.steady_state(gen).to_vector()
+        oracle = dense_steady(gen).to_vector()
+        assert np.abs(x - oracle).max() <= 1e-13 * np.abs(oracle).max(), spec.r_max
+
+
+def test_disconnected_configurations_reported_by_the_chain(monkeypatch):
+    """No hops between three configurations: S = 0, nullity 3, named
+    without a dense SVD."""
+    spec = fs.lifetime_fluct(gammas=[1.0, 2.0, 3.0], phi=np.zeros((3, 3)), omega_rabi=0.7)
+    seen = _recording_svd(monkeypatch)
+    with pytest.raises(NullSpaceDegenerate, match="nullity is 3"):
+        fs.steady_state(fs.build_generator(spec))
+    assert [m.shape for m in seen] == [(3, 3)]
+    assert not seen[0].any()
+
+
+@pytest.mark.parametrize("spec", [
+    fs.single_state(gamma=0.0, omega_rabi=0.7),
+    fs.single_state(gamma=1e-17, omega_rabi=0.7, detuning=0.3),
+    fs.lifetime_fluct([0.0, 0.0], [[0.0, 0.1], [0.1, 0.0]], 0.7, detuning=0.3)],
+    ids=["undamped", "damped_below_eps", "undamped_pair"])
+def test_singular_fast_block_falls_back_to_dense_nullity(spec, monkeypatch):
+    """Undamped driven blocks have a fast block singular to working
+    precision, exactly singular or not (a pair of them hopping between each
+    other shares one undamped mode, which no backward error reveals): the
+    elimination stops, and the dense SVD names the nullity, 2."""
+    gen = fs.build_generator(spec)
+    seen = _recording_svd(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NullSpaceDegenerate, match="nullity is 2"):
+            fs.steady_state(gen)
+    assert [m.shape for m in seen] == [(gen.dim, gen.dim)]
+
+
+@pytest.mark.parametrize("rate", [1e-4, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_stiff_closed_forms(rate):
+    """Configurational hops far slower than the fluorescence: populations to
+    1e-12 relative against the closed forms, where the dense solve lost
+    eps/rate (1.5e-4 at 1e-14 for lifetime_fluct)."""
+    hops = rate * np.array([[0.0, 1.0], [2.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lifetime = fs.steady_state(fs.build_generator(fs.lifetime_fluct([1.0, 3.0], hops, 0.5)))
+        spec = fs.light_assisted([1.0, 3.0], hops, 0.5)
+        assisted = fs.steady_state(fs.build_generator(spec))
+    assert np.abs(fs.config_populations(lifetime) / [1 / 3, 2 / 3] - 1).max() <= 1e-12
+    # p proportional to (e_1, 2 e_0), e_R the excited fraction of block R
+    decay = spec.effective_decays()
+    e = (0.5**2 / 4) / (decay**2 / 4 + 0.5**2 / 2)
+    expected = np.array([e[1], 2.0 * e[0]]) / (e[1] + 2.0 * e[0])
+    assert np.abs(fs.config_populations(assisted) / expected - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("detuning", [1e2, 1e4, 2e4, 1e5, 1e6, 1e7])
+def test_fig5_populations_at_large_detuning(fig5, detuning):
+    """Detailed balance p0 g10 e0 = p1 g01 e1 of the light-assisted hops,
+    with e_R = (W^2/4)/(delta^2 + gt_R^2/4 + W^2/2); the dense nullity
+    tolerance swallowed these slow rates from delta = 2e4 on."""
+    spec = dataclasses.replace(fig5, detuning=detuning)
+    pops = fs.config_populations(fs.steady_state(fs.build_generator(spec)))
+    e = 0.25 / (detuning**2 + spec.effective_decays() ** 2 / 4 + 0.5)
+    cross = spec.rates.gamma_cross
+    expected = np.array([cross[0, 1] * e[1], cross[1, 0] * e[0]])
+    assert np.abs(pops / (expected / expected.sum()) - 1).max() <= 1e-13
+
+
+def _two_blocks(kind, phi, eta, driven=(0.0, 1.0, 1.0), dark_shift=0.0, detuning=0.0):
+    """A driven block 0 (delta_omega, gamma, omega_rabi) and a dark block 1
+    (no decay, no drive) that hop by phi and by an eta channel of kind."""
+    return fs.ModelSpec(fs.ConfigSpace(2),
+                        (fs.PerStateParams(*driven), fs.PerStateParams(dark_shift, 0.0, 0.0)),
+                        fs.FluctuationRates(np.array(phi), np.zeros((2, 2))),
+                        (fs.GeneralJumpChannel(kind, np.array(eta)),), detuning)
+
+
+def test_trapped_excited_state_solved_densely(monkeypatch):
+    """Block 1 keeps its excited population forever (no decay, and the
+    lower-projector channel drains only its ground state), so the fast
+    block is singular while L has nullity 1: the dense solve takes over
+    and finds the trap, bb_1 = 1."""
+    spec = _two_blocks(fs.OperatorKind.LOWER_PROJECTOR, [[0.0, 0.0], [0.01, 0.0]],
+                       [[0.0, 0.3], [0.0, 0.0]])
+    gen = fs.build_generator(spec)
+    with pytest.raises(SingularShift, match="fast block"):
+        fs.steady._chain_solve(real_form(gen), np.zeros((8, 1)), 1.0, certify_nullity=True)
+    seen = _recording_svd(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = fs.steady_state(gen)
+    assert [m.shape for m in seen] == [(8, 8)]
+    expected = np.zeros((2, 2, 2))
+    expected[1, 1, 1] = 1.0
+    assert np.abs(st.blocks - expected).max() <= 1e-12
+
+
+def test_cancelling_slow_rates_solved_densely():
+    """Block 1 is entered and left only in its excited state, both fast,
+    and its ground state is reached by nothing: the net slow rate into it
+    is the difference of fast fluxes ~1e10 times larger. The elimination
+    stops rather than lose it (it had p_1 17% and Q_st 0.011 off), and the
+    dense solve takes over, for the state and for Q_st."""
+    spec = _two_blocks(fs.OperatorKind.UPPER_PROJECTOR, [[0.0, 4e-11], [0.0, 0.0]],
+                       [[0.0, 0.4], [0.4, 0.0]], driven=(0.0, 0.25, 1.5), detuning=-800.0)
+    gen = fs.build_generator(spec)
+    with pytest.raises(SingularShift, match="cancellation"):
+        fs.steady._chain_solve(real_form(gen), np.zeros((8, 1)), 1.0, certify_nullity=True)
+    st = fs.steady_state(gen).to_vector()
+    assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13
+    # from a 50-digit solve of the generator assembled in exact rates
+    assert fs.stationary_mandel(spec) == pytest.approx(-5.624916581075907e-06, rel=1e-6)
+
+
+def test_negative_block_eigenvalue_solved_densely(fig5, monkeypatch):
+    """A state from the elimination with a negative block eigenvalue is
+    provably off by as much: the dense solve takes over."""
+    gen = fs.build_generator(fig5)
+    chain = fs.steady._chain_solve
+
+    def off(real, rhs, trace, certify_nullity=False):
+        y = chain(real, rhs, trace, certify_nullity)
+        y[2] += 1.0         # Re ba of block 0: a coherence no state can have
+        return y
+
+    monkeypatch.setattr(fs.steady, "_chain_solve", off)
+    assert fs.steady._block_state(off(real_form(gen), np.zeros((8, 1)), 1.0))[1] < -1e-10
+    st = fs.steady_state(gen).to_vector()
+    assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13

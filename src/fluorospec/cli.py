@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, correl, counting, scenarios, spectrum
-from .model import (ConfigSpace, FluctuationRates, ModelSpec, PerStateParams,
-                    real_form, validate)
+from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams, validate
 from .steady import NullSpaceDegenerate, config_populations, prepare
 
 TASKS = ("steady", "spectrum", "g2", "c1", "c2", "counting",
@@ -172,8 +171,12 @@ def parse_config(text: str) -> RunConfig:
                           f"column {exc.colno}: {exc.msg}") from exc
     _require_keys(raw, {"schema", "model", "task", "grids", "output",
                         "threads", "n_max"}, {"schema", "model", "task"}, "config")
-    if raw["schema"] != 1:
-        raise ConfigError(f"config.schema: unsupported version {raw['schema']}")
+    # exactly the integer 1: true and 1.0 compare equal to 1
+    if type(raw["schema"]) is not int or raw["schema"] != 1:
+        raise ConfigError(f"config.schema: unsupported version {raw['schema']!r}")
+    output = raw.get("output", "run")
+    if type(output) is not str or not output:
+        raise ConfigError(f"config.output: must be a non-empty string, got {output!r}")
     task = raw["task"]
     if task not in TASKS:
         raise ConfigError(f"config.task: unknown task {task!r}; valid: {list(TASKS)}")
@@ -217,7 +220,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"config.n_max: must be >= 0, got {n_max}")
 
     cfg = RunConfig(schema=1, model=model, task=task, grids=grids,
-                    output=str(raw.get("output", "run")),
+                    output=output,
                     threads=_integer(raw.get("threads", 1), "config.threads"),
                     n_max=n_max)
     _require_task_inputs(cfg)
@@ -349,7 +352,6 @@ def run(config: RunConfig) -> list[str]:
         observable, column = {"mandel-sweep": (counting.stationary_mandel, "q_st"),
                               "lineshape-sweep": (counting.line_shape, "intensity")}[task]
         base = prepare(dataclasses.replace(spec, detuning=0.0))
-        real_form(base.generator)   # made here, once, not raced for by the workers
 
         def point(i):
             return observable(base.at_detuning(float(grid[i])))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SIGMA_DAG, BlockState, ModelSpec, SuperOp, from_real,
-                    real_form, to_real, trace_functional)
+from .model import (SIGMA, SIGMA_DAG, BlockState, ModelSpec, SuperOp, readout,
+                    trace_functional)
 from .steady import Prepared, prepare
 
 
@@ -57,8 +57,9 @@ class ObservableSeries:
 def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """e^{t L} v0 for every t in a strictly increasing grid, t >= 0.
 
-    Sequential expm stepping on the real form of the generator; a uniform
-    grid reuses one step propagator. Returns shape (len(grid), dim).
+    Sequential expm stepping in real arithmetic, on the real and imaginary
+    parts of v0; a uniform grid reuses one step propagator. Returns shape
+    (len(grid), dim).
     """
     import scipy.linalg as la
 
@@ -67,13 +68,12 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
         raise ValueError("grid must be finite and nonnegative")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
-    m = real_form(generator)
-    out = np.empty((v0.size, grid.size), dtype=complex)   # columns in real coordinates
+    m = generator.matrix
+    out = np.empty((v0.size, grid.size), dtype=complex)
     steps = np.diff(grid, prepend=0.0)
     uniform = grid.size > 1 and np.allclose(steps[1:], steps[1], rtol=1e-12, atol=0.0)
     prop = la.expm(steps[1] * m) if uniform else None
-    y = to_real(v0)
-    v = np.column_stack([y.real, y.imag])    # real products with the propagators
+    v = np.column_stack([v0.real, v0.imag])    # real products with the propagators
     for i, dt in enumerate(steps):
         if dt > 0:
             if uniform and i > 0 and abs(dt - steps[1]) <= 1e-12 * steps[1]:
@@ -81,11 +81,12 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
             else:
                 v = la.expm(dt * m) @ v
         out[:, i] = v[:, 0] + 1j * v[:, 1]
-    return from_real(out).T
+    return out.T
 
 
 def _regression(p: Prepared, seed: np.ndarray, w: np.ndarray, tau_grid):
-    """(tau, w . e^{tau L} seed) on a tau grid, vectors in block vec order."""
+    """(tau, w . e^{tau L} seed) on a tau grid, vectors in the coordinates
+    of BlockState.to_vector."""
     tau = np.asarray(tau_grid, float)
     return tau, propagate_on_grid(p.generator, seed, tau) @ w
 
@@ -97,8 +98,7 @@ def qrt_two_time(model: ModelSpec | Prepared, o1: np.ndarray, a: np.ndarray,
     p = prepare(model)
     seeds = np.einsum("ij,rjk,kl->ril", np.asarray(o2, complex), p.steady.blocks,
                       np.asarray(o1, complex))
-    # Tr{A x} = sum_ij A_ij x_ji; x is vectorized column-major per block
-    w = np.tile(np.asarray(a, complex).reshape(-1), p.spec.r_max)
+    w = readout(a, np.ones(p.spec.r_max))
     tau, vals = _regression(p, BlockState(seeds).to_vector(), w, tau_grid)
     return ObservableSeries(tau, vals, SeriesKind.C1)
 
@@ -108,9 +108,7 @@ def _c1_pieces(spec: ModelSpec, st: BlockState):
     vector picking sqrt(gt_R) Tr{sigma .} = sqrt(gt_R) x_ba per block."""
     sq = np.sqrt(spec.effective_decays())
     seeds = sq[:, None, None] * (st.blocks @ SIGMA_DAG)
-    w = np.zeros(4 * spec.r_max, dtype=complex)
-    w[1::4] = sq          # vec order (aa, ba, ab, bb): Tr{sigma x} = x_ba
-    return seeds, w
+    return seeds, readout(SIGMA, sq)
 
 
 def c1(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:

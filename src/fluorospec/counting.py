@@ -22,10 +22,11 @@ solves the steady state (``steady._chain_solve``): one real LU of the
 fast block, then the r_max x r_max stochastic complement S with
 sum x_t = 0, so that slow configurational hops enter Q_st only through
 S, as they enter the steady state; the fast solve and the result on the
-full system are certified by their backward errors. A detuning sweep prepares its model once and shifts it to each detuning
-(``Prepared.at_detuning``). The matrix exponentials of
-P_n and of the factorial moments are scipy.linalg's ``expm``, imported on
-first use, so that Q_st and the line shape never load scipy.linalg.
+full system are certified by their backward errors. A detuning sweep
+prepares its model once and shifts it to each detuning
+(``Prepared.at_detuning``). The matrix exponentials of P_n and of the
+factorial moments are scipy.linalg's ``expm``, imported on first use, so
+that Q_st and the line shape never load scipy.linalg.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correl import ObservableSeries, SeriesKind, stationary_intensity
-from .model import (BlockState, ModelSpec, SuperOp, from_real, real_form, to_real,
-                    trace_functional)
+from .model import BlockState, ModelSpec, SuperOp, trace_functional
 from .steady import Prepared, _solve_real, prepare
 
 
@@ -265,9 +265,9 @@ def stationary_mandel(model: ModelSpec | Prepared,
     fixed by I = 2b and B = 2 b^2 holding identically (both checked).
     Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
     needed: R0 v is the trace-free solution of L x = (P - Id) v, solved
-    for both columns on the real form by elimination onto the
-    configurational chain (SingularShift if a backward error fails); from
-    the steady state R0 rho_inf = 0, so a = 0 and
+    for the real and imaginary parts of both columns by elimination onto
+    the configurational chain (SingularShift if a backward error fails);
+    from the steady state R0 rho_inf = 0, so a = 0 and
     Q_st = 2 theta J R0 J rho_inf / I_st.
     """
     p = prepare(model)
@@ -292,9 +292,9 @@ def stationary_mandel(model: ModelSpec | Prepared,
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
 
     vs = np.column_stack([j @ rho_inf] if initial is None else [j @ rho_inf, x0])
-    c = to_real(np.outer(rho_inf, theta @ vs) - vs)
-    y = _solve_real(real_form(p.generator), np.hstack([c.real, c.imag]), 0.0)
-    r0 = from_real(y[:, :vs.shape[1]] + 1j * y[:, vs.shape[1]:])
+    c = np.outer(rho_inf, theta @ vs) - vs
+    y = _solve_real(p.generator.matrix, np.hstack([c.real, c.imag]), 0.0)
+    r0 = y[:, :vs.shape[1]] + 1j * y[:, vs.shape[1]:]
     a_coef = np.real(tj @ r0[:, 0])
     a = 0.0
     if initial is not None:

@@ -18,20 +18,18 @@ literature): for every r_max x r_max table in this module,
 i.e. first index = destination (gain into ``R``), second = source. Loss
 terms on block ``R`` therefore use *column* sums ``sum_R' table[R'][R]``.
 
-Basis and vectorization conventions (fixed so golden files are stable):
-index 0 = ``|a>``, 1 = ``|b>``; a block state is vectorized block-major,
-each 2x2 block column-major, i.e. ``(aa, ba, ab, bb)`` per block.
-
-Real coordinates: the dense factorizations run on y = T x, where per
-block T has the rows e_aa, e_bb, (e_ba + e_ab)/2 and -i(e_ba - e_ab)/2
-(so y = (aa, bb, Re ba, Im ba) for a Hermitian block) and T^-1 has the
-columns e_aa, e_bb, e_ba + e_ab and i(e_ba - e_ab). The generator maps
-Hermitian blocks to Hermitian blocks, so its real form T L T^-1 is a real
-matrix; every entry of T and T^-1 is dyadic (0, ±1, ±i, 1/2), so the
-changes of coordinates round only where they add two entries and the real
-form equals the dense product exactly (:func:`real_form`, :func:`to_real`,
-:func:`from_real`). The trace functional reads (1, 1, 0, 0) per block in
-these coordinates.
+Basis and vectorization convention (fixed so golden files are stable):
+index 0 = ``|a>``, 1 = ``|b>``. A block state is vectorized block-major,
+each 2x2 block x as y = T vec(x) = (aa, bb, Re ba, Im ba), the Bloch
+variables of the optical Bloch equations (:class:`BlockState`). Here
+vec(x) = (aa, ba, ab, bb) is column-major, T has the rows e_aa, e_bb,
+(e_ba + e_ab)/2 and -i(e_ba - e_ab)/2, and T^-1 the columns e_aa, e_bb,
+e_ba + e_ab and i(e_ba - e_ab). For a Hermitian block y is real. The
+generator maps Hermitian blocks to Hermitian blocks, so in these
+coordinates it is a real matrix (:class:`SuperOp`): each 4x4
+superoperator term S of the assembly is mapped once to T S T^-1, which is
+exact because every entry of S, T and T^-1 is dyadic (0, ±1, ±i, ±1/2).
+The trace functional reads (1, 1, 0, 0) per block.
 
 hbar = 1 throughout; rates and angular frequencies share one time unit.
 """
@@ -51,7 +49,7 @@ UPPER_PROJECTOR = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 LOWER_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
-# T and T^-1 of the real coordinates (module docstring), per block in vec order
+# T and T^-1 of the real coordinates (module docstring), per block
 _T = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
 _T_INV = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
 
@@ -175,7 +173,7 @@ class ModelSpec:
     def _detection_jump(self) -> np.ndarray:
         # built on first use by detection_jump, which documents it
         return _frozen_array(_kron(np.diag(self.gammas()) + self.rates.gamma_cross,
-                                   _DETECTION), complex)
+                                   _DETECTION))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,15 +201,17 @@ class BlockState:
         return self.blocks[:, 0, 0].sum() + self.blocks[:, 1, 1].sum()
 
     def to_vector(self) -> np.ndarray:
-        """Block-major, column-major-within-block (aa, ba, ab, bb) vector."""
-        return self.blocks.transpose(0, 2, 1).reshape(-1).copy()
+        """Block-major (aa, bb, Re ba, Im ba) vector, T vec(x) per block
+        (complex; its imaginary part vanishes for Hermitian blocks)."""
+        return (_T @ self.blocks.transpose(0, 2, 1).reshape(-1, 4, 1)).reshape(-1)
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "BlockState":
-        v = np.asarray(v, dtype=complex)
+        """The blocks of a (aa, bb, Re ba, Im ba) vector, T^-1 v per block."""
+        v = np.asarray(v)
         if v.size % 4 != 0:
             raise ValueError(f"vector length {v.size} is not a multiple of 4")
-        return cls(v.reshape(-1, 2, 2).transpose(0, 2, 1))
+        return cls((_T_INV @ v.reshape(-1, 4, 1)).reshape(-1, 2, 2).transpose(0, 2, 1))
 
     @classmethod
     def ground(cls, r_max: int, populations=None) -> "BlockState":
@@ -229,29 +229,30 @@ class BlockState:
 
 @dataclass(frozen=True, eq=False)
 class SuperOp:
-    """Dense generator (or derived operator) on vectorized block states."""
+    """Dense generator (or derived operator) on vectorized block states: a
+    read-only real float64 matrix in the coordinates of :class:`BlockState`.
+
+    A complex matrix is accepted when its imaginary part is zero; otherwise
+    it does not map Hermitian blocks to Hermitian blocks (ValueError).
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        if np.iscomplexobj(m):
+            if m.imag.any():
+                raise ValueError("operator does not preserve Hermiticity: "
+                                 "its matrix has a nonzero imaginary part")
+            m = m.real
+        m = _frozen_array(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 4 != 0:
             raise ValueError(f"matrix must be square with dim divisible by 4, got {m.shape}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @functools.cached_property
-    def _real_form(self) -> np.ndarray:
-        # built on first use by real_form, which documents it
-        out = to_real((self.matrix.reshape(-1, 4) @ _T_INV).reshape(self.matrix.shape))
-        if out.imag.any():
-            raise ValueError("generator does not preserve Hermiticity: "
-                             "its real form has a nonzero imaginary part")
-        return _frozen_array(out.real)
 
     @property
     def r_max(self) -> int:
@@ -260,35 +261,16 @@ class SuperOp:
 
 @functools.cache
 def trace_functional(r_max: int) -> np.ndarray:
-    """Row vector theta with theta @ vec(x) = total trace of x (read-only)."""
-    return _frozen_array(np.tile([1.0, 0.0, 0.0, 1.0], r_max))
-
-
-@functools.cache
-def real_trace_functional(r_max: int) -> np.ndarray:
-    """The trace functional in real coordinates, theta T^-1 (read-only)."""
+    """Row vector theta with theta @ x.to_vector() = total trace of x,
+    (1, 1, 0, 0) per block (read-only)."""
     return _frozen_array(np.tile([1.0, 1.0, 0.0, 0.0], r_max))
 
 
-def to_real(x: np.ndarray) -> np.ndarray:
-    """T x for a vector or a column stack x in vec order (complex result;
-    its imaginary part vanishes for Hermitian blocks)."""
-    return (_T @ x.reshape(x.shape[0] // 4, 4, -1)).reshape(x.shape)
-
-
-def from_real(y: np.ndarray) -> np.ndarray:
-    """T^-1 y for a vector or a column stack y of real coordinates."""
-    return (_T_INV @ y.reshape(y.shape[0] // 4, 4, -1)).reshape(y.shape)
-
-
-def real_form(op: SuperOp) -> np.ndarray:
-    """The real matrix T L T^-1 of a generator L, read-only and computed
-    once per SuperOp in O(dim^2).
-
-    Raises ValueError when L does not map Hermitian blocks to Hermitian
-    blocks, i.e. when T L T^-1 has a nonzero imaginary part.
-    """
-    return op._real_form
+def readout(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row vector w with w @ x.to_vector() = sum_R weights[R] Tr{A x_R},
+    since Tr{A x} = sum_ij A_ij x_ji = (A row-major) . vec(x) and
+    vec(x) = T^-1 y."""
+    return np.kron(weights, np.asarray(a).reshape(-1) @ _T_INV)
 
 
 def validate(spec: ModelSpec) -> list[str]:
@@ -346,7 +328,8 @@ def require_valid(spec: ModelSpec) -> None:
 
 
 # vec(A rho) = kron(I, A) vec(rho); vec(rho B) = kron(B.T, I) vec(rho);
-# vec(A rho A†) = kron(A.conj(), A) vec(rho)  [column-major vec]
+# vec(A rho A†) = kron(A.conj(), A) vec(rho)  [column-major vec; the
+# assembly maps each of these 4x4 terms by _real]
 def _left(op):
     return np.kron(IDENTITY2, op)
 
@@ -374,18 +357,20 @@ def _anticommutator(op):
 _H_DETUNING = np.diag([0.5, -0.5]).astype(complex)
 _H_DRIVE = 0.5 * (SIGMA + SIGMA_DAG)
 
-# the 4x4 superoperators of build_generator that no model parameter changes
-_DETUNING = _commutator(_H_DETUNING)
-_DRIVE = _commutator(_H_DRIVE)
-_DECAY = _anticommutator(SIGMA_DAG @ SIGMA / 2)
-_DETECTION = _sandwich(SIGMA)
+
+def _real(s: np.ndarray) -> np.ndarray:
+    """T s T^-1 of a 4x4 superoperator s in vec order, in real coordinates:
+    exact, and real for every term of the assembly (module docstring)."""
+    return (_T @ s @ _T_INV).real
+
+
+# the 4x4 superoperators of build_generator that no model parameter changes;
+# the detuning term is a rotation of (Re ba, Im ba)
+_DETUNING = _real(_commutator(_H_DETUNING))
+_DRIVE = _real(_commutator(_H_DRIVE))
+_DECAY = _real(_anticommutator(SIGMA_DAG @ SIGMA / 2))
+_DETECTION = _real(_sandwich(SIGMA))
 _EYE4 = np.eye(4)
-
-
-# the detuning term per block: diagonal in vec order, a rotation of
-# (Re ba, Im ba) in real coordinates
-_DETUNING_DIAG = np.diag(_DETUNING)
-_DETUNING_REAL = (_T @ _DETUNING @ _T_INV).real
 
 
 def _kron(table: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -396,7 +381,8 @@ def _kron(table: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def detection_jump(spec: ModelSpec) -> np.ndarray:
-    """Detection gains J = kron(diag(gamma) + gamma_cross, sigma . sigma†).
+    """Detection gains J = kron(diag(gamma) + gamma_cross, sigma . sigma†),
+    a read-only real matrix in the coordinates of BlockState.
 
     Own-block recycling gamma_R and emission-assisted cross gains
     gamma_cross[R][R'], each feeding |a><a| of the destination block from
@@ -424,38 +410,31 @@ def build_generator(spec: ModelSpec) -> SuperOp:
          + _kron(phi - np.diag(phi.sum(axis=0)), _EYE4))
     for ch in spec.extra_channels:
         op = ch.operator_kind.matrix()
-        m += (_kron(ch.eta, _sandwich(op))
+        m += (_kron(ch.eta, _real(_sandwich(op)))
               - _kron(np.diag(ch.eta.sum(axis=0)),
-                      _anticommutator(op.conj().T @ op) / 2))
+                      _real(_anticommutator(op.conj().T @ op) / 2)))
     return SuperOp(m)
 
 
 def shift_detuning(op: SuperOp, delta: float) -> SuperOp:
     """The generator op + delta * kron(Id, _DETUNING), i.e. the same model
-    with its laser detuning raised by delta, and its real form.
+    with its laser detuning raised by delta.
 
     The detuning enters L only through kron(diag(detuning - delta_omega),
-    _DETUNING), which is diagonal: per block the shift adds ±delta to the
-    imaginary parts of the ba and ab diagonal entries of L and ±delta to
-    the two rotation entries of the real form, so the real form is
-    shifted instead of formed again by real_form. Only these entries
-    change; adding zero elsewhere could flip the sign of a zero. From
-    op = build_generator(spec) with spec.detuning = 0, both equal
-    build_generator(spec at detuning delta) and its real form bit for
-    bit: those entries hold nothing but the detuning term, so each gets
-    the one rounding of delta - delta_omega that the rebuild gives it.
+    _DETUNING), which per block adds ±delta to the two rotation entries of
+    (Re ba, Im ba). Only these entries change; adding zero elsewhere could
+    flip the sign of a zero. From op = build_generator(spec) with
+    spec.detuning = 0, the result equals build_generator(spec at detuning
+    delta) bit for bit: those entries hold nothing but the detuning term,
+    so each gets the one rounding of delta - delta_omega that the rebuild
+    gives it.
 
     Raises ValueError for a non-finite delta.
     """
     if not math.isfinite(delta):
         raise ValueError(f"detuning shift {delta} is not finite")
     m = op.matrix.copy()
-    m.flat[::m.shape[0] + 1] += delta * np.tile(_DETUNING_DIAG, op.r_max)
-    real = real_form(op).copy()
     block = 4 * np.arange(op.r_max)
-    for i, j in zip(*np.nonzero(_DETUNING_REAL)):
-        real[block + i, block + j] += delta * _DETUNING_REAL[i, j]
-    real.setflags(write=False)
-    out = SuperOp(m)
-    object.__setattr__(out, "_real_form", real)
-    return out
+    for i, j in zip(*np.nonzero(_DETUNING)):
+        m[block + i, block + j] += delta * _DETUNING[i, j]
+    return SuperOp(m)

@@ -15,8 +15,8 @@ gesv, one LU) and ``numpy.linalg.svd`` (gesdd, singular values only).
 scipy.linalg, which takes longer to import than numpy itself, is imported
 only where a matrix exponential is needed and by the Laurent cross-check.
 
-Elimination. On the real form L_T = T L T^-1 (coordinates (aa, bb, Re ba,
-Im ba) per block, see ``model``) one more exact per-block change of
+Elimination. On the generator L, real in the coordinates (aa, bb, Re ba,
+Im ba) per block (see ``model``), one more exact per-block change of
 coordinates, aa -> t = aa + bb, gives Z: add each bb row to its aa row
 and subtract each aa column from its bb column. The trace functional
 reads 1 on every t and 0 elsewhere, so theta L = 0 says that the columns
@@ -47,7 +47,7 @@ entries of S slightly negative; for such S no accuracy is claimed beyond
 the backward errors below.
 
 Certificates. The solve with Z_ff and every solution on the full system
-[L_T; theta] are checked by their normwise backward error, the ratio
+[L; theta] are checked by their normwise backward error, the ratio
 LAPACK's tests check (xGET02). Nullity 1 of L rests on rank L = rank Z_ff
 + rank S, which holds when Z_ff is nonsingular. The steady solve shows
 that Z_ff is nonsingular to working precision from the norm of Z_ff^-1,
@@ -58,10 +58,10 @@ elimination fails (a fast block singular to working precision, such as a
 block that traps its excited population, a slow rate lost to
 cancellation, a failed backward error, or a negative block eigenvalue of
 the state), the dense nullity check of ``_check_nullity`` (singular values of
-the whole 4 r_max x 4 r_max real form) names the nullity of L, and with
-nullity 1 the dense bordered solve of the real form takes over
-(``_solve_dense``). Q_st takes the dense solve when its elimination
-raises SingularShift (``_solve_real``).
+the whole 4 r_max x 4 r_max L) names the nullity of L, and with nullity 1
+the dense bordered solve of L takes over (``_solve_dense``). Q_st takes
+the dense solve when its elimination raises SingularShift
+(``_solve_real``).
 
 The bordered solve of the resolvent replaces row 0 of a, the aa entry of
 block 0, by the trace functional theta and takes one LU for all
@@ -79,8 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (BlockState, ModelSpec, SuperOp, build_generator,
-                    detection_jump, from_real, real_form, real_trace_functional,
-                    shift_detuning, trace_functional)
+                    detection_jump, shift_detuning, trace_functional)
 
 
 class NullSpaceDegenerate(Exception):
@@ -146,12 +145,13 @@ def _trace_row(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_nullity(real: np.ndarray) -> None:
-    """Nullity 1 of L from the singular values of D L_T D^-1 with
+def _check_nullity(gen: np.ndarray) -> None:
+    """Nullity 1 of L from the singular values of D L D^-1 with
     D = diag(1, 1, sqrt 2, sqrt 2) per block (D T is unitary, so these are
-    the singular values of L), with the tolerance dim * eps * |L|_F."""
-    d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], real.shape[0] // 4)
-    m = d[:, None] * real / d
+    the singular values of L in vec order), with the tolerance
+    dim * eps * |L|_F."""
+    d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], gen.shape[0] // 4)
+    m = d[:, None] * gen / d
     svals = np.linalg.svd(m, compute_uv=False)
     tol = m.shape[0] * _EPS * _frobenius(m)
     # a singular value at the tolerance counts as zero (the convention of
@@ -176,23 +176,24 @@ def _require_nullity_one(nullity: int) -> None:
 def steady_state(generator: SuperOp) -> BlockState:
     """Unique trace-1 null state of the generator.
 
-    Solved by elimination onto the configurational chain on the real form
-    (see the module docstring), so the blocks are exactly Hermitian; the
+    Solved by elimination onto the configurational chain in real
+    arithmetic (see the module docstring), so the blocks are exactly
+    Hermitian; the
     singular values of the stochastic complement certify nullity 1. Where
     the elimination is not certified, the dense check names the nullity and
     the dense bordered solve takes over. NullSpaceDegenerate when the
     nullity is not 1, SingularShift when a solve fails its backward-error
     check, ValueError when a block of the state has a negative eigenvalue.
     """
-    real = real_form(generator)
+    m = generator.matrix
     zero = np.zeros((generator.dim, 1))
     try:
-        st, eigmin = _block_state(_chain_solve(real, zero, 1.0, certify_nullity=True))
+        st, eigmin = _block_state(_chain_solve(m, zero, 1.0, certify_nullity=True))
     except SingularShift:
         eigmin = -np.inf
     if eigmin < -1e-10:         # the elimination is not certified here
-        _check_nullity(real)    # names the nullity of L when it is not 1
-        st, eigmin = _block_state(_solve_dense(real, zero, 1.0))
+        _check_nullity(m)       # names the nullity of L when it is not 1
+        st, eigmin = _block_state(_solve_dense(m, zero, 1.0))
         if eigmin < -1e-10:
             raise ValueError(
                 f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
@@ -203,8 +204,8 @@ def steady_state(generator: SuperOp) -> BlockState:
 def _block_state(y: np.ndarray) -> tuple[BlockState, float]:
     """The state of the real column y scaled to trace 1, and the least
     eigenvalue of its blocks."""
-    y = y[:, 0] / (real_trace_functional(y.shape[0] // 4) @ y[:, 0])
-    st = BlockState.from_vector(from_real(y))
+    y = y[:, 0] / (trace_functional(y.shape[0] // 4) @ y[:, 0])
+    st = BlockState.from_vector(y)
     return st, np.linalg.eigvalsh(st.blocks).min()
 
 
@@ -280,27 +281,27 @@ def _bordered_solve(a: np.ndarray, rhs: np.ndarray, theta: np.ndarray,
     return x
 
 
-def _solve_dense(real: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
-    """The bordered solve of L_T y = rhs, theta_T y = trace on the whole
-    4 r_max x 4 r_max real form, for models where the elimination is not
+def _solve_dense(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
+    """The bordered solve of L y = rhs, theta y = trace on the whole
+    4 r_max x 4 r_max L, for models where the elimination is not
     certified (for example a fast block made singular by blocks without
     decay)."""
-    return _bordered_solve(real, rhs, real_trace_functional(real.shape[0] // 4), trace)
+    return _bordered_solve(gen, rhs, trace_functional(gen.shape[0] // 4), trace)
 
 
-def _solve_real(real: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
-    """The real columns y with L_T y = rhs and theta_T y = trace: by
+def _solve_real(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
+    """The real columns y with L y = rhs and theta y = trace: by
     elimination, or by the dense bordered solve where the elimination
     raises SingularShift."""
     try:
-        return _chain_solve(real, rhs, trace)
+        return _chain_solve(gen, rhs, trace)
     except SingularShift:
-        return _solve_dense(real, rhs, trace)
+        return _solve_dense(gen, rhs, trace)
 
 
-def _chain_solve(real: np.ndarray, rhs: np.ndarray, trace: float,
+def _chain_solve(gen: np.ndarray, rhs: np.ndarray, trace: float,
                  certify_nullity: bool = False) -> np.ndarray:
-    """The real columns y with L_T y = rhs and theta_T y = trace, by
+    """The real columns y with L y = rhs and theta y = trace, by
     elimination onto the trace coordinates (see the module docstring).
 
     With certify_nullity, Z_ff must be nonsingular to working precision
@@ -309,8 +310,8 @@ def _chain_solve(real: np.ndarray, rhs: np.ndarray, trace: float,
     L has nullity 1. SingularShift when a solve fails or its backward error
     does not hold.
     """
-    r, k = real.shape[0] // 4, rhs.shape[1]
-    blocks = real.reshape(r, 4, r, 4)
+    r, k = gen.shape[0] // 4, rhs.shape[1]
+    blocks = gen.reshape(r, 4, r, 4)
     c = rhs.reshape(r, 4, k)
     z_t = blocks[:, 0] + blocks[:, 1]          # t rows: aa + bb, (r, r, 4)
     z_t[..., 1] -= z_t[..., 0]                 # bb columns: bb - aa
@@ -354,7 +355,7 @@ def _chain_solve(real: np.ndarray, rhs: np.ndarray, trace: float,
     y[:, 1:] = (w - x @ x_t).reshape(r, 3, k)
     y[:, 0] = x_t - y[:, 1]
     y = y.reshape(4 * r, k)
-    _certify("chain solve", real, y, rhs, real_trace_functional(r), trace)
+    _certify("chain solve", gen, y, rhs, trace_functional(r), trace)
     return y
 
 
@@ -377,9 +378,9 @@ def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray, exp: int) -
     """The number of singular values of the scaled S = 2^exp S_computed at
     or below the bound on the error of the computed S.
 
-    S_computed is the exact stochastic complement of L_T with Z_ff and Z_ft
+    S_computed is the exact stochastic complement of L with Z_ff and Z_ft
     perturbed within the certified backward error of the fast solve, plus
-    an error F. With B = |Z_tt| + |Z_tf| |X|, |Z| taken as |M| |L_T| |M^-1|
+    an error F. With B = |Z_tt| + |Z_tf| |X|, |Z| taken as |M| |L| |M^-1|
     (M the map to the t coordinates), and u = eps/2: off the diagonal
     |F_ij| <= (3 r + 3) u B_ij (two roundings in forming Z, 3 r in the
     product, one in the subtraction); the reset diagonal adds
@@ -413,7 +414,7 @@ def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
     m = generator.matrix
     dim = generator.dim
     theta = trace_functional(generator.r_max)
-    p = np.outer(st.to_vector(), theta)
+    p = np.outer(st.to_vector().real, theta)
     a = _trace_row(m, theta)
     b = p - np.eye(dim)
     b[0, :] = 0.0

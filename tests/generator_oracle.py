@@ -1,7 +1,9 @@
 """Representations of the block generator, kept to cross-check the dense
 assembly of ``fluorospec.build_generator``: the same sum of Kronecker
-products formed with ``np.kron``, the generator applied term by term to
-the 2x2 blocks, and the generalized optical Bloch equations of the
+products formed with ``np.kron``, both in the column-major vec order
+(aa, ba, ab, bb) of each block and in the real coordinates
+(aa, bb, Re ba, Im ba) of the package; the generator applied term by term
+to the 2x2 blocks; and the generalized optical Bloch equations of the
 counting-field-dressed generator."""
 import numpy as np
 
@@ -9,27 +11,51 @@ from fluorospec.model import (SIGMA, SIGMA_DAG, BlockState, ModelSpec, SuperOp,
                               _anticommutator, _commutator, _H_DETUNING, _H_DRIVE,
                               _sandwich, require_valid)
 
+# T per block, rows e_aa, e_bb, (e_ba + e_ab)/2, -i(e_ba - e_ab)/2 in the
+# vec order (aa, ba, ab, bb); T^-1 columns e_aa, e_bb, e_ba + e_ab, i(e_ba - e_ab)
+T = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
+T_INV = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
 
-def kron_generator(spec: ModelSpec) -> SuperOp:
-    """build_generator's sum of kron(table, 4x4 superoperator) terms, in
-    the same order, with every term formed by np.kron (the detection
-    gains included)."""
+
+def to_real_coordinates(s: np.ndarray) -> np.ndarray:
+    """T s T^-1 of a 4x4 superoperator s in vec order; its imaginary part
+    must vanish."""
+    out = T @ s @ T_INV
+    assert not out.imag.any()
+    return out.real
+
+
+def _kron_sum(spec: ModelSpec, term) -> np.ndarray:
+    """build_generator's sum of kron(table, term(S)) terms over the 4x4
+    superoperators S in vec order, in the same order, every one formed by
+    np.kron (the detection gains included)."""
     require_valid(spec)
     phi = spec.rates.phi
     m = (np.kron(np.diag(spec.detuning - spec.delta_omegas()),
-                 _commutator(_H_DETUNING))
-         + np.kron(np.diag(spec.omega_rabis()), _commutator(_H_DRIVE))
+                 term(_commutator(_H_DETUNING)))
+         + np.kron(np.diag(spec.omega_rabis()), term(_commutator(_H_DRIVE)))
          - np.kron(np.diag(spec.effective_decays()),
-                   _anticommutator(SIGMA_DAG @ SIGMA / 2))
+                   term(_anticommutator(SIGMA_DAG @ SIGMA / 2)))
          + np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
-                   _sandwich(SIGMA))
-         + np.kron(phi - np.diag(phi.sum(axis=0)), np.eye(4)))
+                   term(_sandwich(SIGMA)))
+         + np.kron(phi - np.diag(phi.sum(axis=0)), term(np.eye(4))))
     for ch in spec.extra_channels:
         op = ch.operator_kind.matrix()
-        m += (np.kron(ch.eta, _sandwich(op))
+        m += (np.kron(ch.eta, term(_sandwich(op)))
               - np.kron(np.diag(ch.eta.sum(axis=0)),
-                        _anticommutator(op.conj().T @ op) / 2))
-    return SuperOp(m)
+                        term(_anticommutator(op.conj().T @ op) / 2)))
+    return m
+
+
+def vec_generator(spec: ModelSpec) -> np.ndarray:
+    """The complex generator on block states vectorized in vec order."""
+    return _kron_sum(spec, lambda s: s)
+
+
+def kron_generator(spec: ModelSpec) -> SuperOp:
+    """The generator in real coordinates, with every term mapped to
+    T S T^-1 before np.kron: the products and the order of build_generator."""
+    return SuperOp(_kron_sum(spec, to_real_coordinates))
 
 
 def block_hamiltonians(spec: ModelSpec) -> np.ndarray:

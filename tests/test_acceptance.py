@@ -38,8 +38,9 @@ def slowest_rate(spec):
 def test_criterion_01_markovian_reduction(markovian):
     gamma, omega = 1.0, SQRT_HALF
     # steady state
-    st = fs.steady_state(fs.build_generator(markovian)).to_vector()
-    assert np.abs(st - markovian_oracle.steady(gamma, omega)).max() < 1e-8
+    st = fs.steady_state(fs.build_generator(markovian)).blocks[0]
+    aa, ba, ab, bb = markovian_oracle.steady(gamma, omega)   # (aa, ba, ab, bb)
+    assert np.abs(st - np.array([[aa, ab], [ba, bb]])).max() < 1e-8
     # C1 and g2 on a time grid
     tau = np.linspace(0.0, 30.0, 301)
     assert np.abs(fs.c1(markovian, tau).values

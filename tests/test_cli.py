@@ -249,6 +249,25 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
 
 
+@pytest.mark.parametrize("key, value", [("schema", True), ("schema", 1.0),
+                                        ("output", None), ("output", 5),
+                                        ("output", [1]), ("output", "")],
+                         ids=["schema_true", "schema_float", "output_null",
+                              "output_number", "output_list", "output_empty"])
+def test_schema_and_output_types_exit_2(key, value, tmp_path, capsys, monkeypatch):
+    """The schema is exactly the integer 1 and the output a non-empty
+    string; nothing else is converted into one, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(FIG2A_CONFIG, task="steady", output="run")
+    cfg[key] = value
+    rc = cli.main(["steady", "--config", str(write_config(tmp_path, cfg))])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == "ConfigError"
+    assert f"config.{key}" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     """An output path in a missing directory is reported as a JSON error
     with exit code 2, not a traceback."""

@@ -1,20 +1,19 @@
-"""The real form of the generator: T L T^-1 in the coordinates
-(aa, bb, Re ba, Im ba) per block, and the kernels that factor it."""
+"""The generator in real coordinates: one real matrix T L T^-1 in the
+coordinates (aa, bb, Re ba, Im ba) per block, and the kernels that factor
+it, checked against the complex generator L in the vec order
+(aa, ba, ab, bb)."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 from conftest import random_block_state, random_spec
-from propagation_oracle import evolve, resolve
+from generator_oracle import T, T_INV, vec_generator
 from steady_oracle import dense_steady
 
 import fluorospec as fs
-from fluorospec.correl import _c1_pieces
-from fluorospec.model import SuperOp, from_real, real_form, to_real, trace_functional
+from fluorospec.model import SIGMA, SIGMA_DAG, SuperOp, detection_jump
 
-# T per block, rows e_aa, e_bb, (e_ba + e_ab)/2, -i(e_ba - e_ab)/2 in the
-# vec order (aa, ba, ab, bb); T^-1 columns e_aa, e_bb, e_ba + e_ab, i(e_ba - e_ab)
-T = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
-T_INV = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
 EPS = np.finfo(float).eps
 R_MAX = [1, 3, 20, 60]
 
@@ -23,14 +22,19 @@ def _spec(r_max, eta):
     return random_spec(np.random.default_rng(200 + r_max), r_max, with_channels=eta)
 
 
+def _similar(spec):
+    """T L T^-1 of the vec-order generator L by dense products."""
+    eye = np.eye(spec.r_max)
+    return np.kron(eye, T) @ vec_generator(spec) @ np.kron(eye, T_INV)
+
+
 @pytest.mark.parametrize("eta", [False, True], ids=["no_eta", "eta"])
 @pytest.mark.parametrize("r_max", R_MAX)
 def test_real_form_is_exact_dense_product(r_max, eta):
-    gen = fs.build_generator(_spec(r_max, eta))
-    eye = np.eye(r_max)
-    dense = np.kron(eye, T) @ gen.matrix @ np.kron(eye, T_INV)
+    spec = _spec(r_max, eta)
+    dense = _similar(spec)
     assert not dense.imag.any()
-    assert np.array_equal(real_form(gen), dense.real)
+    assert np.array_equal(fs.build_generator(spec).matrix, dense.real)
 
 
 @pytest.mark.parametrize("kind", list(fs.OperatorKind))
@@ -39,41 +43,64 @@ def test_real_form_exact_for_every_channel_operator(kind):
     spec = random_spec(rng, 3)
     eta = rng.uniform(0.0, 0.5, (3, 3))
     np.fill_diagonal(eta, 0.0)
-    gen = fs.build_generator(fs.ModelSpec(spec.space, spec.per_state, spec.rates,
-                                          (fs.GeneralJumpChannel(kind, eta),),
-                                          spec.detuning))
-    dense = np.kron(np.eye(3), T) @ gen.matrix @ np.kron(np.eye(3), T_INV)
+    spec = fs.ModelSpec(spec.space, spec.per_state, spec.rates,
+                        (fs.GeneralJumpChannel(kind, eta),), spec.detuning)
+    gen = fs.build_generator(spec)
+    assert gen.matrix.dtype == np.float64
+    assert detection_jump(spec).dtype == np.float64
+    dense = _similar(spec)
     assert not dense.imag.any()
-    assert np.array_equal(real_form(gen), dense.real)
+    assert np.array_equal(gen.matrix, dense.real)
 
 
 def test_real_form_rejects_non_hermiticity_preserving_matrix(fig2a):
-    m = fs.build_generator(fig2a).matrix.copy()
-    m[0, 1] += 1e-3j           # aa gains from ba but not from ab
+    m = fs.build_generator(fig2a).matrix.astype(complex)
+    m[0, 2] += 1e-3j           # aa gains from Re ba with an imaginary rate
     with pytest.raises(ValueError, match="Hermiticity"):
-        real_form(SuperOp(m))
+        SuperOp(m)
+
+
+def test_superop_takes_real_valued_complex_matrix(fig2a):
+    m = fs.build_generator(fig2a).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no ComplexWarning on the way
+        op = SuperOp(m.astype(complex))
+    assert op.matrix.dtype == np.float64
+    assert not op.matrix.flags.writeable
+    assert np.array_equal(op.matrix, m)
 
 
 def test_coordinate_maps_round_trip():
     rng = np.random.default_rng(3)
-    x = random_block_state(rng, 5).to_vector()
-    assert np.allclose(from_real(to_real(x)), x, rtol=0, atol=4 * EPS)
-    stack = np.column_stack([x, 2 * x])
-    assert np.array_equal(to_real(stack)[:, 1], to_real(2 * x))
-    b = random_block_state(rng, 5).blocks
-    hermitian = fs.BlockState(b + b.conj().transpose(0, 2, 1)).to_vector()
-    y = to_real(hermitian)
-    assert not y.imag.any()
-    assert np.array_equal(from_real(y.real), hermitian)
+    x = random_block_state(rng, 5)
+    again = fs.BlockState.from_vector(x.to_vector())
+    assert np.allclose(again.blocks, x.blocks, rtol=0, atol=4 * EPS)
+    assert np.array_equal(x.to_vector(), np.kron(np.eye(5), T) @ _vec(x.blocks))
+
+
+@pytest.mark.parametrize("r_max", R_MAX)
+def test_hermitian_states_round_trip_bit_for_bit(r_max):
+    rng = np.random.default_rng(500 + r_max)
+    for physical in (False, True):
+        x = random_block_state(rng, r_max, physical=physical)
+        h = fs.BlockState(x.blocks + x.blocks.conj().transpose(0, 2, 1))
+        y = h.to_vector()
+        assert not y.imag.any()
+        for v in (y, y.real):
+            assert fs.BlockState.from_vector(v).blocks.tobytes() == h.blocks.tobytes()
+    st = fs.prepare(_spec(r_max, True)).steady
+    again = fs.BlockState.from_vector(st.to_vector())
+    assert again.blocks.tobytes() == st.blocks.tobytes()
 
 
 @pytest.mark.parametrize("eta", [False, True], ids=["no_eta", "eta"])
 @pytest.mark.parametrize("r_max", R_MAX)
 def test_nullity_singular_values_are_those_of_L(r_max, eta, monkeypatch):
     """The matrix whose singular values certify nullity 1 on the dense path
-    (the oracle, and the library's error path) is unitarily similar to L:
-    same singular values, same n eps |L|_F tolerance."""
-    gen = fs.build_generator(_spec(r_max, eta))
+    (the oracle, and the library's error path) is unitarily similar to the
+    vec-order L: same singular values, same n eps |L|_F tolerance."""
+    spec = _spec(r_max, eta)
+    gen = fs.build_generator(spec)
     seen = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
@@ -83,13 +110,14 @@ def test_nullity_singular_values_are_those_of_L(r_max, eta, monkeypatch):
     assert _close(fs.steady_state(gen).to_vector(), st.to_vector())
     svdvals = la.svdvals
     d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], r_max)
-    assert np.array_equal(m, d[:, None] * real_form(gen) / d)
-    norm = la.norm(gen.matrix, "fro")
-    assert np.abs(svdvals(m) - svdvals(gen.matrix)).max() <= 16 * EPS * norm
+    assert np.array_equal(m, d[:, None] * gen.matrix / d)
+    vec = vec_generator(spec)
+    norm = la.norm(vec, "fro")
+    assert np.abs(svdvals(m) - svdvals(vec)).max() <= 16 * EPS * norm
     assert la.norm(m, "fro") == pytest.approx(norm, rel=16 * EPS)
 
 
-@pytest.mark.parametrize("call", ["steady_state", "stationary_mandel", "c1"])
+@pytest.mark.parametrize("call", ["steady_state", "stationary_mandel", "c1", "mean_counts"])
 def test_factorizations_run_in_real_arithmetic(call, fig5, monkeypatch):
     dtypes = {}
     for owner, name in ((np.linalg, "svd"), (np.linalg, "solve"), (la, "expm")):
@@ -104,20 +132,27 @@ def test_factorizations_run_in_real_arithmetic(call, fig5, monkeypatch):
     {"steady_state": lambda: fs.steady_state(fs.build_generator(fig5)),
      "stationary_mandel": lambda: fs.stationary_mandel(
          fig5, initial=fs.BlockState.ground(2)),
-     "c1": lambda: fs.c1(fig5, np.linspace(0.0, 5.0, 6))}[call]()
+     "c1": lambda: fs.c1(fig5, np.linspace(0.0, 5.0, 6)),
+     "mean_counts": lambda: fs.mean_counts(fig5, 3.0)}[call]()
     expected = {"steady_state": {"svd", "solve"},
                 "stationary_mandel": {"svd", "solve"},
-                "c1": {"svd", "solve", "expm"}}[call]
+                "c1": {"svd", "solve", "expm"},
+                "mean_counts": {"svd", "solve", "expm"}}[call]
     assert set(dtypes) == expected
     assert all(d == {np.dtype(np.float64)} for d in dtypes.values()), dtypes
 
 
+def _vec(blocks):
+    """Column-major (aa, ba, ab, bb) vector of (r_max, 2, 2) blocks."""
+    return blocks.transpose(0, 2, 1).reshape(-1)
+
+
 def _complex_oracle(spec):
-    """Steady state, projector P and reduced resolvent R0 from complex LU
-    solves of L in the (aa, ba, ab, bb) basis, with row 0 replaced by the
-    trace functional."""
-    m = fs.build_generator(spec).matrix
-    theta = trace_functional(spec.r_max)
+    """The vec-order L and trace functional, and the steady state,
+    projector P and reduced resolvent R0 from complex LU solves of L with
+    row 0 replaced by the trace functional."""
+    m = vec_generator(spec)
+    theta = np.tile([1.0, 0.0, 0.0, 1.0], spec.r_max)
     a = m.copy()
     a[0] = theta
     e0 = np.zeros(m.shape[0], dtype=complex)
@@ -126,7 +161,7 @@ def _complex_oracle(spec):
     proj = np.outer(rho, theta)
     b = proj - np.eye(m.shape[0])
     b[0] = 0.0
-    return m, rho, proj, la.solve(a, b)
+    return m, theta, rho, proj, la.solve(a, b)
 
 
 def _mandel(j, theta, rho, proj, r0, x0):
@@ -148,32 +183,32 @@ def _close(x, oracle):
 def test_observables_match_complex_basis_oracles(r_max, eta):
     spec = _spec(r_max, eta)
     rng = np.random.default_rng(300 + r_max)
-    m, rho, proj, r0 = _complex_oracle(spec)
-    gen = SuperOp(m)
+    m, theta, rho, proj, r0 = _complex_oracle(spec)
     p = fs.prepare(spec)
-    theta = trace_functional(r_max)
-    assert _close(p.steady.to_vector(), rho)
+    rho_blocks = rho.reshape(-1, 2, 2).transpose(0, 2, 1)
+    assert _close(p.steady.blocks, rho_blocks)
 
-    j = p.jump
+    j = np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+                np.kron(SIGMA.conj(), SIGMA))
     assert _close(fs.stationary_mandel(p), _mandel(j, theta, rho, proj, r0, rho))
     init = random_block_state(rng, r_max)                 # complex, not Hermitian
     init = fs.BlockState(init.blocks / init.total_trace())
     assert _close(fs.stationary_mandel(p, initial=init),
-                  _mandel(j, theta, rho, proj, r0, init.to_vector()))
+                  _mandel(j, theta, rho, proj, r0, _vec(init.blocks)))
 
     tau = np.linspace(0.0, 6.0, 5)
-    st = fs.BlockState.from_vector(rho)
-    seeds, w = _c1_pieces(spec, st)
-    c1 = [w @ evolve(gen, fs.BlockState(seeds), t).to_vector() for t in tau]
+    sq = np.sqrt(spec.effective_decays())
+    seed = _vec(sq[:, None, None] * (rho_blocks @ SIGMA_DAG))
+    w = np.zeros(4 * r_max)
+    w[1::4] = sq                                          # sqrt(gt) x_ba
+    c1 = [w @ la.expm(t * m) @ seed for t in tau]
     assert _close(fs.c1(p, tau).values, c1)
-    c2 = np.real([theta @ j @ evolve(gen, fs.BlockState.from_vector(j @ rho),
-                                     t).to_vector() for t in tau])
+    c2 = np.real([theta @ j @ la.expm(t * m) @ (j @ rho) for t in tau])
     assert _close(fs.c2(p, tau).values, c2)
     assert _close(fs.g2(p, tau).values, c2 / np.real(theta @ j @ rho) ** 2)
 
     omega = np.array([-7.5, -1.3, 0.4, 2.9])
-    v = fs.BlockState(seeds).to_vector()
-    v_dec = fs.BlockState.from_vector(v - rho * (theta @ v))
-    s_inc = [2.0 * np.real(w @ resolve(gen, -1j * om, v_dec).to_vector())
-             for om in omega]
+    v_dec = seed - rho * (theta @ seed)
+    eye = np.eye(m.shape[0])
+    s_inc = [2.0 * np.real(w @ la.solve(-1j * om * eye - m, v_dec)) for om in omega]
     assert _close(fs.incoherent_spectrum(p, omega).values, s_inc)

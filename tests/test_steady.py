@@ -7,7 +7,7 @@ import scipy.linalg as la
 from scipy.integrate import quad, solve_ivp
 
 import fluorospec as fs
-from fluorospec.model import real_form, trace_functional
+from fluorospec.model import trace_functional
 from fluorospec.steady import NullSpaceDegenerate, SingularShift
 
 from conftest import random_block_state, random_spec
@@ -241,12 +241,12 @@ def test_bordered_solve_certified(caller, fig5, monkeypatch):
 
 
 def _chain_complement(gen):
-    """S = Z_tt - Z_tf Z_ff^-1 Z_ft of the real form taken to the
+    """S = Z_tt - Z_tf Z_ff^-1 Z_ft of the generator taken to the
     coordinates (aa + bb, bb, Re ba, Im ba), by dense products and a scipy
     solve."""
     r = gen.r_max
     to_t = np.kron(np.eye(r), [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    z = to_t @ real_form(gen) @ la.inv(to_t)
+    z = to_t @ gen.matrix @ la.inv(to_t)
     t = np.arange(4 * r) % 4 == 0
     return z[np.ix_(t, t)] - z[np.ix_(t, ~t)] @ la.solve(z[np.ix_(~t, ~t)],
                                                          z[np.ix_(~t, t)])
@@ -386,7 +386,7 @@ def test_trapped_excited_state_solved_densely(monkeypatch):
                        [[0.0, 0.3], [0.0, 0.0]])
     gen = fs.build_generator(spec)
     with pytest.raises(SingularShift, match="fast block"):
-        fs.steady._chain_solve(real_form(gen), np.zeros((8, 1)), 1.0, certify_nullity=True)
+        fs.steady._chain_solve(gen.matrix, np.zeros((8, 1)), 1.0, certify_nullity=True)
     seen = _recording_svd(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -407,7 +407,7 @@ def test_cancelling_slow_rates_solved_densely():
                        [[0.0, 0.4], [0.4, 0.0]], driven=(0.0, 0.25, 1.5), detuning=-800.0)
     gen = fs.build_generator(spec)
     with pytest.raises(SingularShift, match="cancellation"):
-        fs.steady._chain_solve(real_form(gen), np.zeros((8, 1)), 1.0, certify_nullity=True)
+        fs.steady._chain_solve(gen.matrix, np.zeros((8, 1)), 1.0, certify_nullity=True)
     st = fs.steady_state(gen).to_vector()
     assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13
     # from a 50-digit solve of the generator assembled in exact rates
@@ -426,6 +426,6 @@ def test_negative_block_eigenvalue_solved_densely(fig5, monkeypatch):
         return y
 
     monkeypatch.setattr(fs.steady, "_chain_solve", off)
-    assert fs.steady._block_state(off(real_form(gen), np.zeros((8, 1)), 1.0))[1] < -1e-10
+    assert fs.steady._block_state(off(gen.matrix, np.zeros((8, 1)), 1.0))[1] < -1e-10
     st = fs.steady_state(gen).to_vector()
     assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13

@@ -5,11 +5,11 @@ statistics."""
 
 __version__ = "0.1.0"
 
-from .correl import (ObservableSeries, SeriesKind, ZeroIntensity, c1, c2, g2,
-                     qrt_two_time, stationary_intensity)
+from .correl import (ObservableSeries, ZeroIntensity, c1, c2, g2, qrt_two_time,
+                     stationary_intensity)
 from .counting import (CountingRecord, CountingSplit, ZeroCounts,
-                       counting_record, counting_split, line_shape,
-                       line_shape_sweep, mandel_q, mean_counts, pn,
+                       counting_record, counting_split, detuning_sweep,
+                       line_shape, mandel_q, mean_counts, pn,
                        second_factorial, stationary_mandel)
 from .model import (BlockState, ConfigSpace, FluctuationRates,
                     GeneralJumpChannel, ModelSpec, OperatorKind,

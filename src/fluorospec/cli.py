@@ -4,14 +4,12 @@ Each task writes one CSV (# metadata comments, header, rows with
 17-significant-digit scientific notation) plus a .meta.json sidecar with
 the fully resolved configuration, library version and wall time. Every
 task is a thin shell over the library: ``steady``, ``spectrum``, ``c1``,
-``c2`` and ``g2`` are one library call each, while ``counting``,
-``mandel-sweep`` and ``lineshape-sweep`` make one independent library call
-per grid point, spread over ``threads`` worker threads and written in
-index order. Outputs are therefore byte-identical across runs and thread
-counts. A sweep prepares its model once per run, at detuning 0, and
-shifts that model to each delta point (``Prepared.at_detuning``) instead
-of building and validating it again; the result is bit for bit the
-model built at that detuning.
+``c2`` and ``g2`` are one library call each; ``mandel-sweep`` and
+``lineshape-sweep`` are one ``counting.detuning_sweep`` call, and
+``counting`` maps ``counting.counting_record`` over its time grid with the
+same thread map. Both spread the grid points over ``threads`` worker
+threads and return them in grid order, so outputs are byte-identical
+across runs and thread counts.
 
 The sidecar is one line of sorted-key JSON without indentation, so that
 the json module's C encoder makes it: ``indent`` would switch to the
@@ -34,7 +32,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +40,10 @@ from . import __version__, correl, counting, scenarios, spectrum
 from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams, validate
 from .steady import NullSpaceDegenerate, config_populations, prepare
 
-TASKS = ("steady", "spectrum", "g2", "c1", "c2", "counting",
-         "mandel-sweep", "lineshape-sweep")
 TASK_GRID = {"steady": None, "spectrum": "omega", "g2": "tau", "c1": "tau",
              "c2": "tau", "counting": "time", "mandel-sweep": "delta",
              "lineshape-sweep": "delta"}
+TASKS = tuple(TASK_GRID)
 SCENARIOS = {
     "single_state": scenarios.single_state,
     "spectral_two_state": scenarios.spectral_two_state,
@@ -71,7 +67,7 @@ class GridSpec:
     def build(self) -> np.ndarray:
         if self.spacing == "linear":
             return np.linspace(self.start, self.stop, self.count)
-        return np.logspace(np.log10(self.start), np.log10(self.stop), self.count)
+        return np.geomspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)
@@ -275,13 +271,6 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _parallel_map(fn, n: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _csv_text(meta: dict, header: list[str], rows) -> str:
     lines = [f"# {k} = {v}" for k, v in sorted(meta.items())]
     lines.append(",".join(header))
@@ -339,10 +328,9 @@ def run(config: RunConfig) -> list[str]:
         p = prepare(spec)
         p.steady    # solved here, once, rather than raced for by the workers
 
-        def point(i):
-            return counting.counting_record(p, float(grid[i]), config.n_max)
-
-        recs = _parallel_map(point, grid.size, config.threads)
+        recs = counting._parallel_map(
+            lambda t: counting.counting_record(p, t, config.n_max),
+            grid.tolist(), config.threads)
         meta["aliasing_bound"] = _fmt(max(r.aliasing for r in recs))
         header = ["t", "mean", "second_factorial", "mandel_q", "remainder"]
         header += [f"p{n}" for n in range(config.n_max + 1)]
@@ -351,13 +339,8 @@ def run(config: RunConfig) -> list[str]:
     elif task in ("mandel-sweep", "lineshape-sweep"):
         observable, column = {"mandel-sweep": (counting.stationary_mandel, "q_st"),
                               "lineshape-sweep": (counting.line_shape, "intensity")}[task]
-        base = prepare(dataclasses.replace(spec, detuning=0.0))
-
-        def point(i):
-            return observable(base.at_detuning(float(grid[i])))
-
-        vals = _parallel_map(point, grid.size, config.threads)
-        header, rows = ["delta", column], zip(grid, vals)
+        series = counting.detuning_sweep(observable, spec, grid, config.threads)
+        header, rows = ["delta", column], zip(series.abscissa, series.values)
 
     csv_text = _csv_text(meta, header, rows)
     sidecar = f"{config.output}.meta.json"

@@ -10,10 +10,11 @@ geometric far-field prefactor is 1.
 
 The intensity correlation is C2(tau) = Tr J e^{tau L} J rho_inf and the
 stationary intensity I_st = Tr J rho_inf, with J the detection jump.
+Each result is an ObservableSeries: the values on their abscissa, with no
+tag naming the observable.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,21 +28,12 @@ class ZeroIntensity(Exception):
     """Stationary intensity vanishes; normalized correlations undefined."""
 
 
-class SeriesKind(enum.Enum):
-    C1 = "c1"
-    C2 = "c2"
-    G2 = "g2"
-    SPECTRUM_INC = "spectrum_inc"
-    LINE_SHAPE = "line_shape"
-
-
 @dataclass(frozen=True, eq=False)
 class ObservableSeries:
-    """Tagged (abscissa, values) grid for one observable."""
+    """The values of one observable on a strictly increasing abscissa."""
 
     abscissa: np.ndarray
     values: np.ndarray
-    kind: SeriesKind
 
     def __post_init__(self):
         a = np.asarray(self.abscissa, dtype=float)
@@ -100,7 +92,7 @@ def qrt_two_time(model: ModelSpec | Prepared, o1: np.ndarray, a: np.ndarray,
                       np.asarray(o1, complex))
     w = readout(a, np.ones(p.spec.r_max))
     tau, vals = _regression(p, BlockState(seeds).to_vector(), w, tau_grid)
-    return ObservableSeries(tau, vals, SeriesKind.C1)
+    return ObservableSeries(tau, vals)
 
 
 def _c1_pieces(spec: ModelSpec, st: BlockState):
@@ -121,7 +113,7 @@ def c1(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
     p = prepare(model)
     seeds, w = _c1_pieces(p.spec, p.steady)
     tau, vals = _regression(p, BlockState(seeds).to_vector(), w, tau_grid)
-    return ObservableSeries(tau, vals, SeriesKind.C1)
+    return ObservableSeries(tau, vals)
 
 
 def c2(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
@@ -130,7 +122,7 @@ def c2(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
     p = prepare(model)
     readout = trace_functional(p.spec.r_max) @ p.jump
     tau, vals = _regression(p, p.jump @ p.steady.to_vector(), readout, tau_grid)
-    return ObservableSeries(tau, np.real(vals), SeriesKind.C2)
+    return ObservableSeries(tau, np.real(vals))
 
 
 def stationary_intensity(model: ModelSpec | Prepared) -> float:
@@ -149,4 +141,4 @@ def g2(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
     if i_st <= 1e-300:
         raise ZeroIntensity("stationary intensity is zero; g2 undefined")
     series = c2(p, tau_grid)
-    return ObservableSeries(series.abscissa, series.values / i_st**2, SeriesKind.G2)
+    return ObservableSeries(series.abscissa, series.values / i_st**2)

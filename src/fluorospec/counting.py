@@ -22,10 +22,12 @@ solves the steady state (``steady._chain_solve``): one real LU of the
 fast block, then the r_max x r_max stochastic complement S with
 sum x_t = 0, so that slow configurational hops enter Q_st only through
 S, as they enter the steady state; the fast solve and the result on the
-full system are certified by their backward errors. A detuning sweep
-prepares its model once and shifts it to each detuning
-(``Prepared.at_detuning``). The matrix exponentials of P_n and of the
-factorial moments are scipy.linalg's ``expm``, imported on first use, so
+full system are certified by their backward errors. ``detuning_sweep``
+maps any observable over a grid of laser detunings: it prepares the model
+once, at detuning 0, and shifts it to each point (``Prepared.at_detuning``),
+spreading the points over the package's one thread map, ``_parallel_map``,
+which the CLI's counting task uses as well. The matrix exponentials of
+P_n and of the factorial moments are scipy.linalg's ``expm``, imported on first use, so
 that Q_st and the line shape never load scipy.linalg.
 
 Counting convention: unit detector efficiency over the full solid angle,
@@ -37,12 +39,14 @@ would be a behavioural change, not a bug fix.
 from __future__ import annotations
 
 import dataclasses
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correl import ObservableSeries, SeriesKind, stationary_intensity
+from .correl import ObservableSeries, stationary_intensity
 from .model import BlockState, ModelSpec, SuperOp, trace_functional
 from .steady import Prepared, _solve_real, prepare
 
@@ -229,13 +233,28 @@ def mandel_q(model: ModelSpec | Prepared, t: float,
 line_shape = stationary_intensity
 
 
-def line_shape_sweep(spec: ModelSpec, delta_grid) -> ObservableSeries:
-    """line_shape as a function of the laser detuning, from spec prepared
-    once at detuning 0 and shifted to each point (``Prepared.at_detuning``)."""
+def _parallel_map(fn, items: list, threads: int) -> list:
+    """[fn(x) for x in items], in order, on at most ``threads`` worker
+    threads and never more than there are items or CPUs; inline when that
+    leaves one worker (or none, for no items)."""
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def detuning_sweep(observable, spec: ModelSpec, delta_grid,
+                   threads: int = 1) -> ObservableSeries:
+    """observable(model at detuning delta) for each delta of an increasing
+    grid, in grid order, from spec prepared once at detuning 0 and shifted
+    to each point (``Prepared.at_detuning``, bit for bit the model built
+    there); the points are spread over up to ``threads`` worker threads."""
     grid = np.asarray(delta_grid, dtype=float)
     base = prepare(dataclasses.replace(spec, detuning=0.0))
-    vals = np.array([line_shape(base.at_detuning(float(d))) for d in grid])
-    return ObservableSeries(grid, vals, SeriesKind.LINE_SHAPE)
+    vals = _parallel_map(lambda d: observable(base.at_detuning(d)),
+                         grid.tolist(), threads)
+    return ObservableSeries(grid, np.array(vals))
 
 
 def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .correl import ObservableSeries, SeriesKind, _c1_pieces, stationary_intensity
+from .correl import ObservableSeries, _c1_pieces, stationary_intensity
 from .model import BlockState, ModelSpec, trace_functional
 from .steady import Prepared, prepare, resolve_deflated
 
@@ -45,12 +45,10 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     v = BlockState(seeds).to_vector()
     theta = trace_functional(p.spec.r_max)
     v_dec = v - p.steady.to_vector() * (theta @ v)
-    v_state = BlockState.from_vector(v_dec)
     vals = np.empty(omega.size)
     for i, om in enumerate(omega):
-        x = resolve_deflated(p.generator, -1j * om, v_state)
-        vals[i] = 2.0 * np.real(w @ x.to_vector())
-    return ObservableSeries(omega, vals, SeriesKind.SPECTRUM_INC)
+        vals[i] = 2.0 * np.real(w @ resolve_deflated(p.generator, -1j * om, v_dec))
+    return ObservableSeries(omega, vals)
 
 
 def sum_rule_check(model: ModelSpec | Prepared, omega_grid) -> float:

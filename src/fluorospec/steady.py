@@ -59,16 +59,18 @@ block that traps its excited population, a slow rate lost to
 cancellation, a failed backward error, or a negative block eigenvalue of
 the state), the dense nullity check of ``_check_nullity`` (singular values of
 the whole 4 r_max x 4 r_max L) names the nullity of L, and with nullity 1
-the dense bordered solve of L takes over (``_solve_dense``). Q_st takes
-the dense solve when its elimination raises SingularShift
-(``_solve_real``).
+the bordered solve on the whole L takes over. Q_st takes that dense
+solve when its elimination raises SingularShift (``_solve_real``).
 
-The bordered solve of the resolvent replaces row 0 of a, the aa entry of
-block 0, by the trace functional theta and takes one LU for all
-right-hand sides. Dropping that row loses no equation: theta a = u theta
-and theta rhs = u Tr x, so row 0's equation is minus the sum of the other
-aa and bb rows'. All nonzero entries of theta equal 1, so no row is better
-conditioned to sacrifice and no row search is needed.
+The bordered solve of the resolvent, ``resolve_deflated``, takes and
+returns vectors in the coordinates of ``BlockState.to_vector``, so the
+spectrum makes no round trip through blocks at each frequency. It replaces
+row 0 of a, the aa entry of block 0, by the trace functional theta and
+takes one LU for all right-hand sides. Dropping that row loses no
+equation: theta a = u theta and theta rhs = u Tr x, so row 0's equation is
+minus the sum of the other aa and bb rows'. All nonzero entries of theta
+equal 1, so no row is better conditioned to sacrifice and no row search
+is needed.
 """
 from __future__ import annotations
 
@@ -193,7 +195,8 @@ def steady_state(generator: SuperOp) -> BlockState:
         eigmin = -np.inf
     if eigmin < -1e-10:         # the elimination is not certified here
         _check_nullity(m)       # names the nullity of L when it is not 1
-        st, eigmin = _block_state(_solve_dense(m, zero, 1.0))
+        st, eigmin = _block_state(
+            _bordered_solve(m, zero, trace_functional(generator.r_max), 1.0))
         if eigmin < -1e-10:
             raise ValueError(
                 f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
@@ -209,20 +212,19 @@ def _block_state(y: np.ndarray) -> tuple[BlockState, float]:
     return st, np.linalg.eigvalsh(st.blocks).min()
 
 
-def resolve_deflated(generator: SuperOp, u: complex, v: BlockState) -> BlockState:
-    """Resolvent solve restricted to the trace-zero complement.
+def resolve_deflated(generator: SuperOp, u: complex, rhs: np.ndarray) -> np.ndarray:
+    """Resolvent solve restricted to the trace-zero complement, on vectors
+    in the coordinates of ``BlockState.to_vector``.
 
     Valid only for trace-free right-hand sides: the bordered solve
-    (u - L) x = v with Tr x = 0, which also regularizes u = 0 (the steady
+    (u - L) x = rhs with Tr x = 0, which also regularizes u = 0 (the steady
     pole) where the plain resolvent is singular but the complement solve
     is not.
     """
-    rhs = v.to_vector()
-    if rhs.size != generator.dim:
-        raise ValueError(f"state dim {rhs.size} != generator dim {generator.dim}")
+    if rhs.shape != (generator.dim,):
+        raise ValueError(f"vector shape {rhs.shape} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
-    return BlockState.from_vector(
-        _bordered_solve(a, rhs, trace_functional(generator.r_max)))
+    return _bordered_solve(a, rhs, trace_functional(generator.r_max))
 
 
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a solve:
@@ -281,14 +283,6 @@ def _bordered_solve(a: np.ndarray, rhs: np.ndarray, theta: np.ndarray,
     return x
 
 
-def _solve_dense(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
-    """The bordered solve of L y = rhs, theta y = trace on the whole
-    4 r_max x 4 r_max L, for models where the elimination is not
-    certified (for example a fast block made singular by blocks without
-    decay)."""
-    return _bordered_solve(gen, rhs, trace_functional(gen.shape[0] // 4), trace)
-
-
 def _solve_real(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
     """The real columns y with L y = rhs and theta y = trace: by
     elimination, or by the dense bordered solve where the elimination
@@ -296,7 +290,7 @@ def _solve_real(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
     try:
         return _chain_solve(gen, rhs, trace)
     except SingularShift:
-        return _solve_dense(gen, rhs, trace)
+        return _bordered_solve(gen, rhs, trace_functional(gen.shape[0] // 4), trace)
 
 
 def _chain_solve(gen: np.ndarray, rhs: np.ndarray, trace: float,

@@ -437,6 +437,24 @@ def test_mandel_sweep_reaches_the_detuning_limit(tmp_path):
     assert rows[-1][1] == pytest.approx(limit, rel=1e-10)
 
 
+def test_log_grid_keeps_its_endpoints(tmp_path):
+    """A log grid starts and stops exactly at its configured values, and
+    the observable is computed there."""
+    delta = {"start": 0.3, "stop": 30.0, "count": 7, "spacing": "log"}
+    cfg = dict(FIG2A_CONFIG, task="lineshape-sweep", grids={"delta": delta},
+               output=str(tmp_path / "log"))
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["lineshape-sweep", "--config", str(cfg_path)]) == 0
+    lines = [l for l in (tmp_path / "log_lineshape_sweep.csv").read_text().splitlines()
+             if not l.startswith("#")][1:]
+    rows = np.array([[float(x) for x in l.split(",")] for l in lines])
+    assert rows[0, 0] == 0.3 and rows[-1, 0] == 30.0
+    assert np.allclose(rows[:, 0], 0.3 * 10.0 ** (np.arange(7) / 3), rtol=1e-14, atol=0)
+    spec = cli.build_model(cli.parse_config(json.dumps(cfg)))
+    assert rows[0, 1] == fs.line_shape(dataclasses.replace(spec, detuning=0.3))
+    assert rows[-1, 1] == fs.line_shape(dataclasses.replace(spec, detuning=30.0))
+
+
 def test_parser_built_once_per_process(tmp_path, capsys):
     cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG, task="steady",
                                            output=str(tmp_path / "once")))

@@ -138,9 +138,9 @@ def test_g2_zero_intensity_error():
 
 def test_observable_series_validation():
     with pytest.raises(ValueError):
-        fs.ObservableSeries(np.array([0.0, 1.0]), np.array([1.0]), fs.SeriesKind.C1)
+        fs.ObservableSeries(np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        fs.ObservableSeries(np.array([1.0, 0.0]), np.array([1.0, 2.0]), fs.SeriesKind.C1)
+        fs.ObservableSeries(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
 
 
 def test_conjugate_symmetry_under_detuning():

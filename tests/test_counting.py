@@ -7,6 +7,7 @@ import scipy.linalg as la
 from scipy.integrate import simpson, solve_ivp
 
 import fluorospec as fs
+from fluorospec import counting
 from fluorospec.counting import counting_split, _factorial_moments
 from fluorospec.model import trace_functional
 
@@ -247,9 +248,9 @@ def test_line_shape_equals_stationary_intensity(markovian, fig2a, fig5):
             fs.stationary_intensity(spec), abs=1e-12)
 
 
-def test_line_shape_sweep_lorentzian(markovian):
+def test_line_shape_detuning_sweep_lorentzian(markovian):
     deltas = np.linspace(-4.0, 4.0, 81)
-    series = fs.line_shape_sweep(markovian, deltas)
+    series = fs.detuning_sweep(fs.line_shape, markovian, deltas)
     gamma, omega = 1.0, 2**-0.5
     closed = gamma * omega**2 / (gamma**2 + 2 * omega**2 + 4 * deltas**2)
     assert np.abs(series.values - closed).max() < 1e-10
@@ -261,8 +262,47 @@ def test_line_shape_sweep_lorentzian(markovian):
 
 def test_line_shape_fig5_monotone_in_detuning(fig5):
     deltas = np.linspace(0.0, 30.0, 16)
-    series = fs.line_shape_sweep(fig5, deltas)
+    series = fs.detuning_sweep(fs.line_shape, fig5, deltas)
     assert np.all(np.diff(series.values) < 0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("observable", [fs.line_shape, fs.stationary_mandel],
+                         ids=["line_shape", "stationary_mandel"])
+@pytest.mark.parametrize("model", ["fig5", "random5"])
+def test_detuning_sweep_equals_rebuild_bit_for_bit(model, observable, threads, fig5):
+    """The sweep shifts one model prepared at detuning 0; each point equals
+    the observable of the model built at that detuning, in grid order."""
+    spec = fig5 if model == "fig5" else random_spec(np.random.default_rng(5), 5)
+    deltas = np.array([-7.5, -0.3, 0.0, 0.25, 3.0, 1e3])
+    series = fs.detuning_sweep(observable, spec, deltas, threads)
+    want = [observable(fs.prepare(dataclasses.replace(spec, detuning=float(d))))
+            for d in deltas]
+    assert np.array_equal(series.abscissa, deltas)
+    assert np.array_equal(series.values, want)
+
+
+def test_thread_map_bounds_its_workers(monkeypatch, fig5):
+    """Never more workers than grid points or CPUs, whatever threads asks
+    for; one worker, or an empty grid, runs inline without a pool."""
+    made = []
+
+    class Recorder(counting.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", Recorder)
+    deltas = [0.0, 1.0, 2.0]
+    inline = fs.detuning_sweep(fs.line_shape, fig5, deltas).values
+    for cpus, expected in ((8, [3]), (2, [2]), (1, []), (None, [])):
+        made.clear()
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+        values = fs.detuning_sweep(fs.line_shape, fig5, deltas, threads=10**6).values
+        assert made == expected, cpus
+        assert np.array_equal(values, inline)
+    made.clear()
+    assert counting._parallel_map(abs, [], 10**6) == [] and made == []
 
 
 def test_stationary_mandel_markovian_long_time():

@@ -140,9 +140,9 @@ def test_resolve_singular_shift_detected(markovian):
     v = random_block_state(rng, 1)
     vec = v.to_vector()
     vec = vec - st.to_vector() * (trace_functional(1) @ vec)
-    x = fs.steady.resolve_deflated(gen, 0.0, fs.BlockState.from_vector(vec))
+    x = fs.steady.resolve_deflated(gen, 0.0, vec)
     r0 = fs.laurent_decomposition(markovian).reduced_resolvent.matrix
-    assert np.abs(x.to_vector() - r0 @ vec).max() < 1e-10
+    assert np.abs(x - r0 @ vec).max() < 1e-10
 
 
 def test_laurent_defining_relations(fig2a):
@@ -220,7 +220,7 @@ def test_exactly_singular_bordered_solve_raises_singular_shift():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularShift, match="bordered solve") as info:
-            fs.steady.resolve_deflated(gen, 0.0, v)
+            fs.steady.resolve_deflated(gen, 0.0, v.to_vector())
     assert info.value.__cause__ is None and info.value.__suppress_context__
 
 

@@ -40,10 +40,17 @@ class ObservableSeries:
         v = np.asarray(self.values)
         if a.shape != (v.shape[0],):
             raise ValueError(f"abscissa length {a.shape} != values length {v.shape}")
-        if a.size > 1 and not np.all(np.diff(a) > 0):
-            raise ValueError("abscissa must be strictly increasing")
-        object.__setattr__(self, "abscissa", a)
+        object.__setattr__(self, "abscissa", _increasing(a))
         object.__setattr__(self, "values", v)
+
+
+def _increasing(grid) -> np.ndarray:
+    """grid as a float array; ValueError unless it is strictly increasing.
+    Every grid is checked here before its first point is computed."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
 
 
 def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -55,11 +62,9 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     """
     import scipy.linalg as la
 
-    grid = np.asarray(grid, dtype=float)
+    grid = _increasing(grid)
     if grid.size and (grid[0] < 0 or not np.all(np.isfinite(grid))):
         raise ValueError("grid must be finite and nonnegative")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing")
     m = generator.matrix
     out = np.empty((v0.size, grid.size), dtype=complex)
     steps = np.diff(grid, prepend=0.0)

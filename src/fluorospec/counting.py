@@ -15,20 +15,20 @@ z > 1 bounds that aliased mass and is reported next to the truncation
 remainder. Factorial moments come from the exact s-derivative chain at
 s = 1 (never finite-differenced). The stationary Mandel factor comes from
 the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
-resolvent, applied to vectors: R0 v is the trace-free solution of
-L x = (P - Id) v, solved for R0 J rho_inf and, from an explicit initial
-state, R0 x0 by the elimination onto the configurational chain that
-solves the steady state (``steady._chain_solve``): one real LU of the
-fast block, then the r_max x r_max stochastic complement S with
-sum x_t = 0, so that slow configurational hops enter Q_st only through
-S, as they enter the steady state; the fast solve and the result on the
-full system are certified by their backward errors. ``detuning_sweep``
-maps any observable over a grid of laser detunings: it prepares the model
-once, at detuning 0, and shifts it to each point (``Prepared.at_detuning``),
-spreading the points over the package's one thread map, ``_parallel_map``,
-which the CLI's counting task uses as well. The matrix exponentials of
-P_n and of the factorial moments are scipy.linalg's ``expm``, imported on first use, so
-that Q_st and the line shape never load scipy.linalg.
+resolvent, applied to one vector: R0 J rho_inf is the trace-free solution
+of L x = (P - Id) J rho_inf, one real column solved by the elimination
+onto the configurational chain that solves the steady state
+(``steady._chain_solve``): one real LU of the fast block, then the
+r_max x r_max stochastic complement S with sum x_t = 0, so that slow
+configurational hops enter Q_st only through S, as they enter the steady
+state; the fast solve and the result on the full system are certified by
+their backward errors. ``detuning_sweep`` maps any observable over a grid
+of laser detunings: it prepares the model once, at detuning 0, and shifts
+it to each point (``Prepared.at_detuning``), spreading the points over the
+package's one thread map, ``_parallel_map``, which the CLI's counting task
+uses as well. The matrix exponentials of P_n and of the factorial moments
+are scipy.linalg's ``expm``, imported on first use, so that Q_st and the
+line shape never load scipy.linalg.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correl import ObservableSeries, stationary_intensity
+from .correl import ObservableSeries, _increasing, stationary_intensity
 from .model import BlockState, ModelSpec, SuperOp, trace_functional
 from .steady import Prepared, _solve_real, prepare
 
@@ -246,11 +246,12 @@ def _parallel_map(fn, items: list, threads: int) -> list:
 
 def detuning_sweep(observable, spec: ModelSpec, delta_grid,
                    threads: int = 1) -> ObservableSeries:
-    """observable(model at detuning delta) for each delta of an increasing
-    grid, in grid order, from spec prepared once at detuning 0 and shifted
-    to each point (``Prepared.at_detuning``, bit for bit the model built
-    there); the points are spread over up to ``threads`` worker threads."""
-    grid = np.asarray(delta_grid, dtype=float)
+    """observable(model at detuning delta) for each delta of a strictly
+    increasing grid, in grid order, from spec prepared once at detuning 0
+    and shifted to each point (``Prepared.at_detuning``, bit for bit the
+    model built there); the points are spread over up to ``threads`` worker
+    threads. ValueError, before any point, when the grid is not increasing."""
+    grid = _increasing(delta_grid)
     base = prepare(dataclasses.replace(spec, detuning=0.0))
     vals = _parallel_map(lambda d: observable(base.at_detuning(d)),
                          grid.tolist(), threads)
@@ -270,54 +271,30 @@ def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,
                           remainder=float(1.0 - probs.sum()), aliasing=aliasing)
 
 
-def stationary_mandel(model: ModelSpec | Prepared,
-                      initial: BlockState | None = None) -> float:
-    """Exact stationary Mandel factor of a ModelSpec or Prepared from the
-    Laurent expansion at u = 0, applied to vectors.
+def stationary_mandel(model: ModelSpec | Prepared) -> float:
+    """Exact stationary Mandel factor Q_st = 2 theta J x / I_st of a
+    ModelSpec or Prepared, the t -> infinity limit of Q(t).
 
-    In the Laplace domain the first two s-derivatives of the half-trace of
-    the generating operator have pole structures (p + q u)/(P u^2 + Q u^3)
-    and (pt + qt u)/(Pt u^3 + Qt u^4); substituting
-    (u - L)^-1 = P/u + R0 + O(u), P = rho_inf theta, identifies the
-    asymptotic coefficients a, b, A of 2Y'(t) ~ 2(a + b t),
-    2Y''(t) ~ 2(C + A t + B t^2) and Q_st = A/b - 4a, with the line shape
-    fixed by I = 2b and B = 2 b^2 holding identically (both checked).
-    Only R0 (J rho_inf) and, for an explicit initial state, R0 x0 are
-    needed: R0 v is the trace-free solution of L x = (P - Id) v, solved
-    for the real and imaginary parts of both columns by elimination onto
-    the configurational chain (SingularShift if a backward error fails);
-    from the steady state R0 rho_inf = 0, so a = 0 and
-    Q_st = 2 theta J R0 J rho_inf / I_st.
+    x = R0 J rho_inf, with R0 the reduced resolvent of the Laurent expansion
+    (u - L)^-1 = P/u + R0 + O(u), P = rho_inf theta, is the trace-free
+    solution of L x = (P - Id) J rho_inf = I_st rho_inf - J rho_inf: one
+    real column, solved by elimination onto the configurational chain with
+    the dense bordered solve as its fallback (``_solve_real``; SingularShift
+    if a backward error fails). The limit does not depend on the initial
+    state x0 of trace 1: the asymptotes 2(a + b t) of the mean count and
+    2(C + A t + B t^2) of the second factorial moment give Q_st = A/b - 4a
+    with b = I_st / 2, a = theta J R0 x0 / 2 and
+    A = 2 I_st a + theta J R0 J rho_inf, so that
+    Q_st = 2 theta J R0 J rho_inf / I_st + 4a - 4a. ZeroCounts when I_st
+    vanishes.
     """
     p = prepare(model)
-    j = p.jump
     theta = trace_functional(p.spec.r_max)
-    rho_inf = p.steady.to_vector()
-    x0 = rho_inf if initial is None else initial.to_vector()
-
-    tj = theta @ j
-    i_st = float(np.real(tj @ rho_inf))
-    px0 = rho_inf * (theta @ x0)
-    b = 0.5 * np.real(tj @ px0)                    # u^-2 coefficient of Y'
-    u3_coef = np.real((tj @ rho_inf) * (tj @ px0))  # u^-3 coefficient of Y''
-    scale = max(i_st, 1.0)
-    if abs(2.0 * b - i_st) > 1e-9 * scale:
-        raise ArithmeticError(
-            f"line-shape identity violated: 2b={2 * b:.6e} vs I_st={i_st:.6e}")
-    if abs(u3_coef - i_st**2) > 1e-9 * scale**2:
-        raise ArithmeticError(
-            f"u^-3 coefficient {u3_coef:.6e} != I_st^2={i_st**2:.6e}")
+    tj = theta @ p.jump
+    rho_inf = p.steady.to_vector().real
+    i_st = float(tj @ rho_inf)
     if i_st <= 1e-300:
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
-
-    vs = np.column_stack([j @ rho_inf] if initial is None else [j @ rho_inf, x0])
-    c = np.outer(rho_inf, theta @ vs) - vs
-    y = _solve_real(p.generator.matrix, np.hstack([c.real, c.imag]), 0.0)
-    r0 = y[:, :vs.shape[1]] + 1j * y[:, vs.shape[1]:]
-    a_coef = np.real(tj @ r0[:, 0])
-    a = 0.0
-    if initial is not None:
-        tj_r0x0 = tj @ r0[:, 1]
-        a = 0.5 * np.real(tj_r0x0)
-        a_coef += np.real((tj @ rho_inf) * tj_r0x0)
-    return float(a_coef / b - 4.0 * a)
+    j_rho = p.jump @ rho_inf
+    x = _solve_real(p.generator.matrix, (rho_inf * (theta @ j_rho) - j_rho)[:, None], 0.0)
+    return float(2.0 * (tj @ x[:, 0]) / i_st)

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .correl import ObservableSeries, _c1_pieces, stationary_intensity
+from .correl import ObservableSeries, _c1_pieces, _increasing, stationary_intensity
 from .model import BlockState, ModelSpec, trace_functional
 from .steady import Prepared, prepare, resolve_deflated
 
@@ -37,10 +37,10 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     resolvent there, and SingularShift is raised only when the solve
     itself fails (a shift on that eigenvalue to working precision).
     """
-    p = prepare(model)
-    omega = np.asarray(omega_grid, dtype=float)
+    omega = _increasing(omega_grid)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega grid must be finite")
+    p = prepare(model)
     seeds, w = _c1_pieces(p.spec, p.steady)
     v = BlockState(seeds).to_vector()
     theta = trace_functional(p.spec.r_max)

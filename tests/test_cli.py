@@ -361,6 +361,12 @@ def test_counting_csv_has_no_nan(tmp_path, capsys):
     assert cli.main(["counting", "--config", str(write_config(tmp_path, dark))]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "ZeroCounts"
     assert not (tmp_path / "dark_counting.csv").exists()
+    # nor has it a stationary Mandel factor
+    sweep = dict(dark, task="mandel-sweep", grids={"delta": {"start": 0.0, "stop": 1.0,
+                                                             "count": 2}})
+    assert cli.main(["mandel-sweep", "--config", str(write_config(tmp_path, sweep))]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ZeroCounts"
+    assert not (tmp_path / "dark_mandel_sweep.csv").exists()
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

@@ -282,6 +282,20 @@ def test_detuning_sweep_equals_rebuild_bit_for_bit(model, observable, threads, f
     assert np.array_equal(series.values, want)
 
 
+@pytest.mark.parametrize("deltas", [[3.0, 2.0, 1.0], [1.0, 1.0]],
+                         ids=["decreasing", "repeated"])
+def test_detuning_sweep_rejects_grid_before_any_point(deltas):
+    calls = []
+
+    def observable(model):
+        calls.append(model)
+        return 0.0
+
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fs.detuning_sweep(observable, fs.single_state(1.0, 0.7), deltas)
+    assert calls == []
+
+
 def test_thread_map_bounds_its_workers(monkeypatch, fig5):
     """Never more workers than grid points or CPUs, whatever threads asks
     for; one worker, or an empty grid, runs inline without a pool."""
@@ -313,9 +327,19 @@ def test_stationary_mandel_markovian_long_time():
 
 
 def test_stationary_mandel_initial_state_independent(fig5):
+    """Q_st is the t -> infinity limit of Q(t): the Laurent oracle from the
+    ground state gives the value computed from the steady state alone, and
+    the function takes no initial state."""
     q_steady = fs.stationary_mandel(fig5)
-    q_ground = fs.stationary_mandel(fig5, initial=fs.BlockState.ground(2))
+    q_ground = _laurent_mandel(fs.prepare(fig5), fs.BlockState.ground(2))
     assert q_ground == pytest.approx(q_steady, rel=1e-9)
+    with pytest.raises(TypeError):
+        fs.stationary_mandel(fig5, fs.BlockState.ground(2))
+
+
+def test_stationary_mandel_zero_counts():
+    with pytest.raises(fs.ZeroCounts):
+        fs.stationary_mandel(fs.single_state(gamma=1.0, omega_rabi=0.0))
 
 
 def test_stationary_mandel_fig5_detuning_limit(fig5):
@@ -350,8 +374,7 @@ def test_stationary_mandel_matches_laurent_oracle(r_max, eta, initial):
     rng = np.random.default_rng(100 + r_max)
     p = fs.prepare(random_spec(rng, r_max, with_channels=eta))
     x0 = random_block_state(rng, r_max, physical=True) if initial else None
-    assert fs.stationary_mandel(p, x0) == pytest.approx(_laurent_mandel(p, x0),
-                                                        rel=1e-12)
+    assert fs.stationary_mandel(p) == pytest.approx(_laurent_mandel(p, x0), rel=1e-12)
 
 
 def test_stationary_mandel_stiff_telegraph_limit():
@@ -401,10 +424,9 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
 def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
     """Q_st factors its fast block once per call: once the steady state is
     solved, one real LU of the 3 r_max x 3 r_max fast block solves for
-    Z_ft and the (Re, Im) columns of one right-hand side from the steady
-    state, of two from an explicit initial state, and one r_max x r_max LU
-    solves the chain; a fresh Prepared takes two such pairs in all, the
-    steady state's and Q_st's."""
+    Z_ft and the one real right-hand side, and one r_max x r_max LU solves
+    the chain; a fresh Prepared takes two such pairs in all, the steady
+    state's and Q_st's."""
     solved = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
@@ -415,10 +437,8 @@ def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
     assert len(solved) == 2
     solved.clear()
     fs.stationary_mandel(p)
-    fs.stationary_mandel(p, initial=fs.BlockState.ground(2))
     real = np.dtype(np.float64)
-    assert solved == [(real, (6, 6), (6, 4)), (real, (2, 2), (2, 2)),
-                      (real, (6, 6), (6, 6)), (real, (2, 2), (2, 4))]
+    assert solved == [(real, (6, 6), (6, 3)), (real, (2, 2), (2, 1))]
     solved.clear()
     fs.stationary_mandel(fs.prepare(fig5))
     assert len(solved) == 4

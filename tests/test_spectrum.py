@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fluorospec as fs
+from fluorospec import spectrum
 from fluorospec.correl import _c1_pieces
 from fluorospec.model import trace_functional
 
@@ -94,6 +95,15 @@ def test_spectrum_symmetry_resonant(fig2a):
     left = fs.incoherent_spectrum(fig2a, -x[::-1]).values[::-1]
     right = fs.incoherent_spectrum(fig2a, x).values
     assert np.abs(left - right).max() < 1e-9 * right.max()
+
+
+def test_spectrum_rejects_grid_before_any_solve(markovian, monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectrum, "resolve_deflated",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fs.incoherent_spectrum(markovian, [1.0, 0.0, -1.0])
+    assert calls == []
 
 
 def test_sum_rule_markovian(markovian):

@@ -11,13 +11,16 @@ same thread map. Both spread the grid points over ``threads`` worker
 threads and return them in grid order, so outputs are byte-identical
 across runs and thread counts.
 
-The sidecar is one line of sorted-key JSON without indentation, so that
-the json module's C encoder makes it: ``indent`` would switch to the
-pure-Python encoder, about three times as slow on a large inline model.
-The model is encoded once per run, for the CSV's model line and the
-sidecar. Both files are encoded before either is written, and a CSV
-whose sidecar cannot be written is removed again, so no result file is
-left without its sidecar.
+The model is recorded once, in the sidecar; the CSV's comment lines hold
+the task, the version and the task's own scalars. The sidecar is one line
+of sorted-key JSON without indentation, so that the json module's C
+encoder makes it: ``indent`` would switch to the pure-Python encoder,
+about three times as slow on a large inline model. Both files are encoded
+before either is written, and a CSV whose sidecar cannot be written is
+removed again, so no result file is left without its sidecar.
+
+The command line's task, ``--out`` and ``--threads`` replace the config's
+own values before the checks, which run once, on the values the run uses.
 
 Exit codes: 0 ok, 2 config error or unwritable output, 3 numerical failure.
 """
@@ -72,7 +75,6 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    schema: int
     model: dict
     task: str
     grids: dict
@@ -146,20 +148,11 @@ def _parse_grid(obj, name: str) -> GridSpec:
     return g
 
 
-def _require_task_inputs(config: RunConfig) -> None:
-    """The task's grid, for counting n_max, and threads >= 1; checked again
-    after the command line overrides the task and the thread count."""
-    if config.threads < 1:
-        raise ConfigError(f"config.threads: must be >= 1, got {config.threads}")
-    needed = TASK_GRID[config.task]
-    if needed and needed not in config.grids:
-        raise ConfigError(f"config.grids: task {config.task!r} needs a {needed!r} grid")
-    if config.task == "counting" and config.n_max is None:
-        raise ConfigError("config.n_max: required for the counting task")
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration; all defaults resolved."""
+def parse_config(text: str, *, task: str | None = None, output: str | None = None,
+                 threads: int | None = None) -> RunConfig:
+    """Parse and validate a JSON run configuration; all defaults resolved.
+    Each of task, output and threads that is not None replaces the config's
+    own value before any value is checked, so only the values used are."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -167,6 +160,9 @@ def parse_config(text: str) -> RunConfig:
                           f"column {exc.colno}: {exc.msg}") from exc
     _require_keys(raw, {"schema", "model", "task", "grids", "output",
                         "threads", "n_max"}, {"schema", "model", "task"}, "config")
+    for key, value in (("task", task), ("output", output), ("threads", threads)):
+        if value is not None:
+            raw[key] = value
     # exactly the integer 1: true and 1.0 compare equal to 1
     if type(raw["schema"]) is not int or raw["schema"] != 1:
         raise ConfigError(f"config.schema: unsupported version {raw['schema']!r}")
@@ -215,11 +211,17 @@ def parse_config(text: str) -> RunConfig:
         if n_max < 0:
             raise ConfigError(f"config.n_max: must be >= 0, got {n_max}")
 
-    cfg = RunConfig(schema=1, model=model, task=task, grids=grids,
-                    output=output,
-                    threads=_integer(raw.get("threads", 1), "config.threads"),
-                    n_max=n_max)
-    _require_task_inputs(cfg)
+    threads = _integer(raw.get("threads", 1), "config.threads")
+    if threads < 1:
+        raise ConfigError(f"config.threads: must be >= 1, got {threads}")
+    needed = TASK_GRID[task]
+    if needed and needed not in grids:
+        raise ConfigError(f"config.grids: task {task!r} needs the {needed!r} grid")
+    if task == "counting" and n_max is None:
+        raise ConfigError("config.n_max: required for the counting task")
+
+    cfg = RunConfig(model=model, task=task, grids=grids, output=output,
+                    threads=threads, n_max=n_max)
     try:
         problems = validate(build_model(cfg))
     except (TypeError, ValueError) as exc:
@@ -231,7 +233,7 @@ def parse_config(text: str) -> RunConfig:
 
 def _config_dict(config: RunConfig) -> dict:
     """The resolved config as the JSON object of the sidecar's "config"."""
-    d = {"schema": config.schema, "model": config.model, "task": config.task,
+    d = {"schema": 1, "model": config.model, "task": config.task,
          "grids": {k: dataclasses.asdict(g) for k, g in config.grids.items()},
          "output": config.output, "threads": config.threads}
     if config.n_max is not None:
@@ -279,18 +281,11 @@ def _csv_text(meta: dict, header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sidecar_text(config: RunConfig, model_json: str, wall_time_s: float) -> str:
-    """Sorted-key JSON of the resolved config, version and wall time.
-
-    The model is not encoded a second time: model_json, the CSV's model
-    line, takes the place of '"model": null' in the encoded rest. JSON
-    escapes every quote inside a string, so that text can only be a key
-    with a null value, and config.model is the one key of that name.
-    """
-    text = json.dumps({"config": dict(_config_dict(config), model=None),
-                       "version": __version__, "wall_time_s": wall_time_s},
+def _sidecar_text(config: RunConfig, wall_time_s: float) -> str:
+    """Sorted-key JSON of the resolved config, version and wall time."""
+    return json.dumps({"config": _config_dict(config), "version": __version__,
+                       "wall_time_s": wall_time_s},
                       sort_keys=True, separators=(", ", ": "))
-    return text.replace('"model": null', f'"model": {model_json}', 1)
 
 
 def run(config: RunConfig) -> list[str]:
@@ -300,8 +295,7 @@ def run(config: RunConfig) -> list[str]:
     task = config.task
     grid_name = TASK_GRID[task]
     grid = config.grids[grid_name].build() if grid_name else None
-    model_json = json.dumps(config.model, sort_keys=True)
-    meta = {"task": task, "version": __version__, "model": model_json}
+    meta = {"task": task, "version": __version__}
     csv_path = f"{config.output}_{task.replace('-', '_')}.csv"
 
     if task == "steady":
@@ -344,7 +338,7 @@ def run(config: RunConfig) -> list[str]:
 
     csv_text = _csv_text(meta, header, rows)
     sidecar = f"{config.output}.meta.json"
-    sidecar_text = _sidecar_text(config, model_json, time.perf_counter() - t0)
+    sidecar_text = _sidecar_text(config, time.perf_counter() - t0)
     with open(csv_path, "w") as fh:
         fh.write(csv_text)
     try:
@@ -386,14 +380,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             text = fh.read()
-        cfg = parse_config(text)
-        overrides = {"task": args.task}
-        if args.out is not None:
-            overrides["output"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        cfg = dataclasses.replace(cfg, **overrides)
-        _require_task_inputs(cfg)
+        cfg = parse_config(text, task=args.task, output=args.out, threads=args.threads)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         return _report(exc, 2)
     try:

@@ -57,8 +57,9 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     """e^{t L} v0 for every t in a strictly increasing grid, t >= 0.
 
     Sequential expm stepping in real arithmetic, on the real and imaginary
-    parts of v0; a uniform grid reuses one step propagator. Returns shape
-    (len(grid), dim).
+    parts of v0. The last step propagator is kept and reused while the next
+    step lies within 1e-12 relative of its step; any other step takes a new
+    expm. Returns shape (len(grid), dim).
     """
     import scipy.linalg as la
 
@@ -67,16 +68,13 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
         raise ValueError("grid must be finite and nonnegative")
     m = generator.matrix
     out = np.empty((v0.size, grid.size), dtype=complex)
-    steps = np.diff(grid, prepend=0.0)
-    uniform = grid.size > 1 and np.allclose(steps[1:], steps[1], rtol=1e-12, atol=0.0)
-    prop = la.expm(steps[1] * m) if uniform else None
     v = np.column_stack([v0.real, v0.imag])    # real products with the propagators
-    for i, dt in enumerate(steps):
+    prop, step = None, 0.0
+    for i, dt in enumerate(np.diff(grid, prepend=0.0)):
         if dt > 0:
-            if uniform and i > 0 and abs(dt - steps[1]) <= 1e-12 * steps[1]:
-                v = prop @ v
-            else:
-                v = la.expm(dt * m) @ v
+            if abs(dt - step) > 1e-12 * step:
+                prop, step = la.expm(dt * m), dt
+            v = prop @ v
         out[:, i] = v[:, 0] + 1j * v[:, 1]
     return out.T
 

@@ -70,6 +70,8 @@ def test_parse_grid_validation():
     bad["grids"]["omega"]["count"] = 1
     with pytest.raises(cli.ConfigError, match="count"):
         cli.parse_config(json.dumps(bad))
+    with pytest.raises(cli.ConfigError, match="task 'spectrum' needs the 'omega' grid"):
+        cli.parse_config(json.dumps(dict(FIG2A_CONFIG, grids={})))
 
 
 def test_config_round_trip():
@@ -133,6 +135,28 @@ def test_run_writes_metadata_sidecar(tmp_path):
     cfg = cli.parse_config(cfg_path.read_text())
     assert sidecar["config"] == json.loads(json.dumps(cli._config_dict(cfg)))
     assert cli.parse_config(json.dumps(sidecar["config"])) == cfg
+    # the model is recorded once, in the sidecar
+    assert sidecar["config"]["model"] == {"inline": inline}
+    csv = (tmp_path / "inline_steady.csv").read_text().splitlines()
+    assert not [l for l in csv if l.startswith("# model")]
+
+
+@pytest.mark.parametrize("own, argv", [({"task": "spectrum"}, []),
+                                       ({"task": "counting"}, []),
+                                       ({"task": "steady", "threads": 0},
+                                        ["--threads", "2"])],
+                         ids=["spectrum_no_grids", "counting_no_n_max", "threads_zero"])
+def test_command_line_replaces_config_values(own, argv, tmp_path, capsys):
+    """The command line's task and thread count replace the config's own
+    before any check, so only the values the run uses are checked."""
+    model = {"scenario": "single_state", "params": {"gamma": 1.0, "omega_rabi": 0.7}}
+    cfg = dict(own, schema=1, model=model, output=str(tmp_path / "run"))
+    rc = cli.main(["steady", "--config", str(write_config(tmp_path, cfg)), *argv])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "run_steady.csv").exists()
+    sidecar = json.loads((tmp_path / "run.meta.json").read_text())
+    assert sidecar["config"]["task"] == "steady"
+    assert sidecar["config"]["threads"] == (2 if argv else 1)
 
 
 def test_run_deterministic_across_runs_and_threads(tmp_path):
@@ -249,18 +273,21 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
 
 
-@pytest.mark.parametrize("key, value", [("schema", True), ("schema", 1.0),
-                                        ("output", None), ("output", 5),
-                                        ("output", [1]), ("output", "")],
+@pytest.mark.parametrize("key, value, argv", [("schema", True, []), ("schema", 1.0, []),
+                                              ("output", None, []), ("output", 5, []),
+                                              ("output", [1], []), ("output", "", []),
+                                              ("output", "run", ["--out", ""])],
                          ids=["schema_true", "schema_float", "output_null",
-                              "output_number", "output_list", "output_empty"])
-def test_schema_and_output_types_exit_2(key, value, tmp_path, capsys, monkeypatch):
+                              "output_number", "output_list", "output_empty",
+                              "out_empty"])
+def test_schema_and_output_types_exit_2(key, value, argv, tmp_path, capsys, monkeypatch):
     """The schema is exactly the integer 1 and the output a non-empty
-    string; nothing else is converted into one, and nothing is written."""
+    string, from the config or from --out; nothing else is converted into
+    one, and nothing is written."""
     monkeypatch.chdir(tmp_path)
     cfg = dict(FIG2A_CONFIG, task="steady", output="run")
     cfg[key] = value
-    rc = cli.main(["steady", "--config", str(write_config(tmp_path, cfg))])
+    rc = cli.main(["steady", "--config", str(write_config(tmp_path, cfg)), *argv])
     err = json.loads(capsys.readouterr().err)
     assert rc == 2
     assert err["error"] == "ConfigError"

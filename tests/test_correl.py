@@ -148,3 +148,20 @@ def test_conjugate_symmetry_under_detuning():
     spec = fs.spectral_two_state(1.0, 0.8, 0.3, 0.05, detuning=0.7)
     series = fs.c1(spec, np.linspace(0.0, 10.0, 21))
     assert np.abs(series.values.imag).max() > 1e-6
+
+
+@pytest.mark.parametrize("tau, n_expm", [([0.5, 1.0, 1.5], 1),
+                                         ([0.0, 0.1, 0.2, 1.0, 2.0, 3.0], 3)],
+                         ids=["first_step_equal", "three_distinct_steps"])
+def test_propagation_one_expm_per_distinct_step(tau, n_expm, fig2a, monkeypatch):
+    """A step propagator is reused while the next step equals its step,
+    the first step included, and C1 still equals one expm per point."""
+    import scipy.linalg as la
+
+    want = [fs.c1(fig2a, [t]).values[0] for t in tau]
+    calls = []
+    expm = la.expm
+    monkeypatch.setattr(la, "expm", lambda a: calls.append(a) or expm(a))
+    got = fs.c1(fig2a, tau).values
+    assert len(calls) == n_expm
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -75,12 +75,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run configuration; ``spec`` is the ModelSpec of ``model``, built
+    once, when the config is made, and run from there."""
+
     model: dict
     task: str
     grids: dict
     output: str
     threads: int
     n_max: int | None
+    spec: ModelSpec = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "spec", build_model(self))
 
 
 def _require_keys(obj, allowed: set[str], required: set[str], path: str):
@@ -220,10 +227,10 @@ def parse_config(text: str, *, task: str | None = None, output: str | None = Non
     if task == "counting" and n_max is None:
         raise ConfigError("config.n_max: required for the counting task")
 
-    cfg = RunConfig(model=model, task=task, grids=grids, output=output,
-                    threads=threads, n_max=n_max)
     try:
-        problems = validate(build_model(cfg))
+        cfg = RunConfig(model=model, task=task, grids=grids, output=output,
+                        threads=threads, n_max=n_max)
+        problems = validate(cfg.spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.model: {exc}") from exc
     if problems:
@@ -242,6 +249,7 @@ def _config_dict(config: RunConfig) -> dict:
 
 
 def build_model(config: RunConfig) -> ModelSpec:
+    """The ModelSpec of config.model (not validated)."""
     m = config.model
     if "scenario" in m:
         return SCENARIOS[m["scenario"]](**m["params"])
@@ -291,7 +299,7 @@ def _sidecar_text(config: RunConfig, wall_time_s: float) -> str:
 def run(config: RunConfig) -> list[str]:
     """Execute one task; returns the list of files written."""
     t0 = time.perf_counter()
-    spec = build_model(config)
+    spec = config.spec
     task = config.task
     grid_name = TASK_GRID[task]
     grid = config.grids[grid_name].build() if grid_name else None

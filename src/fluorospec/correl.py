@@ -130,10 +130,11 @@ def c2(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:
 
 def stationary_intensity(model: ModelSpec | Prepared) -> float:
     """I_st = Tr J rho_inf = sum_R gamma_tilde_R <b|rho_R^inf|b> (ModelSpec
-    or Prepared)."""
+    or Prepared); one value per point of a stacked Prepared."""
     p = prepare(model)
-    theta = trace_functional(p.spec.r_max)
-    return float(np.real((theta @ p.jump) @ p.steady.to_vector()))
+    theta = trace_functional(p.generator.r_max)
+    i_st = np.real((theta @ p.jump) @ p.steady.to_vector()[..., None])[..., 0]
+    return i_st if i_st.ndim else float(i_st)
 
 
 def g2(model: ModelSpec | Prepared, tau_grid) -> ObservableSeries:

@@ -22,11 +22,19 @@ onto the configurational chain that solves the steady state
 r_max x r_max stochastic complement S with sum x_t = 0, so that slow
 configurational hops enter Q_st only through S, as they enter the steady
 state; the fast solve and the result on the full system are certified by
-their backward errors. ``detuning_sweep`` maps any observable over a grid
-of laser detunings: it prepares the model once, at detuning 0, and shifts
-it to each point (``Prepared.at_detuning``), spreading the points over the
-package's one thread map, ``_parallel_map``, which the CLI's counting task
-uses as well. The matrix exponentials of P_n and of the factorial moments
+their backward errors. ``detuning_sweep`` evaluates Q_st or the line
+shape over a grid of laser detunings: it prepares the model once, at
+detuning 0, and cuts the grid into contiguous chunks, at least one per
+worker of the package's one thread map, ``_parallel_map`` (which the CLI's
+counting task uses as well), and more where a chunk's stack of generators
+would exceed the byte cap ``_STACK_BYTES``. Each chunk is one stacked
+Prepared (``Prepared.at_detuning`` of its array of detunings, made by one
+broadcast of ``model.shift_detuning``), whose steady states and Q_st
+columns are solved in one stacked elimination each; every point is
+certified on its own, a point that fails takes the dense fallback on its
+own, and a chunk that raises is evaluated again point by point, so that
+the first failing point in grid order raises what it raises alone.
+The matrix exponentials of P_n and of the factorial moments
 are scipy.linalg's ``expm``, imported on first use, so that Q_st and the
 line shape never load scipy.linalg.
 
@@ -244,18 +252,46 @@ def _parallel_map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+# The most bytes of stacked generators that one chunk of a detuning sweep
+# holds (8192 points at r_max = 1, 20 at r_max = 20, one from r_max = 65
+# on), so that the memory of a long sweep does not grow with its grid; the
+# elimination's other arrays take a few times as much.
+_STACK_BYTES = 1 << 20
+
+
 def detuning_sweep(observable, spec: ModelSpec, delta_grid,
                    threads: int = 1) -> ObservableSeries:
     """observable(model at detuning delta) for each delta of a strictly
-    increasing grid, in grid order, from spec prepared once at detuning 0
-    and shifted to each point (``Prepared.at_detuning``, bit for bit the
-    model built there); the points are spread over up to ``threads`` worker
-    threads. ValueError, before any point, when the grid is not increasing."""
+    increasing grid, in grid order, from spec prepared once at detuning 0.
+
+    The grid is cut into contiguous chunks, at least min(threads, points,
+    CPUs) of them and more where a chunk's stack of generators would exceed
+    _STACK_BYTES, and the chunks are spread over up to ``threads`` worker
+    threads. ``observable`` is called once per chunk, on the stacked
+    Prepared of its points (``Prepared.at_detuning`` of the chunk's array,
+    each point bit for bit the model built there), and returns one value
+    per point, as ``line_shape`` and ``stationary_mandel`` do. Every point
+    is solved and certified on its own, so no value depends on the
+    chunking. When a chunk raises, its points are evaluated again one at a
+    time, each as a stack of one, so the first failing point in grid order
+    raises what it raises alone. ValueError, before any point, when the
+    grid is not increasing."""
     grid = _increasing(delta_grid)
     base = prepare(dataclasses.replace(spec, detuning=0.0))
-    vals = _parallel_map(lambda d: observable(base.at_detuning(d)),
-                         grid.tolist(), threads)
-    return ObservableSeries(grid, np.array(vals))
+    per_chunk = max(1, _STACK_BYTES // base.generator.matrix.nbytes)
+    count = max(min(threads, grid.size, os.cpu_count() or 1), -(-grid.size // per_chunk))
+    chunks = np.array_split(grid, count) if grid.size else []
+
+    def values(deltas):
+        try:
+            return observable(base.at_detuning(deltas))
+        except Exception:
+            for i in range(deltas.size):     # the first failing point raises
+                observable(base.at_detuning(deltas[i:i + 1]))
+            raise
+
+    return ObservableSeries(grid, np.concatenate(
+        [np.empty(0), *_parallel_map(values, chunks, threads)]))
 
 
 def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,
@@ -286,15 +322,19 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     with b = I_st / 2, a = theta J R0 x0 / 2 and
     A = 2 I_st a + theta J R0 J rho_inf, so that
     Q_st = 2 theta J R0 J rho_inf / I_st + 4a - 4a. ZeroCounts when I_st
-    vanishes.
+    vanishes. A stacked Prepared gives one Q_st per point, from one stacked
+    solve (``detuning_sweep``).
     """
     p = prepare(model)
-    theta = trace_functional(p.spec.r_max)
+    m = p.generator.matrix
+    gen = m.reshape(-1, *m.shape[-2:])         # a single model: a stack of one
+    theta = trace_functional(p.generator.r_max)
     tj = theta @ p.jump
-    rho_inf = p.steady.to_vector().real
-    i_st = float(tj @ rho_inf)
-    if i_st <= 1e-300:
+    rho_inf = p.steady.to_vector().real.reshape(len(gen), -1, 1)
+    i_st = tj @ rho_inf
+    if (i_st <= 1e-300).any():
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
     j_rho = p.jump @ rho_inf
-    x = _solve_real(p.generator.matrix, (rho_inf * (theta @ j_rho) - j_rho)[:, None], 0.0)
-    return float(2.0 * (tj @ x[:, 0]) / i_st)
+    x = _solve_real(gen, rho_inf * (theta @ j_rho)[..., None] - j_rho, 0.0)
+    q_st = (2.0 * (tj @ x) / i_st)[:, 0]
+    return q_st if m.ndim == 3 else float(q_st[0])

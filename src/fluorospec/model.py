@@ -178,7 +178,8 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class BlockState:
-    """Tuple of auxiliary 2x2 matrices, stored as a (r_max, 2, 2) array.
+    """Tuple of auxiliary 2x2 matrices, stored as a (r_max, 2, 2) array, or
+    a stack of them, (n, r_max, 2, 2), one per point of a stacked model.
 
     Physical states have total trace 1 and Hermitian blocks; intermediate
     regression/counting vectors need not.
@@ -188,30 +189,34 @@ class BlockState:
 
     def __post_init__(self):
         b = np.array(self.blocks, dtype=complex)
-        if b.ndim != 3 or b.shape[1:] != (2, 2):
+        if b.ndim not in (3, 4) or b.shape[-2:] != (2, 2):
             raise ValueError(f"blocks must have shape (r_max, 2, 2), got {b.shape}")
         b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
 
     @property
     def r_max(self) -> int:
-        return self.blocks.shape[0]
+        return self.blocks.shape[-3]
 
     def total_trace(self) -> complex:
-        return self.blocks[:, 0, 0].sum() + self.blocks[:, 1, 1].sum()
+        return self.blocks[..., 0, 0].sum(axis=-1) + self.blocks[..., 1, 1].sum(axis=-1)
 
     def to_vector(self) -> np.ndarray:
         """Block-major (aa, bb, Re ba, Im ba) vector, T vec(x) per block
-        (complex; its imaginary part vanishes for Hermitian blocks)."""
-        return (_T @ self.blocks.transpose(0, 2, 1).reshape(-1, 4, 1)).reshape(-1)
+        (complex; its imaginary part vanishes for Hermitian blocks); one
+        row per point of a stack."""
+        b = self.blocks
+        return (_T @ b.swapaxes(-1, -2).reshape(-1, 4, 1)).reshape(*b.shape[:-3], -1)
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "BlockState":
-        """The blocks of a (aa, bb, Re ba, Im ba) vector, T^-1 v per block."""
+        """The blocks of a (aa, bb, Re ba, Im ba) vector, T^-1 v per block;
+        a 2-d v is a stack, one vector per row."""
         v = np.asarray(v)
-        if v.size % 4 != 0:
-            raise ValueError(f"vector length {v.size} is not a multiple of 4")
-        return cls((_T_INV @ v.reshape(-1, 4, 1)).reshape(-1, 2, 2).transpose(0, 2, 1))
+        if v.shape[-1] % 4 != 0:
+            raise ValueError(f"vector length {v.shape[-1]} is not a multiple of 4")
+        blocks = (_T_INV @ v.reshape(-1, 4, 1)).reshape(*v.shape[:-1], -1, 2, 2)
+        return cls(blocks.swapaxes(-1, -2))
 
     @classmethod
     def ground(cls, r_max: int, populations=None) -> "BlockState":
@@ -230,7 +235,8 @@ class BlockState:
 @dataclass(frozen=True, eq=False)
 class SuperOp:
     """Dense generator (or derived operator) on vectorized block states: a
-    read-only real float64 matrix in the coordinates of :class:`BlockState`.
+    read-only real float64 matrix in the coordinates of :class:`BlockState`,
+    or a stack of them, (n, dim, dim), one per point of a stacked model.
 
     A complex matrix is accepted when its imaginary part is zero; otherwise
     it does not map Hermitian blocks to Hermitian blocks (ValueError).
@@ -246,13 +252,13 @@ class SuperOp:
                                  "its matrix has a nonzero imaginary part")
             m = m.real
         m = _frozen_array(m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 4 != 0:
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] % 4 != 0:
             raise ValueError(f"matrix must be square with dim divisible by 4, got {m.shape}")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def r_max(self) -> int:
@@ -416,25 +422,28 @@ def build_generator(spec: ModelSpec) -> SuperOp:
     return SuperOp(m)
 
 
-def shift_detuning(op: SuperOp, delta: float) -> SuperOp:
+def shift_detuning(op: SuperOp, delta) -> SuperOp:
     """The generator op + delta * kron(Id, _DETUNING), i.e. the same model
-    with its laser detuning raised by delta.
+    with its laser detuning raised by delta; for a 1-d array delta, the
+    stack of these generators, one per entry, made in one broadcast.
 
     The detuning enters L only through kron(diag(detuning - delta_omega),
     _DETUNING), which per block adds ±delta to the two rotation entries of
     (Re ba, Im ba). Only these entries change; adding zero elsewhere could
     flip the sign of a zero. From op = build_generator(spec) with
-    spec.detuning = 0, the result equals build_generator(spec at detuning
+    spec.detuning = 0, each result equals build_generator(spec at detuning
     delta) bit for bit: those entries hold nothing but the detuning term,
     so each gets the one rounding of delta - delta_omega that the rebuild
     gives it.
 
     Raises ValueError for a non-finite delta.
     """
-    if not math.isfinite(delta):
-        raise ValueError(f"detuning shift {delta} is not finite")
-    m = op.matrix.copy()
+    delta = np.asarray(delta, dtype=float)
+    if not np.isfinite(delta).all():
+        raise ValueError(f"detuning shift {delta[~np.isfinite(delta)].flat[0]} "
+                         "is not finite")
+    m = np.broadcast_to(op.matrix, delta.shape + op.matrix.shape).copy()
     block = 4 * np.arange(op.r_max)
     for i, j in zip(*np.nonzero(_DETUNING)):
-        m[block + i, block + j] += delta * _DETUNING[i, j]
+        m[..., block + i, block + j] += delta[..., None] * _DETUNING[i, j]
     return SuperOp(m)

@@ -46,6 +46,19 @@ elimination (``_CANCELLATION``). Coherent coupling can make off-diagonal
 entries of S slightly negative; for such S no accuracy is claimed beyond
 the backward errors below.
 
+Stacks. The elimination kernels take a leading stack axis: the
+generators of a detuning sweep's points, (n, 4 r_max, 4 r_max), are
+solved in one pass of stacked numpy calls, and a single model is a stack
+of one on the same path. Stacked ``numpy.linalg.solve``, ``svd`` and
+``eigvalsh`` and stacked matmul give each matrix the result of a call on
+it alone, and every reduction runs within a point, so no point's result
+depends on the other points of its stack. Every certificate below is made
+per point. A point that fails one is reported with the exception of its
+first failed check, goes on through the stacked arithmetic with the
+others (its overflows and NaNs silenced), and then takes the dense
+fallback on its own, in stack order; the first point whose fallback fails
+raises what it raises alone.
+
 Certificates. The solve with Z_ff and every solution on the full system
 [L; theta] are checked by their normwise backward error, the ratio
 LAPACK's tests check (xGET02). Nullity 1 of L rests on rank L = rank Z_ff
@@ -62,7 +75,9 @@ the whole 4 r_max x 4 r_max L) names the nullity of L, and with nullity 1
 the bordered solve on the whole L takes over. Q_st takes that dense
 solve when its elimination raises SingularShift (``_solve_real``).
 
-The bordered solve of the resolvent, ``resolve_deflated``, takes and
+The dense bordered solve, ``_bordered_solve``, is a kernel over a stack
+too; the fallbacks and the resolvent call it on a stack of one. The
+bordered solve of the resolvent, ``resolve_deflated``, takes and
 returns vectors in the coordinates of ``BlockState.to_vector``, so the
 spectrum makes no round trip through blocks at each frequency. It replaces
 row 0 of a, the aa entry of block 0, by the trace functional theta and
@@ -110,7 +125,14 @@ class Prepared:
     """A spec with its generator L and detection jump J, built once, and its
     steady state, solved on first use; every observable accepts one. No
     factorization is kept: each solve on it factors its own matrices by
-    ``numpy.linalg.solve``."""
+    ``numpy.linalg.solve``.
+
+    A stack of models that differ only in their laser detuning is one
+    Prepared too (``at_detuning`` of an array): its spec's detuning is the
+    array of the points' detunings, its generator carries a leading stack
+    axis and its steady state one block state per point.
+    ``stationary_intensity`` (``line_shape``) and ``stationary_mandel``
+    return one value per point of a stack."""
 
     spec: ModelSpec
     generator: SuperOp
@@ -120,13 +142,14 @@ class Prepared:
     def steady(self) -> BlockState:
         return steady_state(self.generator)
 
-    def at_detuning(self, detuning: float) -> Prepared:
+    def at_detuning(self, detuning) -> Prepared:
         """The same model at laser detuning ``detuning``, from L shifted by
         detuning - spec.detuning (``model.shift_detuning``), neither rebuilt
-        nor validated again; J does not depend on the detuning and is
-        shared, and the steady state is solved anew on first use. From a
-        spec at detuning 0 the result equals ``prepare`` of the spec at
-        ``detuning`` bit for bit. ValueError when the shift is not finite.
+        nor validated again; for a 1-d array of detunings, the stack of
+        these models. J does not depend on the detuning and is shared, and
+        the steady state is solved anew on first use. From a spec at
+        detuning 0 each model equals ``prepare`` of the spec at its
+        detuning bit for bit. ValueError when a shift is not finite.
         """
         return Prepared(dataclasses.replace(self.spec, detuning=detuning),
                         shift_detuning(self.generator, detuning - self.spec.detuning),
@@ -141,9 +164,10 @@ def prepare(model: ModelSpec | Prepared) -> Prepared:
 
 
 def _trace_row(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Copy of a with its row 0 replaced by the trace functional theta."""
+    """Copy of a (or of each matrix of a stack) with its row 0 replaced by
+    the trace functional theta."""
     out = a.copy()
-    out[0, :] = theta
+    out[..., 0, :] = theta
     return out
 
 
@@ -158,58 +182,70 @@ def _check_nullity(gen: np.ndarray) -> None:
     tol = m.shape[0] * _EPS * _frobenius(m)
     # a singular value at the tolerance counts as zero (the convention of
     # numpy's matrix_rank), so that L = 0 has full nullity, not nullity 0
-    _require_nullity_one(int(np.sum(svals <= tol)))
-
-
-def _frobenius(m: np.ndarray) -> float:
-    """|M|_F as s |M/s|_F with s = max|M|, so that entries above 1e154 do
-    not overflow it to inf; M = 0 has |M|_F = 0."""
-    s = np.abs(m).max()
-    return s * np.linalg.norm(m / s) if s else 0.0
-
-
-def _require_nullity_one(nullity: int) -> None:
+    nullity = int(np.sum(svals <= tol))
     if nullity != 1:
-        raise NullSpaceDegenerate(
-            f"generator nullity is {nullity}, expected 1 "
-            "(disconnected configurational space?)")
+        raise _degenerate(nullity)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """|M|_F of each matrix of a stack as s |M/s|_F with s = max|M|, so
+    that entries above 1e154 do not overflow it to inf; M = 0 has
+    |M|_F = 0, and M with a NaN has NaN."""
+    s = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    v = (m / (s + (s == 0))).reshape(*m.shape[:-2], 1, -1)
+    return (s * np.sqrt(v @ v.swapaxes(-1, -2)))[..., 0, 0]
+
+
+def _degenerate(nullity: int) -> NullSpaceDegenerate:
+    return NullSpaceDegenerate(f"generator nullity is {nullity}, expected 1 "
+                               "(disconnected configurational space?)")
 
 
 def steady_state(generator: SuperOp) -> BlockState:
-    """Unique trace-1 null state of the generator.
+    """Unique trace-1 null state of the generator, or of each generator of
+    a stack, in one stacked elimination.
 
     Solved by elimination onto the configurational chain in real
     arithmetic (see the module docstring), so the blocks are exactly
-    Hermitian; the
-    singular values of the stochastic complement certify nullity 1. Where
-    the elimination is not certified, the dense check names the nullity and
-    the dense bordered solve takes over. NullSpaceDegenerate when the
-    nullity is not 1, SingularShift when a solve fails its backward-error
-    check, ValueError when a block of the state has a negative eigenvalue.
+    Hermitian; the singular values of the stochastic complement certify
+    nullity 1. Each point where the elimination is not certified goes
+    through the dense path on its own, in stack order: the dense check
+    names the nullity and the dense bordered solve takes over.
+    NullSpaceDegenerate when the nullity is not 1, SingularShift when a
+    solve fails its backward-error check, ValueError when a block of the
+    state has a negative eigenvalue; the first such point of the stack
+    raises.
     """
     m = generator.matrix
-    zero = np.zeros((generator.dim, 1))
-    try:
-        st, eigmin = _block_state(_chain_solve(m, zero, 1.0, certify_nullity=True))
-    except SingularShift:
-        eigmin = -np.inf
-    if eigmin < -1e-10:         # the elimination is not certified here
-        _check_nullity(m)       # names the nullity of L when it is not 1
-        st, eigmin = _block_state(
-            _bordered_solve(m, zero, trace_functional(generator.r_max), 1.0))
-        if eigmin < -1e-10:
+    gen = m.reshape(-1, *m.shape[-2:])         # a single model: a stack of one
+    zero = np.zeros((len(gen), m.shape[-1], 1))
+    y, failed = _chain_solve(gen, zero, 1.0, certify_nullity=True)
+    if failed:
+        y[list(failed)] = np.eye(m.shape[-1], 1)   # a trace-1 stand-in, replaced below
+    blocks, eigmin = _block_state(y)
+    dense = eigmin < -1e-10                    # the elimination is not certified here
+    dense[list(failed)] = True
+    theta = trace_functional(generator.r_max)
+    for i in np.flatnonzero(dense):
+        if isinstance(failed.get(i), NullSpaceDegenerate):
+            raise failed[i]
+        _check_nullity(gen[i])                 # names the nullity of L when it is not 1
+        st, low = _block_state(_bordered_solve(gen[i:i + 1], zero[:1], theta, 1.0))
+        if low[0] < -1e-10:
             raise ValueError(
-                f"steady-state block eigenvalue {eigmin:.3e} < -1e-10; "
+                f"steady-state block eigenvalue {low[0]:.3e} < -1e-10; "
                 "model or assembly bug")
-    return st
+        blocks[i] = st[0]
+    return BlockState(blocks.reshape(*m.shape[:-2], *blocks.shape[1:]))
 
 
-def _block_state(y: np.ndarray) -> tuple[BlockState, float]:
-    """The state of the real column y scaled to trace 1, and the least
-    eigenvalue of its blocks."""
-    y = y[:, 0] / (trace_functional(y.shape[0] // 4) @ y[:, 0])
-    st = BlockState.from_vector(y)
-    return st, np.linalg.eigvalsh(st.blocks).min()
+def _block_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of each real column y (n, dim, 1) scaled to trace 1,
+    (n, r_max, 2, 2), and the least eigenvalue of each point's blocks."""
+    v = y[..., 0]
+    v = v / (v[:, None, :] @ trace_functional(v.shape[-1] // 4)[:, None])[:, 0]
+    blocks = BlockState.from_vector(v).blocks.copy()
+    return blocks, np.linalg.eigvalsh(blocks).min(axis=(-2, -1))
 
 
 def resolve_deflated(generator: SuperOp, u: complex, rhs: np.ndarray) -> np.ndarray:
@@ -224,7 +260,8 @@ def resolve_deflated(generator: SuperOp, u: complex, rhs: np.ndarray) -> np.ndar
     if rhs.shape != (generator.dim,):
         raise ValueError(f"vector shape {rhs.shape} != generator dim {generator.dim}")
     a = u * np.eye(generator.dim) - generator.matrix
-    return _bordered_solve(a, rhs, trace_functional(generator.r_max))
+    return _bordered_solve(a[None], rhs[None, :, None],
+                           trace_functional(generator.r_max))[0, :, 0]
 
 
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a solve:
@@ -239,138 +276,179 @@ _CANCELLATION = 2.0 ** 26
 
 
 def _certify(what: str, a: np.ndarray, x: np.ndarray, b: np.ndarray,
-             theta: np.ndarray | None = None, trace: float = 0.0) -> None:
-    """Check that the columns x are finite and that each one's 1-norm
-    backward error on a x = b, with the row theta x = trace appended when
-    theta is given, stays below _BACKWARD_ERROR_FACTOR * dim * eps;
-    SingularShift otherwise."""
-    if not np.isfinite(x).all():
-        raise SingularShift(f"{what} diverged: backward error not finite")
-    resid = np.abs(a @ x - b).sum(axis=0)
-    norm_a = np.abs(a).sum(axis=0)
-    norm_b = np.abs(b).sum(axis=0)
-    if theta is not None:
-        resid += np.abs(theta @ x - trace)
-        norm_a += theta
-        norm_b += abs(trace)
-    scale = norm_a.max() * np.abs(x).sum(axis=0) + norm_b
-    dim = a.shape[0]
+             theta: np.ndarray | None = None, trace: float = 0.0) -> dict:
+    """The failures of a stacked solve a x = b: for each point whose
+    columns x are not finite, or whose 1-norm backward error of a column,
+    with the row theta x = trace appended when theta is given, exceeds
+    _BACKWARD_ERROR_FACTOR * dim * eps, its index and its SingularShift."""
+    dim = a.shape[-1]
     bound = _BACKWARD_ERROR_FACTOR * dim * _EPS
-    if not (resid <= bound * scale).all():
-        with np.errstate(all="ignore"):
-            worst = np.max(resid / scale)
-        raise SingularShift(f"{what} backward error {worst:.3e} exceeds "
-                            f"{bound:.3e} (dim {dim})")
+    with np.errstate(all="ignore"):     # a point that is not finite fails
+        resid = np.abs(a @ x - b).sum(axis=-2)
+        norm_a = np.abs(a).sum(axis=-2)
+        norm_b = np.abs(b).sum(axis=-2)
+        if theta is not None:
+            resid += np.abs(theta @ x - trace)
+            norm_a += theta
+            norm_b += abs(trace)
+        scale = norm_a.max(axis=-1)[:, None] * np.abs(x).sum(axis=-2) + norm_b
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        ok = finite & (resid <= bound * scale).all(axis=-1)
+        if ok.all():
+            return {}
+        return {i: SingularShift(
+            f"{what} backward error {np.max(resid[i] / scale[i]):.3e} exceeds "
+            f"{bound:.3e} (dim {dim})" if finite[i] else
+            f"{what} diverged: backward error not finite") for i in np.flatnonzero(~ok)}
 
 
-def _solve(what: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve(what: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
+    """numpy.linalg.solve of each matrix of the stack a, and the failures:
+    the index and SingularShift of each point whose LU meets an exactly
+    zero pivot (or NaN), whose x is NaN. On such a failure the stack is
+    solved again one matrix at a time, which gives each the same x."""
     try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:   # a zero pivot, or NaN in the LU
-        raise SingularShift(f"{what} failed: {exc}") from None
+        return np.linalg.solve(a, b), {}
+    except np.linalg.LinAlgError:
+        pass
+    x, failed = np.full(b.shape, np.nan, dtype=np.result_type(a, b)), {}
+    for i in range(len(a)):
+        try:
+            x[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError as exc:
+            failed[i] = SingularShift(f"{what} failed: {exc}")
+    return x, failed
 
 
 def _bordered_solve(a: np.ndarray, rhs: np.ndarray, theta: np.ndarray,
                     trace: float = 0.0) -> np.ndarray:
-    """The x with a x = rhs and theta x = trace, by one LU of a with row 0
+    """The x with a x = rhs and theta x = trace for each matrix of the
+    stack a (n, dim, dim), rhs (n, dim, k), by one LU of a with row 0
     replaced by theta (see the module docstring), certified by its backward
-    error on [a; theta] x = [rhs; trace]; SingularShift if that fails, or if
-    the LU meets an exactly zero pivot."""
+    error on [a; theta] x = [rhs; trace]; SingularShift, for the first
+    point of the stack, if that fails or the LU meets an exactly zero
+    pivot."""
     b = rhs.copy()
-    b[0] = trace
-    x = _solve("bordered solve", _trace_row(a, theta), b)
-    _certify("bordered solve", a, x, rhs, theta, trace)
+    b[:, 0] = trace
+    x, failed = _solve("bordered solve", _trace_row(a, theta), b)
+    failed = failed or _certify("bordered solve", a, x, rhs, theta, trace)
+    if failed:
+        raise failed[min(failed)] from None
     return x
 
 
 def _solve_real(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
-    """The real columns y with L y = rhs and theta y = trace: by
-    elimination, or by the dense bordered solve where the elimination
-    raises SingularShift."""
-    try:
-        return _chain_solve(gen, rhs, trace)
-    except SingularShift:
-        return _bordered_solve(gen, rhs, trace_functional(gen.shape[0] // 4), trace)
-
-
-def _chain_solve(gen: np.ndarray, rhs: np.ndarray, trace: float,
-                 certify_nullity: bool = False) -> np.ndarray:
-    """The real columns y with L y = rhs and theta y = trace, by
-    elimination onto the trace coordinates (see the module docstring).
-
-    With certify_nullity, Z_ff must be nonsingular to working precision
-    (``_require_nonsingular``; SingularShift otherwise) and S must have
-    nullity 1 (``_chain_nullity``; NullSpaceDegenerate otherwise), so that
-    L has nullity 1. SingularShift when a solve fails or its backward error
-    does not hold.
-    """
-    r, k = gen.shape[0] // 4, rhs.shape[1]
-    blocks = gen.reshape(r, 4, r, 4)
-    c = rhs.reshape(r, 4, k)
-    z_t = blocks[:, 0] + blocks[:, 1]          # t rows: aa + bb, (r, r, 4)
-    z_t[..., 1] -= z_t[..., 0]                 # bb columns: bb - aa
-    z_ff = blocks[:, 1:, :, 1:].copy()         # fast rows and columns
-    z_ff[..., 0] -= blocks[:, 1:, :, 0]
-    z_ff = z_ff.reshape(3 * r, 3 * r)
-    b = np.empty((r, 3, r + k))                # [Z_ft, c_f]
-    b[..., :r] = blocks[:, 1:, :, 0]
-    b[..., r:] = c[:, 1:]
-    b = b.reshape(3 * r, r + k)
-    if certify_nullity:                        # Z_ff^-1 from the same LU
-        xw = _solve("fast block solve", z_ff, np.hstack([b, np.eye(3 * r)]))
-        _require_nonsingular(z_ff, xw[:, r + k:])
-        xw = xw[:, :r + k]
-    else:
-        xw = _solve("fast block solve", z_ff, b)
-    _certify("fast block solve", z_ff, xw, b)
-    x, w = xw[:, :r], xw[:, r:]
-    z_tf = z_t[..., 1:].reshape(r, 3 * r)
-    s = z_t[..., 0] - z_tf @ x
-    # a slow rate that is the difference of much larger fluxes has lost
-    # digits to cancellation; beyond half of them the elimination stops
-    lost = np.abs(z_t[..., 0]) + np.abs(z_tf) @ np.abs(x) > _CANCELLATION * np.abs(s)
-    lost.reshape(-1)[::r + 1] = False
-    if lost.any():
-        raise SingularShift("chain solve failed: a slow rate is lost to "
-                            "cancellation of faster fluxes")
-    diag = s.reshape(-1)[::r + 1]              # a view: the reset diagonal
-    diag[:] = 0.0
-    diag[:] = -s.sum(axis=0)
-    g = c[:, 0] + c[:, 1] - z_tf @ w
-    # scale by a power of two, exactly, so that max |S| lies in [1/2, 1)
-    exp = -np.frexp(np.abs(s).max())[1]
-    s, g = np.ldexp(s, exp), np.ldexp(g, exp)
-    if certify_nullity:
-        _require_nullity_one(_chain_nullity(blocks, x, s, exp))
-    s[0] = 1.0
-    g[0] = trace
-    x_t = _solve("chain solve", s, g)
-    y = np.empty((r, 4, k))
-    y[:, 1:] = (w - x @ x_t).reshape(r, 3, k)
-    y[:, 0] = x_t - y[:, 1]
-    y = y.reshape(4 * r, k)
-    _certify("chain solve", gen, y, rhs, trace_functional(r), trace)
+    """The real columns y with L y = rhs and theta y = trace for each
+    generator of the stack gen: by one stacked elimination, and for each
+    point where it fails, by the dense bordered solve on its own, in stack
+    order (SingularShift when that fails too)."""
+    y, failed = _chain_solve(gen, rhs, trace)
+    theta = trace_functional(gen.shape[-1] // 4)
+    for i in sorted(failed):
+        y[i] = _bordered_solve(gen[i:i + 1], rhs[i:i + 1], theta, trace)[0]
     return y
 
 
-def _require_nonsingular(z_ff: np.ndarray, inv: np.ndarray) -> None:
-    """SingularShift unless D Z_ff is nonsingular to working precision, D
-    scaling each row to max 1 (so that a strong drive or detuning counts
-    relative to its own row): its smallest singular value, at least
-    1/|Z_ff^-1 D^-1|_F, must exceed dim eps |D Z_ff|_F, the tolerance of
-    the dense check. A backward error alone does not show this: blocks
-    sharing an undamped mode make Z_ff singular and still give a small one.
+def _chain_solve(gen: np.ndarray, rhs: np.ndarray, trace: float,
+                 certify_nullity: bool = False) -> tuple[np.ndarray, dict]:
+    """The real columns y with L y = rhs and theta y = trace for each
+    generator of the stack gen (n, 4 r_max, 4 r_max), rhs (n, 4 r_max, k),
+    by elimination onto the trace coordinates (see the module docstring),
+    and the failures: the index of each point whose elimination is not
+    certified, whose y must not be used, and the exception of the first
+    check it failed, in the order below. Every check is made per point.
+
+    SingularShift when a solve fails or its backward error does not hold,
+    or when a slow rate is lost to cancellation. With certify_nullity, Z_ff
+    must be nonsingular to working precision (``_require_nonsingular``;
+    SingularShift otherwise) and S must have nullity 1
+    (``_chain_nullity``; NullSpaceDegenerate otherwise), so that L has
+    nullity 1. A point that fails goes on through the stacked arithmetic
+    with the others, so its overflows and NaNs draw no warning.
     """
-    rows = np.abs(z_ff).max(axis=1)
-    if not (np.isfinite(inv).all() and z_ff.shape[0] * _EPS
-            * _frobenius(z_ff / rows[:, None]) * _frobenius(inv * rows) < 1.0):
-        raise SingularShift("fast block solve failed: the fast block is "
-                            "singular to working precision")
+    n, r, k = len(gen), gen.shape[-1] // 4, rhs.shape[-1]
+    blocks = gen.reshape(n, r, 4, r, 4)
+    c = rhs.reshape(n, r, 4, k)
+    z_t = blocks[:, :, 0] + blocks[:, :, 1]    # t rows: aa + bb, (n, r, r, 4)
+    z_t[..., 1] -= z_t[..., 0]                 # bb columns: bb - aa
+    z_ff = blocks[:, :, 1:, :, 1:].copy()      # fast rows and columns
+    z_ff[..., 0] -= blocks[:, :, 1:, :, 0]
+    z_ff = z_ff.reshape(n, 3 * r, 3 * r)
+    # [Z_ft, c_f], and with certify_nullity the identity, for Z_ff^-1 from
+    # the same LU
+    cols = 4 * r + k if certify_nullity else r + k
+    b = np.zeros((n, 3 * r, cols))
+    b.reshape(n, r, 3, cols)[..., :r] = blocks[:, :, 1:, :, 0]
+    b.reshape(n, r, 3, cols)[..., r:r + k] = c[:, :, 1:]
+    if certify_nullity:
+        b.reshape(n, -1)[:, r + k::cols + 1] = 1.0
+    with np.errstate(all="ignore"):
+        xw, failed = _solve("fast block solve", z_ff, b)
+        if certify_nullity:
+            failed = _require_nonsingular(z_ff, xw[..., r + k:]) | failed
+            xw, b = xw[..., :r + k], b[..., :r + k]
+        failed = _certify("fast block solve", z_ff, xw, b) | failed
+        x, w = xw[..., :r], xw[..., r:]
+        z_tf = z_t[..., 1:].reshape(n, r, 3 * r)
+        s = z_t[..., 0] - z_tf @ x
+        # a slow rate that is the difference of much larger fluxes has lost
+        # digits to cancellation; beyond half of them the elimination stops
+        lost = np.abs(z_t[..., 0]) + np.abs(z_tf) @ np.abs(x) > _CANCELLATION * np.abs(s)
+        lost.reshape(n, -1)[:, ::r + 1] = False
+        failed = {i: SingularShift("chain solve failed: a slow rate is lost to "
+                                   "cancellation of faster fluxes")
+                  for i in np.flatnonzero(lost.any(axis=(-2, -1)))} | failed
+        diag = s.reshape(n, -1)[:, ::r + 1]   # a view: the reset diagonal
+        diag[:] = 0.0
+        diag[:] = -s.sum(axis=-2)
+        g = c[:, :, 0] + c[:, :, 1] - z_tf @ w
+        # scale by a power of two, exactly, so that max |S| lies in [1/2, 1)
+        exp = -np.frexp(np.abs(s).max(axis=(-2, -1)))[1]
+        s, g = np.ldexp(s, exp[:, None, None]), np.ldexp(g, exp[:, None, None])
+        live = np.ones(n, bool)
+        if failed:                             # stand-ins for S and g that may be NaN
+            live[list(failed)] = False
+            s[~live], g[~live] = np.eye(r), 0.0
+        if certify_nullity and live.any():
+            nullity = _chain_nullity(blocks, x, s, exp, live)
+            bad = nullity != 1
+            failed = {i: _degenerate(k) for i, k in
+                      zip(np.flatnonzero(live)[bad], nullity[bad])} | failed
+        s[:, 0] = 1.0
+        g[:, 0] = trace
+        x_t, singular = _solve("chain solve", s, g)
+        failed = singular | failed
+        y = np.empty((n, r, 4, k))
+        y[:, :, 1:] = (w - x @ x_t).reshape(n, r, 3, k)
+        y[:, :, 0] = x_t - y[:, :, 1]
+        y = y.reshape(n, 4 * r, k)
+    failed = _certify("chain solve", gen, y, rhs, trace_functional(r), trace) | failed
+    return y, failed
 
 
-def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray, exp: int) -> int:
-    """The number of singular values of the scaled S = 2^exp S_computed at
-    or below the bound on the error of the computed S.
+def _require_nonsingular(z_ff: np.ndarray, inv: np.ndarray) -> dict:
+    """The index and SingularShift of each point of the stack unless its
+    D Z_ff is nonsingular to working precision, D scaling each row to max 1
+    (so that a strong drive or detuning counts relative to its own row):
+    its smallest singular value, at least 1/|Z_ff^-1 D^-1|_F, must exceed
+    dim eps |D Z_ff|_F, the tolerance of the dense check. A backward error
+    alone does not show this: blocks sharing an undamped mode make Z_ff
+    singular and still give a small one.
+    """
+    rows = np.abs(z_ff).max(axis=-1)
+    ok = np.isfinite(inv).all(axis=(-2, -1)) & (
+        z_ff.shape[-1] * _EPS * _frobenius(z_ff / rows[..., None])
+        * _frobenius(inv * rows[:, None, :]) < 1.0)
+    return {} if ok.all() else {
+        i: SingularShift("fast block solve failed: the fast block is singular "
+                         "to working precision") for i in np.flatnonzero(~ok)}
+
+
+def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray,
+                   exp: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """For each live point of the stack, the number of singular values of
+    the scaled S = 2^exp S_computed at or below the bound on the error of
+    the computed S.
 
     S_computed is the exact stochastic complement of L with Z_ff and Z_ft
     perturbed within the certified backward error of the fast solve, plus
@@ -385,13 +463,13 @@ def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray, exp: int) -
     singular value at the bound counts as zero, so that S = 0 (no hops
     between configurations) has full nullity.
     """
-    r = s.shape[0]
-    abs_t = np.abs(blocks[:, 0]) + np.abs(blocks[:, 1])
+    r = s.shape[-1]
+    abs_t = np.abs(blocks[:, :, 0]) + np.abs(blocks[:, :, 1])
     abs_t[..., 1] += abs_t[..., 0]
-    bound = abs_t[..., 0] + abs_t[..., 1:].reshape(r, 3 * r) @ np.abs(x)
-    bound.reshape(-1)[::r + 1] = 0.0
-    tol = np.ldexp((7 * r + 7) * (_EPS * bound.sum() + r * r * _TINY), exp)
-    return int((np.linalg.svd(s, compute_uv=False) <= tol).sum())
+    bound = abs_t[..., 0] + abs_t[..., 1:].reshape(-1, r, 3 * r) @ np.abs(x)
+    bound.reshape(len(bound), -1)[:, ::r + 1] = 0.0
+    tol = np.ldexp((7 * r + 7) * (_EPS * bound.sum(axis=(-2, -1)) + r * r * _TINY), exp)
+    return (np.linalg.svd(s[live], compute_uv=False) <= tol[live, None]).sum(axis=-1)
 
 
 def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:

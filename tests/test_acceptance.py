@@ -283,7 +283,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    for task in ("spectrum", "g2", "lineshape-sweep"):
+    for task in ("spectrum", "g2", "lineshape-sweep", "mandel-sweep"):
         blobs = []
         for run, threads in (("r1", "1"), ("r2", "3"), ("r3", "1")):
             out = tmp_path / f"{task.replace('-', '_')}_{run}"
@@ -296,4 +296,4 @@ def test_criterion_10_cli_determinism(tmp_path):
             blobs.append((tmp_path / f"{task.replace('-', '_')}_{run}_"
                           f"{task.replace('-', '_')}.csv").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2], task
-    report(10, "CLI determinism", "(3 tasks x 3 runs byte-identical)")
+    report(10, "CLI determinism", "(4 tasks x 3 runs byte-identical)")

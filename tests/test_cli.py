@@ -356,6 +356,20 @@ def test_csv_equals_library_series(tmp_path):
         assert np.array_equal(rows[:, 1], want), task
 
 
+@pytest.mark.parametrize("task", ["steady", "spectrum", "mandel-sweep"])
+def test_run_builds_its_model_once(task, tmp_path, monkeypatch):
+    """parse_config builds and validates the ModelSpec; the run uses that
+    one and builds no second."""
+    calls = []
+    build = cli.build_model
+    monkeypatch.setattr(cli, "build_model", lambda cfg: calls.append(cfg) or build(cfg))
+    cfg = dict(FIG2A_CONFIG, output=str(tmp_path / "once"),
+               grids=dict(FIG2A_CONFIG["grids"],
+                          delta={"start": -1.0, "stop": 1.0, "count": 3}))
+    assert cli.main([task, "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("task", ["spectrum", "counting"])
 def test_task_solves_steady_state_once(task, tmp_path, monkeypatch):
     calls = []

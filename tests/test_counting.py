@@ -282,6 +282,31 @@ def test_detuning_sweep_equals_rebuild_bit_for_bit(model, observable, threads, f
     assert np.array_equal(series.values, want)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("observable", [fs.line_shape, fs.stationary_mandel],
+                         ids=["line_shape", "stationary_mandel"])
+@pytest.mark.parametrize("model", ["fig5", "random5"])
+def test_detuning_sweep_chunks_leave_values_unchanged(model, observable, threads, fig5,
+                                                      monkeypatch):
+    """A sweep cut into several stacks, here by a cap of three generators'
+    bytes, equals the per-point values bit for bit: every point is solved
+    and certified on its own."""
+    spec = fig5 if model == "fig5" else random_spec(np.random.default_rng(5), 5)
+    deltas = np.linspace(-30.0, 30.0, 23)
+    want = [observable(fs.prepare(dataclasses.replace(spec, detuning=float(d))))
+            for d in deltas]
+    sizes = []
+
+    def recorded(p):
+        sizes.append(np.size(p.spec.detuning))
+        return observable(p)
+
+    monkeypatch.setattr(counting, "_STACK_BYTES", 3 * fs.build_generator(spec).matrix.nbytes)
+    series = fs.detuning_sweep(recorded, spec, deltas, threads)
+    assert sorted(sizes) == [2] + [3] * 7
+    assert np.array_equal(series.values, want)
+
+
 @pytest.mark.parametrize("deltas", [[3.0, 2.0, 1.0], [1.0, 1.0]],
                          ids=["decreasing", "repeated"])
 def test_detuning_sweep_rejects_grid_before_any_point(deltas):
@@ -412,9 +437,9 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
         x = solve(a, b)
         if corrupt == "scaled":
             return x * (1.0 + 1e-7)
-        if a.shape[0] not in null:
+        if a.shape[-1] not in null:
             return x
-        return x + 1e-7 * np.abs(x).max() * null[a.shape[0]][:, None]
+        return x + 1e-7 * np.abs(x).max() * null[a.shape[-1]][:, None]
 
     monkeypatch.setattr(np.linalg, "solve", perturbed)
     with pytest.raises(ArithmeticError, match="backward error"):
@@ -438,7 +463,7 @@ def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
     solved.clear()
     fs.stationary_mandel(p)
     real = np.dtype(np.float64)
-    assert solved == [(real, (6, 6), (6, 3)), (real, (2, 2), (2, 1))]
+    assert solved == [(real, (1, 6, 6), (1, 6, 3)), (real, (1, 2, 2), (1, 2, 1))]
     solved.clear()
     fs.stationary_mandel(fs.prepare(fig5))
     assert len(solved) == 4

@@ -111,13 +111,16 @@ def test_detuning_shift_equals_rebuild_bit_for_bit(r_max, kind):
         spec = dataclasses.replace(
             spec, extra_channels=(fs.GeneralJumpChannel(kind, eta),))
     base = fs.build_generator(dataclasses.replace(spec, detuning=0.0))
-    for delta in SHIFTS:
+    stack = shift_detuning(base, np.array(SHIFTS))     # one broadcast, one per shift
+    assert stack.matrix.shape == (len(SHIFTS), 4 * r_max, 4 * r_max)
+    for delta, stacked in zip(SHIFTS, stack.matrix):
         want = fs.build_generator(dataclasses.replace(spec, detuning=delta))
         got = shift_detuning(base, delta)
         assert got.matrix.tobytes() == want.matrix.tobytes(), delta
+        assert stacked.tobytes() == want.matrix.tobytes(), delta
         assert got.matrix.dtype == np.float64
         assert not got.matrix.flags.writeable
-    for delta in (np.inf, -np.inf, np.nan):
+    for delta in (np.inf, -np.inf, np.nan, np.array([0.0, np.nan])):
         with pytest.raises(ValueError, match="not finite"):
             shift_detuning(base, delta)
 

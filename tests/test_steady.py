@@ -272,8 +272,8 @@ def test_nullity_certified_on_the_chain(r_max, eta, monkeypatch):
     seen = _recording_svd(monkeypatch)
     st = fs.steady_state(gen)
     fs.stationary_mandel(fs.prepare(spec))
-    assert [m.shape for m in seen] == [(r_max, r_max)] * 2
-    s = seen[0]
+    assert [m.shape for m in seen] == [(1, r_max, r_max)] * 2
+    s = seen[0][0]
     assert np.abs(dense_steady(gen).to_vector() - st.to_vector()).max() <= 1e-13
     if r_max == 1:      # a single configuration: S = 0, nullity 1
         assert not s.any()
@@ -313,7 +313,7 @@ def test_disconnected_configurations_reported_by_the_chain(monkeypatch):
     seen = _recording_svd(monkeypatch)
     with pytest.raises(NullSpaceDegenerate, match="nullity is 3"):
         fs.steady_state(fs.build_generator(spec))
-    assert [m.shape for m in seen] == [(3, 3)]
+    assert [m.shape for m in seen] == [(1, 3, 3)]
     assert not seen[0].any()
 
 
@@ -368,6 +368,15 @@ def test_fig5_populations_at_large_detuning(fig5, detuning):
     assert np.abs(pops / (expected / expected.sum()) - 1).max() <= 1e-13
 
 
+def _chain_failure(gen):
+    """The exception of the first check that the elimination of the steady
+    state of gen alone (a stack of one) fails."""
+    _, failed = fs.steady._chain_solve(gen.matrix[None], np.zeros((1, gen.dim, 1)), 1.0,
+                                       certify_nullity=True)
+    assert list(failed) == [0]
+    return failed[0]
+
+
 def _two_blocks(kind, phi, eta, driven=(0.0, 1.0, 1.0), dark_shift=0.0, detuning=0.0):
     """A driven block 0 (delta_omega, gamma, omega_rabi) and a dark block 1
     (no decay, no drive) that hop by phi and by an eta channel of kind."""
@@ -386,7 +395,7 @@ def test_trapped_excited_state_solved_densely(monkeypatch):
                        [[0.0, 0.3], [0.0, 0.0]])
     gen = fs.build_generator(spec)
     with pytest.raises(SingularShift, match="fast block"):
-        fs.steady._chain_solve(gen.matrix, np.zeros((8, 1)), 1.0, certify_nullity=True)
+        raise _chain_failure(gen)
     seen = _recording_svd(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -407,7 +416,7 @@ def test_cancelling_slow_rates_solved_densely():
                        [[0.0, 0.4], [0.4, 0.0]], driven=(0.0, 0.25, 1.5), detuning=-800.0)
     gen = fs.build_generator(spec)
     with pytest.raises(SingularShift, match="cancellation"):
-        fs.steady._chain_solve(gen.matrix, np.zeros((8, 1)), 1.0, certify_nullity=True)
+        raise _chain_failure(gen)
     st = fs.steady_state(gen).to_vector()
     assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13
     # from a 50-digit solve of the generator assembled in exact rates
@@ -421,11 +430,64 @@ def test_negative_block_eigenvalue_solved_densely(fig5, monkeypatch):
     chain = fs.steady._chain_solve
 
     def off(real, rhs, trace, certify_nullity=False):
-        y = chain(real, rhs, trace, certify_nullity)
-        y[2] += 1.0         # Re ba of block 0: a coherence no state can have
-        return y
+        y, failed = chain(real, rhs, trace, certify_nullity)
+        y[:, 2] += 1.0      # Re ba of block 0: a coherence no state can have
+        return y, failed
 
     monkeypatch.setattr(fs.steady, "_chain_solve", off)
-    assert fs.steady._block_state(off(gen.matrix, np.zeros((8, 1)), 1.0))[1] < -1e-10
+    y, failed = off(gen.matrix[None], np.zeros((1, 8, 1)), 1.0)
+    assert not failed and fs.steady._block_state(y)[1][0] < -1e-10
     st = fs.steady_state(gen).to_vector()
     assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13
+
+
+def _cancelling(phi=4e-11):
+    """The spec of test_cancelling_slow_rates_solved_densely at detuning 0,
+    with the slow rate phi from block 1 into block 0."""
+    return _two_blocks(fs.OperatorKind.UPPER_PROJECTOR, [[0.0, phi], [0.0, 0.0]],
+                       [[0.0, 0.4], [0.4, 0.0]], driven=(0.0, 0.25, 1.5))
+
+
+@pytest.mark.parametrize("observable", [fs.line_shape, fs.stationary_mandel],
+                         ids=["line_shape", "stationary_mandel"])
+@pytest.mark.parametrize("phi, dense", [(4e-11, [0, 1, 2, 3, 4, 5]), (1e-7, [2, 4])],
+                         ids=["cancelling", "mixed"])
+def test_detuning_sweep_mixes_certified_and_dense_points(phi, dense, observable,
+                                                         monkeypatch):
+    """One stack holds the points whose elimination is certified and those
+    that take the dense path, each of the latter on its own. At phi =
+    4e-11 every slow rate is lost to cancellation, at every detuning; at
+    1e-7 the elimination passes its checks but gives a negative block
+    eigenvalue at delta = ±10. Each point equals the model prepared at its
+    detuning bit for bit."""
+    spec = _cancelling(phi)
+    deltas = np.array([-1e4, -800.0, -10.0, 0.0, 10.0, 800.0])
+    gen = fs.prepare(spec).at_detuning(deltas).generator.matrix
+    _, failed = fs.steady._chain_solve(gen, np.zeros((6, 8, 1)), 1.0, certify_nullity=True)
+    cancelling = phi < 1e-8
+    assert sorted(failed) == (dense if cancelling else [])
+    want = [observable(fs.prepare(dataclasses.replace(spec, detuning=float(d))))
+            for d in deltas]
+    shapes = []
+    bordered = fs.steady._bordered_solve
+    monkeypatch.setattr(fs.steady, "_bordered_solve",
+                        lambda a, *args: shapes.append(a.shape) or bordered(a, *args))
+    series = fs.detuning_sweep(observable, spec, deltas)
+    assert np.array_equal(series.values, want)
+    # the steady state's dense solves, and on the cancelling spec Q_st's
+    q_dense = dense if cancelling and observable is fs.stationary_mandel else []
+    assert shapes == [(1, 8, 8)] * (len(dense) + len(q_dense))
+
+
+@pytest.mark.parametrize("observable", [fs.line_shape, fs.stationary_mandel],
+                         ids=["line_shape", "stationary_mandel"])
+def test_detuning_sweep_failing_point_raises_as_alone(observable):
+    """From |delta| ~ 2e4 on, the dense check of the cancelling spec names
+    nullity 2. A grid that holds such a point raises what its first such
+    point raises alone."""
+    spec = _cancelling()
+    with pytest.raises(NullSpaceDegenerate) as alone:
+        observable(fs.prepare(dataclasses.replace(spec, detuning=2.5e4)))
+    with pytest.raises(NullSpaceDegenerate) as swept:
+        fs.detuning_sweep(observable, spec, [-800.0, 0.0, 2.5e4, 1e5])
+    assert str(swept.value) == str(alone.value)

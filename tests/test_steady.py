@@ -491,3 +491,25 @@ def test_detuning_sweep_failing_point_raises_as_alone(observable):
     with pytest.raises(NullSpaceDegenerate) as swept:
         fs.detuning_sweep(observable, spec, [-800.0, 0.0, 2.5e4, 1e5])
     assert str(swept.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("spec", [fs.single_state(gamma=0.0, omega_rabi=0.7), _cancelling(),
+                                  _cancelling(1e-7)],
+                         ids=["undamped", "cancelling", "mixed"])
+def test_stacked_elimination_fails_each_point_as_alone(spec):
+    """Each point of a stack fails the check it fails alone, with the same
+    message, and a certified point gets the same y bit for bit; this holds
+    also where exactly singular fast blocks make the stacked LU raise for
+    the whole stack (undamped), and no failed point draws a warning."""
+    deltas = np.array([-1e4, -10.0, 0.0, 10.0, 800.0])
+    gen = fs.prepare(spec).at_detuning(deltas).generator.matrix
+    zero = np.zeros((len(deltas), gen.shape[-1], 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, failed = fs.steady._chain_solve(gen, zero, 1.0, certify_nullity=True)
+        for i in range(len(deltas)):
+            alone_y, alone = fs.steady._chain_solve(gen[i:i + 1], zero[:1], 1.0,
+                                                    certify_nullity=True)
+            assert str(failed.get(i)) == str(alone.get(0)), deltas[i]
+            if i not in failed:
+                assert y[i].tobytes() == alone_y[0].tobytes(), deltas[i]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import (SIGMA, SIGMA_DAG, BlockState, ModelSpec, SuperOp, readout,
                     trace_functional)
-from .steady import Prepared, prepare
+from .steady import Prepared, expm, prepare
 
 
 class ZeroIntensity(Exception):
@@ -61,8 +61,6 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     step lies within 1e-12 relative of its step; any other step takes a new
     expm. Returns shape (len(grid), dim).
     """
-    import scipy.linalg as la
-
     grid = _increasing(grid)
     if grid.size and (grid[0] < 0 or not np.all(np.isfinite(grid))):
         raise ValueError("grid must be finite and nonnegative")
@@ -73,7 +71,7 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     for i, dt in enumerate(np.diff(grid, prepend=0.0)):
         if dt > 0:
             if abs(dt - step) > 1e-12 * step:
-                prop, step = la.expm(dt * m), dt
+                prop, step = expm(dt * m), dt
             v = prop @ v
         out[:, i] = v[:, 0] + 1j * v[:, 1]
     return out.T

@@ -34,9 +34,6 @@ columns are solved in one stacked elimination each; every point is
 certified on its own, a point that fails takes the dense fallback on its
 own, and a chunk that raises is evaluated again point by point, so that
 the first failing point in grid order raises what it raises alone.
-The matrix exponentials of P_n and of the factorial moments
-are scipy.linalg's ``expm``, imported on first use, so that Q_st and the
-line shape never load scipy.linalg.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General
@@ -56,7 +53,7 @@ import numpy as np
 
 from .correl import ObservableSeries, _increasing, stationary_intensity
 from .model import BlockState, ModelSpec, SuperOp, trace_functional
-from .steady import Prepared, _solve_real, prepare
+from .steady import Prepared, _solve_real, expm, prepare
 
 
 class ZeroCounts(Exception):
@@ -143,17 +140,22 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
     of two >= 2(n_max+1) at which that bound reaches double-precision
     rounding with a radius r <= 1 whose amplification r^-n_max of rounding
     errors stays <= 2; r = 1 unless the mean count far exceeds n_max, where
-    the unit circle would need N of the order of the mean count.
+    the unit circle would need N of the order of the mean count. g is
+    evaluated at all points of the circle in stacked ``expm`` calls of at
+    most _STACK_BYTES of matrices each; every value is computed per point,
+    so P_n does not depend on the stacking.
     """
-    import scipy.linalg as la
-
     theta = trace_functional(j.shape[0] // 4)
     drift = full - j
+    per_chunk = max(1, _STACK_BYTES // (np.dtype(complex).itemsize * full.size))
 
     def g(s):
-        return theta @ (la.expm(t * (drift + s * j)) @ x0)
+        """g at each point of the 1-d array s."""
+        return np.concatenate(
+            [(expm(t * (drift + s[i:i + per_chunk, None, None] * j)) @ x0) @ theta
+             for i in range(0, s.size, per_chunk)])
 
-    log_g, log_z = _log_chernoff(g)
+    log_g, log_z = _log_chernoff(lambda z: g(np.array([z]))[0])
     n = 1 << (2 * n_max + 1).bit_length()
     while True:
         log_tail = min(0.0, log_g - n * log_z)
@@ -163,7 +165,7 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
         n *= 2
     radius = np.exp(log_r)
     # P_n is real, so g(conj s) = conj g(s): the half circle suffices
-    vals = np.array([g(radius * np.exp(2j * np.pi * k / n)) for k in range(n // 2 + 1)])
+    vals = g(radius * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))
     probs = np.fft.irfft(np.conj(vals), n)[:n_max + 1] / radius ** np.arange(n_max + 1)
     missing = 1.0 - probs.sum()
     if missing > 1e-6:
@@ -175,13 +177,11 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
 def _moments(full, j, x0, t) -> tuple[float, float]:
     """Traces of x' and x'' in the chain of ``_factorial_moments`` from
     (x0, 0, 0): one block-bidiagonal matrix exponential."""
-    import scipy.linalg as la
-
     dim = full.shape[0]
     big = np.kron(np.eye(3), full) + np.kron(np.diag([1.0, 2.0], k=-1), j)
     x = np.zeros(3 * dim, dtype=complex)
     x[:dim] = x0
-    y = la.expm(t * big) @ x
+    y = expm(t * big) @ x
     traces = np.real(y.reshape(3, dim) @ trace_functional(dim // 4))
     return float(traces[1]), float(traces[2])
 
@@ -254,8 +254,10 @@ def _parallel_map(fn, items: list, threads: int) -> list:
 
 # The most bytes of stacked generators that one chunk of a detuning sweep
 # holds (8192 points at r_max = 1, 20 at r_max = 20, one from r_max = 65
-# on), so that the memory of a long sweep does not grow with its grid; the
-# elimination's other arrays take a few times as much.
+# on), and of complex matrices that one ``expm`` call of P_n takes (1024
+# points of the circle at r_max = 2, 163 at r_max = 5, one from r_max = 46
+# on), so that memory does not grow with the grid or the circle; the other
+# arrays of the elimination and of ``expm`` take a few times as much.
 _STACK_BYTES = 1 << 20
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .model import (ConfigSpace, FluctuationRates, ModelSpec, PerStateParams,
                     require_valid)
+from .steady import expm
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,13 +111,11 @@ def blinking_rates(spec: ModelSpec) -> BlinkingApprox:
 def classical_blinking_populations(approx: BlinkingApprox, p0, t: float) -> np.ndarray:
     """Populations of the classical master equation built from big_gamma,
     started from distribution p0, at time t."""
-    import scipy.linalg as la
-
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     p0 = np.asarray(p0, dtype=float)
     gen = approx.big_gamma - np.diag(approx.big_gamma.sum(axis=0))
-    return la.expm(t * gen) @ p0
+    return expm(t * gen) @ p0
 
 
 def mandel_detuning_limit(spec: ModelSpec) -> float:

@@ -12,8 +12,8 @@ resolvent) is their cross-check.
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred. The kernels are numpy's: ``numpy.linalg.solve`` (LAPACK
 gesv, one LU) and ``numpy.linalg.svd`` (gesdd, singular values only).
-scipy.linalg, which takes longer to import than numpy itself, is imported
-only where a matrix exponential is needed and by the Laurent cross-check.
+The matrix exponential of every propagation, ``expm``, is built on them
+too, and takes a leading stack axis like the elimination kernels.
 
 Elimination. On the generator L, real in the coordinates (aa, bb, Re ba,
 Im ba) per block (see ``model``), one more exact per-block change of
@@ -472,6 +472,70 @@ def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray,
     return (np.linalg.svd(s[live], compute_uv=False) <= tol[live, None]).sum(axis=-1)
 
 
+# theta_13 of Higham (2005): the largest 1-norm at which the [13/13] Pade
+# approximant of e^A has a relative backward error of at most 2^-53
+_THETA_13 = 5.371920351148152
+# b_0 .. b_13 of the [13/13] Pade approximant q(A)^-1 p(A) of e^A, with
+# p(A) = sum_k b_k A^k and q(A) = p(-A), scaled to b_0 = 1 so that e^0 is
+# the identity exactly
+_PADE_13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                     1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                     670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                     960960.0, 16380.0, 182.0, 1.0]) / 64764752532480000.0
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """e^A of a real or complex matrix, or of each matrix of a stack
+    (..., dim, dim).
+
+    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)): each A is scaled exactly by
+    2^-s, s = max(0, ceil(log2(|A|_1 / theta_13))), the approximant is one
+    stacked solve q(A) R = p(A), and R is squared s times, on the matrices
+    of the stack whose s exceeds the squarings made so far. Stacked matmul
+    and solve give each matrix the result of a call on it alone. Overflow
+    gives inf or NaN, with no warning.
+    """
+    b = _PADE_13
+    stack = a.reshape(-1, *a.shape[-2:])
+    diag = (slice(None), *np.diag_indices(a.shape[-1]))
+    with np.errstate(all="ignore"):
+        mant, exp = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA_13)
+        s = np.maximum(0, exp - (mant == 0.5))     # ceil(log2), exactly
+        # one workspace for every intermediate, each sum of terms made in
+        # place: a fresh array per intermediate costs more than its work
+        work = np.empty((7, *stack.shape), np.result_type(stack, 1.0))
+        x, x2, x4, x6, u, v, t = work
+        np.multiply(stack, (2.0 ** -s)[:, None, None], out=x)
+        np.matmul(x, x, out=x2)
+        np.matmul(x2, x2, out=x4)
+        np.matmul(x4, x2, out=x6)
+        _add_terms(np.multiply(x6, b[13], out=u), t, (b[11], x4), (b[9], x2))
+        _add_terms(np.matmul(x6, u, out=v), t, (b[7], x6), (b[5], x4), (b[3], x2))
+        v[diag] += b[1]
+        np.matmul(x, v, out=u)                     # u: the odd part of p(A)
+        _add_terms(np.multiply(x6, b[12], out=v), t, (b[10], x4), (b[8], x2))
+        _add_terms(np.matmul(x6, v, out=t), x, (b[6], x6), (b[4], x4), (b[2], x2))
+        t[diag] += 1.0                             # t: the even part of p(A)
+        r = np.linalg.solve(np.subtract(t, u, out=x), np.add(t, u, out=t))
+        for k in range(s.max(initial=0)):
+            if s.min() > k:
+                r, x2 = np.matmul(r, r, out=x2), r
+            else:
+                live = s > k
+                r[live] = r[live] @ r[live]
+    # a copy, not a view that would keep the whole workspace alive
+    return (r.copy() if r.base is work else r).reshape(a.shape)
+
+
+def _add_terms(out: np.ndarray, scratch: np.ndarray, *terms) -> np.ndarray:
+    """out + the sum of c p over the terms (c, p), added to out in place in
+    their order, through scratch."""
+    for c, p in terms:
+        out += np.multiply(p, c, out=scratch)
+    return out
+
+
 def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
     """Steady state plus projector P and reduced resolvent R0 of a ModelSpec
     or Prepared, reusing the Prepared's steady state.
@@ -479,8 +543,6 @@ def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
     R0 is obtained from the deflated solve L X = P - Id with the trace of
     every column pinned to zero, which lands exactly on the reduced
     resolvent (the trace functional is the only left null vector)."""
-    import scipy.linalg as la
-
     prepared = prepare(model)
     st, generator = prepared.steady, prepared.generator
     m = generator.matrix
@@ -490,17 +552,16 @@ def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
     a = _trace_row(m, theta)
     b = p - np.eye(dim)
     b[0, :] = 0.0
-    lu, piv = la.lu_factor(a)
-    r0 = la.lu_solve((lu, piv), b)
-    r0 += la.lu_solve((lu, piv), b - a @ r0)   # one refinement step
+    r0 = np.linalg.solve(a, b)
+    r0 += np.linalg.solve(a, b - a @ r0)   # one refinement step
     # achievable accuracy for a backward-stable solve is eps*|L|*|R0|,
     # which dominates 1e-9 for stiff models (|R0| ~ 1/slowest rate)
-    scale = max(1.0, la.norm(m, 2) * la.norm(r0, 2))
+    scale = max(1.0, np.linalg.norm(m, 2) * np.linalg.norm(r0, 2))
     defect = max(
-        la.norm(r0 @ m - (p - np.eye(dim)), 2),
-        la.norm(m @ r0 - (p - np.eye(dim)), 2),
-        la.norm(r0 @ p, 2),
-        la.norm(p @ r0, 2),
+        np.linalg.norm(r0 @ m - (p - np.eye(dim)), 2),
+        np.linalg.norm(m @ r0 - (p - np.eye(dim)), 2),
+        np.linalg.norm(r0 @ p, 2),
+        np.linalg.norm(p @ r0, 2),
     )
     if defect > 1e-9 * scale:
         raise NullSpaceDegenerate(

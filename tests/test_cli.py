@@ -515,45 +515,74 @@ def test_parser_built_once_per_process(tmp_path, capsys):
 
 
 # Runs CLI tasks in one fresh interpreter and reports, after the import and
-# after each task, whether scipy.linalg has been imported.
+# after each task, the scipy modules loaded; with "block" as its first
+# argument, every import of scipy raises ImportError, as where scipy is not
+# installed.
 _IMPORT_PROBE = """
 import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
 from fluorospec import cli
-loaded = ["scipy.linalg" in sys.modules]
-for task, path in json.loads(sys.argv[1]):
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for task, path in json.loads(sys.argv[2]):
     assert cli.main([task, "--config", path]) == 0, task
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
 
+_TASK_GRIDS = {"steady": {}, "spectrum": FIG2A_CONFIG["grids"],
+               "c1": {"tau": {"start": 0.0, "stop": 2.0, "count": 3}},
+               "c2": {"tau": {"start": 0.0, "stop": 2.0, "count": 3}},
+               "g2": {"tau": {"start": 0.0, "stop": 2.0, "count": 3}},
+               "counting": {"time": {"start": 0.0, "stop": 2.0, "count": 3}},
+               "mandel-sweep": {"delta": {"start": -1.0, "stop": 1.0, "count": 3}},
+               "lineshape-sweep": {"delta": {"start": -1.0, "stop": 1.0, "count": 3}}}
 
-def test_only_expm_tasks_import_scipy_linalg(tmp_path):
-    """``import fluorospec`` and the tasks that need no matrix exponential
-    (steady, spectrum, both sweeps) leave scipy.linalg unimported; c1 and
-    counting import it on first use and write the same CSV as a run in a
-    process that had it loaded already."""
-    delta = {"start": -1.0, "stop": 1.0, "count": 3}
-    grids = {"steady": {}, "spectrum": FIG2A_CONFIG["grids"],
-             "mandel-sweep": {"delta": delta}, "lineshape-sweep": {"delta": delta},
-             "c1": {"tau": {"start": 0.0, "stop": 2.0, "count": 3}},
-             "counting": {"time": {"start": 0.0, "stop": 2.0, "count": 3}}}
-    paths = {}
-    for task, g in grids.items():
-        for where in ("fresh", "here"):
-            cfg = dict(FIG2A_CONFIG, task=task, grids=g, n_max=4,
-                       output=str(tmp_path / where))
-            paths[where, task] = str(write_config(tmp_path, cfg, f"{where}_{task}.json"))
-    fresh = json.dumps([(task, paths["fresh", task]) for task in grids])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, fresh],
-                          capture_output=True, text=True)
+
+def _probe_every_task(tmp_path, where, *probe_args):
+    """Runs every CLI task in a fresh interpreter through _IMPORT_PROBE,
+    writing its CSVs to tmp_path/where*; the completed process."""
+    tasks = []
+    for task, g in _TASK_GRIDS.items():
+        cfg = dict(FIG2A_CONFIG, task=task, grids=g, n_max=4, output=str(tmp_path / where))
+        tasks.append((task, str(write_config(tmp_path, cfg, f"{where}_{task}.json"))))
+    return subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *probe_args,
+                           json.dumps(tasks)], capture_output=True, text=True)
+
+
+def test_no_task_imports_scipy(tmp_path):
+    """``import fluorospec`` and every CLI task, run in one fresh
+    interpreter, load no scipy module of any name, and each writes the same
+    CSV as a run in this process, where the tests have loaded scipy."""
+    proc = _probe_every_task(tmp_path, "fresh", "load")
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded == [False, False, False, False, False, True, True], loaded
-    for task in grids:
-        assert cli.main([task, "--config", paths["here", task]]) == 0, task
+    assert json.loads(proc.stdout) == [[]] * (1 + len(_TASK_GRIDS))
+    for task in _TASK_GRIDS:
+        cfg = dict(FIG2A_CONFIG, task=task, grids=_TASK_GRIDS[task], n_max=4,
+                   output=str(tmp_path / "here"))
+        assert cli.main([task, "--config", str(write_config(tmp_path, cfg))]) == 0, task
         name = f"_{task.replace('-', '_')}.csv"
         assert ((tmp_path / f"fresh{name}").read_bytes()
                 == (tmp_path / f"here{name}").read_bytes()), task
+
+
+def test_every_task_runs_without_scipy(tmp_path):
+    """With every import of scipy failing, as where it is not installed,
+    each CLI task exits 0 and writes its CSV."""
+    proc = _probe_every_task(tmp_path, "blocked", "block")
+    assert proc.returncode == 0, proc.stderr
+    for task in _TASK_GRIDS:
+        assert (tmp_path / f"blocked_{task.replace('-', '_')}.csv").stat().st_size > 0, task
 
 
 def test_console_entry_point(tmp_path):

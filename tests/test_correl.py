@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fluorospec as fs
+from fluorospec import correl
 from fluorospec.model import IDENTITY2, SIGMA, SIGMA_DAG
 
 import markovian_oracle
@@ -156,12 +157,10 @@ def test_conjugate_symmetry_under_detuning():
 def test_propagation_one_expm_per_distinct_step(tau, n_expm, fig2a, monkeypatch):
     """A step propagator is reused while the next step equals its step,
     the first step included, and C1 still equals one expm per point."""
-    import scipy.linalg as la
-
     want = [fs.c1(fig2a, [t]).values[0] for t in tau]
     calls = []
-    expm = la.expm
-    monkeypatch.setattr(la, "expm", lambda a: calls.append(a) or expm(a))
+    expm = correl.expm
+    monkeypatch.setattr(correl, "expm", lambda a: calls.append(a) or expm(a))
     got = fs.c1(fig2a, tau).values
     assert len(calls) == n_expm
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -124,18 +124,23 @@ def test_pn_matches_block_oracle(name, request):
 
 @pytest.fixture
 def expm_calls(monkeypatch):
+    """The number of matrices in each ``expm`` call of the counting module:
+    1 for a matrix, its length for a stack."""
     calls = []
-    expm = la.expm
-    monkeypatch.setattr(la, "expm", lambda a: calls.append(a) or expm(a))
+    expm = counting.expm
+    monkeypatch.setattr(counting, "expm",
+                        lambda a: calls.append(len(a) if a.ndim == 3 else 1) or expm(a))
     return calls
 
 
 def test_pn_cost_bounded_when_mean_count_far_exceeds_n_max(markovian, expm_calls):
     # mean count I_st t = 2500: the unit circle would need N > 2500 points;
-    # the shrunk circle needs N = 512, i.e. 257 expms plus the Chernoff one
+    # the shrunk circle needs N = 512, i.e. 257 matrices in one stacked
+    # call, after three Chernoff points and before the moments' one
     with pytest.warns(UserWarning, match="truncation"):
         rec = fs.counting_record(markovian, 1e4, 5)
-    assert len(expm_calls) < 300
+    assert sum(expm_calls) < 300
+    assert expm_calls == [1, 1, 1, 257, 1]
     assert rec.aliasing == pytest.approx(np.finfo(float).eps, rel=1e-12)
     assert np.abs(rec.pn - block_pn(markovian, 1e4, 5)).max() <= 1e-13
 
@@ -143,12 +148,30 @@ def test_pn_cost_bounded_when_mean_count_far_exceeds_n_max(markovian, expm_calls
 def test_pn_overflow_safe_chernoff_point(fig5, expm_calls):
     # g(2) overflows at t = 3000; the Chernoff point z = 1 + 2^-k where
     # g(z) is finite keeps N = 2048 on the unit circle, where the trivial
-    # bound P(n >= N) <= 1 would need N > 52 n_max
+    # bound P(n >= N) <= 1 would need N > 52 n_max; its 1025 points take
+    # two stacked calls of at most _STACK_BYTES (1024 matrices of dim 8)
     with pytest.warns(UserWarning, match="truncation"):
         probs = fs.pn(fig5, 3000.0, 600)
-    assert len(expm_calls) < 1100
+    assert sum(expm_calls) < 1100
+    assert expm_calls == [1, 1, 1024, 1]
     assert probs.min() > -1e-13
     assert np.abs(probs[:21] - block_pn(fig5, 3000.0, 20)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("model, t, n_max, points", [("fig5", 5.0, 60, 65),
+                                                     ("random5", 1.0, 30, 33)])
+def test_pn_does_not_depend_on_the_stacking(model, t, n_max, points, fig5, expm_calls,
+                                            monkeypatch):
+    """P_n from its half circle in one stacked expm call equals P_n from
+    stacks of at most three matrices, forced by a cap of three matrices'
+    bytes, bit for bit."""
+    spec = fig5 if model == "fig5" else random_spec(np.random.default_rng(5), 5)
+    whole = fs.pn(spec, t, n_max)
+    assert max(expm_calls) == points
+    expm_calls.clear()
+    monkeypatch.setattr(counting, "_STACK_BYTES", 3 * 16 * (4 * spec.r_max) ** 2)
+    assert np.array_equal(fs.pn(spec, t, n_max), whole)
+    assert max(expm_calls) == 3 and sum(expm_calls) > points
 
 
 def test_pn_monotone_mass_in_nmax(markovian):

@@ -12,6 +12,7 @@ from generator_oracle import T, T_INV, vec_generator
 from steady_oracle import dense_steady
 
 import fluorospec as fs
+from fluorospec import correl, counting
 from fluorospec.model import SIGMA, SIGMA_DAG, SuperOp, detection_jump
 
 EPS = np.finfo(float).eps
@@ -120,7 +121,8 @@ def test_nullity_singular_values_are_those_of_L(r_max, eta, monkeypatch):
 @pytest.mark.parametrize("call", ["steady_state", "stationary_mandel", "c1", "mean_counts"])
 def test_factorizations_run_in_real_arithmetic(call, fig5, monkeypatch):
     dtypes = {}
-    for owner, name in ((np.linalg, "svd"), (np.linalg, "solve"), (la, "expm")):
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "solve"),
+                        (correl, "expm"), (counting, "expm")):
         fn = getattr(owner, name)
 
         def recorded(a, *args, _fn=fn, _name=name, **kwargs):

@@ -29,13 +29,12 @@ def test_traced_layers_resolve():
             assert callable(getattr(home, fn, None)), f"fluorospec.{mod}.{fn}"
 
 
-def test_src_imports_no_scipy_at_module_level():
-    """scipy.linalg takes longer to import than numpy itself, so its users
-    import it inside the functions that need it (the matrix exponentials),
-    and ``import fluorospec`` does not load it."""
+def test_src_imports_no_scipy():
+    """The runtime needs numpy alone: no import statement of src/, at
+    module level or in a function body, names scipy or a submodule of it."""
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):

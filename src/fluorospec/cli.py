@@ -135,7 +135,8 @@ def _numbers(v, path: str):
 
 
 def _parse_grid(obj, name: str) -> GridSpec:
-    """Validated grid; tau and time grids must start at >= 0."""
+    """Validated grid; tau and time grids must start at >= 0, and the
+    built grid must be finite and strictly increasing."""
     path = f"config.grids.{name}"
     _require_keys(obj, {"start", "stop", "count", "spacing"},
                   {"start", "stop", "count"}, path)
@@ -152,6 +153,11 @@ def _parse_grid(obj, name: str) -> GridSpec:
         raise ConfigError(f"{path}.start: must be >= 0, got {g.start}")
     if g.spacing == "log" and g.start <= 0:
         raise ConfigError(f"{path}: log grid requires positive start and stop")
+    with np.errstate(all="ignore"):            # an overflow shows as inf or NaN
+        grid = g.build()
+    if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise ConfigError(f"{path}: the {g.count} points from {g.start} to {g.stop} "
+                          "must be finite and strictly increasing")
     return g
 
 

@@ -32,10 +32,16 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     the steady state), which regularizes the u -> 0 pole; each frequency
     is then one trace-deflated resolvent solve at u = -i(omega - omega_L)
     and the two conjugate Laplace evaluations combine to 2 Re[...], real
-    by construction. Each solve is certified by its backward error; an
-    omega near a purely imaginary eigenvalue gives the large value of the
-    resolvent there, and SingularShift is raised only when the solve
-    itself fails (a shift on that eigenvalue to working precision).
+    by construction. L is real, so the solve at -omega is the complex
+    conjugate of the solve at omega with the conjugate seed
+    (``steady.resolve_deflated``): each omega > 0 whose negation is
+    exactly in the grid shares one LU with it, solved for the two columns
+    [v_dec, conj v_dec]; every other omega, and omega = 0, is solved
+    alone. Each column is certified by its backward error, the column of
+    -omega by exactly the one its own solve would have; an omega near a
+    purely imaginary eigenvalue gives the large value of the resolvent
+    there, and SingularShift is raised only when a solve itself fails (a
+    shift on that eigenvalue to working precision).
     """
     omega = _increasing(omega_grid)
     if not np.all(np.isfinite(omega)):
@@ -45,9 +51,19 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     v = BlockState(seeds).to_vector()
     theta = trace_functional(p.spec.r_max)
     v_dec = v - p.steady.to_vector() * (theta @ v)
+    # the index of -omega in the grid, where it is there exactly
+    neg = np.minimum(np.searchsorted(omega, -omega), omega.size - 1)
+    pair = np.flatnonzero((omega > 0) & (omega[neg] == -omega))
+    alone = np.setdiff1d(np.arange(omega.size), np.concatenate([pair, neg[pair]]))
     vals = np.empty(omega.size)
-    for i, om in enumerate(omega):
-        vals[i] = 2.0 * np.real(w @ resolve_deflated(p.generator, -1j * om, v_dec))
+    both = np.column_stack([v_dec, v_dec.conj()])
+    for i, x in zip(pair, resolve_deflated(p.generator, -1j * omega[pair], both)):
+        # contiguous columns: each dot sums as that of an omega solved alone
+        x0, x1 = x.T.copy()
+        vals[i] = 2.0 * np.real(w @ x0)
+        vals[neg[i]] = 2.0 * np.real(w @ x1.conj())
+    for i, x in zip(alone, resolve_deflated(p.generator, -1j * omega[alone], v_dec[:, None])):
+        vals[i] = 2.0 * np.real(w @ x[:, 0])
     return ObservableSeries(omega, vals)
 
 

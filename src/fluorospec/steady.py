@@ -5,9 +5,10 @@ stationary counting moments (L x = (P - Id) v, Tr x = 0) are solved by
 elimination onto the r_max-state configurational chain, ``_chain_solve``,
 with the dense bordered solve as the fallback where the elimination is not
 certified; the spectrum's trace-free resolvent ((u - L) x = v, Tr x = 0)
-by one bordered solve, ``_bordered_solve``. No factorization is kept between
-solves. The dense Laurent decomposition (steady projector + reduced
-resolvent) is their cross-check.
+by one bordered solve per shift in one reused workspace,
+``resolve_deflated``. No factorization is kept between solves. The dense
+Laurent decomposition (steady projector + reduced resolvent) is their
+cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred. The kernels are numpy's: ``numpy.linalg.solve`` (LAPACK
@@ -76,16 +77,28 @@ the bordered solve on the whole L takes over. Q_st takes that dense
 solve when its elimination raises SingularShift (``_solve_real``).
 
 The dense bordered solve, ``_bordered_solve``, is a kernel over a stack
-too; the fallbacks and the resolvent call it on a stack of one. The
-bordered solve of the resolvent, ``resolve_deflated``, takes and
-returns vectors in the coordinates of ``BlockState.to_vector``, so the
-spectrum makes no round trip through blocks at each frequency. It replaces
-row 0 of a, the aa entry of block 0, by the trace functional theta and
-takes one LU for all right-hand sides. Dropping that row loses no
-equation: theta a = u theta and theta rhs = u Tr x, so row 0's equation is
-minus the sum of the other aa and bb rows'. All nonzero entries of theta
-equal 1, so no row is better conditioned to sacrifice and no row search
-is needed.
+too; the fallbacks call it on a stack of one. It replaces row 0 of a, the
+aa entry of block 0, by the trace functional theta and takes one LU for
+all right-hand sides. Dropping that row loses no equation: theta a =
+u theta and theta rhs = u Tr x, so row 0's equation is minus the sum of
+the other aa and bb rows'. All nonzero entries of theta equal 1, so no
+row is better conditioned to sacrifice and no row search is needed.
+
+The resolvent of the spectrum, ``resolve_deflated``, is the same bordered
+solve of (u - L) x = rhs, Tr x = 0 at a 1-d array of shifts u, on vectors
+in the coordinates of ``BlockState.to_vector``, so the spectrum makes no
+round trip through blocks. One complex workspace holds -L with row 0
+replaced by theta; each shift refills only its diagonal, u - L_jj, and
+takes one LU for all right-hand sides. Each column is certified by its
+backward error on [u - L; theta] x = [rhs; 0], the row 0 that the
+bordering drops included, with |u - L|_1 made in O(dim) per shift from
+the off-diagonal column sums of |L|, taken once. L and theta are real, so
+the bordered matrix at the shift conj(u) is the complex conjugate of the
+one at u. Every rounding is symmetric under conjugation, so its LU is the
+conjugate one, with the same pivots: x at conj(u) is conj(y), y the solve
+at u with the right-hand side conj(rhs), and y's backward error is the one
+the solve at conj(u) would have. The spectrum pairs each frequency with
+its negation that way.
 """
 from __future__ import annotations
 
@@ -248,20 +261,52 @@ def _block_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return blocks, np.linalg.eigvalsh(blocks).min(axis=(-2, -1))
 
 
-def resolve_deflated(generator: SuperOp, u: complex, rhs: np.ndarray) -> np.ndarray:
-    """Resolvent solve restricted to the trace-zero complement, on vectors
-    in the coordinates of ``BlockState.to_vector``.
+def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray) -> np.ndarray:
+    """Resolvent solves restricted to the trace-zero complement, on vectors
+    in the coordinates of ``BlockState.to_vector``: for each shift u of
+    the 1-d ``shifts``, the columns x (dim, k) with (u - L) x = rhs and
+    Tr x = 0, as an array (len(shifts), dim, k).
 
-    Valid only for trace-free right-hand sides: the bordered solve
-    (u - L) x = rhs with Tr x = 0, which also regularizes u = 0 (the steady
-    pole) where the plain resolvent is singular but the complement solve
-    is not.
+    Valid only for trace-free right-hand sides; the bordering also
+    regularizes u = 0 (the steady pole), where the plain resolvent is
+    singular but the complement solve is not. One ``numpy.linalg.solve``
+    per shift, in one workspace, each column certified by its backward
+    error (see the module docstring). SingularShift, for the first shift
+    in order, when that fails or the LU meets an exactly zero pivot.
     """
-    if rhs.shape != (generator.dim,):
-        raise ValueError(f"vector shape {rhs.shape} != generator dim {generator.dim}")
-    a = u * np.eye(generator.dim) - generator.matrix
-    return _bordered_solve(a[None], rhs[None, :, None],
-                           trace_functional(generator.r_max))[0, :, 0]
+    l, dim = generator.matrix, generator.dim
+    if rhs.ndim != 2 or rhs.shape[0] != dim:
+        raise ValueError(f"right-hand side shape {rhs.shape} != (generator dim {dim}, k)")
+    shifts = np.asarray(shifts, dtype=complex)
+    theta = trace_functional(generator.r_max)
+    work = np.negative(l).astype(complex)
+    work[0] = theta
+    diag = work.reshape(-1)[::dim + 1]          # a view: refilled per shift
+    l_diag = np.diagonal(l)
+    abs_off = np.abs(l)
+    np.fill_diagonal(abs_off, 0.0)
+    abs_off = abs_off.sum(axis=0)               # |L|_1 of each column, off the diagonal
+    b = rhs.astype(complex)
+    b[0] = 0.0
+    norm_b = np.abs(rhs).sum(axis=0)
+    out = np.empty((shifts.size, dim, rhs.shape[1]), complex)
+    for i, u in enumerate(shifts):
+        np.subtract(u, l_diag, out=diag)
+        diag[0] = theta[0]
+        try:
+            x = out[i] = np.linalg.solve(work, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularShift(f"bordered solve failed: {exc}") from None
+        with np.errstate(all="ignore"):   # a solve that is not finite fails
+            # rows 1.. of u - L and theta in row 0, then the dropped row 0
+            resid = (np.abs(work @ x - b).sum(axis=0)
+                     + np.abs(u * x[0] - l[0] @ x - rhs[0]))
+            norm_a = (abs_off + np.abs(u - l_diag) + theta).max()
+        failed = _backward_failures("bordered solve", x[None], resid[None],
+                                    norm_a[None], norm_b[None])
+        if failed:
+            raise failed[0]
+    return out
 
 
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a solve:
@@ -277,12 +322,8 @@ _CANCELLATION = 2.0 ** 26
 
 def _certify(what: str, a: np.ndarray, x: np.ndarray, b: np.ndarray,
              theta: np.ndarray | None = None, trace: float = 0.0) -> dict:
-    """The failures of a stacked solve a x = b: for each point whose
-    columns x are not finite, or whose 1-norm backward error of a column,
-    with the row theta x = trace appended when theta is given, exceeds
-    _BACKWARD_ERROR_FACTOR * dim * eps, its index and its SingularShift."""
-    dim = a.shape[-1]
-    bound = _BACKWARD_ERROR_FACTOR * dim * _EPS
+    """The failures of a stacked solve a x = b by ``_backward_failures``,
+    with the row theta x = trace appended when theta is given."""
     with np.errstate(all="ignore"):     # a point that is not finite fails
         resid = np.abs(a @ x - b).sum(axis=-2)
         norm_a = np.abs(a).sum(axis=-2)
@@ -291,7 +332,20 @@ def _certify(what: str, a: np.ndarray, x: np.ndarray, b: np.ndarray,
             resid += np.abs(theta @ x - trace)
             norm_a += theta
             norm_b += abs(trace)
-        scale = norm_a.max(axis=-1)[:, None] * np.abs(x).sum(axis=-2) + norm_b
+    return _backward_failures(what, x, resid, norm_a.max(axis=-1), norm_b)
+
+
+def _backward_failures(what: str, x: np.ndarray, resid: np.ndarray,
+                       norm_a: np.ndarray, norm_b: np.ndarray) -> dict:
+    """For each point of a stacked solve whose columns x (n, dim, k) are
+    not finite, or whose 1-norm backward error of a column, resid /
+    (|A|_1 |x|_1 + |b|_1) from the residual 1-norms resid (n, k), the
+    |A|_1 norm_a (n,) and the |b|_1 norm_b (n, k), exceeds
+    _BACKWARD_ERROR_FACTOR * dim * eps, its index and its SingularShift."""
+    dim = x.shape[-2]
+    bound = _BACKWARD_ERROR_FACTOR * dim * _EPS
+    with np.errstate(all="ignore"):
+        scale = norm_a[:, None] * np.abs(x).sum(axis=-2) + norm_b
         finite = np.isfinite(x).all(axis=(-2, -1))
         ok = finite & (resid <= bound * scale).all(axis=-1)
         if ok.all():

@@ -295,6 +295,27 @@ def test_schema_and_output_types_exit_2(key, value, argv, tmp_path, capsys, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("task, grids", [
+    ("c1", {"tau": {"start": 1.0, "stop": 1.000000000000001, "count": 20}}),
+    ("spectrum", {"omega": {"start": -1e308, "stop": 1e308, "count": 11}})],
+    ids=["repeated_points", "overflow"])
+def test_unbuildable_grid_exits_2(task, grids, tmp_path, capsys, monkeypatch):
+    """A grid whose built points repeat or overflow is a config error that
+    names it, raised without a numpy warning and before anything is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(FIG2A_CONFIG, task=task, grids=grids, output="run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([task, "--config", str(write_config(tmp_path, cfg))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert json.loads(err)["error"] == "ConfigError"
+    assert f"config.grids.{next(iter(grids))}" in json.loads(err)["message"]
+    assert "RuntimeWarning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     """An output path in a missing directory is reported as a JSON error
     with exit code 2, not a traceback."""

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import fluorospec as fs
-from fluorospec import spectrum
 from fluorospec.correl import _c1_pieces
 from fluorospec.model import trace_functional
 
 import markovian_oracle
 import propagation_oracle
+from conftest import random_spec
 from util import fit_lorentzian, fwhm, log_symmetric_grid, peak_position
 
 
@@ -97,13 +97,69 @@ def test_spectrum_symmetry_resonant(fig2a):
     assert np.abs(left - right).max() < 1e-9 * right.max()
 
 
+def _count_solves(monkeypatch):
+    """The argument tuples of every numpy.linalg.solve call from now on."""
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
 def test_spectrum_rejects_grid_before_any_solve(markovian, monkeypatch):
-    calls = []
-    monkeypatch.setattr(spectrum, "resolve_deflated",
-                        lambda *args: calls.append(args))
+    calls = _count_solves(monkeypatch)
     with pytest.raises(ValueError, match="strictly increasing"):
         fs.incoherent_spectrum(markovian, [1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="finite"):
+        fs.incoherent_spectrum(markovian, [0.0, np.inf])
     assert calls == []
+    # the count is live: a valid grid solves
+    fs.incoherent_spectrum(markovian, [-1.0, 0.0, 1.0])
+    assert calls
+
+
+def test_spectrum_one_lu_per_conjugate_pair(markovian, monkeypatch):
+    """On linspace(-15, 15, 24) 16 points have their negation exactly in
+    the grid: 8 pairs share an LU and the other 8 points take one each, 16
+    LUs where one per point would be 24."""
+    grid = np.linspace(-15.0, 15.0, 24)
+    assert np.isin(grid, -grid).sum() == 16
+    p = fs.prepare(markovian)
+    p.steady
+    calls = _count_solves(monkeypatch)
+    fs.incoherent_spectrum(p, grid)
+    assert len(calls) == 16
+    assert sorted(b.shape[-1] for _, b in calls) == [1] * 8 + [2] * 8
+
+
+@pytest.mark.parametrize("case", ["fig2a", "fig2a_detuned", "fig5_detuned", "random20"])
+def test_paired_spectrum_matches_each_point_alone(case, fig2a, fig5):
+    """S(-omega) from the conjugate column of the LU at omega equals a solve
+    of -omega alone, on symmetric and asymmetric spectra."""
+    spec = {"fig2a": fig2a,
+            "fig2a_detuned": dataclasses.replace(fig2a, detuning=0.5),
+            "fig5_detuned": dataclasses.replace(fig5, detuning=2.0),
+            "random20": random_spec(np.random.default_rng(20), 20)}[case]
+    p = fs.prepare(spec)
+    for grid in (np.linspace(-15.0, 15.0, 24), log_symmetric_grid(1e-3, 20.0, 10)):
+        vals = fs.incoherent_spectrum(p, grid).values
+        alone = np.array([fs.incoherent_spectrum(p, [om]).values[0] for om in grid])
+        assert np.abs(vals - alone).max() <= 1e-14 * np.abs(vals).max(), grid
+    if case in ("fig2a_detuned", "random20"):
+        assert np.abs(vals - vals[::-1]).max() > 1e-4 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("grid, lus", [
+    ([-2.0, -1.0, 0.0, 1.0, 2.0], 3),            # 0.0 is solved alone
+    ([-1.0, -0.0, 1.0], 2),                      # and so is -0.0
+    ([-0.3, -0.1, np.nextafter(0.1, 1.0), 0.1 + 0.2], 4),   # no exact negation
+])
+def test_spectrum_pairs_only_exact_negations(grid, lus, fig2a, monkeypatch):
+    p = fs.prepare(dataclasses.replace(fig2a, detuning=0.5))
+    p.steady
+    alone = [fs.incoherent_spectrum(p, [om]).values[0] for om in grid]
+    calls = _count_solves(monkeypatch)
+    vals = fs.incoherent_spectrum(p, grid).values
+    assert len(calls) == lus
+    assert np.abs(vals - alone).max() <= 1e-14 * np.abs(vals).max()
 
 
 def test_sum_rule_markovian(markovian):

@@ -140,7 +140,7 @@ def test_resolve_singular_shift_detected(markovian):
     v = random_block_state(rng, 1)
     vec = v.to_vector()
     vec = vec - st.to_vector() * (trace_functional(1) @ vec)
-    x = fs.steady.resolve_deflated(gen, 0.0, vec)
+    x = fs.steady.resolve_deflated(gen, [0.0], vec[:, None])[0, :, 0]
     r0 = fs.laurent_decomposition(markovian).reduced_resolvent.matrix
     assert np.abs(x - r0 @ vec).max() < 1e-10
 
@@ -220,8 +220,23 @@ def test_exactly_singular_bordered_solve_raises_singular_shift():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularShift, match="bordered solve") as info:
-            fs.steady.resolve_deflated(gen, 0.0, v.to_vector())
+            fs.steady.resolve_deflated(gen, [0.0], v.to_vector()[:, None])
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_resolvent_certifies_the_dropped_row(fig5):
+    """Row 0 of u - L, which the bordered matrix replaces by theta, is part
+    of the certificate: with a right-hand side of trace 1, (u - L) x = rhs
+    and Tr x = 0 have no solution, every other row is solved, and only
+    row 0 shows it."""
+    p = fs.prepare(fig5)
+    v = p.steady.to_vector()[:, None]
+    assert trace_functional(2) @ v == pytest.approx(1.0)
+    with pytest.raises(SingularShift, match="backward error"):
+        fs.steady.resolve_deflated(p.generator, [0.5j], v)
+    w = np.random.default_rng(4).normal(size=v.shape)
+    w = w - v * (trace_functional(2) @ w)        # trace-free: solved
+    assert np.all(np.isfinite(fs.steady.resolve_deflated(p.generator, [0.5j], w)))
 
 
 @pytest.mark.parametrize("caller", ["steady_state", "incoherent_spectrum",

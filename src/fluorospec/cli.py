@@ -192,6 +192,9 @@ def parse_config(text: str, *, task: str | None = None, output: str | None = Non
     if "scenario" in model:
         _require_keys(model, {"scenario", "params"}, {"scenario", "params"},
                       "config.model")
+        if type(model["scenario"]) is not str:
+            raise ConfigError(f"config.model.scenario: must be a string, "
+                              f"got {model['scenario']!r}")
         if model["scenario"] not in SCENARIOS:
             raise ConfigError(f"config.model.scenario: unknown scenario "
                               f"{model['scenario']!r}; valid: {sorted(SCENARIOS)}")

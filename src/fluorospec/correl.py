@@ -59,7 +59,8 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     Sequential expm stepping in real arithmetic, on the real and imaginary
     parts of v0. The last step propagator is kept and reused while the next
     step lies within 1e-12 relative of its step; any other step takes a new
-    expm. Returns shape (len(grid), dim).
+    expm. Returns shape (len(grid), dim); FloatingPointError, naming the
+    first such t, when e^{t L} v0 is not finite (an overflow, unwarned).
     """
     grid = _increasing(grid)
     if grid.size and (grid[0] < 0 or not np.all(np.isfinite(grid))):
@@ -68,12 +69,15 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     out = np.empty((v0.size, grid.size), dtype=complex)
     v = np.column_stack([v0.real, v0.imag])    # real products with the propagators
     prop, step = None, 0.0
-    for i, dt in enumerate(np.diff(grid, prepend=0.0)):
-        if dt > 0:
-            if abs(dt - step) > 1e-12 * step:
-                prop, step = expm(dt * m), dt
-            v = prop @ v
-        out[:, i] = v[:, 0] + 1j * v[:, 1]
+    with np.errstate(all="ignore"):            # an overflow shows as inf or NaN
+        for i, dt in enumerate(np.diff(grid, prepend=0.0)):
+            if dt > 0:
+                if abs(dt - step) > 1e-12 * step:
+                    prop, step = expm(dt * m), dt
+                v = prop @ v
+                if not np.isfinite(v).all():
+                    raise FloatingPointError(f"e^(tL) v0 at t = {grid[i]} is not finite")
+            out[:, i] = v[:, 0] + 1j * v[:, 1]
     return out.T
 
 

@@ -143,7 +143,8 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
     the unit circle would need N of the order of the mean count. g is
     evaluated at all points of the circle in stacked ``expm`` calls of at
     most _STACK_BYTES of matrices each; every value is computed per point,
-    so P_n does not depend on the stacking.
+    so P_n does not depend on the stacking. FloatingPointError when P_n is
+    not finite (an overflow, unwarned).
     """
     theta = trace_functional(j.shape[0] // 4)
     drift = full - j
@@ -164,9 +165,12 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
             break
         n *= 2
     radius = np.exp(log_r)
-    # P_n is real, so g(conj s) = conj g(s): the half circle suffices
-    vals = g(radius * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))
-    probs = np.fft.irfft(np.conj(vals), n)[:n_max + 1] / radius ** np.arange(n_max + 1)
+    with np.errstate(all="ignore"):            # an overflow shows as inf or NaN
+        # P_n is real, so g(conj s) = conj g(s): the half circle suffices
+        vals = g(radius * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))
+        probs = np.fft.irfft(np.conj(vals), n)[:n_max + 1] / radius ** np.arange(n_max + 1)
+    if not np.isfinite(probs).all():
+        raise FloatingPointError(f"P_n at t = {t} is not finite")
     missing = 1.0 - probs.sum()
     if missing > 1e-6:
         warnings.warn(f"P_n truncation at n_max={n_max} leaves mass {missing:.3e}",
@@ -176,12 +180,16 @@ def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
 
 def _moments(full, j, x0, t) -> tuple[float, float]:
     """Traces of x' and x'' in the chain of ``_factorial_moments`` from
-    (x0, 0, 0): one block-bidiagonal matrix exponential."""
+    (x0, 0, 0): one block-bidiagonal matrix exponential. FloatingPointError
+    when they are not finite (an overflow, unwarned)."""
     dim = full.shape[0]
     big = np.kron(np.eye(3), full) + np.kron(np.diag([1.0, 2.0], k=-1), j)
     x = np.zeros(3 * dim, dtype=complex)
     x[:dim] = x0
-    y = expm(t * big) @ x
+    with np.errstate(all="ignore"):            # an overflow shows as inf or NaN
+        y = expm(t * big) @ x
+    if not np.isfinite(y).all():
+        raise FloatingPointError(f"factorial moments at t = {t} are not finite")
     traces = np.real(y.reshape(3, dim) @ trace_functional(dim // 4))
     return float(traces[1]), float(traces[2])
 
@@ -205,7 +213,7 @@ def pn(model: ModelSpec | Prepared, t: float, n_max: int,
     one 4r_max x 4r_max matrix exponential per point on a circle, with the
     aliased mass held at double-precision rounding (``counting_record``
     reports its bound); warns when the truncated mass 1 - sum P_n exceeds
-    1e-6.
+    1e-6. FloatingPointError when the matrix exponentials overflow.
     """
     _check_n_max(n_max)
     return _pn(*_counting_inputs(model, t, initial), t, n_max)[0]
@@ -299,7 +307,8 @@ def detuning_sweep(observable, spec: ModelSpec, delta_grid,
 def counting_record(model: ModelSpec | Prepared, t: float, n_max: int,
                     initial: BlockState | None = None) -> CountingRecord:
     """The full counting snapshot at time t (ModelSpec or Prepared); raises
-    ZeroCounts, like ``mandel_q``, when the mean count vanishes at t > 0."""
+    ZeroCounts, like ``mandel_q``, when the mean count vanishes at t > 0,
+    and FloatingPointError when a matrix exponential overflows."""
     _check_n_max(n_max)
     full, j, x0 = _counting_inputs(model, t, initial)
     probs, aliasing = _pn(full, j, x0, t, n_max)
@@ -317,11 +326,11 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     (u - L)^-1 = P/u + R0 + O(u), P = rho_inf theta, is the trace-free
     solution of L x = (P - Id) J rho_inf = I_st rho_inf - J rho_inf: one
     real column, solved by elimination onto the configurational chain with
-    the dense bordered solve as its fallback (``_solve_real``; SingularShift
-    if a backward error fails). The limit does not depend on the initial
-    state x0 of trace 1: the asymptotes 2(a + b t) of the mean count and
-    2(C + A t + B t^2) of the second factorial moment give Q_st = A/b - 4a
-    with b = I_st / 2, a = theta J R0 x0 / 2 and
+    the dense bordered solve at the shift 0 as its fallback (``_solve_real``;
+    SingularShift if a backward error fails). The limit does not depend on
+    the initial state x0 of trace 1: the asymptotes 2(a + b t) of the mean
+    count and 2(C + A t + B t^2) of the second factorial moment give
+    Q_st = A/b - 4a with b = I_st / 2, a = theta J R0 x0 / 2 and
     A = 2 I_st a + theta J R0 J rho_inf, so that
     Q_st = 2 theta J R0 J rho_inf / I_st + 4a - 4a. ZeroCounts when I_st
     vanishes. A stacked Prepared gives one Q_st per point, from one stacked

@@ -3,10 +3,10 @@
 The steady state (L x = 0, Tr x = 1) and the reduced resolvent of the
 stationary counting moments (L x = (P - Id) v, Tr x = 0) are solved by
 elimination onto the r_max-state configurational chain, ``_chain_solve``,
-with the dense bordered solve as the fallback where the elimination is not
-certified; the spectrum's trace-free resolvent ((u - L) x = v, Tr x = 0)
-by one bordered solve per shift in one reused workspace,
-``resolve_deflated``. No factorization is kept between solves. The dense
+with the dense bordered solve, ``resolve_deflated``, as the fallback where
+the elimination is not certified; the spectrum's trace-free resolvent
+((u - L) x = v, Tr x = 0) by the same bordered solve, one LU per shift in
+one reused workspace. No factorization is kept between solves. The dense
 Laurent decomposition (steady projector + reduced resolvent) is their
 cross-check.
 
@@ -76,29 +76,28 @@ the whole 4 r_max x 4 r_max L) names the nullity of L, and with nullity 1
 the bordered solve on the whole L takes over. Q_st takes that dense
 solve when its elimination raises SingularShift (``_solve_real``).
 
-The dense bordered solve, ``_bordered_solve``, is a kernel over a stack
-too; the fallbacks call it on a stack of one. It replaces row 0 of a, the
-aa entry of block 0, by the trace functional theta and takes one LU for
-all right-hand sides. Dropping that row loses no equation: theta a =
+The dense bordered solve, ``resolve_deflated``, gives the x with
+(u - L) x = rhs and Tr x = trace at each shift u of a 1-d array, on vectors
+in the coordinates of ``BlockState.to_vector``. Its callers are the
+spectrum, at u = -i omega with trace 0, and the dense fallbacks at u = 0:
+the steady state (rhs = 0, trace 1) and Q_st (``_solve_real``), whose
+L y = rhs is the same system as (0 - L) y = -rhs, with the same backward
+error, since |-L| = |L| and |-rhs| = |rhs|. One workspace of the dtype of
+L, the shifts and rhs (real for the fallbacks, complex for the spectrum)
+holds -L with row 0, the aa entry of block 0, replaced by theta; each
+shift refills only its diagonal, u - L_jj, and takes one LU for all
+right-hand sides. Dropping that row loses no equation: theta (u - L) =
 u theta and theta rhs = u Tr x, so row 0's equation is minus the sum of
-the other aa and bb rows'. All nonzero entries of theta equal 1, so no
-row is better conditioned to sacrifice and no row search is needed.
-
-The resolvent of the spectrum, ``resolve_deflated``, is the same bordered
-solve of (u - L) x = rhs, Tr x = 0 at a 1-d array of shifts u, on vectors
-in the coordinates of ``BlockState.to_vector``, so the spectrum makes no
-round trip through blocks. One complex workspace holds -L with row 0
-replaced by theta; each shift refills only its diagonal, u - L_jj, and
-takes one LU for all right-hand sides. Each column is certified by its
-backward error on [u - L; theta] x = [rhs; 0], the row 0 that the
-bordering drops included, with |u - L|_1 made in O(dim) per shift from
-the off-diagonal column sums of |L|, taken once. L and theta are real, so
-the bordered matrix at the shift conj(u) is the complex conjugate of the
-one at u. Every rounding is symmetric under conjugation, so its LU is the
-conjugate one, with the same pivots: x at conj(u) is conj(y), y the solve
-at u with the right-hand side conj(rhs), and y's backward error is the one
-the solve at conj(u) would have. The spectrum pairs each frequency with
-its negation that way.
+the other aa and bb rows'; all nonzero entries of theta equal 1, so no row
+search is needed. Each column is certified by its backward error on
+[u - L; theta] x = [rhs; trace], the dropped row 0 included, with
+|u - L|_1 made in O(dim) per shift from the off-diagonal column sums of
+|L|, taken once. L and theta are real, so the bordered matrix at conj(u)
+is the complex conjugate of the one at u; every rounding is symmetric
+under conjugation, so its LU is the conjugate one, with the same pivots:
+x at conj(u) is conj(y), y the solve at u with the right-hand side
+conj(rhs), with the backward error the solve at conj(u) would have. The
+spectrum pairs each frequency with its negation that way.
 """
 from __future__ import annotations
 
@@ -176,14 +175,6 @@ def prepare(model: ModelSpec | Prepared) -> Prepared:
     return Prepared(model, build_generator(model), detection_jump(model))
 
 
-def _trace_row(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Copy of a (or of each matrix of a stack) with its row 0 replaced by
-    the trace functional theta."""
-    out = a.copy()
-    out[..., 0, :] = theta
-    return out
-
-
 def _check_nullity(gen: np.ndarray) -> None:
     """Nullity 1 of L from the singular values of D L D^-1 with
     D = diag(1, 1, sqrt 2, sqrt 2) per block (D T is unitary, so these are
@@ -223,7 +214,8 @@ def steady_state(generator: SuperOp) -> BlockState:
     Hermitian; the singular values of the stochastic complement certify
     nullity 1. Each point where the elimination is not certified goes
     through the dense path on its own, in stack order: the dense check
-    names the nullity and the dense bordered solve takes over.
+    names the nullity and the dense bordered solve takes over,
+    ``resolve_deflated`` at the shift 0 with Tr x = 1.
     NullSpaceDegenerate when the nullity is not 1, SingularShift when a
     solve fails its backward-error check, ValueError when a block of the
     state has a negative eigenvalue; the first such point of the stack
@@ -238,12 +230,11 @@ def steady_state(generator: SuperOp) -> BlockState:
     blocks, eigmin = _block_state(y)
     dense = eigmin < -1e-10                    # the elimination is not certified here
     dense[list(failed)] = True
-    theta = trace_functional(generator.r_max)
     for i in np.flatnonzero(dense):
         if isinstance(failed.get(i), NullSpaceDegenerate):
             raise failed[i]
         _check_nullity(gen[i])                 # names the nullity of L when it is not 1
-        st, low = _block_state(_bordered_solve(gen[i:i + 1], zero[:1], theta, 1.0))
+        st, low = _block_state(resolve_deflated(SuperOp(gen[i]), [0.0], zero[0], 1.0))
         if low[0] < -1e-10:
             raise ValueError(
                 f"steady-state block eigenvalue {low[0]:.3e} < -1e-10; "
@@ -261,13 +252,14 @@ def _block_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return blocks, np.linalg.eigvalsh(blocks).min(axis=(-2, -1))
 
 
-def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray) -> np.ndarray:
-    """Resolvent solves restricted to the trace-zero complement, on vectors
-    in the coordinates of ``BlockState.to_vector``: for each shift u of
-    the 1-d ``shifts``, the columns x (dim, k) with (u - L) x = rhs and
-    Tr x = 0, as an array (len(shifts), dim, k).
+def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray,
+                     trace: float = 0.0) -> np.ndarray:
+    """The bordered solve, on vectors in the coordinates of
+    ``BlockState.to_vector``: for each shift u of the 1-d ``shifts``, the
+    columns x (dim, k) with (u - L) x = rhs and Tr x = trace, as an array
+    (len(shifts), dim, k) of the dtype of L, the shifts and rhs.
 
-    Valid only for trace-free right-hand sides; the bordering also
+    Valid only where theta rhs = u trace; with trace 0 the bordering also
     regularizes u = 0 (the steady pole), where the plain resolvent is
     singular but the complement solve is not. One ``numpy.linalg.solve``
     per shift, in one workspace, each column certified by its backward
@@ -277,19 +269,20 @@ def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray) -> np.ndarray:
     l, dim = generator.matrix, generator.dim
     if rhs.ndim != 2 or rhs.shape[0] != dim:
         raise ValueError(f"right-hand side shape {rhs.shape} != (generator dim {dim}, k)")
-    shifts = np.asarray(shifts, dtype=complex)
+    shifts = np.asarray(shifts)
+    dtype = np.result_type(l, shifts, rhs)
     theta = trace_functional(generator.r_max)
-    work = np.negative(l).astype(complex)
+    work = np.negative(l).astype(dtype)
     work[0] = theta
     diag = work.reshape(-1)[::dim + 1]          # a view: refilled per shift
     l_diag = np.diagonal(l)
     abs_off = np.abs(l)
     np.fill_diagonal(abs_off, 0.0)
     abs_off = abs_off.sum(axis=0)               # |L|_1 of each column, off the diagonal
-    b = rhs.astype(complex)
-    b[0] = 0.0
-    norm_b = np.abs(rhs).sum(axis=0)
-    out = np.empty((shifts.size, dim, rhs.shape[1]), complex)
+    b = rhs.astype(dtype)
+    b[0] = trace
+    norm_b = np.abs(rhs).sum(axis=0) + abs(trace)
+    out = np.empty((shifts.size, dim, rhs.shape[1]), dtype)
     for i, u in enumerate(shifts):
         np.subtract(u, l_diag, out=diag)
         diag[0] = theta[0]
@@ -374,32 +367,15 @@ def _solve(what: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     return x, failed
 
 
-def _bordered_solve(a: np.ndarray, rhs: np.ndarray, theta: np.ndarray,
-                    trace: float = 0.0) -> np.ndarray:
-    """The x with a x = rhs and theta x = trace for each matrix of the
-    stack a (n, dim, dim), rhs (n, dim, k), by one LU of a with row 0
-    replaced by theta (see the module docstring), certified by its backward
-    error on [a; theta] x = [rhs; trace]; SingularShift, for the first
-    point of the stack, if that fails or the LU meets an exactly zero
-    pivot."""
-    b = rhs.copy()
-    b[:, 0] = trace
-    x, failed = _solve("bordered solve", _trace_row(a, theta), b)
-    failed = failed or _certify("bordered solve", a, x, rhs, theta, trace)
-    if failed:
-        raise failed[min(failed)] from None
-    return x
-
-
 def _solve_real(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
     """The real columns y with L y = rhs and theta y = trace for each
     generator of the stack gen: by one stacked elimination, and for each
     point where it fails, by the dense bordered solve on its own, in stack
-    order (SingularShift when that fails too)."""
+    order, as (0 - L) y = -rhs (``resolve_deflated`` at the shift 0;
+    SingularShift when that fails too)."""
     y, failed = _chain_solve(gen, rhs, trace)
-    theta = trace_functional(gen.shape[-1] // 4)
     for i in sorted(failed):
-        y[i] = _bordered_solve(gen[i:i + 1], rhs[i:i + 1], theta, trace)[0]
+        y[i] = resolve_deflated(SuperOp(gen[i]), [0.0], -rhs[i], trace)[0]
     return y
 
 
@@ -603,7 +579,8 @@ def laurent_decomposition(model: ModelSpec | Prepared) -> SteadyDecomposition:
     dim = generator.dim
     theta = trace_functional(generator.r_max)
     p = np.outer(st.to_vector().real, theta)
-    a = _trace_row(m, theta)
+    a = m.copy()
+    a[0] = theta
     b = p - np.eye(dim)
     b[0, :] = 0.0
     r0 = np.linalg.solve(a, b)

@@ -243,7 +243,11 @@ def _malformed_configs():
              dict(negative_time, task="steady"))] + [
         (name, "steady", dict(FIG2A_CONFIG, model={"inline": bad}))
         for name, bad in {**not_numbers, **bad_labels}.items()] + [
-        ("bool_param", "steady", bool_param)]
+        ("bool_param", "steady", bool_param)] + [
+        # a scenario that is not a string is not looked up
+        (name, "steady", dict(FIG2A_CONFIG, model={
+            "scenario": scenario, "params": {"gamma": 1.0, "omega_rabi": 0.7}}))
+        for name, scenario in (("list_scenario", []), ("object_scenario", {}))]
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -256,6 +260,8 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert json.loads(err)["error"] == "ConfigError", name
         if name == "bool_phi":   # the first entry that is not a number is named
             assert "config.model.inline.phi[0][1]" in json.loads(err)["message"]
+        if name.endswith("_scenario"):
+            assert "config.model.scenario" in json.loads(err)["message"], name
         assert not list(tmp_path.glob(f"{name}_*.csv")), name
     # the thread count from the command line must obey the config's bound
     single = dict(FIG2A_CONFIG, task="steady", output=str(tmp_path / "threads"),
@@ -481,6 +487,31 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         err = json.loads(lines[0])
         assert err["error"] == "NullSpaceDegenerate", name
         assert "nullity is 4" in err["message"], name
+    # a matrix exponential that overflows, at a huge Rabi frequency or at a
+    # huge time, fails with exit 3 rather than write NaN, and draws no numpy
+    # warning (at t = 5e299 P_n itself is finite, and its truncation warns)
+    single = {"scenario": "single_state", "params": {"gamma": 1.0, "omega_rabi": 1e20}}
+    chain = {"scenario": "diffusion_chain",
+             "params": {"n_sites": 3, "omega_profile": [1e20, 1.0, 0.5],
+                        "phi_hop": 0.5, "gamma": 1.0}}
+    overflows = {
+        "huge_rabi": ("counting", single, {"time": {"start": 0.0, "stop": 3.0, "count": 3}}),
+        "huge_time": ("counting", dict(single, params={"gamma": 1.0, "omega_rabi": 0.7}),
+                      {"time": {"start": 0.0, "stop": 1e300, "count": 3}}),
+        "huge_chain": ("g2", chain, {"tau": {"start": 0.0, "stop": 4.0, "count": 4}})}
+    for name, (task, model, grids) in overflows.items():
+        cfg = {"schema": 1, "model": model, "task": task, "grids": grids, "n_max": 5,
+               "output": str(tmp_path / name)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "P_n truncation", UserWarning)
+            rc = cli.main([task, "--config", str(write_config(tmp_path, cfg, f"{name}.json"))])
+        assert rc == 3, name
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, (name, lines)
+        assert json.loads(lines[0])["error"] == "FloatingPointError", name
+        assert not list(tmp_path.glob(f"{name}_*.csv")), name
+        assert not (tmp_path / f"{name}.meta.json").exists(), name
 
 
 def test_mandel_sweep_reaches_the_detuning_limit(tmp_path):

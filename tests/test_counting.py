@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,24 @@ def test_counting_rejects_bad_time(markovian):
                    lambda: fs.mean_counts(markovian, t)):
             with pytest.raises(ValueError, match="finite"):
                 fn()
+
+
+@pytest.mark.parametrize("observable", ["c1", "c2", "g2", "pn", "mean_counts",
+                                        "counting_record"])
+def test_overflowing_exponential_raises(observable):
+    """At Rabi frequency 1e20 the matrix exponentials at t = 1.5 overflow:
+    every expm-based observable raises FloatingPointError naming t, without
+    a warning, rather than return NaN."""
+    p = fs.prepare(fs.single_state(gamma=1.0, omega_rabi=1e20))
+    p.steady
+    calls = {"c1": lambda: fs.c1(p, [0.0, 1.5]), "c2": lambda: fs.c2(p, [0.0, 1.5]),
+             "g2": lambda: fs.g2(p, [0.0, 1.5]), "pn": lambda: fs.pn(p, 1.5, 5),
+             "mean_counts": lambda: fs.mean_counts(p, 1.5),
+             "counting_record": lambda: fs.counting_record(p, 1.5, 5)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="t = 1.5 "):
+            calls[observable]()
 
 
 def test_pn_truncation_warning(markovian):

@@ -239,6 +239,27 @@ def test_resolvent_certifies_the_dropped_row(fig5):
     assert np.all(np.isfinite(fs.steady.resolve_deflated(p.generator, [0.5j], w)))
 
 
+def test_resolve_deflated_takes_the_dtype_of_its_inputs(fig5):
+    """A real shift with a real right-hand side is solved in real
+    arithmetic, as the dense fallbacks solve; an imaginary shift in
+    complex arithmetic, as the spectrum solves."""
+    p = fs.prepare(fig5)
+    w = np.random.default_rng(4).normal(size=(8, 1))
+    w = w - p.steady.to_vector().real[:, None] * (trace_functional(2) @ w)
+    assert fs.steady.resolve_deflated(p.generator, [0.0], w).dtype == np.float64
+    assert fs.steady.resolve_deflated(p.generator, [0.5j], w).dtype == np.complex128
+
+
+@pytest.mark.parametrize("which", ["fig5", "random20"])
+def test_resolve_deflated_with_unit_trace_is_the_steady_state(which, fig5):
+    """At the shift 0 with Tr x = 1 and a zero right-hand side, the
+    bordered solve is the dense fallback of the steady state."""
+    spec = fig5 if which == "fig5" else random_spec(np.random.default_rng(20), 20)
+    gen = fs.build_generator(spec)
+    x = fs.steady.resolve_deflated(gen, [0.0], np.zeros((gen.dim, 1)), 1.0)[0, :, 0]
+    assert np.abs(x - dense_steady(gen).to_vector()).max() <= 1e-13
+
+
 @pytest.mark.parametrize("caller", ["steady_state", "incoherent_spectrum",
                                     "stationary_mandel"])
 def test_bordered_solve_certified(caller, fig5, monkeypatch):
@@ -484,14 +505,14 @@ def test_detuning_sweep_mixes_certified_and_dense_points(phi, dense, observable,
     want = [observable(fs.prepare(dataclasses.replace(spec, detuning=float(d))))
             for d in deltas]
     shapes = []
-    bordered = fs.steady._bordered_solve
-    monkeypatch.setattr(fs.steady, "_bordered_solve",
-                        lambda a, *args: shapes.append(a.shape) or bordered(a, *args))
+    bordered = fs.steady.resolve_deflated
+    monkeypatch.setattr(fs.steady, "resolve_deflated",
+                        lambda g, *args: shapes.append(g.matrix.shape) or bordered(g, *args))
     series = fs.detuning_sweep(observable, spec, deltas)
     assert np.array_equal(series.values, want)
     # the steady state's dense solves, and on the cancelling spec Q_st's
     q_dense = dense if cancelling and observable is fs.stationary_mandel else []
-    assert shapes == [(1, 8, 8)] * (len(dense) + len(q_dense))
+    assert shapes == [(8, 8)] * (len(dense) + len(q_dense))
 
 
 @pytest.mark.parametrize("observable", [fs.line_shape, fs.stationary_mandel],

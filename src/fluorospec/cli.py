@@ -12,10 +12,11 @@ threads and return them in grid order, so outputs are byte-identical
 across runs and thread counts.
 
 The model is recorded once, in the sidecar; the CSV's comment lines hold
-the task, the version and the task's own scalars. The sidecar is one line
-of sorted-key JSON without indentation, so that the json module's C
-encoder makes it: ``indent`` would switch to the pure-Python encoder,
-about three times as slow on a large inline model. Both files are encoded
+the task, the version and the task's own scalars. The sidecar is
+sorted-key JSON from the json module's C encoder, with the config's model
+spliced in as the text it was read from, so a large inline model is
+decoded once and never encoded; an indented config gives a multi-line
+sidecar. Files are read and written as UTF-8. Both files are encoded
 before either is written, and a CSV whose sidecar cannot be written is
 removed again, so no result file is left without its sidecar.
 
@@ -31,6 +32,7 @@ import dataclasses
 import functools
 import inspect
 import json
+import json.decoder
 import math
 import os
 import sys
@@ -76,7 +78,8 @@ class GridSpec:
 @dataclass(frozen=True)
 class RunConfig:
     """A run configuration; ``spec`` is the ModelSpec of ``model``, built
-    once, when the config is made, and run from there."""
+    once, when the config is made, and run from there; ``model_text`` is
+    the JSON text ``model`` was decoded from."""
 
     model: dict
     task: str
@@ -84,6 +87,7 @@ class RunConfig:
     output: str
     threads: int
     n_max: int | None
+    model_text: str = dataclasses.field(repr=False, compare=False)
     spec: ModelSpec = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,13 +165,40 @@ def _parse_grid(obj, name: str) -> GridSpec:
     return g
 
 
+_SCAN_ONCE = json.JSONDecoder().scan_once
+_WS = json.decoder.WHITESPACE.match
+
+
+def _decode(text: str) -> tuple:
+    """json.loads(text), and the source text of the top-level "model" value
+    (the last, which json.loads keeps) if text is an object. Its top level
+    is walked by json.decoder.JSONObject, each value decoded by the C
+    scanner; a malformed text raises the error json.loads raises."""
+    start = _WS(text, 0).end()
+    if not text.startswith("{", start):      # a byte order mark included
+        return json.loads(text), None
+    texts = []
+
+    def scan_once(s, i):
+        value, end = _SCAN_ONCE(s, i)
+        texts.append(s[i:end])
+        return value, end
+
+    pairs, end = json.decoder.JSONObject((text, start + 1), True, scan_once,
+                                         None, list)
+    end = _WS(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return dict(pairs), dict(zip((key for key, _ in pairs), texts)).get("model")
+
+
 def parse_config(text: str, *, task: str | None = None, output: str | None = None,
                  threads: int | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration; all defaults resolved.
     Each of task, output and threads that is not None replaces the config's
     own value before any value is checked, so only the values used are."""
     try:
-        raw = json.loads(text)
+        raw, model_text = _decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
@@ -238,7 +269,7 @@ def parse_config(text: str, *, task: str | None = None, output: str | None = Non
 
     try:
         cfg = RunConfig(model=model, task=task, grids=grids, output=output,
-                        threads=threads, n_max=n_max)
+                        threads=threads, n_max=n_max, model_text=model_text)
         problems = validate(cfg.spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.model: {exc}") from exc
@@ -299,10 +330,16 @@ def _csv_text(meta: dict, header: list[str], rows) -> str:
 
 
 def _sidecar_text(config: RunConfig, wall_time_s: float) -> str:
-    """Sorted-key JSON of the resolved config, version and wall time."""
-    return json.dumps({"config": _config_dict(config), "version": __version__,
-                       "wall_time_s": wall_time_s},
-                      sort_keys=True, separators=(", ", ": "))
+    """Sorted-key JSON of the resolved config, version and wall time, with
+    the model text spliced in as read at the first "model": null: JSON
+    escapes each quote inside a string, and before "model" sorts only
+    "grids", which holds numbers and spacing names."""
+    config_dict = dict(_config_dict(config), model=None)
+    head, _, tail = json.dumps({"config": config_dict, "version": __version__,
+                                "wall_time_s": wall_time_s},
+                               sort_keys=True, separators=(", ", ": ")
+                               ).partition('"model": null')
+    return f'{head}"model": {config.model_text}{tail}'
 
 
 def run(config: RunConfig) -> list[str]:
@@ -356,10 +393,10 @@ def run(config: RunConfig) -> list[str]:
     csv_text = _csv_text(meta, header, rows)
     sidecar = f"{config.output}.meta.json"
     sidecar_text = _sidecar_text(config, time.perf_counter() - t0)
-    with open(csv_path, "w") as fh:
+    with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
     try:
-        with open(sidecar, "w") as fh:
+        with open(sidecar, "w", encoding="utf-8") as fh:
             fh.write(sidecar_text)
     except OSError:
         os.unlink(csv_path)   # a CSV without its sidecar would look complete
@@ -395,7 +432,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
         cfg = parse_config(text, task=args.task, output=args.out, threads=args.threads)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -63,6 +64,32 @@ def test_parse_unknown_key_rejected():
 def test_parse_error_reports_position():
     with pytest.raises(cli.ConfigError, match="line 1"):
         cli.parse_config("{not json")
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "{", '{"a" 1}', '{"schema":1,}',
+    "{} x",                   # json.loads skips trailing whitespace first
+    "\ufeff{}",
+    '{"schema": 1 "model": 2}',
+    '{\n  "schema": 1,\n  "model": {"inline": {"gamma": [1.0, 2.0,]}}\n}'],
+    ids=["empty", "blank", "open_brace", "no_colon", "trailing_comma",
+         "extra_data", "byte_order_mark", "no_comma", "nested"])
+def test_parse_error_is_that_of_json_loads(text):
+    """A malformed config's error names the message, line and column that
+    json.loads gives for the same text."""
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(cli.ConfigError) as got:
+        cli.parse_config(text)
+    exc = want.value
+    assert str(got.value) == (f"config parse error at line {exc.lineno}, "
+                              f"column {exc.colno}: {exc.msg}")
+
+
+@pytest.mark.parametrize("text", ["[]", "1"])
+def test_parse_non_object_rejected(text):
+    with pytest.raises(cli.ConfigError, match="^config: must be an object$"):
+        cli.parse_config(text)
 
 
 def test_parse_grid_validation():
@@ -129,9 +156,10 @@ def test_run_writes_metadata_sidecar(tmp_path):
                                        "output": str(tmp_path / "inline")},
                             name="inline.json")
     assert cli.main(["steady", "--config", str(cfg_path)]) == 0
-    text = (tmp_path / "inline.meta.json").read_text()
+    text = (tmp_path / "inline.meta.json").read_text(encoding="utf-8")
     sidecar = json.loads(text)
-    assert text == json.dumps(sidecar, sort_keys=True)   # sorted keys, one object
+    # sorted keys, one object, the model as the config wrote it
+    assert text == _sidecar_form(sidecar, json.dumps({"inline": inline}))
     cfg = cli.parse_config(cfg_path.read_text())
     assert sidecar["config"] == json.loads(json.dumps(cli._config_dict(cfg)))
     assert cli.parse_config(json.dumps(sidecar["config"])) == cfg
@@ -139,6 +167,80 @@ def test_run_writes_metadata_sidecar(tmp_path):
     assert sidecar["config"]["model"] == {"inline": inline}
     csv = (tmp_path / "inline_steady.csv").read_text().splitlines()
     assert not [l for l in csv if l.startswith("# model")]
+
+
+def _sidecar_form(sidecar: dict, model_text: str) -> str:
+    """The exact text of a sidecar: the sorted-key JSON of its values, with
+    the config's model spliced in as the source text it was read from."""
+    rest = dict(sidecar, config=dict(sidecar["config"], model=None))
+    return json.dumps(rest, sort_keys=True).replace(
+        '"model": null', f'"model": {model_text}', 1)
+
+
+# A hand-written config: indented, keys unsorted, numbers in several forms
+# and labels that are not ASCII
+_PRETTY_MODEL = """{
+    "inline": {
+      "r_max": 2,
+      "omega_rabi": [0.7, 7e-1],
+      "gamma": [1.0, 2],
+      "delta_omega": [-0.0, 1e-3],
+      "phi": [[0, 1E-2], [2e-2, 0]],
+      "detuning": 1E2,
+      "labels": ["état", "fermé"]
+    }
+  }"""
+_PRETTY_CONFIG = ('{\n  "task": "steady",\n  "model": ' + _PRETTY_MODEL
+                  + ',\n  "schema": 1\n}\n')
+
+
+def test_sidecar_records_the_model_as_read(tmp_path):
+    cfg_path = tmp_path / "pretty.json"
+    cfg_path.write_text(_PRETTY_CONFIG, encoding="utf-8")
+    out = str(tmp_path / "pretty")
+    assert cli.main(["steady", "--config", str(cfg_path), "--out", out]) == 0
+    raw = (tmp_path / "pretty.meta.json").read_bytes()
+    sidecar = json.loads(raw)
+    assert raw == _sidecar_form(sidecar, _PRETTY_MODEL).encode("utf-8")
+    assert sidecar["config"]["model"] == json.loads(_PRETTY_MODEL)
+    assert (cli.parse_config(json.dumps(sidecar["config"]))
+            == cli.parse_config(_PRETTY_CONFIG, output=out))
+
+
+def test_config_and_sidecar_are_utf8_in_any_locale(tmp_path):
+    """JSON is UTF-8 (RFC 8259): a config with labels that are not ASCII
+    runs under the C locale without Python's UTF-8 mode."""
+    cfg_path = tmp_path / "pretty.json"
+    cfg_path.write_text(_PRETTY_CONFIG, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluorospec.cli", "steady", "--config", str(cfg_path),
+         "--out", str(tmp_path / "c_locale")],
+        capture_output=True, text=True, env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0"))
+    assert proc.returncode == 0, proc.stderr
+    raw = (tmp_path / "c_locale.meta.json").read_bytes()
+    assert _PRETTY_MODEL.encode("utf-8") in raw
+    assert json.loads(raw)["config"]["model"] == json.loads(_PRETTY_MODEL)
+
+
+def test_repeated_model_key_keeps_the_last(tmp_path):
+    """Of two "model" keys the last is run and recorded, as json.loads
+    keeps it."""
+    first = json.dumps({"scenario": "single_state",
+                        "params": {"gamma": 1.0, "omega_rabi": 0.7}})
+    last = json.dumps(FIG2A_CONFIG["model"])
+    twice = tmp_path / "twice.json"
+    twice.write_text(f'{{"schema": 1, "model": {first}, "task": "steady", '
+                     f'"model": {last}}}')
+    once = write_config(tmp_path, {"schema": 1, "model": FIG2A_CONFIG["model"],
+                                   "task": "steady"}, name="once.json")
+    for name, path in (("twice", twice), ("once", once)):
+        assert cli.main(["steady", "--config", str(path),
+                         "--out", str(tmp_path / name)]) == 0, name
+    assert cli.parse_config(twice.read_text()).model == FIG2A_CONFIG["model"]
+    assert ((tmp_path / "twice_steady.csv").read_bytes()
+            == (tmp_path / "once_steady.csv").read_bytes())
+    text = (tmp_path / "twice.meta.json").read_text(encoding="utf-8")
+    assert text == _sidecar_form(json.loads(text), last)
 
 
 @pytest.mark.parametrize("own, argv", [({"task": "spectrum"}, []),

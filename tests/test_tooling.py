@@ -64,3 +64,21 @@ def test_src_has_no_unused_imports():
                     if bound not in read:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
     assert not unused, unused
+
+
+def test_src_opens_text_files_with_an_encoding():
+    """Every text-mode open() of src/ names its encoding, so that a config
+    is read and a result written as UTF-8 whatever the locale; a binary
+    mode needs none."""
+    bare = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not (binary or "encoding" in keywords or len(node.args) > 3):
+                bare.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not bare, bare

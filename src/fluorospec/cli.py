@@ -23,7 +23,10 @@ removed again, so no result file is left without its sidecar.
 The command line's task, ``--out`` and ``--threads`` replace the config's
 own values before the checks, which run once, on the values the run uses.
 
-Exit codes: 0 ok, 2 config error or unwritable output, 3 numerical failure.
+Exit codes: 0 ok; 2 config error (a grid too large to allocate included)
+or unwritable output; 3 numerical failure or a result too large to
+allocate (MemoryError). Each error is one line of JSON on stderr and
+leaves no CSV or sidecar.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, correl, counting, scenarios, spectrum
-from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams, validate
+from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams
 from .steady import NullSpaceDegenerate, config_populations, prepare
 
 TASK_GRID = {"steady": None, "spectrum": "omega", "g2": "tau", "c1": "tau",
@@ -140,7 +143,7 @@ def _numbers(v, path: str):
 
 def _parse_grid(obj, name: str) -> GridSpec:
     """Validated grid; tau and time grids must start at >= 0, and the
-    built grid must be finite and strictly increasing."""
+    built grid must fit in memory and be finite and strictly increasing."""
     path = f"config.grids.{name}"
     _require_keys(obj, {"start", "stop", "count", "spacing"},
                   {"start", "stop", "count"}, path)
@@ -157,8 +160,11 @@ def _parse_grid(obj, name: str) -> GridSpec:
         raise ConfigError(f"{path}.start: must be >= 0, got {g.start}")
     if g.spacing == "log" and g.start <= 0:
         raise ConfigError(f"{path}: log grid requires positive start and stop")
-    with np.errstate(all="ignore"):            # an overflow shows as inf or NaN
-        grid = g.build()
+    try:
+        with np.errstate(all="ignore"):        # an overflow shows as inf or NaN
+            grid = g.build()
+    except MemoryError:
+        raise ConfigError(f"{path}.count: {g.count} points do not fit in memory") from None
     if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
         raise ConfigError(f"{path}: the {g.count} points from {g.start} to {g.stop} "
                           "must be finite and strictly increasing")
@@ -268,14 +274,10 @@ def parse_config(text: str, *, task: str | None = None, output: str | None = Non
         raise ConfigError("config.n_max: required for the counting task")
 
     try:
-        cfg = RunConfig(model=model, task=task, grids=grids, output=output,
-                        threads=threads, n_max=n_max, model_text=model_text)
-        problems = validate(cfg.spec)
+        return RunConfig(model=model, task=task, grids=grids, output=output,
+                         threads=threads, n_max=n_max, model_text=model_text)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.model: {exc}") from exc
-    if problems:
-        raise ConfigError("config.model: invalid model:\n  " + "\n  ".join(problems))
-    return cfg
 
 
 def _config_dict(config: RunConfig) -> dict:
@@ -289,7 +291,7 @@ def _config_dict(config: RunConfig) -> dict:
 
 
 def build_model(config: RunConfig) -> ModelSpec:
-    """The ModelSpec of config.model (not validated)."""
+    """The ModelSpec of config.model; ValueError when it is invalid."""
     m = config.model
     if "scenario" in m:
         return SCENARIOS[m["scenario"]](**m["params"])
@@ -442,7 +444,7 @@ def main(argv=None) -> int:
     except OSError as exc:   # the CSV or the sidecar could not be written
         return _report(exc, 2)
     except (NullSpaceDegenerate, correl.ZeroIntensity, counting.ZeroCounts,
-            ArithmeticError, ValueError) as exc:
+            ArithmeticError, MemoryError, ValueError) as exc:
         return _report(exc, 3)
     if args.verbose:
         for f in files:

@@ -28,12 +28,13 @@ detuning 0, and cuts the grid into contiguous chunks, at least one per
 worker of the package's one thread map, ``_parallel_map`` (which the CLI's
 counting task uses as well), and more where a chunk's stack of generators
 would exceed the byte cap ``_STACK_BYTES``. Each chunk is one stacked
-Prepared (``Prepared.at_detuning`` of its array of detunings, made by one
-broadcast of ``model.shift_detuning``), whose steady states and Q_st
-columns are solved in one stacked elimination each; every point is
-certified on its own, a point that fails takes the dense fallback on its
-own, and a chunk that raises is evaluated again point by point, so that
-the first failing point in grid order raises what it raises alone.
+Prepared (``Prepared.at_detuning`` of its array of detunings, one broadcast
+of ``model.shift_detuning`` that keeps the spec at detuning 0), whose
+steady states and Q_st columns are solved in one stacked elimination each;
+every point is certified on its own, a point that fails takes the dense
+fallback on its own, and a chunk that raises is evaluated again point by
+point, so that the first failing point in grid order raises what it
+raises alone.
 
 Counting convention: unit detector efficiency over the full solid angle,
 so the stationary count rate equals the stationary intensity. General

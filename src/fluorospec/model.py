@@ -136,10 +136,11 @@ class GeneralJumpChannel:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Full parameterization of the driven fluorophore + environment model.
+    """Full parameterization of the driven fluorophore + environment model;
+    making one in which :func:`validate` finds a problem raises ValueError.
 
-    detuning is laser minus bare transition frequency; per-block effective
-    detunings are detuning - per_state[R].delta_omega.
+    detuning is laser minus bare transition frequency, one number; per-block
+    effective detunings are detuning - per_state[R].delta_omega.
     """
 
     space: ConfigSpace
@@ -151,6 +152,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "per_state", tuple(self.per_state))
         object.__setattr__(self, "extra_channels", tuple(self.extra_channels))
+        require_valid(self)
 
     @property
     def r_max(self) -> int:
@@ -219,16 +221,10 @@ class BlockState:
         return cls(blocks.swapaxes(-1, -2))
 
     @classmethod
-    def ground(cls, r_max: int, populations=None) -> "BlockState":
-        """All blocks in |a><a|, block weights given by populations (default:
-        everything in the first configurational state)."""
-        p = np.zeros(r_max)
-        if populations is None:
-            p[0] = 1.0
-        else:
-            p[:] = populations
+    def ground(cls, r_max: int) -> "BlockState":
+        """|a><a| in the first configurational state, every other block 0."""
         b = np.zeros((r_max, 2, 2), dtype=complex)
-        b[:, 0, 0] = p
+        b[0, 0, 0] = 1.0
         return cls(b)
 
 
@@ -307,7 +303,9 @@ def validate(spec: ModelSpec) -> list[str]:
             out.append(f"extra_channels[{k}]: duplicate operator_kind {ch.operator_kind.value}")
         kinds_seen.add(ch.operator_kind)
         out.extend(_validate_table(ch.eta, r, f"extra_channels[{k}].eta"))
-    if not math.isfinite(spec.detuning):
+    if np.ndim(spec.detuning) != 0:
+        out.append(f"detuning: must be a number, got shape {np.shape(spec.detuning)}")
+    elif not math.isfinite(spec.detuning):
         out.append("detuning: not finite")
     return out
 
@@ -407,7 +405,6 @@ def build_generator(spec: ModelSpec) -> SuperOp:
     gains (:func:`detection_jump`); phi gain/loss; plus any general
     channels (loss from eta column sums, gain eta[R][R'] A · A†).
     """
-    require_valid(spec)
     phi = spec.rates.phi
     m = (_kron(np.diag(spec.detuning - spec.delta_omegas()), _DETUNING)
          + _kron(np.diag(spec.omega_rabis()), _DRIVE)

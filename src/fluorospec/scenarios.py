@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ConfigSpace, FluctuationRates, ModelSpec, PerStateParams,
-                    require_valid)
+from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams
 from .steady import expm
 
 
@@ -26,15 +25,13 @@ class BlinkingApprox:
 def _spec(per_state, phi=None, gamma_cross=None, detuning=0.0) -> ModelSpec:
     r = len(per_state)
     z = np.zeros((r, r))
-    spec = ModelSpec(
+    return ModelSpec(
         space=ConfigSpace(r_max=r),
         per_state=tuple(per_state),
         rates=FluctuationRates(phi=z if phi is None else phi,
                                gamma_cross=z if gamma_cross is None else gamma_cross),
         detuning=detuning,
     )
-    require_valid(spec)
-    return spec
 
 
 def single_state(gamma: float, omega_rabi: float, detuning: float = 0.0) -> ModelSpec:
@@ -92,7 +89,6 @@ def blinking_rates(spec: ModelSpec) -> BlinkingApprox:
     cross rates are far from the radiative rates on either side; a warning is
     attached otherwise.
     """
-    require_valid(spec)
     gtilde = spec.effective_decays()
     omegas = spec.omega_rabis()
     denom = gtilde**2 + 2.0 * omegas**2 + 4.0 * spec.detuning**2
@@ -118,12 +114,15 @@ def classical_blinking_populations(approx: BlinkingApprox, p0, t: float) -> np.n
     return expm(t * gen) @ p0
 
 
+def _require_two_state(spec: ModelSpec, what: str) -> None:
+    if spec.r_max != 2 or np.any(spec.rates.phi != 0):
+        raise ValueError(f"{what} requires a two-state light-assisted spec")
+
+
 def mandel_detuning_limit(spec: ModelSpec) -> float:
     """Large-detuning limit of the stationary Mandel factor for a two-state
     light-assisted model (independent of the drive)."""
-    require_valid(spec)
-    if spec.r_max != 2 or np.any(spec.rates.phi != 0):
-        raise ValueError("closed form requires a two-state light-assisted spec")
+    _require_two_state(spec, "closed form")
     g1, g2 = spec.gammas()
     g21 = spec.rates.gamma_cross[1, 0]
     g12 = spec.rates.gamma_cross[0, 1]
@@ -137,9 +136,7 @@ def mapped_self_fluct(spec: ModelSpec) -> ModelSpec:
     promoted to the effective ones and the hopping table set to the classical
     blinking rates at the spec's detuning. Spectrum and g2 are (nearly)
     indistinguishable from the original; counting statistics are not."""
-    require_valid(spec)
-    if spec.r_max != 2 or np.any(spec.rates.phi != 0):
-        raise ValueError("mapping requires a two-state light-assisted spec")
+    _require_two_state(spec, "mapping")
     approx = blinking_rates(spec)
     gtilde = spec.effective_decays()
     return lifetime_fluct(gammas=gtilde, phi=approx.big_gamma,
@@ -160,9 +157,7 @@ def scaled_triplet(base_spec: ModelSpec, detuning: float, delta0: float,
     2 gamma_21 / (gamma_1 + 2 gamma_21) ~ 2 gamma_21 / gamma_1 only once
     gamma12_bar |delta| / delta0 >> gamma_2 - gamma_1; before that the
     scaled gamma_12 still enters the limit."""
-    require_valid(base_spec)
-    if base_spec.r_max != 2 or np.any(base_spec.rates.phi != 0):
-        raise ValueError("scaling requires a two-state light-assisted spec")
+    _require_two_state(base_spec, "scaling")
     x = abs(detuning) / delta0
     cross = np.array(base_spec.rates.gamma_cross)
     cross[0, 1] += gamma12_bar * x

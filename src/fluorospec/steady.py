@@ -140,9 +140,9 @@ class Prepared:
     ``numpy.linalg.solve``.
 
     A stack of models that differ only in their laser detuning is one
-    Prepared too (``at_detuning`` of an array): its spec's detuning is the
-    array of the points' detunings, its generator carries a leading stack
-    axis and its steady state one block state per point.
+    Prepared too (``at_detuning`` of an array): it keeps the unshifted spec,
+    whose detuning no observable of a stack reads; its generator carries a
+    leading stack axis and its steady state one block state per point.
     ``stationary_intensity`` (``line_shape``) and ``stationary_mandel``
     return one value per point of a stack."""
 
@@ -156,16 +156,17 @@ class Prepared:
 
     def at_detuning(self, detuning) -> Prepared:
         """The same model at laser detuning ``detuning``, from L shifted by
-        detuning - spec.detuning (``model.shift_detuning``), neither rebuilt
-        nor validated again; for a 1-d array of detunings, the stack of
-        these models. J does not depend on the detuning and is shared, and
-        the steady state is solved anew on first use. From a spec at
+        detuning - spec.detuning (``model.shift_detuning``), not rebuilt;
+        for a 1-d array of detunings, the stack of these models, which keeps
+        the unshifted spec. J does not depend on the detuning and is shared,
+        and the steady state is solved anew on first use. From a spec at
         detuning 0 each model equals ``prepare`` of the spec at its
         detuning bit for bit. ValueError when a shift is not finite.
         """
-        return Prepared(dataclasses.replace(self.spec, detuning=detuning),
-                        shift_detuning(self.generator, detuning - self.spec.detuning),
-                        self.jump)
+        generator = shift_detuning(self.generator, detuning - self.spec.detuning)
+        spec = (self.spec if np.ndim(detuning)
+                else dataclasses.replace(self.spec, detuning=detuning))
+        return Prepared(spec, generator, self.jump)
 
 
 def prepare(model: ModelSpec | Prepared) -> Prepared:

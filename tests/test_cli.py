@@ -329,6 +329,33 @@ def _malformed_configs():
     bool_param = dict(FIG2A_CONFIG, model={
         "scenario": "single_state",
         "params": {"gamma": 1.0, "omega_rabi": 0.7, "detuning": True}})
+    single = {"gamma": 1.0, "omega_rabi": 0.7}
+    counting = dict(FIG2A_CONFIG, task="counting",
+                    grids={"time": {"start": 0.0, "stop": 1.0, "count": 3}})
+    checked = {
+        "cubic_spacing": ("spectrum", dict(FIG2A_CONFIG, grids={"omega": dict(
+            FIG2A_CONFIG["grids"]["omega"], spacing="cubic")})),
+        "log_grid_from_zero": ("g2", dict(FIG2A_CONFIG, task="g2", grids={
+            "tau": {"start": 0.0, "stop": 1.0, "count": 3, "spacing": "log"}})),
+        "list_model": ("steady", dict(FIG2A_CONFIG, model=[])),
+        "unknown_scenario": ("steady", dict(FIG2A_CONFIG, model={
+            "scenario": "bogus", "params": {}})),
+        "params_only_model": ("steady", dict(FIG2A_CONFIG, model={"params": single})),
+        "negative_n_max": ("counting", dict(counting, n_max=-1)),
+        "counting_without_n_max": ("counting", counting),
+        # the constructor's own checks, and the ModelSpec's
+        "one_site_chain": ("steady", dict(FIG2A_CONFIG, model={
+            "scenario": "diffusion_chain",
+            "params": {"n_sites": 1, "omega_profile": [0.7], "phi_hop": 0.1,
+                       "gamma": 1.0}})),
+        "scenario_negative_gamma": ("steady", dict(FIG2A_CONFIG, model={
+            "scenario": "single_state", "params": dict(single, gamma=-1.0)})),
+        "inline_negative_gamma": ("steady", dict(FIG2A_CONFIG, model={
+            "inline": dict(inline, gamma=[-1.0, 1.0])})),
+        # a spec's detuning is one number, never one per block
+        "array_detuning": ("steady", dict(FIG2A_CONFIG, model={
+            "scenario": "single_state", "params": dict(single, detuning=[1.0, 2.0])})),
+    }
     return [("unknown_task", "steady", unknown_task),
             ("misspelled_param", "steady", misspelled_param),
             ("string_count", "spectrum", string_count),
@@ -349,7 +376,33 @@ def _malformed_configs():
         # a scenario that is not a string is not looked up
         (name, "steady", dict(FIG2A_CONFIG, model={
             "scenario": scenario, "params": {"gamma": 1.0, "omega_rabi": 0.7}}))
-        for name, scenario in (("list_scenario", []), ("object_scenario", {}))]
+        for name, scenario in (("list_scenario", []), ("object_scenario", {}))] + [
+        (name, task, cfg) for name, (task, cfg) in checked.items()]
+
+
+# the key or the problem that the error of a malformed config names
+_NAMED = {"cubic_spacing": "config.grids.omega.spacing",
+          "log_grid_from_zero": "config.grids.tau: log grid",
+          "list_model": "config.model: must be an object",
+          "unknown_scenario": "config.model.scenario: unknown scenario 'bogus'",
+          "params_only_model": "config.model: needs either",
+          "negative_n_max": "config.n_max: must be >= 0",
+          "counting_without_n_max": "config.n_max: required",
+          "one_site_chain": "config.model: n_sites must be >= 2",
+          "scenario_negative_gamma": "config.model: invalid model spec:\n  per_state[0].gamma",
+          "inline_negative_gamma": "config.model: invalid model spec:\n  per_state[0].gamma",
+          "array_detuning": "config.model: invalid model spec:\n  detuning"}
+
+
+def test_config_error_names_the_key(tmp_path, capsys):
+    """Each of these malformed configs fails the check meant for it; an
+    invalid model reads the same from a scenario and inline."""
+    cases = [c for c in _malformed_configs() if c[0] in _NAMED]
+    assert [name for name, _, _ in cases] == list(_NAMED)
+    for name, task, cfg in cases:
+        cfg_path = write_config(tmp_path, dict(cfg, output=str(tmp_path / name)))
+        assert cli.main([task, "--config", str(cfg_path)]) == 2, name
+        assert json.loads(capsys.readouterr().err)["message"].startswith(_NAMED[name]), name
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -405,8 +458,10 @@ def test_schema_and_output_types_exit_2(key, value, argv, tmp_path, capsys, monk
 
 @pytest.mark.parametrize("task, grids", [
     ("c1", {"tau": {"start": 1.0, "stop": 1.000000000000001, "count": 20}}),
-    ("spectrum", {"omega": {"start": -1e308, "stop": 1e308, "count": 11}})],
-    ids=["repeated_points", "overflow"])
+    ("spectrum", {"omega": {"start": -1e308, "stop": 1e308, "count": 11}}),
+    # 8 PB of points: more than any address space, so never allocated
+    ("c1", {"tau": {"start": 0.0, "stop": 1.0, "count": 10**15}})],
+    ids=["repeated_points", "overflow", "too_many_points"])
 def test_unbuildable_grid_exits_2(task, grids, tmp_path, capsys, monkeypatch):
     """A grid whose built points repeat or overflow is a config error that
     names it, raised without a numpy warning and before anything is
@@ -421,6 +476,21 @@ def test_unbuildable_grid_exits_2(task, grids, tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"] == "ConfigError"
     assert f"config.grids.{next(iter(grids))}" in json.loads(err)["message"]
     assert "RuntimeWarning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_result_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch):
+    """P_n up to n_max = 1e15 needs 8 PB (more than any address space, so
+    never allocated): a MemoryError, reported as one line of JSON with exit
+    code 3 before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = {"schema": 1, "task": "counting", "n_max": 10**15, "output": "run",
+           "model": {"scenario": "single_state",
+                     "params": {"gamma": 1.0, "omega_rabi": 0.7}},
+           "grids": {"time": {"start": 0.0, "stop": 1.0, "count": 2}}}
+    rc = cli.main(["counting", "--config", str(write_config(tmp_path, cfg))])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "MemoryError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -144,6 +144,12 @@ def test_observable_series_validation():
         fs.ObservableSeries(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
 
 
+def test_propagate_on_grid_rejects_negative_time(fig2a):
+    p = fs.prepare(fig2a)
+    with pytest.raises(ValueError, match="nonnegative"):
+        correl.propagate_on_grid(p.generator, p.steady.to_vector(), [-1.0, 0.0])
+
+
 def test_conjugate_symmetry_under_detuning():
     # C1 computed for tau >= 0 only; detuned spec has genuinely complex C1
     spec = fs.spectral_two_state(1.0, 0.8, 0.3, 0.05, detuning=0.7)

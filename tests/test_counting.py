@@ -85,6 +85,13 @@ def test_counting_rejects_bad_time(markovian):
                 fn()
 
 
+def test_counting_rejects_bad_n_max_and_initial_state(markovian):
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        fs.pn(markovian, 1.0, -1)
+    with pytest.raises(ValueError, match="initial state has 2 blocks, spec has 1"):
+        fs.pn(markovian, 1.0, 3, initial=fs.BlockState.ground(2))
+
+
 @pytest.mark.parametrize("observable", ["c1", "c2", "g2", "pn", "mean_counts",
                                         "counting_record"])
 def test_overflowing_exponential_raises(observable):
@@ -340,7 +347,7 @@ def test_detuning_sweep_chunks_leave_values_unchanged(model, observable, threads
     sizes = []
 
     def recorded(p):
-        sizes.append(np.size(p.spec.detuning))
+        sizes.append(len(p.generator.matrix))
         return observable(p)
 
     monkeypatch.setattr(counting, "_STACK_BYTES", 3 * fs.build_generator(spec).matrix.nbytes)

@@ -21,29 +21,70 @@ def test_validate_negative_phi_entry_named():
     spec = fs.spectral_two_state(1.0, 0.7, 0.1, 0.01)
     phi = np.array(spec.rates.phi)
     phi[0, 1] = -0.5
-    bad = fs.ModelSpec(space=spec.space, per_state=spec.per_state,
-                       rates=fs.FluctuationRates(phi=phi, gamma_cross=spec.rates.gamma_cross))
-    problems = fs.validate(bad)
+    with pytest.raises(ValueError, match="invalid model spec") as err:
+        fs.ModelSpec(space=spec.space, per_state=spec.per_state,
+                     rates=fs.FluctuationRates(phi=phi, gamma_cross=spec.rates.gamma_cross))
+    problems = str(err.value).splitlines()[1:]
     assert len(problems) == 1
     assert "rates.phi[0][1]" in problems[0]
 
 
 def test_validate_per_state_length_mismatch():
     spec = fs.single_state(1.0, 0.7)
-    bad = fs.ModelSpec(space=fs.ConfigSpace(2), per_state=spec.per_state,
-                       rates=fs.FluctuationRates.none(2))
-    assert any("per_state" in p for p in fs.validate(bad))
+    with pytest.raises(ValueError, match="per_state"):
+        fs.ModelSpec(space=fs.ConfigSpace(2), per_state=spec.per_state,
+                     rates=fs.FluctuationRates.none(2))
 
 
 def test_validate_duplicate_channel_kind():
     eta = np.array([[0.0, 1.0], [1.0, 0.0]])
-    spec = fs.ModelSpec(
-        space=fs.ConfigSpace(2),
-        per_state=(fs.PerStateParams(0, 1, 0), fs.PerStateParams(0, 1, 0)),
-        rates=fs.FluctuationRates.none(2),
-        extra_channels=(fs.GeneralJumpChannel(fs.OperatorKind.IDENTITY, eta),
-                        fs.GeneralJumpChannel(fs.OperatorKind.IDENTITY, eta)))
-    assert any("duplicate" in p for p in fs.validate(spec))
+    with pytest.raises(ValueError, match="duplicate"):
+        fs.ModelSpec(
+            space=fs.ConfigSpace(2),
+            per_state=(fs.PerStateParams(0, 1, 0), fs.PerStateParams(0, 1, 0)),
+            rates=fs.FluctuationRates.none(2),
+            extra_channels=(fs.GeneralJumpChannel(fs.OperatorKind.IDENTITY, eta),
+                            fs.GeneralJumpChannel(fs.OperatorKind.IDENTITY, eta)))
+
+
+def _spec_with(r_max=2, labels=None, per_state=None, phi=None, detuning=0.0):
+    """A two-state spec with one part replaced."""
+    return fs.ModelSpec(
+        space=fs.ConfigSpace(r_max, labels),
+        per_state=per_state or (fs.PerStateParams(0.0, 1.0, 0.7),) * 2,
+        rates=fs.FluctuationRates(phi=[[0.0, 0.1], [0.1, 0.0]] if phi is None else phi,
+                                  gamma_cross=np.zeros((2, 2))),
+        detuning=detuning)
+
+
+@pytest.mark.parametrize("kwargs, problem", [
+    ({"r_max": 0}, "space.r_max: must be >= 1"),
+    ({"labels": ("a",)}, "space.labels: length 1 != r_max 2"),
+    ({"per_state": (fs.PerStateParams(np.inf, 1.0, 0.7),) * 2},
+     "per_state[0].delta_omega: not finite"),
+    ({"per_state": (fs.PerStateParams(0.0, 1.0, 0.7), fs.PerStateParams(0.0, 1.0, -0.7))},
+     "per_state[1].omega_rabi: negative"),
+    ({"detuning": np.nan}, "detuning: not finite"),
+    ({"phi": [[0.0, np.nan], [0.1, 0.0]]}, "rates.phi[0][1]: not finite"),
+    ({"phi": [[0.0, 0.1], [0.1, 0.2]]}, "rates.phi[1][1]: diagonal must be zero"),
+], ids=["r_max_zero", "labels_length", "infinite_shift", "negative_rabi",
+        "nan_detuning", "nan_phi", "phi_diagonal"])
+def test_invalid_spec_names_its_problem(kwargs, problem):
+    with pytest.raises(ValueError, match="invalid model spec") as err:
+        _spec_with(**kwargs)
+    assert problem in str(err.value)
+
+
+def test_detuning_is_one_number():
+    """A detuning array would broadcast as one detuning per block: every
+    spec rejects it, however made."""
+    detuning = np.array([1.0, 2.0])
+    for make in (lambda: fs.single_state(1.0, 0.7, detuning=detuning),
+                 lambda: fs.lifetime_fluct([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]], 0.5,
+                                           detuning=detuning),
+                 lambda: _spec_with(detuning=detuning)):
+        with pytest.raises(ValueError, match="detuning: must be a number"):
+            make()
 
 
 def test_pure_decay_spectrum():

@@ -96,10 +96,10 @@ def test_prepared_gives_bit_identical_results(name, spec, shared):
 
 @pytest.mark.parametrize("name", sorted(OBSERVABLES))
 def test_invalid_spec_rejected(name, spec):
-    bad = fs.ModelSpec(space=spec.space, per_state=spec.per_state[:1],
-                       rates=spec.rates)
+    """A spec that is not valid cannot be made, so no observable, here
+    ``name``, can receive one."""
     with pytest.raises(ValueError, match="per_state"):
-        OBSERVABLES[name](bad)
+        fs.ModelSpec(space=spec.space, per_state=spec.per_state[:1], rates=spec.rates)
 
 
 def test_steady_state_solved_on_first_use_only(spec, steady_calls):
@@ -143,3 +143,14 @@ def test_at_detuning_equals_prepare_at_that_detuning(spec):
             assert got.tobytes() == want.tobytes(), (name, delta)
     with pytest.raises(ValueError, match="not finite"):
         base.at_detuning(np.nan)
+
+
+def test_stack_keeps_the_unshifted_spec(spec):
+    """A stack's spec is the one it was shifted from: a spec's detuning is
+    one number, never one per point."""
+    base = fs.prepare(dataclasses.replace(spec, detuning=0.0))
+    stack = base.at_detuning(np.array([-2.5, 40.0]))
+    assert stack.spec is base.spec
+    assert stack.generator.matrix.shape == (2, 12, 12)
+    assert np.array_equal(fs.line_shape(stack),
+                          [fs.line_shape(base.at_detuning(d)) for d in (-2.5, 40.0)])

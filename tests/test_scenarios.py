@@ -85,6 +85,11 @@ def test_diffusion_chain_structure():
         fs.diffusion_chain(1, [0.7], 0.2, 1.0)
 
 
+def test_diffusion_chain_rejects_profile_length():
+    with pytest.raises(ValueError, match="omega_profile must have length 3"):
+        fs.diffusion_chain(3, [1.0, 1.0], phi_hop=0.1, gamma=1.0)
+
+
 def test_diffusion_uniform_profile_matches_single_state():
     spec = fs.diffusion_chain(n_sites=4, omega_profile=np.full(4, 0.7),
                               phi_hop=0.3, gamma=1.0)
@@ -156,6 +161,11 @@ def test_classical_blinking_populations(fig5):
     assert np.abs(quantum - stationary).max() / stationary.min() < 5e-2
 
 
+def test_classical_blinking_populations_rejects_negative_time(fig5):
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        fs.classical_blinking_populations(fs.blinking_rates(fig5), [1.0, 0.0], -1.0)
+
+
 def test_blinking_approximation_converges():
     # the classical rates are exact for stationary populations (trace balance
     # makes each block's steady equation Markovian), so convergence shows up
@@ -197,6 +207,21 @@ def test_mandel_detuning_limit_cases(fig5):
     balanced = fs.light_assisted(gammas=[1.0, 1.0],
                                  gamma_cross=[[0.0, 0.3], [0.3, 0.0]], omega_rabi=1.0)
     assert fs.mandel_detuning_limit(balanced) == 0.0
+
+
+@pytest.mark.parametrize("closed_form, what", [
+    (fs.mandel_detuning_limit, "closed form"),
+    (fs.mapped_self_fluct, "mapping"),
+    (lambda spec: fs.scaled_triplet(spec, 10.0, 1.0, 0.25, 0.007), "scaling")],
+    ids=["mandel_detuning_limit", "mapped_self_fluct", "scaled_triplet"])
+def test_two_state_closed_forms_reject_other_specs(closed_form, what, fig2a):
+    """Each closed form holds for two light-assisted states only: three
+    states, or hopping that needs no photon, is rejected in its own words."""
+    three = fs.light_assisted(gammas=[1.0, 2.0, 3.0], omega_rabi=1.0,
+                              gamma_cross=[[0.0, 0.1, 0.1], [0.1, 0.0, 0.1], [0.1, 0.1, 0.0]])
+    for spec in (three, fig2a):
+        with pytest.raises(ValueError, match=f"^{what} requires a two-state light-assisted spec$"):
+            closed_form(spec)
 
 
 def test_mapped_self_fluct_structure(fig5):

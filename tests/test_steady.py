@@ -250,6 +250,13 @@ def test_resolve_deflated_takes_the_dtype_of_its_inputs(fig5):
     assert fs.steady.resolve_deflated(p.generator, [0.5j], w).dtype == np.complex128
 
 
+def test_resolve_deflated_rejects_rhs_shape(fig5):
+    gen = fs.build_generator(fig5)
+    for rhs in (np.zeros(8), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="right-hand side shape"):
+            fs.steady.resolve_deflated(gen, [0.0], rhs)
+
+
 @pytest.mark.parametrize("which", ["fig5", "random20"])
 def test_resolve_deflated_with_unit_trace_is_the_steady_state(which, fig5):
     """At the shift 0 with Tr x = 1 and a zero right-hand side, the

@@ -77,6 +77,14 @@ class GridSpec:
             return np.linspace(self.start, self.stop, self.count)
         return np.geomspace(self.start, self.stop, self.count)
 
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The grid, built once and read-only; not a field, so not in the sidecar."""
+        with np.errstate(all="ignore"):        # an overflow shows as inf or NaN
+            grid = self.build()
+        grid.flags.writeable = False
+        return grid
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -161,8 +169,7 @@ def _parse_grid(obj, name: str) -> GridSpec:
     if g.spacing == "log" and g.start <= 0:
         raise ConfigError(f"{path}: log grid requires positive start and stop")
     try:
-        with np.errstate(all="ignore"):        # an overflow shows as inf or NaN
-            grid = g.build()
+        grid = g.points
     except MemoryError:
         raise ConfigError(f"{path}.count: {g.count} points do not fit in memory") from None
     if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
@@ -350,7 +357,7 @@ def run(config: RunConfig) -> list[str]:
     spec = config.spec
     task = config.task
     grid_name = TASK_GRID[task]
-    grid = config.grids[grid_name].build() if grid_name else None
+    grid = config.grids[grid_name].points if grid_name else None
     meta = {"task": task, "version": __version__}
     csv_path = f"{config.output}_{task.replace('-', '_')}.csv"
 

@@ -24,7 +24,8 @@ configurational hops enter Q_st only through S, as they enter the steady
 state; the fast solve and the result on the full system are certified by
 their backward errors. ``detuning_sweep`` evaluates Q_st or the line
 shape over a grid of laser detunings: it prepares the model once, at
-detuning 0, and cuts the grid into contiguous chunks, at least one per
+detuning 0 (the spec is replaced only when its detuning is not +0.0),
+and cuts the grid into contiguous chunks, at least one per
 worker of the package's one thread map, ``_parallel_map`` (which the CLI's
 counting task uses as well), and more where a chunk's stack of generators
 would exceed the byte cap ``_STACK_BYTES``. Each chunk is one stacked
@@ -273,7 +274,9 @@ _STACK_BYTES = 1 << 20
 def detuning_sweep(observable, spec: ModelSpec, delta_grid,
                    threads: int = 1) -> ObservableSeries:
     """observable(model at detuning delta) for each delta of a strictly
-    increasing grid, in grid order, from spec prepared once at detuning 0.
+    increasing grid, in grid order, from spec prepared once at detuning 0,
+    replaced there only when its detuning is not +0.0, so that not even
+    the sign of a zero depends on spec's own detuning.
 
     The grid is cut into contiguous chunks, at least min(threads, points,
     CPUs) of them and more where a chunk's stack of generators would exceed
@@ -288,7 +291,8 @@ def detuning_sweep(observable, spec: ModelSpec, delta_grid,
     raises what it raises alone. ValueError, before any point, when the
     grid is not increasing."""
     grid = _increasing(delta_grid)
-    base = prepare(dataclasses.replace(spec, detuning=0.0))
+    at_zero = spec.detuning == 0 and not np.signbit(spec.detuning)
+    base = prepare(spec if at_zero else dataclasses.replace(spec, detuning=0.0))
     per_chunk = max(1, _STACK_BYTES // base.generator.matrix.nbytes)
     count = max(min(threads, grid.size, os.cpu_count() or 1), -(-grid.size // per_chunk))
     chunks = np.array_split(grid, count) if grid.size else []

@@ -34,11 +34,11 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     and the two conjugate Laplace evaluations combine to 2 Re[...], real
     by construction. L is real, so the solve at -omega is the complex
     conjugate of the solve at omega with the conjugate seed
-    (``steady.resolve_deflated``): each omega > 0 whose negation is
-    exactly in the grid shares one LU with it, solved for the two columns
-    [v_dec, conj v_dec]; every other omega, and omega = 0, is solved
-    alone. Each column is certified by its backward error, the column of
-    -omega by exactly the one its own solve would have; an omega near a
+    (``steady.resolve_deflated``): each distinct |omega| of the grid takes
+    one LU at u = -i|omega|, solved for the two columns [v_dec, conj v_dec];
+    omega >= 0 reads the first column and -|omega| the conjugate of the
+    second. Each column is certified by its backward error, the column of
+    -|omega| by exactly the one its own solve would have; an omega near a
     purely imaginary eigenvalue gives the large value of the resolvent
     there, and SingularShift is raised only when a solve itself fails (a
     shift on that eigenvalue to working precision).
@@ -51,20 +51,14 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     v = BlockState(seeds).to_vector()
     theta = trace_functional(p.spec.r_max)
     v_dec = v - p.steady.to_vector() * (theta @ v)
-    # the index of -omega in the grid, where it is there exactly
-    neg = np.minimum(np.searchsorted(omega, -omega), omega.size - 1)
-    pair = np.flatnonzero((omega > 0) & (omega[neg] == -omega))
-    alone = np.setdiff1d(np.arange(omega.size), np.concatenate([pair, neg[pair]]))
-    vals = np.empty(omega.size)
-    both = np.column_stack([v_dec, v_dec.conj()])
-    for i, x in zip(pair, resolve_deflated(p.generator, -1j * omega[pair], both)):
-        # contiguous columns: each dot sums as that of an omega solved alone
-        x0, x1 = x.T.copy()
-        vals[i] = 2.0 * np.real(w @ x0)
-        vals[neg[i]] = 2.0 * np.real(w @ x1.conj())
-    for i, x in zip(alone, resolve_deflated(p.generator, -1j * omega[alone], v_dec[:, None])):
-        vals[i] = 2.0 * np.real(w @ x[:, 0])
-    return ObservableSeries(omega, vals)
+    mags, at = np.unique(np.abs(omega), return_inverse=True)
+    neg = omega < 0
+    # each omega's column, a contiguous copy: its dot sums as that of an
+    # omega solved alone
+    x = resolve_deflated(p.generator, -1j * mags,
+                         np.column_stack([v_dec, v_dec.conj()]))[at, :, neg.astype(int)]
+    np.conjugate(x, out=x, where=neg[:, None])
+    return ObservableSeries(omega, 2.0 * np.real([w @ col for col in x]))
 
 
 def sum_rule_check(model: ModelSpec | Prepared, omega_grid) -> float:

@@ -112,7 +112,8 @@ from .model import (BlockState, ModelSpec, SuperOp, build_generator,
 
 
 class NullSpaceDegenerate(Exception):
-    """Generator nullity != 1 (disconnected configurational space)."""
+    """Generator nullity != 1 (disconnected configurational space, or a
+    rate too slow to resolve)."""
 
 
 class SingularShift(ArithmeticError):
@@ -180,7 +181,8 @@ def _check_nullity(gen: np.ndarray) -> None:
     """Nullity 1 of L from the singular values of D L D^-1 with
     D = diag(1, 1, sqrt 2, sqrt 2) per block (D T is unitary, so these are
     the singular values of L in vec order), with the tolerance
-    dim * eps * |L|_F."""
+    dim * eps * |L|_F; the error names the tolerance and the largest
+    singular value counted as zero."""
     d = np.tile([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], gen.shape[0] // 4)
     m = d[:, None] * gen / d
     svals = np.linalg.svd(m, compute_uv=False)
@@ -189,7 +191,13 @@ def _check_nullity(gen: np.ndarray) -> None:
     # numpy's matrix_rank), so that L = 0 has full nullity, not nullity 0
     nullity = int(np.sum(svals <= tol))
     if nullity != 1:
-        raise _degenerate(nullity)
+        counted = (f"the largest {svals[-nullity]:.2g}" if nullity
+                   else f"the least above it {svals[-1]:.2g}")
+        raise NullSpaceDegenerate(
+            f"generator nullity is {nullity}, expected 1: {nullity} singular values "
+            f"at or below the tolerance {tol:.2g} (dim eps |L|_F), {counted}; a "
+            "disconnected configurational space, or a rate below the tolerance, "
+            "which reads as a missing one")
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:

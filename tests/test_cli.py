@@ -569,6 +569,24 @@ def test_run_builds_its_model_once(task, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("task", ["c1", "spectrum", "counting", "mandel-sweep"])
+def test_run_builds_each_grid_once(task, tmp_path, monkeypatch):
+    """parse_config builds each grid once, to check it, and the run reads
+    those points: one build per grid of the config per run."""
+    calls = []
+    build = cli.GridSpec.build
+    monkeypatch.setattr(cli.GridSpec, "build", lambda g: calls.append(g) or build(g))
+    grids = {"tau": {"start": 0.0, "stop": 2.0, "count": 3},
+             "time": {"start": 0.0, "stop": 2.0, "count": 3},
+             "delta": {"start": -1.0, "stop": 1.0, "count": 3}}
+    for names in ([cli.TASK_GRID[task]], ["omega", *grids]):
+        cfg = dict(FIG2A_CONFIG, task=task, n_max=4, output=str(tmp_path / task),
+                   grids={n: dict(FIG2A_CONFIG["grids"], **grids)[n] for n in names})
+        calls.clear()
+        assert cli.main([task, "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert sorted(g.start for g in calls) == sorted(cfg["grids"][n]["start"] for n in names)
+
+
 @pytest.mark.parametrize("task", ["spectrum", "counting"])
 def test_task_solves_steady_state_once(task, tmp_path, monkeypatch):
     calls = []

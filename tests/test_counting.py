@@ -356,6 +356,27 @@ def test_detuning_sweep_chunks_leave_values_unchanged(model, observable, threads
     assert np.array_equal(series.values, want)
 
 
+@pytest.mark.parametrize("observable", [fs.line_shape, fs.stationary_mandel],
+                         ids=["line_shape", "stationary_mandel"])
+@pytest.mark.parametrize("model", ["fig5", "random5"])
+def test_detuning_sweep_validates_only_a_replaced_spec(model, observable, fig5,
+                                                       monkeypatch):
+    """The sweep replaces the spec's own detuning by 0, so no value depends
+    on it; a spec already at detuning 0 is swept as it is and not validated
+    again, one at -0.0 or 0.37 is replaced, one validation."""
+    spec = fig5 if model == "fig5" else random_spec(np.random.default_rng(5), 5)
+    deltas = np.array([-7.5, -1e-300, 0.0, 0.25, 3.0])
+    calls, validate = [], fs.model.validate
+    monkeypatch.setattr(fs.model, "validate", lambda s: calls.append(s) or validate(s))
+    runs = []
+    for own, validations in ((0.0, 0), (-0.0, 1), (0.37, 1)):
+        at_own = dataclasses.replace(spec, detuning=own)
+        calls.clear()
+        runs.append(fs.detuning_sweep(observable, at_own, deltas).values.tobytes())
+        assert len(calls) == validations, own
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("deltas", [[3.0, 2.0, 1.0], [1.0, 1.0]],
                          ids=["decreasing", "repeated"])
 def test_detuning_sweep_rejects_grid_before_any_point(deltas):

@@ -119,7 +119,8 @@ def test_spectrum_rejects_grid_before_any_solve(markovian, monkeypatch):
 def test_spectrum_one_lu_per_conjugate_pair(markovian, monkeypatch):
     """On linspace(-15, 15, 24) 16 points have their negation exactly in
     the grid: 8 pairs share an LU and the other 8 points take one each, 16
-    LUs where one per point would be 24."""
+    LUs where one per point would be 24, each for the two columns
+    [v_dec, conj v_dec]."""
     grid = np.linspace(-15.0, 15.0, 24)
     assert np.isin(grid, -grid).sum() == 16
     p = fs.prepare(markovian)
@@ -127,7 +128,7 @@ def test_spectrum_one_lu_per_conjugate_pair(markovian, monkeypatch):
     calls = _count_solves(monkeypatch)
     fs.incoherent_spectrum(p, grid)
     assert len(calls) == 16
-    assert sorted(b.shape[-1] for _, b in calls) == [1] * 8 + [2] * 8
+    assert sorted(b.shape[-1] for _, b in calls) == [2] * 16
 
 
 @pytest.mark.parametrize("case", ["fig2a", "fig2a_detuned", "fig5_detuned", "random20"])
@@ -160,6 +161,30 @@ def test_spectrum_pairs_only_exact_negations(grid, lus, fig2a, monkeypatch):
     vals = fs.incoherent_spectrum(p, grid).values
     assert len(calls) == lus
     assert np.abs(vals - alone).max() <= 1e-14 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(-15.0, 15.0, 24),
+    [-2.0, -1.0, 0.0, 1.0, 2.0],
+    [-1.0, -0.0, 1.0],
+    [-0.3, -0.1, np.nextafter(0.1, 1.0), 0.1 + 0.2],
+])
+def test_spectrum_one_bordered_solve_over_distinct_magnitudes(grid, fig2a, monkeypatch):
+    """One resolve_deflated call, at u = -i|omega| for each distinct |omega|
+    of the grid in increasing order, for the columns [v_dec, conj v_dec]."""
+    p = fs.prepare(dataclasses.replace(fig2a, detuning=0.5))
+    p.steady
+    calls, resolve = [], fs.spectrum.resolve_deflated
+
+    def counted(gen, shifts, rhs, *args):
+        calls.append((np.array(shifts), rhs))
+        return resolve(gen, shifts, rhs, *args)
+
+    monkeypatch.setattr(fs.spectrum, "resolve_deflated", counted)
+    fs.incoherent_spectrum(p, grid)
+    [(shifts, rhs)] = calls
+    assert np.array_equal(shifts, -1j * np.unique(np.abs(grid)))
+    assert np.array_equal(rhs[:, 1], rhs[:, 0].conj())
 
 
 def test_sum_rule_markovian(markovian):

@@ -466,6 +466,21 @@ def test_cancelling_slow_rates_solved_densely():
     assert fs.stationary_mandel(spec) == pytest.approx(-5.624916581075907e-06, rel=1e-6)
 
 
+def test_dense_nullity_error_names_what_it_measured():
+    """The spec above at detuning -2e4 is connected, but the dense SVD
+    tolerance 7.1e-11 swallows the slow rate 4e-11 (singular value
+    4.7e-11): the error names both, and says that a rate below the
+    tolerance reads as a missing one."""
+    spec = _two_blocks(fs.OperatorKind.UPPER_PROJECTOR, [[0.0, 4e-11], [0.0, 0.0]],
+                       [[0.0, 0.4], [0.4, 0.0]], driven=(0.0, 0.25, 1.5), detuning=-2e4)
+    with pytest.raises(NullSpaceDegenerate) as err:
+        fs.steady_state(fs.build_generator(spec))
+    message = str(err.value)
+    assert "nullity is 2" in message
+    assert "tolerance 7.1e-11" in message and "largest 4.7e-11" in message
+    assert "a rate below the tolerance, which reads as a missing one" in message
+
+
 def test_negative_block_eigenvalue_solved_densely(fig5, monkeypatch):
     """A state from the elimination with a negative block eigenvalue is
     provably off by as much: the dense solve takes over."""

@@ -16,22 +16,22 @@ remainder. Factorial moments come from the exact s-derivative chain at
 s = 1 (never finite-differenced). The stationary Mandel factor comes from
 the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to one vector: R0 J rho_inf is the trace-free solution
-of L x = (P - Id) J rho_inf, one real column solved by the elimination
-onto the configurational chain that solves the steady state
-(``steady._chain_solve``): one real LU of the fast block, then the
-r_max x r_max stochastic complement S with sum x_t = 0, so that slow
-configurational hops enter Q_st only through S, as they enter the steady
-state; the fast solve and the result on the full system are certified by
-their backward errors. ``detuning_sweep`` evaluates Q_st or the line
-shape over a grid of laser detunings: it prepares the model once, at
-detuning 0 (the spec is replaced only when its detuning is not +0.0),
-and cuts the grid into contiguous chunks, at least one per
-worker of the package's one thread map, ``_parallel_map`` (which the CLI's
-counting task uses as well), and more where a chunk's stack of generators
-would exceed the byte cap ``_STACK_BYTES``. Each chunk is one stacked
+of L x = (P - Id) J rho_inf, one real column solved against the
+elimination onto the configurational chain that the steady solve keeps
+(``Prepared.elimination``): one product with the kept Z_ff^-1, no LU of
+the fast block, then the r_max x r_max stochastic complement S with
+sum x_t = 0, so that slow configurational hops enter Q_st only through S,
+as they enter the steady state; the product and the result on the full
+system are certified by their backward errors. ``detuning_sweep``
+evaluates Q_st or the line shape over a grid of laser detunings: it
+prepares the model once, at detuning 0 (the spec is replaced only when
+its detuning is not +0.0), and cuts the grid into contiguous chunks, at
+least one per worker of the package's one thread map, ``_parallel_map``
+(which the CLI's counting task uses as well), and more where a chunk's
+stack of generators would exceed the byte cap ``_STACK_BYTES``. Each chunk is one stacked
 Prepared (``Prepared.at_detuning`` of its array of detunings, one broadcast
 of ``model.shift_detuning`` that keeps the spec at detuning 0), whose
-steady states and Q_st columns are solved in one stacked elimination each;
+steady states and Q_st columns are solved against one stacked elimination;
 every point is certified on its own, a point that fails takes the dense
 fallback on its own, and a chunk that raises is evaluated again point by
 point, so that the first failing point in grid order raises what it
@@ -55,7 +55,7 @@ import numpy as np
 
 from .correl import ObservableSeries, _increasing, stationary_intensity
 from .model import BlockState, ModelSpec, SuperOp, trace_functional
-from .steady import Prepared, _solve_real, expm, prepare
+from .steady import Prepared, expm, prepare
 
 
 class ZeroCounts(Exception):
@@ -122,15 +122,35 @@ _LOG_EPS = np.log(np.finfo(float).eps)
 def _log_chernoff(g) -> tuple[float, float]:
     """(log g(z), log z) at the largest z = 1 + 2^-k with g(z) finite and
     positive, so that P(n >= N) <= exp(log g(z) - N log z). g(z) grows
-    like e^{t lambda(z)} and overflows for long times; (0, 0) is the
-    trivial bound P(n >= N) <= 1 when no such z is found."""
-    for k in range(53):
+    like e^{t lambda(z)} and overflows for long times, and decreases to
+    g(1) = 1 as k grows: k is probed at 0, 1, 2, 4, ..., 32, 52 and then
+    bisected between the last failing probe and the first passing one, at
+    most 13 evaluations of g. (0, 0) is the trivial bound P(n >= N) <= 1
+    when no such z is found."""
+    def at(k):
         z = 1.0 + 2.0**-k
         with np.errstate(all="ignore"):
             gz = g(z).real
         if np.isfinite(gz) and gz > 0:
             return float(np.log(gz)), float(np.log(z))
-    return 0.0, 0.0
+        return None
+
+    lo = -1                                    # the largest k known to fail
+    for hi in (0, 1, 2, 4, 8, 16, 32, 52):
+        found = at(hi)
+        if found:
+            break
+        lo = hi
+    else:
+        return 0.0, 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probe = at(mid)
+        if probe:
+            hi, found = mid, probe
+        else:
+            lo = mid
+    return found
 
 
 def _pn(full, j, x0, t, n_max) -> tuple[np.ndarray, float]:
@@ -330,10 +350,12 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     x = R0 J rho_inf, with R0 the reduced resolvent of the Laurent expansion
     (u - L)^-1 = P/u + R0 + O(u), P = rho_inf theta, is the trace-free
     solution of L x = (P - Id) J rho_inf = I_st rho_inf - J rho_inf: one
-    real column, solved by elimination onto the configurational chain with
-    the dense bordered solve at the shift 0 as its fallback (``_solve_real``;
-    SingularShift if a backward error fails). The limit does not depend on
-    the initial state x0 of trace 1: the asymptotes 2(a + b t) of the mean
+    real column, solved against the Prepared's elimination onto the
+    configurational chain, which the steady solve made, with one product
+    with the kept Z_ff^-1 and one r_max x r_max LU, and at each point where
+    a check fails, the dense bordered solve at the shift 0
+    (``Elimination.solve``; SingularShift if its backward error fails).
+    The limit does not depend on the initial state x0 of trace 1: the asymptotes 2(a + b t) of the mean
     count and 2(C + A t + B t^2) of the second factorial moment give
     Q_st = A/b - 4a with b = I_st / 2, a = theta J R0 x0 / 2 and
     A = 2 I_st a + theta J R0 J rho_inf, so that
@@ -342,15 +364,13 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     solve (``detuning_sweep``).
     """
     p = prepare(model)
-    m = p.generator.matrix
-    gen = m.reshape(-1, *m.shape[-2:])         # a single model: a stack of one
     theta = trace_functional(p.generator.r_max)
     tj = theta @ p.jump
-    rho_inf = p.steady.to_vector().real.reshape(len(gen), -1, 1)
+    rho_inf = p.steady.to_vector().real.reshape(-1, p.generator.dim, 1)
     i_st = tj @ rho_inf
     if (i_st <= 1e-300).any():
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
     j_rho = p.jump @ rho_inf
-    x = _solve_real(gen, rho_inf * (theta @ j_rho)[..., None] - j_rho, 0.0)
+    x = p.elimination.solve(rho_inf * (theta @ j_rho)[..., None] - j_rho, 0.0)
     q_st = (2.0 * (tj @ x) / i_st)[:, 0]
-    return q_st if m.ndim == 3 else float(q_st[0])
+    return q_st if p.generator.matrix.ndim == 3 else float(q_st[0])

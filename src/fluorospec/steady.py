@@ -2,12 +2,15 @@
 
 The steady state (L x = 0, Tr x = 1) and the reduced resolvent of the
 stationary counting moments (L x = (P - Id) v, Tr x = 0) are solved by
-elimination onto the r_max-state configurational chain, ``_chain_solve``,
-with the dense bordered solve, ``resolve_deflated``, as the fallback where
-the elimination is not certified; the spectrum's trace-free resolvent
+elimination onto the r_max-state configurational chain, with the dense
+bordered solve, ``resolve_deflated``, as the fallback where the
+elimination is not certified; the spectrum's trace-free resolvent
 ((u - L) x = v, Tr x = 0) by the same bordered solve, one LU per shift in
-one reused workspace. No factorization is kept between solves. The dense
-Laurent decomposition (steady projector + reduced resolvent) is their
+one reused workspace. The elimination is made once per model, with the
+steady state (``_eliminate``), and kept as the ``Elimination`` record of a
+Prepared, against which the reduced resolvent's column is solved without a
+second LU of the fast block (``Elimination.resolve``). The dense Laurent
+decomposition (steady projector + reduced resolvent) is their
 cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
@@ -22,17 +25,20 @@ coordinates, aa -> t = aa + bb, gives Z: add each bb row to its aa row
 and subtract each aa column from its bb column. The trace functional
 reads 1 on every t and 0 elsewhere, so theta L = 0 says that the columns
 of the t rows of Z sum to zero. With t the r_max trace coordinates and f
-the 3 r_max others, one LU of the fast block Z_ff gives X = Z_ff^-1 Z_ft
-and the r_max x r_max stochastic complement S = Z_tt - Z_tf X (Meyer,
-SIAM Rev. 31, 240 (1989)), the generator of the slow hops between
-configurations. 1^T S = 0 exactly, so the diagonal of S is reset to minus
-its off-diagonal column sums (as in Grassmann, Taksar & Heyman, Oper. Res.
-33, 1107 (1985)); that drops the rounding of the fast decay rates, which
-the dense path carried as an error eps |L| / (slow rate). For a
-right-hand side c in these coordinates the t part of the solution solves
-S x_t = c_t - Z_tf Z_ff^-1 c_f with sum x_t = Tr x, as a bordered solve of
-S (row 0 replaced by ones, which drops no equation since 1^T S = 0), and
-back-substitution gives x_f = Z_ff^-1 c_f - X x_t. S is scaled by a power
+the 3 r_max others, one LU of the fast block Z_ff gives X = Z_ff^-1 Z_ft,
+Z_ff^-1 itself and the r_max x r_max stochastic complement S = Z_tt -
+Z_tf X (Meyer, SIAM Rev. 31, 240 (1989)), the generator of the slow hops
+between configurations. 1^T S = 0 exactly, so the diagonal of S is reset
+to minus its off-diagonal column sums (as in Grassmann, Taksar & Heyman,
+Oper. Res. 33, 1107 (1985)); that drops the rounding of the fast decay
+rates, which the dense path carried as an error eps |L| / (slow rate).
+For a right-hand side c in these coordinates the t part of the solution
+solves S x_t = c_t - Z_tf Z_ff^-1 c_f with sum x_t = Tr x, as a bordered
+solve of S (row 0 replaced by ones, which drops no equation since
+1^T S = 0), and back-substitution gives x_f = Z_ff^-1 c_f - X x_t. The
+steady state's Z_ff^-1 c_f (c = 0) comes from the LU; that of any later
+right-hand side is one product with the kept Z_ff^-1, certified by the
+backward error of the fast solve as the LU's is. S is scaled by a power
 of two before it is factored, so tiny slow rates neither lose bits nor
 draw warnings. Where S is nonnegative off its diagonal it generates a
 Markov chain, whose stationary vector is well conditioned in the
@@ -60,27 +66,31 @@ others (its overflows and NaNs silenced), and then takes the dense
 fallback on its own, in stack order; the first point whose fallback fails
 raises what it raises alone.
 
-Certificates. The solve with Z_ff and every solution on the full system
-[L; theta] are checked by their normwise backward error, the ratio
-LAPACK's tests check (xGET02). Nullity 1 of L rests on rank L = rank Z_ff
-+ rank S, which holds when Z_ff is nonsingular. The steady solve shows
-that Z_ff is nonsingular to working precision from the norm of Z_ff^-1,
-taken from the same LU (``_require_nonsingular``), and counts the
-nullity of S by the singular values of the scaled r_max x r_max S against
-a bound on the error of the computed S (``_chain_nullity``). Where the
-elimination fails (a fast block singular to working precision, such as a
-block that traps its excited population, a slow rate lost to
-cancellation, a failed backward error, or a negative block eigenvalue of
-the state), the dense nullity check of ``_check_nullity`` (singular values of
-the whole 4 r_max x 4 r_max L) names the nullity of L, and with nullity 1
-the bordered solve on the whole L takes over. Q_st takes that dense
-solve when its elimination raises SingularShift (``_solve_real``).
+Certificates. The solve with Z_ff, each product with the kept Z_ff^-1
+and every solution on the full system [L; theta] are checked by their
+normwise backward error, the ratio LAPACK's tests check (xGET02). A
+product with an inverse is not backward stable in general, so a point
+whose product fails takes the dense path like any other failure. Nullity
+1 of L rests on rank L = rank Z_ff + rank S, which holds when Z_ff is
+nonsingular. The steady solve shows that Z_ff is nonsingular to working
+precision from the norm of Z_ff^-1, taken from the same LU
+(``_require_nonsingular``), and counts the nullity of S by the singular
+values of the scaled r_max x r_max S against a bound on the error of the
+computed S (``_chain_nullity``). Where the elimination fails (a fast
+block singular to working precision, such as a block that traps its
+excited population, a slow rate lost to cancellation, a failed backward
+error, or a negative block eigenvalue of the state), the dense nullity
+check of ``_check_nullity`` (singular values of the whole 4 r_max x
+4 r_max L) names the nullity of L, and with nullity 1 the bordered solve
+on the whole L takes over. Q_st takes that dense solve at each point
+where the elimination or its own resolve fails a check
+(``Elimination.solve``).
 
 The dense bordered solve, ``resolve_deflated``, gives the x with
 (u - L) x = rhs and Tr x = trace at each shift u of a 1-d array, on vectors
 in the coordinates of ``BlockState.to_vector``. Its callers are the
 spectrum, at u = -i omega with trace 0, and the dense fallbacks at u = 0:
-the steady state (rhs = 0, trace 1) and Q_st (``_solve_real``), whose
+the steady state (rhs = 0, trace 1) and Q_st (``Elimination.solve``), whose
 L y = rhs is the same system as (0 - L) y = -rhs, with the same backward
 error, since |-L| = |L| and |-rhs| = |rhs|. One workspace of the dtype of
 L, the shifts and rhs (real for the fallbacks, complex for the spectrum)
@@ -134,11 +144,63 @@ class SteadyDecomposition:
 
 
 @dataclass(frozen=True, eq=False)
+class Elimination:
+    """The elimination onto the configurational chain of a generator, or of
+    each generator of a stack (see the module docstring), kept so that a
+    right-hand side is solved against it with no second LU of the fast
+    block (``solve``).
+
+    Per point, on a leading stack axis: L, Z_ff, Z_ff^-1, X = Z_ff^-1 Z_ft,
+    Z_tf, and S scaled by 2^exp with row 0 replaced by ones; ``failed``
+    maps each point that failed a check of ``_eliminate`` to its first
+    failure, and its entries are stand-ins. ``null`` (n, 4 r_max, 1) is
+    the trace-1 null column of each point from the same LU, a stand-in
+    where ``null_failed``, which adds the failures of its own solve."""
+
+    generator: np.ndarray
+    z_ff: np.ndarray
+    inverse: np.ndarray
+    x: np.ndarray
+    z_tf: np.ndarray
+    s: np.ndarray
+    exp: np.ndarray
+    failed: dict
+    null: np.ndarray
+    null_failed: dict
+
+    def resolve(self, rhs: np.ndarray, trace: float) -> tuple[np.ndarray, dict]:
+        """The real columns y with L y = rhs (n, 4 r_max, k) and theta y =
+        trace for each point, and the failures: those of the elimination,
+        then each point whose w = Z_ff^-1 c_f, one stacked matmul, fails the
+        fast solve's backward error, then those of ``_back_solve``."""
+        n, r, k = len(self.s), self.s.shape[-1], rhs.shape[-1]
+        c_f = rhs.reshape(n, r, 4, k)[:, :, 1:].reshape(n, 3 * r, k)
+        with np.errstate(all="ignore"):
+            w = self.inverse @ c_f
+            failed = _certify("fast block solve", self.z_ff, w, c_f) | self.failed
+        return _back_solve(self.generator, self.x, self.z_tf, self.s, self.exp,
+                           w, rhs, trace, failed)
+
+    def solve(self, rhs: np.ndarray, trace: float) -> np.ndarray:
+        """The real columns of ``resolve``, and for each point where it
+        fails, the dense bordered solve on its own, in stack order, as
+        (0 - L) y = -rhs (``resolve_deflated`` at the shift 0;
+        SingularShift when that fails too)."""
+        y, failed = self.resolve(rhs, trace)
+        for i in sorted(failed):
+            y[i] = resolve_deflated(SuperOp(self.generator[i]), [0.0], -rhs[i],
+                                    trace)[0]
+        return y
+
+
+@dataclass(frozen=True, eq=False)
 class Prepared:
     """A spec with its generator L and detection jump J, built once, and its
-    steady state, solved on first use; every observable accepts one. No
-    factorization is kept: each solve on it factors its own matrices by
-    ``numpy.linalg.solve``.
+    steady state, solved on first use; every observable accepts one. The
+    steady solve keeps its elimination onto the configurational chain
+    (``elimination``: Z_ff^-1, X, S and the failures of its checks), so
+    that Q_st factors no fast block of its own; no other factorization is
+    kept.
 
     A stack of models that differ only in their laser detuning is one
     Prepared too (``at_detuning`` of an array): it keeps the unshifted spec,
@@ -152,17 +214,23 @@ class Prepared:
     jump: np.ndarray
 
     @functools.cached_property
+    def elimination(self) -> Elimination:
+        m = self.generator.matrix               # a single model: a stack of one
+        return _eliminate(m.reshape(-1, *m.shape[-2:]))
+
+    @functools.cached_property
     def steady(self) -> BlockState:
-        return steady_state(self.generator)
+        return steady_state(self)
 
     def at_detuning(self, detuning) -> Prepared:
         """The same model at laser detuning ``detuning``, from L shifted by
         detuning - spec.detuning (``model.shift_detuning``), not rebuilt;
         for a 1-d array of detunings, the stack of these models, which keeps
         the unshifted spec. J does not depend on the detuning and is shared,
-        and the steady state is solved anew on first use. From a spec at
-        detuning 0 each model equals ``prepare`` of the spec at its
-        detuning bit for bit. ValueError when a shift is not finite.
+        and the elimination and the steady state are made anew on first
+        use. From a spec at detuning 0 each model equals ``prepare`` of the
+        spec at its detuning bit for bit. ValueError when a shift is not
+        finite.
         """
         generator = shift_detuning(self.generator, detuning - self.spec.detuning)
         spec = (self.spec if np.ndim(detuning)
@@ -214,9 +282,10 @@ def _degenerate(nullity: int) -> NullSpaceDegenerate:
                                "(disconnected configurational space?)")
 
 
-def steady_state(generator: SuperOp) -> BlockState:
+def steady_state(generator: SuperOp | Prepared) -> BlockState:
     """Unique trace-1 null state of the generator, or of each generator of
-    a stack, in one stacked elimination.
+    a stack, in one stacked elimination; of a Prepared from its cached
+    ``elimination``.
 
     Solved by elimination onto the configurational chain in real
     arithmetic (see the module docstring), so the blocks are exactly
@@ -230,20 +299,21 @@ def steady_state(generator: SuperOp) -> BlockState:
     state has a negative eigenvalue; the first such point of the stack
     raises.
     """
-    m = generator.matrix
-    gen = m.reshape(-1, *m.shape[-2:])         # a single model: a stack of one
-    zero = np.zeros((len(gen), m.shape[-1], 1))
-    y, failed = _chain_solve(gen, zero, 1.0, certify_nullity=True)
-    if failed:
-        y[list(failed)] = np.eye(m.shape[-1], 1)   # a trace-1 stand-in, replaced below
-    blocks, eigmin = _block_state(y)
+    if isinstance(generator, Prepared):
+        m, e = generator.generator.matrix, generator.elimination
+    else:
+        m = generator.matrix
+        e = _eliminate(m.reshape(-1, *m.shape[-2:]))   # a single model: a stack of one
+    gen, failed = e.generator, e.null_failed
+    blocks, eigmin = _block_state(e.null)
     dense = eigmin < -1e-10                    # the elimination is not certified here
     dense[list(failed)] = True
     for i in np.flatnonzero(dense):
         if isinstance(failed.get(i), NullSpaceDegenerate):
             raise failed[i]
         _check_nullity(gen[i])                 # names the nullity of L when it is not 1
-        st, low = _block_state(resolve_deflated(SuperOp(gen[i]), [0.0], zero[0], 1.0))
+        zero = np.zeros((m.shape[-1], 1))
+        st, low = _block_state(resolve_deflated(SuperOp(gen[i]), [0.0], zero, 1.0))
         if low[0] < -1e-10:
             raise ValueError(
                 f"steady-state block eigenvalue {low[0]:.3e} < -1e-10; "
@@ -376,58 +446,37 @@ def _solve(what: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     return x, failed
 
 
-def _solve_real(gen: np.ndarray, rhs: np.ndarray, trace: float) -> np.ndarray:
-    """The real columns y with L y = rhs and theta y = trace for each
-    generator of the stack gen: by one stacked elimination, and for each
-    point where it fails, by the dense bordered solve on its own, in stack
-    order, as (0 - L) y = -rhs (``resolve_deflated`` at the shift 0;
-    SingularShift when that fails too)."""
-    y, failed = _chain_solve(gen, rhs, trace)
-    for i in sorted(failed):
-        y[i] = resolve_deflated(SuperOp(gen[i]), [0.0], -rhs[i], trace)[0]
-    return y
+def _eliminate(gen: np.ndarray) -> Elimination:
+    """The elimination of each generator of the stack gen (n, 4 r_max,
+    4 r_max) onto its trace coordinates (see the module docstring), with
+    the trace-1 null column of each point from the same LU.
 
-
-def _chain_solve(gen: np.ndarray, rhs: np.ndarray, trace: float,
-                 certify_nullity: bool = False) -> tuple[np.ndarray, dict]:
-    """The real columns y with L y = rhs and theta y = trace for each
-    generator of the stack gen (n, 4 r_max, 4 r_max), rhs (n, 4 r_max, k),
-    by elimination onto the trace coordinates (see the module docstring),
-    and the failures: the index of each point whose elimination is not
-    certified, whose y must not be used, and the exception of the first
-    check it failed, in the order below. Every check is made per point.
-
-    SingularShift when a solve fails or its backward error does not hold,
-    or when a slow rate is lost to cancellation. With certify_nullity, Z_ff
-    must be nonsingular to working precision (``_require_nonsingular``;
-    SingularShift otherwise) and S must have nullity 1
-    (``_chain_nullity``; NullSpaceDegenerate otherwise), so that L has
-    nullity 1. A point that fails goes on through the stacked arithmetic
-    with the others, so its overflows and NaNs draw no warning.
+    One LU of each fast block solves for [Z_ft, 0, I]: X, the steady
+    state's fast part w = 0 and Z_ff^-1. Its checks, each made per point,
+    in this order: the LU and its backward error on Z_ft (SingularShift),
+    Z_ff nonsingular to working precision (``_require_nonsingular``;
+    SingularShift), no slow rate lost to cancellation (``_CANCELLATION``;
+    SingularShift), and nullity 1 of S (``_chain_nullity``;
+    NullSpaceDegenerate), so that L has nullity 1. A point that fails goes
+    on through the stacked arithmetic with the others, so its overflows and
+    NaNs draw no warning.
     """
-    n, r, k = len(gen), gen.shape[-1] // 4, rhs.shape[-1]
+    n, r = len(gen), gen.shape[-1] // 4
     blocks = gen.reshape(n, r, 4, r, 4)
-    c = rhs.reshape(n, r, 4, k)
     z_t = blocks[:, :, 0] + blocks[:, :, 1]    # t rows: aa + bb, (n, r, r, 4)
     z_t[..., 1] -= z_t[..., 0]                 # bb columns: bb - aa
     z_ff = blocks[:, :, 1:, :, 1:].copy()      # fast rows and columns
     z_ff[..., 0] -= blocks[:, :, 1:, :, 0]
     z_ff = z_ff.reshape(n, 3 * r, 3 * r)
-    # [Z_ft, c_f], and with certify_nullity the identity, for Z_ff^-1 from
-    # the same LU
-    cols = 4 * r + k if certify_nullity else r + k
+    cols = 4 * r + 1                           # [Z_ft, c_f = 0, I]
     b = np.zeros((n, 3 * r, cols))
     b.reshape(n, r, 3, cols)[..., :r] = blocks[:, :, 1:, :, 0]
-    b.reshape(n, r, 3, cols)[..., r:r + k] = c[:, :, 1:]
-    if certify_nullity:
-        b.reshape(n, -1)[:, r + k::cols + 1] = 1.0
+    b.reshape(n, -1)[:, r + 1::cols + 1] = 1.0
     with np.errstate(all="ignore"):
         xw, failed = _solve("fast block solve", z_ff, b)
-        if certify_nullity:
-            failed = _require_nonsingular(z_ff, xw[..., r + k:]) | failed
-            xw, b = xw[..., :r + k], b[..., :r + k]
-        failed = _certify("fast block solve", z_ff, xw, b) | failed
-        x, w = xw[..., :r], xw[..., r:]
+        x, inverse = xw[..., :r], xw[..., r + 1:]
+        failed = _require_nonsingular(z_ff, inverse) | failed
+        failed = _certify("fast block solve", z_ff, x, b[..., :r]) | failed
         z_tf = z_t[..., 1:].reshape(n, r, 3 * r)
         s = z_t[..., 0] - z_tf @ x
         # a slow rate that is the difference of much larger fluxes has lost
@@ -440,20 +489,37 @@ def _chain_solve(gen: np.ndarray, rhs: np.ndarray, trace: float,
         diag = s.reshape(n, -1)[:, ::r + 1]   # a view: the reset diagonal
         diag[:] = 0.0
         diag[:] = -s.sum(axis=-2)
-        g = c[:, :, 0] + c[:, :, 1] - z_tf @ w
         # scale by a power of two, exactly, so that max |S| lies in [1/2, 1)
         exp = -np.frexp(np.abs(s).max(axis=(-2, -1)))[1]
-        s, g = np.ldexp(s, exp[:, None, None]), np.ldexp(g, exp[:, None, None])
+        s = np.ldexp(s, exp[:, None, None])
         live = np.ones(n, bool)
-        if failed:                             # stand-ins for S and g that may be NaN
-            live[list(failed)] = False
-            s[~live], g[~live] = np.eye(r), 0.0
-        if certify_nullity and live.any():
+        live[list(failed)] = False
+        s[~live] = np.eye(r)                   # a stand-in for an S that may be NaN
+        if live.any():
             nullity = _chain_nullity(blocks, x, s, exp, live)
             bad = nullity != 1
             failed = {i: _degenerate(k) for i, k in
                       zip(np.flatnonzero(live)[bad], nullity[bad])} | failed
         s[:, 0] = 1.0
+    null, null_failed = _back_solve(gen, x, z_tf, s, exp, xw[..., r:r + 1],
+                                    np.zeros((n, 4 * r, 1)), 1.0, failed)
+    null[list(null_failed)] = np.eye(4 * r, 1)  # a trace-1 stand-in
+    return Elimination(gen, z_ff, inverse, x, z_tf, s, exp, failed, null, null_failed)
+
+
+def _back_solve(gen, x, z_tf, s, exp, w, rhs, trace, failed) -> tuple[np.ndarray, dict]:
+    """The columns y with L y = rhs and theta y = trace for each point of
+    an elimination (X, Z_tf, the bordered scaled S and its exponent) from
+    w = Z_ff^-1 c_f: the chain solve of S for x_t, back-substitution for
+    x_f, and the certificate on the full system [L; theta]. ``failed``
+    holds the points already failed, whose right-hand sides are replaced
+    by stand-ins; returned with the chain solve's and the certificate's
+    failures added after them."""
+    n, r, k = len(gen), s.shape[-1], rhs.shape[-1]
+    c = rhs.reshape(n, r, 4, k)
+    with np.errstate(all="ignore"):
+        g = np.ldexp(c[:, :, 0] + c[:, :, 1] - z_tf @ w, exp[:, None, None])
+        g[list(failed)] = 0.0                  # a stand-in for a g that may be NaN
         g[:, 0] = trace
         x_t, singular = _solve("chain solve", s, g)
         failed = singular | failed

@@ -184,6 +184,38 @@ def test_pn_overflow_safe_chernoff_point(fig5, expm_calls):
     assert np.abs(probs[:21] - block_pn(fig5, 3000.0, 20)).max() <= 1e-13
 
 
+def test_chernoff_point_probes_then_bisects(expm_calls):
+    """g(1 + 2^-k) of single_state at t = 1e5 is NaN for k <= 5 and finite
+    from 6 on: probes at k = 0, 1, 2, 4, 8 and bisection at 6 and 5 find
+    k = 6 in seven single calls. Where no z is found, P_n raises after the
+    eight probes and one stacked call on the circle, not after 53 calls."""
+    with pytest.warns(UserWarning, match="truncation"):
+        fs.counting_record(fs.single_state(gamma=1.0, omega_rabi=0.7), 1e5, 5)
+    assert expm_calls == [1] * 7 + [257, 1]
+    expm_calls.clear()
+    with pytest.raises(FloatingPointError, match="not finite"):
+        fs.pn(fs.single_state(gamma=1.0, omega_rabi=1e20), 1.5, 5)
+    assert expm_calls[:8] == [1] * 8 and len(expm_calls) == 9
+
+
+@pytest.mark.parametrize("first", [*range(53), None])
+def test_log_chernoff_finds_the_largest_finite_point(first):
+    """With g(1 + 2^-k) NaN below k = first and finite from it on, the point
+    found is k = first, as a scan over every k finds it, in at most 13
+    evaluations of g; (0, 0) when g is finite nowhere."""
+    seen = []
+
+    def g(z):
+        k = -np.log2(z - 1.0)
+        seen.append(k)
+        return np.complex128(np.nan if first is None or k < first else z)
+
+    got = counting._log_chernoff(g)
+    log_z = 0.0 if first is None else float(np.log(1.0 + 2.0**-first))
+    assert got == (log_z, log_z)
+    assert len(seen) <= (8 if first is None else 13)
+
+
 @pytest.mark.parametrize("model, t, n_max, points", [("fig5", 5.0, 60, 65),
                                                      ("random5", 1.0, 30, 33)])
 def test_pn_does_not_depend_on_the_stacking(model, t, n_max, points, fig5, expm_calls,
@@ -477,7 +509,8 @@ def test_stationary_mandel_stiff_telegraph_limit():
     telegraph term 2 p0 p1 (I0 - I1)^2 / (I_bar 3 phi) plus the constant
     -0.416 of the fast dynamics. The dense reduced resolvent failed its
     defect check from phi = 1e-10 on; the solves by elimination onto the
-    configurational chain stay certified down to 1e-14."""
+    configurational chain stay certified down to 1e-14, with no dense
+    fallback."""
     omega = 0.5
     p0, p1 = 1.0 / 3.0, 2.0 / 3.0
     i0, i1 = (g * (omega**2 / 4) / (g**2 / 4 + omega**2 / 2) for g in (1.0, 3.0))
@@ -485,12 +518,86 @@ def test_stationary_mandel_stiff_telegraph_limit():
     for phi in (1e-8, 1e-10, 1e-12, 1e-14):
         spec = fs.lifetime_fluct([1.0, 3.0], phi * np.array([[0.0, 1.0], [2.0, 0.0]]),
                                  omega)
-        q = fs.stationary_mandel(spec)
+        with _dense_solves() as dense:
+            q = fs.stationary_mandel(spec)
+        assert dense == [], phi
         telegraph = 2 * p0 * p1 * (i0 - i1) ** 2 / (i_bar * 3 * phi)
         assert np.isfinite(q), phi
         assert q == pytest.approx(telegraph, rel=1e-4), phi
         if phi >= 1e-10:
             assert q == pytest.approx(telegraph - 0.416, rel=1e-7), phi
+
+
+@contextlib.contextmanager
+def _dense_solves():
+    """The shapes of the generators that ``resolve_deflated`` solves, the
+    dense fallback of the steady state and of Q_st, within the block."""
+    shapes = []
+    bordered = fs.steady.resolve_deflated
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fs.steady, "resolve_deflated",
+                      lambda g, *args: shapes.append(g.matrix.shape) or bordered(g, *args))
+        yield shapes
+
+
+def _no_dense_case(name, fig5):
+    kind, _, arg = name.partition("_")
+    if kind == "triplet":
+        return fs.scaled_triplet(fig5, float(arg), delta0=1.0, omega_bar=0.25,
+                                 gamma12_bar=0.007)
+    if kind == "fig5":
+        return dataclasses.replace(fig5, detuning=float(arg))
+    r_max, eta, seed = (int(v) for v in arg.split("_"))
+    return random_spec(np.random.default_rng(seed), r_max, with_channels=bool(eta))
+
+
+@pytest.mark.parametrize("name", [
+    *(f"random_{r}_{eta}_{seed}" for r in range(1, 8) for eta in (0, 1)
+      for seed in (600 + r, 700 + r)),
+    "triplet_1e3", "triplet_1e4", "triplet_1e5", "triplet_1e6", "fig5_1e6"])
+def test_stationary_mandel_takes_no_dense_solve(name, fig5):
+    """Fuzzed models (r_max 1..7, with and without channels), the scaled
+    triplet out to delta = 1e6 and fig5 at delta = 1e6: the steady state and
+    Q_st are certified by the elimination, which no point leaves for the
+    dense solve, and Q_st equals the Laurent oracle. (The stiff
+    lifetime_fluct models take no dense solve either, in
+    test_stationary_mandel_stiff_telegraph_limit; there the dense oracle
+    carries an error eps / phi and fails its own check.)"""
+    p = fs.prepare(_no_dense_case(name, fig5))
+    with _dense_solves() as dense:
+        q = fs.stationary_mandel(p)
+    assert dense == []
+    assert q == pytest.approx(_laurent_mandel(p), rel=1e-12)
+
+
+def test_corrupted_inverse_fails_its_point_alone(fig5, monkeypatch):
+    """A Z_ff^-1 corrupted at one point of a stacked elimination fails the
+    backward error of that point's fast solve: that point alone takes the
+    dense solve, which gives its Q_st, and every other point keeps its Q_st
+    bit for bit."""
+    deltas = np.array([-30.0, -3.0, 0.0, 2.0, 40.0])
+    base = fs.prepare(fig5)
+    want = fs.stationary_mandel(base.at_detuning(deltas))
+    p = base.at_detuning(deltas)
+    p.steady
+    p.elimination.inverse[2] *= 1.0 + 1e-9
+    failures = []
+    resolve = fs.steady.Elimination.resolve
+
+    def recorded(self, rhs, trace):
+        y, failed = resolve(self, rhs, trace)
+        failures.append(failed)
+        return y, failed
+
+    monkeypatch.setattr(fs.steady.Elimination, "resolve", recorded)
+    with _dense_solves() as dense:
+        got = fs.stationary_mandel(p)
+    assert list(failures[0]) == [2]
+    assert "fast block solve backward error" in str(failures[0][2])
+    assert dense == [(8, 8)]
+    assert got[2] == pytest.approx(want[2], rel=1e-12)
+    keep = [0, 1, 3, 4]
+    assert got[keep].tobytes() == want[keep].tobytes()
 
 
 @pytest.mark.parametrize("corrupt", ["scaled", "steady_direction"])
@@ -517,11 +624,11 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
 
 
 def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
-    """Q_st factors its fast block once per call: once the steady state is
-    solved, one real LU of the 3 r_max x 3 r_max fast block solves for
-    Z_ft and the one real right-hand side, and one r_max x r_max LU solves
-    the chain; a fresh Prepared takes two such pairs in all, the steady
-    state's and Q_st's."""
+    """Q_st takes no LU of the fast block: once the steady state is solved,
+    it applies the Z_ff^-1 that the steady state's fast LU left in the
+    Prepared's elimination, and one r_max x r_max LU solves the chain; a
+    fresh Prepared takes three LUs in all, the steady state's two and
+    Q_st's chain solve."""
     solved = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
@@ -533,10 +640,10 @@ def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
     solved.clear()
     fs.stationary_mandel(p)
     real = np.dtype(np.float64)
-    assert solved == [(real, (1, 6, 6), (1, 6, 3)), (real, (1, 2, 2), (1, 2, 1))]
+    assert solved == [(real, (1, 2, 2), (1, 2, 1))]
     solved.clear()
     fs.stationary_mandel(fs.prepare(fig5))
-    assert len(solved) == 4
+    assert len(solved) == 3
 
 
 def test_optical_bloch_s1_matches_generator(fig2a):

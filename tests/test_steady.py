@@ -414,10 +414,19 @@ def test_fig5_populations_at_large_detuning(fig5, detuning):
 def _chain_failure(gen):
     """The exception of the first check that the elimination of the steady
     state of gen alone (a stack of one) fails."""
-    _, failed = fs.steady._chain_solve(gen.matrix[None], np.zeros((1, gen.dim, 1)), 1.0,
-                                       certify_nullity=True)
+    failed = fs.steady._eliminate(gen.matrix[None]).null_failed
     assert list(failed) == [0]
     return failed[0]
+
+
+def test_fast_block_failure_names_its_backward_error(fig5, monkeypatch):
+    """A fast solve that fails its backward error names the ratio it
+    measured on X, not a NaN from the steady state's zero column."""
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-7))
+    message = str(_chain_failure(fs.build_generator(fig5)))
+    assert message.startswith("fast block solve backward error ")
+    assert np.isfinite(float(message.split()[5]))
 
 
 def _two_blocks(kind, phi, eta, driven=(0.0, 1.0, 1.0), dark_shift=0.0, detuning=0.0):
@@ -485,15 +494,16 @@ def test_negative_block_eigenvalue_solved_densely(fig5, monkeypatch):
     """A state from the elimination with a negative block eigenvalue is
     provably off by as much: the dense solve takes over."""
     gen = fs.build_generator(fig5)
-    chain = fs.steady._chain_solve
+    eliminate = fs.steady._eliminate
 
-    def off(real, rhs, trace, certify_nullity=False):
-        y, failed = chain(real, rhs, trace, certify_nullity)
-        y[:, 2] += 1.0      # Re ba of block 0: a coherence no state can have
-        return y, failed
+    def off(real):
+        e = eliminate(real)
+        e.null[:, 2] += 1.0      # Re ba of block 0: a coherence no state can have
+        return e
 
-    monkeypatch.setattr(fs.steady, "_chain_solve", off)
-    y, failed = off(gen.matrix[None], np.zeros((1, 8, 1)), 1.0)
+    monkeypatch.setattr(fs.steady, "_eliminate", off)
+    e = off(gen.matrix[None])
+    y, failed = e.null, e.null_failed
     assert not failed and fs.steady._block_state(y)[1][0] < -1e-10
     st = fs.steady_state(gen).to_vector()
     assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13
@@ -521,7 +531,7 @@ def test_detuning_sweep_mixes_certified_and_dense_points(phi, dense, observable,
     spec = _cancelling(phi)
     deltas = np.array([-1e4, -800.0, -10.0, 0.0, 10.0, 800.0])
     gen = fs.prepare(spec).at_detuning(deltas).generator.matrix
-    _, failed = fs.steady._chain_solve(gen, np.zeros((6, 8, 1)), 1.0, certify_nullity=True)
+    failed = fs.steady._eliminate(gen).null_failed
     cancelling = phi < 1e-8
     assert sorted(failed) == (dense if cancelling else [])
     want = [observable(fs.prepare(dataclasses.replace(spec, detuning=float(d))))
@@ -561,13 +571,13 @@ def test_stacked_elimination_fails_each_point_as_alone(spec):
     the whole stack (undamped), and no failed point draws a warning."""
     deltas = np.array([-1e4, -10.0, 0.0, 10.0, 800.0])
     gen = fs.prepare(spec).at_detuning(deltas).generator.matrix
-    zero = np.zeros((len(deltas), gen.shape[-1], 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y, failed = fs.steady._chain_solve(gen, zero, 1.0, certify_nullity=True)
+        e = fs.steady._eliminate(gen)
+        y, failed = e.null, e.null_failed
         for i in range(len(deltas)):
-            alone_y, alone = fs.steady._chain_solve(gen[i:i + 1], zero[:1], 1.0,
-                                                    certify_nullity=True)
+            alone_e = fs.steady._eliminate(gen[i:i + 1])
+            alone_y, alone = alone_e.null, alone_e.null_failed
             assert str(failed.get(i)) == str(alone.get(0)), deltas[i]
             if i not in failed:
                 assert y[i].tobytes() == alone_y[0].tobytes(), deltas[i]

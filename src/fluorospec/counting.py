@@ -17,9 +17,9 @@ s = 1 (never finite-differenced). The stationary Mandel factor comes from
 the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to one vector: R0 J rho_inf is the trace-free solution
 of L x = (P - Id) J rho_inf, one real column solved against the
-elimination onto the configurational chain that the steady solve keeps
-(``Prepared.elimination``): one product with the kept Z_ff^-1, no LU of
-the fast block, then the r_max x r_max stochastic complement S with
+elimination onto the configurational chain (``steady.eliminate``) that
+also gives rho_inf: one product with its Z_ff^-1, no second LU of the
+fast block, then the r_max x r_max stochastic complement S with
 sum x_t = 0, so that slow configurational hops enter Q_st only through S,
 as they enter the steady state; the product and the result on the full
 system are certified by their backward errors. ``detuning_sweep``
@@ -55,7 +55,7 @@ import numpy as np
 
 from .correl import ObservableSeries, _increasing, stationary_intensity
 from .model import BlockState, ModelSpec, SuperOp, trace_functional
-from .steady import Prepared, expm, prepare
+from .steady import Prepared, eliminate, expm, prepare, steady_state
 
 
 class ZeroCounts(Exception):
@@ -350,12 +350,14 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     x = R0 J rho_inf, with R0 the reduced resolvent of the Laurent expansion
     (u - L)^-1 = P/u + R0 + O(u), P = rho_inf theta, is the trace-free
     solution of L x = (P - Id) J rho_inf = I_st rho_inf - J rho_inf: one
-    real column, solved against the Prepared's elimination onto the
-    configurational chain, which the steady solve made, with one product
-    with the kept Z_ff^-1 and one r_max x r_max LU, and at each point where
-    a check fails, the dense bordered solve at the shift 0
-    (``Elimination.solve``; SingularShift if its backward error fails).
-    The limit does not depend on the initial state x0 of trace 1: the asymptotes 2(a + b t) of the mean
+    real column. One elimination onto the configurational chain
+    (``steady.eliminate``) gives rho_inf (``steady_state`` of the record)
+    and this column, with one product with its Z_ff^-1 and one
+    r_max x r_max LU, and at each point where a check fails, the dense
+    bordered solve at the shift 0 (``Elimination.solve``; SingularShift if
+    its backward error fails). The record is let go on return, and a
+    Prepared's solved steady state is not read. The limit does not depend
+    on the initial state x0 of trace 1: the asymptotes 2(a + b t) of the mean
     count and 2(C + A t + B t^2) of the second factorial moment give
     Q_st = A/b - 4a with b = I_st / 2, a = theta J R0 x0 / 2 and
     A = 2 I_st a + theta J R0 J rho_inf, so that
@@ -366,11 +368,12 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     p = prepare(model)
     theta = trace_functional(p.generator.r_max)
     tj = theta @ p.jump
-    rho_inf = p.steady.to_vector().real.reshape(-1, p.generator.dim, 1)
+    e = eliminate(p.generator)
+    rho_inf = steady_state(e).to_vector().real[..., None]
     i_st = tj @ rho_inf
     if (i_st <= 1e-300).any():
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
     j_rho = p.jump @ rho_inf
-    x = p.elimination.solve(rho_inf * (theta @ j_rho)[..., None] - j_rho, 0.0)
+    x = e.solve(rho_inf * (theta @ j_rho)[..., None] - j_rho, 0.0)
     q_st = (2.0 * (tj @ x) / i_st)[:, 0]
     return q_st if p.generator.matrix.ndim == 3 else float(q_st[0])

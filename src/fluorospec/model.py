@@ -404,13 +404,25 @@ def build_generator(spec: ModelSpec) -> SuperOp:
     dissipator with anticommutator weight gamma_tilde_R; the detection
     gains (:func:`detection_jump`); phi gain/loss; plus any general
     channels (loss from eta column sums, gain eta[R][R'] A · A†).
+
+    Formed from the nonzero blocks: a copy of J; on the block diagonal,
+    the local term (detuning + drive) - decay of each block and then
+    d_R = phi_RR - sum_R' phi_R'R times the identity; then phi on the four
+    coordinate diagonals. These are the kron sum's products and sums in its
+    order, less the zeros it adds off the block diagonal, plus a second
+    phi_RR; neither changes a bit (no -0 in J off the block diagonal; a
+    diagonal entry is -0 only where d_R is, so where phi_RR is).
     """
-    phi = spec.rates.phi
-    m = (_kron(np.diag(spec.detuning - spec.delta_omegas()), _DETUNING)
-         + _kron(np.diag(spec.omega_rabis()), _DRIVE)
-         - _kron(np.diag(spec.effective_decays()), _DECAY)
-         + detection_jump(spec)
-         + _kron(phi - np.diag(phi.sum(axis=0)), _EYE4))
+    r, phi = spec.r_max, spec.rates.phi
+    local = (((spec.detuning - spec.delta_omegas())[:, None, None] * _DETUNING
+              + spec.omega_rabis()[:, None, None] * _DRIVE)
+             - spec.effective_decays()[:, None, None] * _DECAY)
+    d = np.diagonal(phi) - phi.sum(axis=0)
+    m = detection_jump(spec).copy()            # read-only, and shared with the counting split
+    blocks, own = m.reshape(r, 4, r, 4), np.arange(r)
+    blocks[own, :, own] = (blocks[own, :, own] + local) + d[:, None, None] * _EYE4
+    for k in range(4):
+        blocks[:, k, :, k] += phi
     for ch in spec.extra_channels:
         op = ch.operator_kind.matrix()
         m += (_kron(ch.eta, _real(_sandwich(op)))

@@ -6,10 +6,11 @@ elimination onto the r_max-state configurational chain, with the dense
 bordered solve, ``resolve_deflated``, as the fallback where the
 elimination is not certified; the spectrum's trace-free resolvent
 ((u - L) x = v, Tr x = 0) by the same bordered solve, one LU per shift in
-one reused workspace. The elimination is made once per model, with the
-steady state (``_eliminate``), and kept as the ``Elimination`` record of a
-Prepared, against which the reduced resolvent's column is solved without a
-second LU of the fast block (``Elimination.resolve``). The dense Laurent
+one reused workspace. The elimination (``eliminate``) is an
+``Elimination`` record that lives only inside the call that makes it: the
+steady state reads its null column and lets it go, and Q_st takes both the
+steady state and its own column from one record, solved without a second
+LU of the fast block (``Elimination.resolve``). The dense Laurent
 decomposition (steady projector + reduced resolvent) is their
 cross-check.
 
@@ -37,7 +38,7 @@ solves S x_t = c_t - Z_tf Z_ff^-1 c_f with sum x_t = Tr x, as a bordered
 solve of S (row 0 replaced by ones, which drops no equation since
 1^T S = 0), and back-substitution gives x_f = Z_ff^-1 c_f - X x_t. The
 steady state's Z_ff^-1 c_f (c = 0) comes from the LU; that of any later
-right-hand side is one product with the kept Z_ff^-1, certified by the
+right-hand side is one product with the record's Z_ff^-1, certified by the
 backward error of the fast solve as the LU's is. S is scaled by a power
 of two before it is factored, so tiny slow rates neither lose bits nor
 draw warnings. Where S is nonnegative off its diagonal it generates a
@@ -66,7 +67,7 @@ others (its overflows and NaNs silenced), and then takes the dense
 fallback on its own, in stack order; the first point whose fallback fails
 raises what it raises alone.
 
-Certificates. The solve with Z_ff, each product with the kept Z_ff^-1
+Certificates. The solve with Z_ff, each product with Z_ff^-1
 and every solution on the full system [L; theta] are checked by their
 normwise backward error, the ratio LAPACK's tests check (xGET02). A
 product with an inverse is not backward stable in general, so a point
@@ -146,9 +147,10 @@ class SteadyDecomposition:
 @dataclass(frozen=True, eq=False)
 class Elimination:
     """The elimination onto the configurational chain of a generator, or of
-    each generator of a stack (see the module docstring), kept so that a
-    right-hand side is solved against it with no second LU of the fast
-    block (``solve``).
+    each generator of a stack (see the module docstring), against which a
+    right-hand side is solved with no second LU of the fast block
+    (``solve``). It holds about 25 r_max^2 floats per point (0.7 MB at
+    r_max = 60) and lives only in the call that made it, never a Prepared.
 
     Per point, on a leading stack axis: L, Z_ff, Z_ff^-1, X = Z_ff^-1 Z_ft,
     Z_tf, and S scaled by 2^exp with row 0 replaced by ones; ``failed``
@@ -196,11 +198,10 @@ class Elimination:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """A spec with its generator L and detection jump J, built once, and its
-    steady state, solved on first use; every observable accepts one. The
-    steady solve keeps its elimination onto the configurational chain
-    (``elimination``: Z_ff^-1, X, S and the failures of its checks), so
-    that Q_st factors no fast block of its own; no other factorization is
-    kept.
+    steady state, solved on first use; every observable accepts one. No
+    factorization is kept: the steady solve's elimination onto the
+    configurational chain is let go once the steady state is read, and
+    Q_st makes its own (``stationary_mandel``).
 
     A stack of models that differ only in their laser detuning is one
     Prepared too (``at_detuning`` of an array): it keeps the unshifted spec,
@@ -214,23 +215,17 @@ class Prepared:
     jump: np.ndarray
 
     @functools.cached_property
-    def elimination(self) -> Elimination:
-        m = self.generator.matrix               # a single model: a stack of one
-        return _eliminate(m.reshape(-1, *m.shape[-2:]))
-
-    @functools.cached_property
     def steady(self) -> BlockState:
-        return steady_state(self)
+        return steady_state(self.generator)
 
     def at_detuning(self, detuning) -> Prepared:
         """The same model at laser detuning ``detuning``, from L shifted by
         detuning - spec.detuning (``model.shift_detuning``), not rebuilt;
         for a 1-d array of detunings, the stack of these models, which keeps
         the unshifted spec. J does not depend on the detuning and is shared,
-        and the elimination and the steady state are made anew on first
-        use. From a spec at detuning 0 each model equals ``prepare`` of the
-        spec at its detuning bit for bit. ValueError when a shift is not
-        finite.
+        and the steady state is solved anew on first use. From a spec at
+        detuning 0 each model equals ``prepare`` of the spec at its detuning
+        bit for bit. ValueError when a shift is not finite.
         """
         generator = shift_detuning(self.generator, detuning - self.spec.detuning)
         spec = (self.spec if np.ndim(detuning)
@@ -282,10 +277,18 @@ def _degenerate(nullity: int) -> NullSpaceDegenerate:
                                "(disconnected configurational space?)")
 
 
-def steady_state(generator: SuperOp | Prepared) -> BlockState:
+def eliminate(generator: SuperOp) -> Elimination:
+    """The elimination of a generator, or of each generator of a stack,
+    onto its configurational chain, with every check of ``_eliminate``; a
+    single model is a stack of one."""
+    m = generator.matrix
+    return _eliminate(m.reshape(-1, *m.shape[-2:]))
+
+
+def steady_state(generator: SuperOp | Elimination) -> BlockState:
     """Unique trace-1 null state of the generator, or of each generator of
-    a stack, in one stacked elimination; of a Prepared from its cached
-    ``elimination``.
+    a stack, in one stacked elimination; of an Elimination from its null
+    column, one block state per point of its stack.
 
     Solved by elimination onto the configurational chain in real
     arithmetic (see the module docstring), so the blocks are exactly
@@ -299,11 +302,7 @@ def steady_state(generator: SuperOp | Prepared) -> BlockState:
     state has a negative eigenvalue; the first such point of the stack
     raises.
     """
-    if isinstance(generator, Prepared):
-        m, e = generator.generator.matrix, generator.elimination
-    else:
-        m = generator.matrix
-        e = _eliminate(m.reshape(-1, *m.shape[-2:]))   # a single model: a stack of one
+    e = generator if isinstance(generator, Elimination) else eliminate(generator)
     gen, failed = e.generator, e.null_failed
     blocks, eigmin = _block_state(e.null)
     dense = eigmin < -1e-10                    # the elimination is not certified here
@@ -312,14 +311,15 @@ def steady_state(generator: SuperOp | Prepared) -> BlockState:
         if isinstance(failed.get(i), NullSpaceDegenerate):
             raise failed[i]
         _check_nullity(gen[i])                 # names the nullity of L when it is not 1
-        zero = np.zeros((m.shape[-1], 1))
+        zero = np.zeros((gen.shape[-1], 1))
         st, low = _block_state(resolve_deflated(SuperOp(gen[i]), [0.0], zero, 1.0))
         if low[0] < -1e-10:
             raise ValueError(
                 f"steady-state block eigenvalue {low[0]:.3e} < -1e-10; "
                 "model or assembly bug")
         blocks[i] = st[0]
-    return BlockState(blocks.reshape(*m.shape[:-2], *blocks.shape[1:]))
+    single = isinstance(generator, SuperOp) and generator.matrix.ndim == 2
+    return BlockState(blocks[0] if single else blocks)
 
 
 def _block_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +351,7 @@ def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray,
     shifts = np.asarray(shifts)
     dtype = np.result_type(l, shifts, rhs)
     theta = trace_functional(generator.r_max)
-    work = np.negative(l).astype(dtype)
+    work = np.negative(l, out=np.empty(l.shape, dtype))
     work[0] = theta
     diag = work.reshape(-1)[::dim + 1]          # a view: refilled per shift
     l_diag = np.diagonal(l)

@@ -578,9 +578,13 @@ def test_corrupted_inverse_fails_its_point_alone(fig5, monkeypatch):
     deltas = np.array([-30.0, -3.0, 0.0, 2.0, 40.0])
     base = fs.prepare(fig5)
     want = fs.stationary_mandel(base.at_detuning(deltas))
-    p = base.at_detuning(deltas)
-    p.steady
-    p.elimination.inverse[2] *= 1.0 + 1e-9
+    eliminate = fs.steady._eliminate
+
+    def corrupted(gen):
+        e = eliminate(gen)
+        e.inverse[2] *= 1.0 + 1e-9
+        return e
+
     failures = []
     resolve = fs.steady.Elimination.resolve
 
@@ -589,9 +593,10 @@ def test_corrupted_inverse_fails_its_point_alone(fig5, monkeypatch):
         failures.append(failed)
         return y, failed
 
+    monkeypatch.setattr(fs.steady, "_eliminate", corrupted)
     monkeypatch.setattr(fs.steady.Elimination, "resolve", recorded)
     with _dense_solves() as dense:
-        got = fs.stationary_mandel(p)
+        got = fs.stationary_mandel(base.at_detuning(deltas))
     assert list(failures[0]) == [2]
     assert "fast block solve backward error" in str(failures[0][2])
     assert dense == [(8, 8)]
@@ -624,11 +629,12 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
 
 
 def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
-    """Q_st takes no LU of the fast block: once the steady state is solved,
-    it applies the Z_ff^-1 that the steady state's fast LU left in the
-    Prepared's elimination, and one r_max x r_max LU solves the chain; a
-    fresh Prepared takes three LUs in all, the steady state's two and
-    Q_st's chain solve."""
+    """Q_st makes one elimination of its own, whose fast LU gives both the
+    steady state's null column and the Z_ff^-1 that its own column is
+    solved against, and one r_max x r_max LU for each of the two chain
+    solves: three LUs in all, the Prepared's steady state solved or not,
+    since a Prepared keeps no elimination record (the steady solve takes
+    two)."""
     solved = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
@@ -640,10 +646,31 @@ def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
     solved.clear()
     fs.stationary_mandel(p)
     real = np.dtype(np.float64)
-    assert solved == [(real, (1, 2, 2), (1, 2, 1))]
+    chain = (real, (1, 2, 2), (1, 2, 1))
+    assert solved == [(real, (1, 6, 6), (1, 6, 9)), chain, chain]
     solved.clear()
     fs.stationary_mandel(fs.prepare(fig5))
     assert len(solved) == 3
+
+
+def test_stationary_mandel_one_elimination_per_model_and_chunk(fig5, monkeypatch):
+    """rho_inf and the Q_st column come from one elimination: one per call
+    on a single model, its steady state solved or not, and one per chunk of
+    a detuning sweep, here cut by a cap of three generators' bytes."""
+    stacks = []
+    eliminate = fs.steady._eliminate
+    monkeypatch.setattr(fs.steady, "_eliminate",
+                        lambda gen: stacks.append(len(gen)) or eliminate(gen))
+    p = fs.prepare(fig5)
+    fs.stationary_mandel(p)
+    assert stacks == [1]
+    p.steady
+    fs.stationary_mandel(p)
+    assert stacks == [1, 1, 1]
+    stacks.clear()
+    monkeypatch.setattr(counting, "_STACK_BYTES", 3 * p.generator.matrix.nbytes)
+    fs.detuning_sweep(fs.stationary_mandel, fig5, np.linspace(-30.0, 30.0, 10))
+    assert stacks == [3, 3, 2, 2]
 
 
 def test_optical_bloch_s1_matches_generator(fig2a):

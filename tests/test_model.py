@@ -118,21 +118,41 @@ def test_dense_matches_matrix_free(r_max):
                          ids=lambda k: "no_eta" if k is None else k.value)
 @pytest.mark.parametrize("r_max", [1, 3, 20, 60])
 def test_assembly_equals_kron_sum_bit_for_bit(r_max, kind):
-    """The broadcast assembly forms the same products of the same real
-    T S T^-1 terms, summed in the same order, as the np.kron sum of
-    generator_oracle."""
+    """The assembly from the nonzero blocks forms the same products of the
+    same real T S T^-1 terms, summed in the same order, as the np.kron sum
+    of generator_oracle, which adds zeros elsewhere: bit for bit, also
+    where adding a zero could flip the sign of a zero, and at r_max = 2
+    with phi = 0 and no gamma_cross. The signed spec holds -0.0 in the
+    detuning, a delta_omega and phi's first column below its diagonal, and
+    in gamma, omega_rabi and gamma_cross[0][0] of block 0: from r_max = 2
+    on, block 0 then has local + J = -0 off its coordinate diagonal, which
+    the kron sum's phi term turns to +0 there (d_0 * 0 with d_0 = +0)."""
     rng = np.random.default_rng(300 + r_max)
-    spec = random_spec(rng, r_max)
-    if kind is not None:
-        eta = rng.uniform(0.0, 0.5, (r_max, r_max))
+
+    def with_channel(spec):
+        if kind is None:
+            return spec
+        eta = rng.uniform(0.0, 0.5, (spec.r_max, spec.r_max))
         np.fill_diagonal(eta, 0.0)
-        spec = fs.ModelSpec(spec.space, spec.per_state, spec.rates,
+        return fs.ModelSpec(spec.space, spec.per_state, spec.rates,
                             (fs.GeneralJumpChannel(kind, eta),), spec.detuning)
-    want = kron_generator(spec).matrix
-    assert fs.build_generator(spec).matrix.tobytes() == want.tobytes()
-    jump = np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
-                   to_real_coordinates(np.kron(SIGMA.conj(), SIGMA)))
-    assert detection_jump(spec).tobytes() == jump.tobytes()
+
+    spec = with_channel(random_spec(rng, r_max))
+    phi, cross = spec.rates.phi.copy(), spec.rates.gamma_cross.copy()
+    phi[1:, 0] = -0.0
+    cross[0, 0] = -0.0
+    last = dataclasses.replace(spec.per_state[-1], delta_omega=-0.0)
+    per_state = (fs.PerStateParams(0.0, -0.0, -0.0), *spec.per_state[1:-1], last)[-r_max:]
+    signed = dataclasses.replace(spec, per_state=per_state, detuning=-0.0,
+                                 rates=fs.FluctuationRates(phi, cross))
+    bare = random_spec(rng, 2, with_cross=False)
+    bare = with_channel(dataclasses.replace(bare, rates=fs.FluctuationRates.none(2)))
+    for spec in (spec, signed, bare):
+        want = kron_generator(spec).matrix
+        assert fs.build_generator(spec).matrix.tobytes() == want.tobytes()
+        jump = np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+                       to_real_coordinates(np.kron(SIGMA.conj(), SIGMA)))
+        assert detection_jump(spec).tobytes() == jump.tobytes()
 
 
 SHIFTS = [0.0, 0.37, -0.37, 1.0 / 3.0, 1e4, -1e4, 1e-300, 1e200]

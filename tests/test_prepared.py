@@ -3,12 +3,13 @@ ModelSpec and for its Prepared form, and calls that share a Prepared share
 one steady solve."""
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import fluorospec as fs
-from fluorospec import steady
+from fluorospec import counting, steady
 from fluorospec.model import SIGMA, SIGMA_DAG, UPPER_PROJECTOR
 from conftest import random_block_state, random_spec
 
@@ -66,7 +67,8 @@ def shared(spec):
 
 @pytest.fixture
 def steady_calls(monkeypatch):
-    """Generators of every steady solve, by ``steady_state`` or a Prepared."""
+    """Generators (or elimination records) of every steady solve, by
+    ``steady_state``, a Prepared or ``stationary_mandel``."""
     calls = []
     solve = steady.steady_state
 
@@ -75,6 +77,7 @@ def steady_calls(monkeypatch):
         return solve(generator)
 
     monkeypatch.setattr(steady, "steady_state", counted)
+    monkeypatch.setattr(counting, "steady_state", counted)
     return calls
 
 
@@ -121,11 +124,42 @@ def test_sum_rule_check_solves_steady_state_once(fig2a, steady_calls):
     assert len(steady_calls) == 1
 
 
-def test_stationary_mandel_reuses_steady_state(fig5, steady_calls):
+def test_stationary_mandel_solves_its_own_steady_state(fig5, steady_calls):
+    """Q_st takes rho_inf from the elimination that its own column is
+    solved against, not from the Prepared, which keeps no elimination
+    record; the Prepared's steady state stays as it was."""
     p = fs.prepare(fig5)
     fs.stationary_intensity(p)
+    st = p.steady
     fs.stationary_mandel(p)
-    assert len(steady_calls) == 1
+    assert steady_calls[0] is p.generator
+    assert isinstance(steady_calls[1], steady.Elimination)
+    assert len(steady_calls) == 2
+    assert p.steady is st
+
+
+def test_prepared_keeps_no_elimination_record(spec, monkeypatch):
+    """The steady solve's elimination record (Z_ff^-1, X and S, 0.7 MB at
+    r_max = 60) lives only inside ``steady_state``: once the steady state
+    is solved, and while the spectrum and C1 run on the live Prepared,
+    nothing holds it, and the Prepared holds only its spec, L, J and steady
+    state."""
+    records = []
+    eliminate = steady._eliminate
+
+    def recorded(gen):
+        e = eliminate(gen)
+        records.append(weakref.ref(e))
+        return e
+
+    monkeypatch.setattr(steady, "_eliminate", recorded)
+    p = fs.prepare(spec)
+    p.steady
+    assert len(records) == 1 and records[0]() is None
+    fs.incoherent_spectrum(p, OMEGA)
+    fs.c1(p, TAU)
+    assert len(records) == 1 and records[0]() is None
+    assert sorted(vars(p)) == ["generator", "jump", "spec", "steady"]
 
 
 def test_at_detuning_equals_prepare_at_that_detuning(spec):

@@ -18,10 +18,11 @@ the Laurent expansion (u - L)^-1 = P/u + R0 + O(u) of the Laplace-domain
 resolvent, applied to one vector: R0 J rho_inf is the trace-free solution
 of L x = (P - Id) J rho_inf, one real column solved against the
 elimination onto the configurational chain (``steady.eliminate``) that
-also gives rho_inf: one product with its Z_ff^-1, no second LU of the
-fast block, then the r_max x r_max stochastic complement S with
-sum x_t = 0, so that slow configurational hops enter Q_st only through S,
-as they enter the steady state; the product and the result on the full
+rho_inf is solved against too, by the same ``Elimination.resolve``: one
+product with its Z_ff^-1, no second LU of the fast block, then the
+r_max x r_max stochastic complement S with sum x_t = 0, so that slow
+configurational hops enter Q_st only through S, as they enter the
+steady state; the product and the result on the full
 system are certified by their backward errors. ``detuning_sweep``
 evaluates Q_st or the line shape over a grid of laser detunings: it
 prepares the model once, at detuning 0 (the spec is replaced only when
@@ -350,15 +351,16 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     x = R0 J rho_inf, with R0 the reduced resolvent of the Laurent expansion
     (u - L)^-1 = P/u + R0 + O(u), P = rho_inf theta, is the trace-free
     solution of L x = (P - Id) J rho_inf = I_st rho_inf - J rho_inf: one
-    real column. One elimination onto the configurational chain
-    (``steady.eliminate``) gives rho_inf (``steady_state`` of the record)
-    and this column, with one product with its Z_ff^-1 and one
-    r_max x r_max LU, and at each point where a check fails, the dense
-    bordered solve at the shift 0 (``Elimination.solve``; SingularShift if
-    its backward error fails). The record is let go on return, and a
-    Prepared's solved steady state is not read. The limit does not depend
-    on the initial state x0 of trace 1: the asymptotes 2(a + b t) of the mean
-    count and 2(C + A t + B t^2) of the second factorial moment give
+    real column. Both rho_inf (``steady_state`` of the record) and this
+    column are solved against one elimination onto the configurational
+    chain (``steady.eliminate``) by ``Elimination.resolve``, each with one
+    product with its Z_ff^-1 and one r_max x r_max LU, and at each point
+    where a check fails, the dense bordered solve at the shift 0
+    (``Elimination.solve``; SingularShift if its backward error fails).
+    The record is let go on return, and a Prepared's solved steady state
+    is not read. The limit does not depend on the initial state x0 of
+    trace 1: the asymptotes 2(a + b t) of the mean count and
+    2(C + A t + B t^2) of the second factorial moment give
     Q_st = A/b - 4a with b = I_st / 2, a = theta J R0 x0 / 2 and
     A = 2 I_st a + theta J R0 J rho_inf, so that
     Q_st = 2 theta J R0 J rho_inf / I_st + 4a - 4a. ZeroCounts when I_st

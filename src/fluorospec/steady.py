@@ -7,12 +7,12 @@ bordered solve, ``resolve_deflated``, as the fallback where the
 elimination is not certified; the spectrum's trace-free resolvent
 ((u - L) x = v, Tr x = 0) by the same bordered solve, one LU per shift in
 one reused workspace. The elimination (``eliminate``) is an
-``Elimination`` record that lives only inside the call that makes it: the
-steady state reads its null column and lets it go, and Q_st takes both the
-steady state and its own column from one record, solved without a second
-LU of the fast block (``Elimination.resolve``). The dense Laurent
-decomposition (steady projector + reduced resolvent) is their
-cross-check.
+``Elimination`` record that lives only inside the call that makes it.
+Every right-hand side is solved against it by ``Elimination.resolve``,
+with no second LU of the fast block: the steady state is rhs = 0 with
+trace 1, and Q_st solves both the steady state and its own column against
+one record. The dense Laurent decomposition (steady projector + reduced
+resolvent) is their cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred. The kernels are numpy's: ``numpy.linalg.solve`` (LAPACK
@@ -36,15 +36,15 @@ rates, which the dense path carried as an error eps |L| / (slow rate).
 For a right-hand side c in these coordinates the t part of the solution
 solves S x_t = c_t - Z_tf Z_ff^-1 c_f with sum x_t = Tr x, as a bordered
 solve of S (row 0 replaced by ones, which drops no equation since
-1^T S = 0), and back-substitution gives x_f = Z_ff^-1 c_f - X x_t. The
-steady state's Z_ff^-1 c_f (c = 0) comes from the LU; that of any later
-right-hand side is one product with the record's Z_ff^-1, certified by the
-backward error of the fast solve as the LU's is. S is scaled by a power
-of two before it is factored, so tiny slow rates neither lose bits nor
-draw warnings. Where S is nonnegative off its diagonal it generates a
-Markov chain, whose stationary vector is well conditioned in the
-off-diagonal rates: the populations then carry the error of those rates,
-not eps / (slow rate), as long as every block relaxes fast (Z_ff well
+1^T S = 0), and back-substitution gives x_f = Z_ff^-1 c_f - X x_t.
+Z_ff^-1 c_f is one product with the record's Z_ff^-1, certified by the
+backward error of the fast solve as the LU's X is; for the steady state
+(c = 0) it is exactly 0 and passes. S is scaled by a power of two before
+it is factored, so tiny slow rates neither lose bits nor draw warnings.
+Where S is nonnegative off its diagonal it generates a Markov chain,
+whose stationary vector is well conditioned in the off-diagonal rates:
+the populations then carry the error of those rates, not
+eps / (slow rate), as long as every block relaxes fast (Z_ff well
 conditioned) and no rate is the difference of much larger fluxes. The
 rates are then as accurate as the excited populations X that the fast
 solve gives per unit trace, which is backward stable but not
@@ -73,7 +73,7 @@ normwise backward error, the ratio LAPACK's tests check (xGET02). A
 product with an inverse is not backward stable in general, so a point
 whose product fails takes the dense path like any other failure. Nullity
 1 of L rests on rank L = rank Z_ff + rank S, which holds when Z_ff is
-nonsingular. The steady solve shows that Z_ff is nonsingular to working
+nonsingular. The elimination shows that Z_ff is nonsingular to working
 precision from the norm of Z_ff^-1, taken from the same LU
 (``_require_nonsingular``), and counts the nullity of S by the singular
 values of the scaled r_max x r_max S against a bound on the error of the
@@ -147,17 +147,16 @@ class SteadyDecomposition:
 @dataclass(frozen=True, eq=False)
 class Elimination:
     """The elimination onto the configurational chain of a generator, or of
-    each generator of a stack (see the module docstring), against which a
-    right-hand side is solved with no second LU of the fast block
-    (``solve``). It holds about 25 r_max^2 floats per point (0.7 MB at
+    each generator of a stack (see the module docstring), against which
+    every right-hand side, the steady state's included, is solved with no
+    second LU of the fast block (``resolve``, and ``solve`` with its dense
+    fallback). It holds about 25 r_max^2 floats per point (0.7 MB at
     r_max = 60) and lives only in the call that made it, never a Prepared.
 
     Per point, on a leading stack axis: L, Z_ff, Z_ff^-1, X = Z_ff^-1 Z_ft,
     Z_tf, and S scaled by 2^exp with row 0 replaced by ones; ``failed``
-    maps each point that failed a check of ``_eliminate`` to its first
-    failure, and its entries are stand-ins. ``null`` (n, 4 r_max, 1) is
-    the trace-1 null column of each point from the same LU, a stand-in
-    where ``null_failed``, which adds the failures of its own solve."""
+    maps each point that failed a check of ``eliminate`` to its first
+    failure, and its entries are stand-ins."""
 
     generator: np.ndarray
     z_ff: np.ndarray
@@ -167,21 +166,33 @@ class Elimination:
     s: np.ndarray
     exp: np.ndarray
     failed: dict
-    null: np.ndarray
-    null_failed: dict
 
     def resolve(self, rhs: np.ndarray, trace: float) -> tuple[np.ndarray, dict]:
         """The real columns y with L y = rhs (n, 4 r_max, k) and theta y =
-        trace for each point, and the failures: those of the elimination,
-        then each point whose w = Z_ff^-1 c_f, one stacked matmul, fails the
-        fast solve's backward error, then those of ``_back_solve``."""
+        trace for each point: w = Z_ff^-1 c_f (one stacked matmul), the
+        chain solve of S for x_t and back-substitution for x_f. The failures
+        map each failed point to the first of these checks it fails: those
+        of the elimination, the fast solve's backward error on w, a zero
+        pivot of the chain solve, the backward error of y on [L; theta].
+        The columns of a failed point are stand-ins."""
         n, r, k = len(self.s), self.s.shape[-1], rhs.shape[-1]
-        c_f = rhs.reshape(n, r, 4, k)[:, :, 1:].reshape(n, 3 * r, k)
+        c = rhs.reshape(n, r, 4, k)
+        c_f = c[:, :, 1:].reshape(n, 3 * r, k)
         with np.errstate(all="ignore"):
             w = self.inverse @ c_f
             failed = _certify("fast block solve", self.z_ff, w, c_f) | self.failed
-        return _back_solve(self.generator, self.x, self.z_tf, self.s, self.exp,
-                           w, rhs, trace, failed)
+            g = np.ldexp(c[:, :, 0] + c[:, :, 1] - self.z_tf @ w,
+                         self.exp[:, None, None])
+            g[list(failed)] = 0.0              # a stand-in for a g that may be NaN
+            g[:, 0] = trace
+            x_t, singular = _solve("chain solve", self.s, g)
+            failed = singular | failed
+            y = np.empty((n, r, 4, k))
+            y[:, :, 1:] = (w - self.x @ x_t).reshape(n, r, 3, k)
+            y[:, :, 0] = x_t - y[:, :, 1]
+            y = y.reshape(n, 4 * r, k)
+        return y, _certify("chain solve", self.generator, y, rhs,
+                           trace_functional(r), trace) | failed
 
     def solve(self, rhs: np.ndarray, trace: float) -> np.ndarray:
         """The real columns of ``resolve``, and for each point where it
@@ -200,8 +211,8 @@ class Prepared:
     """A spec with its generator L and detection jump J, built once, and its
     steady state, solved on first use; every observable accepts one. No
     factorization is kept: the steady solve's elimination onto the
-    configurational chain is let go once the steady state is read, and
-    Q_st makes its own (``stationary_mandel``).
+    configurational chain is let go once the steady state is solved against
+    it, and Q_st makes its own (``stationary_mandel``).
 
     A stack of models that differ only in their laser detuning is one
     Prepared too (``at_detuning`` of an array): it keeps the unshifted spec,
@@ -272,23 +283,11 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return (s * np.sqrt(v @ v.swapaxes(-1, -2)))[..., 0, 0]
 
 
-def _degenerate(nullity: int) -> NullSpaceDegenerate:
-    return NullSpaceDegenerate(f"generator nullity is {nullity}, expected 1 "
-                               "(disconnected configurational space?)")
-
-
-def eliminate(generator: SuperOp) -> Elimination:
-    """The elimination of a generator, or of each generator of a stack,
-    onto its configurational chain, with every check of ``_eliminate``; a
-    single model is a stack of one."""
-    m = generator.matrix
-    return _eliminate(m.reshape(-1, *m.shape[-2:]))
-
-
 def steady_state(generator: SuperOp | Elimination) -> BlockState:
     """Unique trace-1 null state of the generator, or of each generator of
-    a stack, in one stacked elimination; of an Elimination from its null
-    column, one block state per point of its stack.
+    a stack, in one stacked elimination; of an Elimination from its
+    ``resolve`` of rhs = 0 with trace 1, one block state per point of its
+    stack.
 
     Solved by elimination onto the configurational chain in real
     arithmetic (see the module docstring), so the blocks are exactly
@@ -303,8 +302,10 @@ def steady_state(generator: SuperOp | Elimination) -> BlockState:
     raises.
     """
     e = generator if isinstance(generator, Elimination) else eliminate(generator)
-    gen, failed = e.generator, e.null_failed
-    blocks, eigmin = _block_state(e.null)
+    gen = e.generator
+    y, failed = e.resolve(np.zeros((*gen.shape[:2], 1)), 1.0)
+    y[list(failed)] = np.eye(gen.shape[-1], 1)  # a trace-1 stand-in
+    blocks, eigmin = _block_state(y)
     dense = eigmin < -1e-10                    # the elimination is not certified here
     dense[list(failed)] = True
     for i in np.flatnonzero(dense):
@@ -446,21 +447,21 @@ def _solve(what: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     return x, failed
 
 
-def _eliminate(gen: np.ndarray) -> Elimination:
-    """The elimination of each generator of the stack gen (n, 4 r_max,
-    4 r_max) onto its trace coordinates (see the module docstring), with
-    the trace-1 null column of each point from the same LU.
+def eliminate(generator: SuperOp) -> Elimination:
+    """The elimination of a generator, or of each generator of a stack,
+    onto its trace coordinates (see the module docstring); a single model
+    is a stack of one.
 
-    One LU of each fast block solves for [Z_ft, 0, I]: X, the steady
-    state's fast part w = 0 and Z_ff^-1. Its checks, each made per point,
-    in this order: the LU and its backward error on Z_ft (SingularShift),
-    Z_ff nonsingular to working precision (``_require_nonsingular``;
-    SingularShift), no slow rate lost to cancellation (``_CANCELLATION``;
-    SingularShift), and nullity 1 of S (``_chain_nullity``;
-    NullSpaceDegenerate), so that L has nullity 1. A point that fails goes
-    on through the stacked arithmetic with the others, so its overflows and
-    NaNs draw no warning.
+    One LU of each fast block solves for [Z_ft, I]: X and Z_ff^-1. Its
+    checks, each made per point, in this order: the LU and its backward
+    error on Z_ft (SingularShift), Z_ff nonsingular to working precision
+    (``_require_nonsingular``; SingularShift), no slow rate lost to
+    cancellation (``_CANCELLATION``; SingularShift), and nullity 1 of S
+    (``_chain_nullity``; NullSpaceDegenerate), so that L has nullity 1. A
+    point that fails goes on through the stacked arithmetic with the
+    others, so its overflows and NaNs draw no warning.
     """
+    gen = generator.matrix.reshape(-1, *generator.matrix.shape[-2:])
     n, r = len(gen), gen.shape[-1] // 4
     blocks = gen.reshape(n, r, 4, r, 4)
     z_t = blocks[:, :, 0] + blocks[:, :, 1]    # t rows: aa + bb, (n, r, r, 4)
@@ -468,13 +469,13 @@ def _eliminate(gen: np.ndarray) -> Elimination:
     z_ff = blocks[:, :, 1:, :, 1:].copy()      # fast rows and columns
     z_ff[..., 0] -= blocks[:, :, 1:, :, 0]
     z_ff = z_ff.reshape(n, 3 * r, 3 * r)
-    cols = 4 * r + 1                           # [Z_ft, c_f = 0, I]
+    cols = 4 * r                               # [Z_ft, I]
     b = np.zeros((n, 3 * r, cols))
     b.reshape(n, r, 3, cols)[..., :r] = blocks[:, :, 1:, :, 0]
-    b.reshape(n, -1)[:, r + 1::cols + 1] = 1.0
+    b.reshape(n, -1)[:, r::cols + 1] = 1.0
     with np.errstate(all="ignore"):
-        xw, failed = _solve("fast block solve", z_ff, b)
-        x, inverse = xw[..., :r], xw[..., r + 1:]
+        xi, failed = _solve("fast block solve", z_ff, b)
+        x, inverse = xi[..., :r], xi[..., r:]
         failed = _require_nonsingular(z_ff, inverse) | failed
         failed = _certify("fast block solve", z_ff, x, b[..., :r]) | failed
         z_tf = z_t[..., 1:].reshape(n, r, 3 * r)
@@ -498,37 +499,11 @@ def _eliminate(gen: np.ndarray) -> Elimination:
         if live.any():
             nullity = _chain_nullity(blocks, x, s, exp, live)
             bad = nullity != 1
-            failed = {i: _degenerate(k) for i, k in
-                      zip(np.flatnonzero(live)[bad], nullity[bad])} | failed
+            failed = {i: NullSpaceDegenerate(f"generator nullity is {k}, expected 1 "
+                                             "(disconnected configurational space?)")
+                      for i, k in zip(np.flatnonzero(live)[bad], nullity[bad])} | failed
         s[:, 0] = 1.0
-    null, null_failed = _back_solve(gen, x, z_tf, s, exp, xw[..., r:r + 1],
-                                    np.zeros((n, 4 * r, 1)), 1.0, failed)
-    null[list(null_failed)] = np.eye(4 * r, 1)  # a trace-1 stand-in
-    return Elimination(gen, z_ff, inverse, x, z_tf, s, exp, failed, null, null_failed)
-
-
-def _back_solve(gen, x, z_tf, s, exp, w, rhs, trace, failed) -> tuple[np.ndarray, dict]:
-    """The columns y with L y = rhs and theta y = trace for each point of
-    an elimination (X, Z_tf, the bordered scaled S and its exponent) from
-    w = Z_ff^-1 c_f: the chain solve of S for x_t, back-substitution for
-    x_f, and the certificate on the full system [L; theta]. ``failed``
-    holds the points already failed, whose right-hand sides are replaced
-    by stand-ins; returned with the chain solve's and the certificate's
-    failures added after them."""
-    n, r, k = len(gen), s.shape[-1], rhs.shape[-1]
-    c = rhs.reshape(n, r, 4, k)
-    with np.errstate(all="ignore"):
-        g = np.ldexp(c[:, :, 0] + c[:, :, 1] - z_tf @ w, exp[:, None, None])
-        g[list(failed)] = 0.0                  # a stand-in for a g that may be NaN
-        g[:, 0] = trace
-        x_t, singular = _solve("chain solve", s, g)
-        failed = singular | failed
-        y = np.empty((n, r, 4, k))
-        y[:, :, 1:] = (w - x @ x_t).reshape(n, r, 3, k)
-        y[:, :, 0] = x_t - y[:, :, 1]
-        y = y.reshape(n, 4 * r, k)
-    failed = _certify("chain solve", gen, y, rhs, trace_functional(r), trace) | failed
-    return y, failed
+    return Elimination(gen, z_ff, inverse, x, z_tf, s, exp, failed)
 
 
 def _require_nonsingular(z_ff: np.ndarray, inv: np.ndarray) -> dict:

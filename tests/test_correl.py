@@ -107,6 +107,38 @@ def test_g2_matches_markovian_oracle(markovian):
     assert np.abs(ours - ref).max() < 1e-8
 
 
+def _g2_within_cptp_bound(spec, tau):
+    """e^{tau L} is CPTP and J rho_inf is positive with trace I_st, so
+    C2(tau) = Tr J e^{tau L} J rho_inf <= max gamma_tilde I_st: every g2
+    value lies in [0, max gamma_tilde / I_st], here to within 1e-12 of the
+    bound. A run that raises FloatingPointError instead passes too."""
+    try:
+        values = fs.g2(spec, tau).values
+    except FloatingPointError:
+        return
+    bound = spec.effective_decays().max() / fs.stationary_intensity(spec)
+    tol = 1e-12 * bound
+    assert np.all(values >= -tol) and np.all(values <= bound + tol), (values, bound)
+
+
+def test_g2_within_cptp_bound(fig5):
+    _g2_within_cptp_bound(fig5, np.linspace(0.0, 60.0, 31))
+    _g2_within_cptp_bound(fs.diffusion_chain(5, [0.3, 1.0, 2.0, 1.0, 0.3], 0.5, 1.0),
+                          np.linspace(0.0, 20.0, 21))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: an expm result that is finite but "
+                          "wrong passes every check")
+def test_g2_within_cptp_bound_at_huge_rabi_frequency():
+    """A Rabi frequency of 1e20 on one site of a 3-site chain: the step
+    propagator e^{(4/3) L} comes out with 1-norm 9.8e126 where the exact
+    one is a contraction, and g2 reads 7.7e126 and 7.5e253 against the
+    bound 3.08, with no error."""
+    _g2_within_cptp_bound(fs.diffusion_chain(3, [1e20, 1.0, 0.5], 0.5, 1.0),
+                          [0.0, 4.0 / 3.0, 8.0 / 3.0])
+
+
 def test_g2_fig5_bunching_plateau_and_relaxation(fig5):
     approx = fs.blinking_rates(fig5)
     rate = approx.big_gamma[0, 1] + approx.big_gamma[1, 0]

@@ -145,14 +145,15 @@ def test_prepared_keeps_no_elimination_record(spec, monkeypatch):
     nothing holds it, and the Prepared holds only its spec, L, J and steady
     state."""
     records = []
-    eliminate = steady._eliminate
+    eliminate = steady.eliminate
 
-    def recorded(gen):
-        e = eliminate(gen)
+    def recorded(generator):
+        e = eliminate(generator)
         records.append(weakref.ref(e))
         return e
 
-    monkeypatch.setattr(steady, "_eliminate", recorded)
+    monkeypatch.setattr(steady, "eliminate", recorded)
+    monkeypatch.setattr(counting, "eliminate", recorded)
     p = fs.prepare(spec)
     p.steady
     assert len(records) == 1 and records[0]() is None

@@ -411,17 +411,26 @@ def test_fig5_populations_at_large_detuning(fig5, detuning):
     assert np.abs(pops / (expected / expected.sum()) - 1).max() <= 1e-13
 
 
+def _null(gen):
+    """The trace-1 null columns (n, dim, 1) of each generator of gen and
+    the failures, from its elimination's one solve, as the steady state
+    takes them."""
+    e = fs.steady.eliminate(gen)
+    return e.resolve(np.zeros((*e.generator.shape[:2], 1)), 1.0)
+
+
 def _chain_failure(gen):
     """The exception of the first check that the elimination of the steady
     state of gen alone (a stack of one) fails."""
-    failed = fs.steady._eliminate(gen.matrix[None]).null_failed
+    failed = _null(gen)[1]
     assert list(failed) == [0]
     return failed[0]
 
 
 def test_fast_block_failure_names_its_backward_error(fig5, monkeypatch):
     """A fast solve that fails its backward error names the ratio it
-    measured on X, not a NaN from the steady state's zero column."""
+    measured on X, not a NaN from the steady state's zero right-hand
+    side."""
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-7))
     message = str(_chain_failure(fs.build_generator(fig5)))
@@ -494,16 +503,15 @@ def test_negative_block_eigenvalue_solved_densely(fig5, monkeypatch):
     """A state from the elimination with a negative block eigenvalue is
     provably off by as much: the dense solve takes over."""
     gen = fs.build_generator(fig5)
-    eliminate = fs.steady._eliminate
+    resolve = fs.steady.Elimination.resolve
 
-    def off(real):
-        e = eliminate(real)
-        e.null[:, 2] += 1.0      # Re ba of block 0: a coherence no state can have
-        return e
+    def off(self, rhs, trace):
+        y, failed = resolve(self, rhs, trace)
+        y[:, 2] += 1.0           # Re ba of block 0: a coherence no state can have
+        return y, failed
 
-    monkeypatch.setattr(fs.steady, "_eliminate", off)
-    e = off(gen.matrix[None])
-    y, failed = e.null, e.null_failed
+    monkeypatch.setattr(fs.steady.Elimination, "resolve", off)
+    y, failed = _null(gen)
     assert not failed and fs.steady._block_state(y)[1][0] < -1e-10
     st = fs.steady_state(gen).to_vector()
     assert np.abs(st - dense_steady(gen).to_vector()).max() <= 1e-13
@@ -530,8 +538,7 @@ def test_detuning_sweep_mixes_certified_and_dense_points(phi, dense, observable,
     detuning bit for bit."""
     spec = _cancelling(phi)
     deltas = np.array([-1e4, -800.0, -10.0, 0.0, 10.0, 800.0])
-    gen = fs.prepare(spec).at_detuning(deltas).generator.matrix
-    failed = fs.steady._eliminate(gen).null_failed
+    failed = _null(fs.prepare(spec).at_detuning(deltas).generator)[1]
     cancelling = phi < 1e-8
     assert sorted(failed) == (dense if cancelling else [])
     want = [observable(fs.prepare(dataclasses.replace(spec, detuning=float(d))))
@@ -573,11 +580,9 @@ def test_stacked_elimination_fails_each_point_as_alone(spec):
     gen = fs.prepare(spec).at_detuning(deltas).generator.matrix
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e = fs.steady._eliminate(gen)
-        y, failed = e.null, e.null_failed
+        y, failed = _null(fs.SuperOp(gen))
         for i in range(len(deltas)):
-            alone_e = fs.steady._eliminate(gen[i:i + 1])
-            alone_y, alone = alone_e.null, alone_e.null_failed
+            alone_y, alone = _null(fs.SuperOp(gen[i:i + 1]))
             assert str(failed.get(i)) == str(alone.get(0)), deltas[i]
             if i not in failed:
                 assert y[i].tobytes() == alone_y[0].tobytes(), deltas[i]

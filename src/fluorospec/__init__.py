@@ -11,9 +11,8 @@ from .counting import (CountingRecord, CountingSplit, ZeroCounts,
                        counting_record, counting_split, detuning_sweep,
                        line_shape, mandel_q, mean_counts, pn,
                        second_factorial, stationary_mandel)
-from .model import (BlockState, ConfigSpace, FluctuationRates,
-                    GeneralJumpChannel, ModelSpec, OperatorKind,
-                    PerStateParams, SuperOp, build_generator, validate)
+from .model import (BlockState, GeneralJumpChannel, ModelSpec, OperatorKind,
+                    SuperOp, build_generator, validate)
 from .scenarios import (BlinkingApprox, blinking_rates,
                         classical_blinking_populations, diffusion_chain,
                         lifetime_fluct, light_assisted, mandel_detuning_limit,

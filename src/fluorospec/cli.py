@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, correl, counting, scenarios, spectrum
-from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams
+from .model import ModelSpec
 from .steady import NullSpaceDegenerate, config_populations, prepare
 
 TASK_GRID = {"steady": None, "spectrum": "omega", "g2": "tau", "c1": "tau",
@@ -72,16 +72,12 @@ class GridSpec:
     count: int
     spacing: str = "linear"
 
-    def build(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.start, self.stop, self.count)
-        return np.geomspace(self.start, self.stop, self.count)
-
     @functools.cached_property
     def points(self) -> np.ndarray:
         """The grid, built once and read-only; not a field, so not in the sidecar."""
+        space = np.linspace if self.spacing == "linear" else np.geomspace
         with np.errstate(all="ignore"):        # an overflow shows as inf or NaN
-            grid = self.build()
+            grid = space(self.start, self.stop, self.count)
         grid.flags.writeable = False
         return grid
 
@@ -307,23 +303,16 @@ def build_model(config: RunConfig) -> ModelSpec:
     arrays = [inline[k] for k in ("delta_omega", "gamma", "omega_rabi")]
     if any(len(a) != r for a in arrays):
         raise ConfigError("config.model.inline: per-state arrays must have length r_max")
-    per = tuple(PerStateParams(delta_omega=d, gamma=g, omega_rabi=o)
-                for d, g, o in zip(*arrays))
-    # only an absent or null rate matrix means zeros; [], 0 or false is malformed
-    phi, cross = (np.asarray(np.zeros((r, r)) if inline.get(k) is None else inline[k],
-                             dtype=float) for k in ("phi", "gamma_cross"))
     labels = inline.get("labels")
     if labels is not None and not (isinstance(labels, list) and len(labels) == r
                                    and all(isinstance(x, str) for x in labels)):
         raise ConfigError(f"config.model.inline.labels: must be a list of "
                           f"r_max = {r} strings, got {labels!r}")
-    return ModelSpec(
-        space=ConfigSpace(r_max=r, labels=None if labels is None else tuple(labels)),
-        per_state=per,
-        rates=FluctuationRates(phi=phi, gamma_cross=cross),
-        detuning=_finite(inline, "detuning", "config.model.inline")
-        if "detuning" in inline else 0.0,
-    )
+    # only an absent or null rate matrix means zeros; [], 0 or false is malformed
+    return ModelSpec(*arrays, phi=inline.get("phi"),
+                     gamma_cross=inline.get("gamma_cross"),
+                     detuning=_finite(inline, "detuning", "config.model.inline")
+                     if "detuning" in inline else 0.0, labels=labels)
 
 
 def _fmt(x: float) -> str:

@@ -2,9 +2,11 @@
 
 A laser-driven two-level fluorophore (ground ``|a>``, excited ``|b>``) is
 coupled to ``r_max`` configurational macrostates of its nano-environment.
-The joint state is the tuple of auxiliary 2x2 density matrices ``rho_R``
-(one per macrostate, :class:`BlockState`); the physical system state is
-their sum and the environment populations are their traces.
+The model is one flat value, :class:`ModelSpec`: per-state parameter
+arrays and R'->R rate tables, each indexed by R. The joint state is the
+tuple of auxiliary 2x2 density matrices ``rho_R`` (one per macrostate,
+:class:`BlockState`); the physical system state is their sum and the
+environment populations are their traces.
 
 Everything is expressed in the frame rotating at the laser frequency, so
 the generator is time independent. Per block ``R`` the effective detuning
@@ -74,52 +76,16 @@ class OperatorKind(enum.Enum):
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
+    """a as a read-only array of dtype that no one else can write. A
+    read-only array of dtype that owns its memory is kept as it is, so a
+    caller hands over an array it has just built by freezing it; anything
+    else, a writable array or a view of another's memory, is copied."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable
+            and a.base is None):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class ConfigSpace:
-    """Coarse-grained configurational macrostates of the environment."""
-
-    r_max: int
-    labels: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class PerStateParams:
-    """System parameters induced by one configurational state.
-
-    delta_omega is the shift of the transition frequency, gamma the
-    radiative decay rate, omega_rabi the Rabi frequency (phase absorbed
-    into the lowering operator, so omega_rabi >= 0).
-    """
-
-    delta_omega: float
-    gamma: float
-    omega_rabi: float
-
-
-@dataclass(frozen=True, eq=False)
-class FluctuationRates:
-    """System-independent (phi) and emission-assisted (gamma_cross) rate tables.
-
-    ``phi[R][R']`` / ``gamma_cross[R][R']`` are R'->R rates; diagonals must
-    be zero (the diagonal emission channel lives in PerStateParams.gamma).
-    """
-
-    phi: np.ndarray
-    gamma_cross: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _frozen_array(self.phi))
-        object.__setattr__(self, "gamma_cross", _frozen_array(self.gamma_cross))
-
-    @classmethod
-    def none(cls, r_max: int) -> "FluctuationRates":
-        z = np.zeros((r_max, r_max))
-        return cls(phi=z, gamma_cross=z.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,43 +105,55 @@ class ModelSpec:
     """Full parameterization of the driven fluorophore + environment model;
     making one in which :func:`validate` finds a problem raises ValueError.
 
+    Each configurational state R induces its own system parameters, one
+    entry per state of a length-r_max array: delta_omega[R] is the shift of
+    the transition frequency, gamma[R] the radiative decay rate and
+    omega_rabi[R] the Rabi frequency (phase absorbed into the lowering
+    operator, so omega_rabi >= 0). r_max is len(gamma).
+
+    The r_max x r_max rate tables phi (system-independent) and gamma_cross
+    (emission-assisted) hold R'->R rates in phi[R][R'] and
+    gamma_cross[R][R']; their diagonals must be zero, the diagonal emission
+    channel being gamma. A table left as None is zeros.
+
     detuning is laser minus bare transition frequency, one number; per-block
-    effective detunings are detuning - per_state[R].delta_omega.
+    effective detunings are detuning - delta_omega[R]. labels, if given,
+    name the states. All five arrays are read-only.
     """
 
-    space: ConfigSpace
-    per_state: tuple[PerStateParams, ...]
-    rates: FluctuationRates
+    delta_omega: np.ndarray
+    gamma: np.ndarray
+    omega_rabi: np.ndarray
+    phi: np.ndarray | None = None
+    gamma_cross: np.ndarray | None = None
     extra_channels: tuple[GeneralJumpChannel, ...] = ()
     detuning: float = 0.0
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "per_state", tuple(self.per_state))
+        for name in ("delta_omega", "gamma", "omega_rabi"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+        for name in ("phi", "gamma_cross"):
+            table = getattr(self, name)
+            object.__setattr__(self, name, _frozen_array(
+                np.zeros(self.gamma.shape[:1] * 2) if table is None else table))
         object.__setattr__(self, "extra_channels", tuple(self.extra_channels))
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
         require_valid(self)
 
     @property
     def r_max(self) -> int:
-        return self.space.r_max
-
-    def delta_omegas(self) -> np.ndarray:
-        return np.array([p.delta_omega for p in self.per_state])
-
-    def gammas(self) -> np.ndarray:
-        return np.array([p.gamma for p in self.per_state])
-
-    def omega_rabis(self) -> np.ndarray:
-        return np.array([p.omega_rabi for p in self.per_state])
+        return len(self.gamma)
 
     def effective_decays(self) -> np.ndarray:
         """gamma_tilde_R = gamma_R + sum_R' gamma_cross[R'][R] (column sums)."""
-        return self.gammas() + self.rates.gamma_cross.sum(axis=0)
+        return self.gamma + self.gamma_cross.sum(axis=0)
 
     @functools.cached_property
     def _detection_jump(self) -> np.ndarray:
         # built on first use by detection_jump, which documents it
-        return _frozen_array(_kron(np.diag(self.gammas()) + self.rates.gamma_cross,
-                                   _DETECTION))
+        return _frozen_array(_kron(np.diag(self.gamma) + self.gamma_cross, _DETECTION))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +213,8 @@ class SuperOp:
     or a stack of them, (n, dim, dim), one per point of a stacked model.
 
     A complex matrix is accepted when its imaginary part is zero; otherwise
-    it does not map Hermitian blocks to Hermitian blocks (ValueError).
+    it does not map Hermitian blocks to Hermitian blocks (ValueError). A
+    read-only float64 matrix that owns its memory is kept without a copy.
     """
 
     matrix: np.ndarray
@@ -278,25 +257,25 @@ def readout(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def validate(spec: ModelSpec) -> list[str]:
     """Return every invariant violation as a path-like message; [] when valid."""
     out: list[str] = []
-    r = spec.space.r_max
-    if r < 1:
-        out.append(f"space.r_max: must be >= 1, got {r}")
+    if spec.gamma.ndim != 1 or spec.r_max < 1:
+        out.append(f"gamma: must be a 1-d array of r_max >= 1 rates, got shape "
+                   f"{spec.gamma.shape}")
         return out
-    if spec.space.labels is not None and len(spec.space.labels) != r:
-        out.append(f"space.labels: length {len(spec.space.labels)} != r_max {r}")
-    if len(spec.per_state) != r:
-        out.append(f"per_state: length {len(spec.per_state)} != r_max {r}")
-    for i, p in enumerate(spec.per_state):
-        for name, val in (("delta_omega", p.delta_omega), ("gamma", p.gamma),
-                          ("omega_rabi", p.omega_rabi)):
-            if not math.isfinite(val):
-                out.append(f"per_state[{i}].{name}: not finite")
-        if math.isfinite(p.gamma) and p.gamma < 0:
-            out.append(f"per_state[{i}].gamma: negative ({p.gamma})")
-        if math.isfinite(p.omega_rabi) and p.omega_rabi < 0:
-            out.append(f"per_state[{i}].omega_rabi: negative ({p.omega_rabi})")
-    out.extend(_validate_table(spec.rates.phi, r, "rates.phi"))
-    out.extend(_validate_table(spec.rates.gamma_cross, r, "rates.gamma_cross"))
+    r = spec.r_max
+    if spec.labels is not None and len(spec.labels) != r:
+        out.append(f"labels: length {len(spec.labels)} != r_max {r}")
+    for name in ("delta_omega", "gamma", "omega_rabi"):
+        a = getattr(spec, name)
+        if a.shape != (r,):
+            out.append(f"{name}: shape {a.shape} != ({r},)")
+            continue
+        for i, x in enumerate(a.tolist()):
+            if not math.isfinite(x):
+                out.append(f"{name}[{i}]: not finite")
+            elif x < 0 and name != "delta_omega":
+                out.append(f"{name}[{i}]: negative ({x})")
+    out.extend(_validate_table(spec.phi, r, "phi"))
+    out.extend(_validate_table(spec.gamma_cross, r, "gamma_cross"))
     kinds_seen = set()
     for k, ch in enumerate(spec.extra_channels):
         if ch.operator_kind in kinds_seen:
@@ -413,9 +392,9 @@ def build_generator(spec: ModelSpec) -> SuperOp:
     phi_RR; neither changes a bit (no -0 in J off the block diagonal; a
     diagonal entry is -0 only where d_R is, so where phi_RR is).
     """
-    r, phi = spec.r_max, spec.rates.phi
-    local = (((spec.detuning - spec.delta_omegas())[:, None, None] * _DETUNING
-              + spec.omega_rabis()[:, None, None] * _DRIVE)
+    r, phi = spec.r_max, spec.phi
+    local = (((spec.detuning - spec.delta_omega)[:, None, None] * _DETUNING
+              + spec.omega_rabi[:, None, None] * _DRIVE)
              - spec.effective_decays()[:, None, None] * _DECAY)
     d = np.diagonal(phi) - phi.sum(axis=0)
     m = detection_jump(spec).copy()            # read-only, and shared with the counting split
@@ -428,6 +407,7 @@ def build_generator(spec: ModelSpec) -> SuperOp:
         m += (_kron(ch.eta, _real(_sandwich(op)))
               - _kron(np.diag(ch.eta.sum(axis=0)),
                       _real(_anticommutator(op.conj().T @ op) / 2)))
+    m.setflags(write=False)                    # handed to SuperOp without a copy
     return SuperOp(m)
 
 
@@ -455,4 +435,5 @@ def shift_detuning(op: SuperOp, delta) -> SuperOp:
     block = 4 * np.arange(op.r_max)
     for i, j in zip(*np.nonzero(_DETUNING)):
         m[..., block + i, block + j] += delta[..., None] * _DETUNING[i, j]
+    m.setflags(write=False)
     return SuperOp(m)

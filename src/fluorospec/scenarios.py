@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigSpace, FluctuationRates, ModelSpec, PerStateParams
+from .model import ModelSpec
 from .steady import expm
 
 
@@ -22,37 +22,23 @@ class BlinkingApprox:
     intensities: np.ndarray
 
 
-def _spec(per_state, phi=None, gamma_cross=None, detuning=0.0) -> ModelSpec:
-    r = len(per_state)
-    z = np.zeros((r, r))
-    return ModelSpec(
-        space=ConfigSpace(r_max=r),
-        per_state=tuple(per_state),
-        rates=FluctuationRates(phi=z if phi is None else phi,
-                               gamma_cross=z if gamma_cross is None else gamma_cross),
-        detuning=detuning,
-    )
-
-
 def single_state(gamma: float, omega_rabi: float, detuning: float = 0.0) -> ModelSpec:
     """Markovian limit: one configurational state, no fluctuation tables."""
-    return _spec([PerStateParams(0.0, gamma, omega_rabi)], detuning=detuning)
+    return ModelSpec([0.0], [gamma], [omega_rabi], detuning=detuning)
 
 
 def spectral_two_state(gamma: float, omega_rabi: float, delta_omega: float,
                        phi: float, detuning: float = 0.0) -> ModelSpec:
     """Symmetric two-state spectral diffusion: shifts +-delta_omega, equal
     decay and Rabi frequency, symmetric hopping rate phi."""
-    per = [PerStateParams(+delta_omega, gamma, omega_rabi),
-           PerStateParams(-delta_omega, gamma, omega_rabi)]
-    hop = np.array([[0.0, phi], [phi, 0.0]])
-    return _spec(per, phi=hop, detuning=detuning)
+    return ModelSpec([+delta_omega, -delta_omega], [gamma] * 2, [omega_rabi] * 2,
+                     phi=[[0.0, phi], [phi, 0.0]], detuning=detuning)
 
 
 def lifetime_fluct(gammas, phi, omega_rabi: float, detuning: float = 0.0) -> ModelSpec:
     """Per-state decay rates, shared Rabi frequency, zero shifts, phi mixing."""
-    per = [PerStateParams(0.0, g, omega_rabi) for g in gammas]
-    return _spec(per, phi=np.asarray(phi, dtype=float), detuning=detuning)
+    return ModelSpec([0.0] * len(gammas), gammas, [omega_rabi] * len(gammas),
+                     phi=np.asarray(phi, dtype=float), detuning=detuning)
 
 
 def diffusion_chain(n_sites: int, omega_profile, phi_hop: float, gamma: float,
@@ -64,21 +50,20 @@ def diffusion_chain(n_sites: int, omega_profile, phi_hop: float, gamma: float,
     profile = np.asarray(omega_profile, dtype=float)
     if profile.shape != (n_sites,):
         raise ValueError(f"omega_profile must have length {n_sites}")
-    per = [PerStateParams(0.0, gamma, om) for om in profile]
     hop = np.zeros((n_sites, n_sites))
     for i in range(n_sites - 1):
         hop[i, i + 1] = phi_hop
         hop[i + 1, i] = phi_hop
-    return _spec(per, phi=hop, detuning=detuning)
+    return ModelSpec([0.0] * n_sites, [gamma] * n_sites, profile, phi=hop,
+                     detuning=detuning)
 
 
 def light_assisted(gammas, gamma_cross, omega_rabi: float,
                    detuning: float = 0.0) -> ModelSpec:
     """Emission-gated fluctuations: configurational transitions happen only
     through photon emission (cross table), no system-independent hopping."""
-    per = [PerStateParams(0.0, g, omega_rabi) for g in gammas]
-    return _spec(per, gamma_cross=np.asarray(gamma_cross, dtype=float),
-                 detuning=detuning)
+    return ModelSpec([0.0] * len(gammas), gammas, [omega_rabi] * len(gammas),
+                     gamma_cross=np.asarray(gamma_cross, dtype=float), detuning=detuning)
 
 
 def blinking_rates(spec: ModelSpec) -> BlinkingApprox:
@@ -90,13 +75,13 @@ def blinking_rates(spec: ModelSpec) -> BlinkingApprox:
     attached otherwise.
     """
     gtilde = spec.effective_decays()
-    omegas = spec.omega_rabis()
+    omegas = spec.omega_rabi
     denom = gtilde**2 + 2.0 * omegas**2 + 4.0 * spec.detuning**2
     intensities = gtilde * omegas**2 / denom
-    big = spec.rates.gamma_cross * (omegas**2 / denom)[None, :]
-    cross = spec.rates.gamma_cross[spec.rates.gamma_cross > 0]
+    big = spec.gamma_cross * (omegas**2 / denom)[None, :]
+    cross = spec.gamma_cross[spec.gamma_cross > 0]
     if cross.size:
-        ratio = cross.max() / max(spec.gammas().min(), 1e-300)
+        ratio = cross.max() / max(spec.gamma.min(), 1e-300)
         if 0.1 < ratio < 10.0:
             warnings.warn(
                 f"blinking approximation marginal: max gamma_cross / min gamma "
@@ -115,7 +100,7 @@ def classical_blinking_populations(approx: BlinkingApprox, p0, t: float) -> np.n
 
 
 def _require_two_state(spec: ModelSpec, what: str) -> None:
-    if spec.r_max != 2 or np.any(spec.rates.phi != 0):
+    if spec.r_max != 2 or np.any(spec.phi != 0):
         raise ValueError(f"{what} requires a two-state light-assisted spec")
 
 
@@ -123,9 +108,9 @@ def mandel_detuning_limit(spec: ModelSpec) -> float:
     """Large-detuning limit of the stationary Mandel factor for a two-state
     light-assisted model (independent of the drive)."""
     _require_two_state(spec, "closed form")
-    g1, g2 = spec.gammas()
-    g21 = spec.rates.gamma_cross[1, 0]
-    g12 = spec.rates.gamma_cross[0, 1]
+    g1, g2 = spec.gamma
+    g21 = spec.gamma_cross[1, 0]
+    g12 = spec.gamma_cross[0, 1]
     num = 2.0 * g12 * g21 * ((g1 + g21) - (g2 + g12)) ** 2
     den = (g12 + g21) ** 2 * (g1 * g12 + g2 * g21 + 2.0 * g12 * g21)
     return num / den
@@ -140,7 +125,7 @@ def mapped_self_fluct(spec: ModelSpec) -> ModelSpec:
     approx = blinking_rates(spec)
     gtilde = spec.effective_decays()
     return lifetime_fluct(gammas=gtilde, phi=approx.big_gamma,
-                          omega_rabi=float(spec.omega_rabis()[0]),
+                          omega_rabi=float(spec.omega_rabi[0]),
                           detuning=spec.detuning)
 
 
@@ -159,8 +144,8 @@ def scaled_triplet(base_spec: ModelSpec, detuning: float, delta0: float,
     scaled gamma_12 still enters the limit."""
     _require_two_state(base_spec, "scaling")
     x = abs(detuning) / delta0
-    cross = np.array(base_spec.rates.gamma_cross)
+    cross = np.array(base_spec.gamma_cross)
     cross[0, 1] += gamma12_bar * x
-    omega = float(base_spec.omega_rabis()[0]) + omega_bar * np.sqrt(x)
-    return light_assisted(gammas=base_spec.gammas(), gamma_cross=cross,
+    omega = float(base_spec.omega_rabi[0]) + omega_bar * np.sqrt(x)
+    return light_assisted(gammas=base_spec.gamma, gamma_cross=cross,
                           omega_rabi=omega, detuning=detuning)

@@ -60,17 +60,12 @@ def random_spec(rng, r_max, with_channels=False, with_cross=True):
         eta = rng.uniform(0.0, 0.5, (r_max, r_max))
         np.fill_diagonal(eta, 0.0)
         channels = (fs.GeneralJumpChannel(fs.OperatorKind.UPPER_PROJECTOR, eta),)
-    return fs.ModelSpec(
-        space=fs.ConfigSpace(r_max),
-        per_state=tuple(
-            fs.PerStateParams(delta_omega=rng.normal(0.0, 1.0),
-                              gamma=rng.uniform(0.2, 2.0),
-                              omega_rabi=rng.uniform(0.0, 2.0))
-            for _ in range(r_max)),
-        rates=fs.FluctuationRates(phi=phi, gamma_cross=cross),
-        extra_channels=channels,
-        detuning=rng.normal(0.0, 0.5),
-    )
+    # one (shift, decay, Rabi frequency) draw per state, in turn
+    per_state = [(rng.normal(0.0, 1.0), rng.uniform(0.2, 2.0), rng.uniform(0.0, 2.0))
+                 for _ in range(r_max)]
+    return fs.ModelSpec(*np.array(per_state).reshape(r_max, 3).T, phi=phi,
+                        gamma_cross=cross, extra_channels=channels,
+                        detuning=rng.normal(0.0, 0.5))
 
 
 def random_block_state(rng, r_max, physical=False):

@@ -30,13 +30,13 @@ def _kron_sum(spec: ModelSpec, term) -> np.ndarray:
     superoperators S in vec order, in the same order, every one formed by
     np.kron (the detection gains included)."""
     require_valid(spec)
-    phi = spec.rates.phi
-    m = (np.kron(np.diag(spec.detuning - spec.delta_omegas()),
+    phi = spec.phi
+    m = (np.kron(np.diag(spec.detuning - spec.delta_omega),
                  term(_commutator(_H_DETUNING)))
-         + np.kron(np.diag(spec.omega_rabis()), term(_commutator(_H_DRIVE)))
+         + np.kron(np.diag(spec.omega_rabi), term(_commutator(_H_DRIVE)))
          - np.kron(np.diag(spec.effective_decays()),
                    term(_anticommutator(SIGMA_DAG @ SIGMA / 2)))
-         + np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+         + np.kron(np.diag(spec.gamma) + spec.gamma_cross,
                    term(_sandwich(SIGMA)))
          + np.kron(phi - np.diag(phi.sum(axis=0)), term(np.eye(4))))
     for ch in spec.extra_channels:
@@ -64,8 +64,8 @@ def block_hamiltonians(spec: ModelSpec) -> np.ndarray:
     H_R = -(delta_R/2) sigma_z + (Omega_R/2)(sigma + sigma†) with
     delta_R = detuning - delta_omega[R] and sigma_z = |b><b| - |a><a|.
     """
-    deltas = spec.detuning - spec.delta_omegas()
-    omegas = spec.omega_rabis()
+    deltas = spec.detuning - spec.delta_omega
+    omegas = spec.omega_rabi
     h = np.zeros((spec.r_max, 2, 2), dtype=complex)
     h[:, 0, 0] = 0.5 * deltas
     h[:, 1, 1] = -0.5 * deltas
@@ -84,14 +84,14 @@ def apply_generator(spec: ModelSpec, x: BlockState) -> BlockState:
     blocks = x.blocks
     ham = block_hamiltonians(spec)
     gtilde = spec.effective_decays()
-    phi = spec.rates.phi
+    phi = spec.phi
     out = -1j * (ham @ blocks - blocks @ ham)
     # radiative dissipator: anticommutator with sigma†sigma/2 = diag(0, 1/2)
     out[:, 0, 1] -= 0.5 * gtilde * blocks[:, 0, 1]
     out[:, 1, 0] -= 0.5 * gtilde * blocks[:, 1, 0]
     out[:, 1, 1] -= gtilde * blocks[:, 1, 1]
     bb = blocks[:, 1, 1]
-    out[:, 0, 0] += spec.gammas() * bb + spec.rates.gamma_cross @ bb
+    out[:, 0, 0] += spec.gamma * bb + spec.gamma_cross @ bb
     # system-independent mixing
     out += np.einsum("rs,sij->rij", phi, blocks)
     out -= phi.sum(axis=0)[:, None, None] * blocks
@@ -121,12 +121,12 @@ def optical_bloch_rhs(spec: ModelSpec, s: float, state):
     r = spec.r_max
     if not (u.shape == v.shape == w.shape == y.shape == (r,)):
         raise ValueError(f"state components must all have shape ({r},)")
-    deltas = spec.detuning - spec.delta_omegas()
-    omegas = spec.omega_rabis()
-    gammas = spec.gammas()
+    deltas = spec.detuning - spec.delta_omega
+    omegas = spec.omega_rabi
+    gammas = spec.gamma
     gtilde = spec.effective_decays()
-    phi = spec.rates.phi
-    gcross = spec.rates.gamma_cross
+    phi = spec.phi
+    gcross = spec.gamma_cross
     phi_loss = phi.sum(axis=0)
     wy = w + y
     du = deltas * v - (0.5 * gtilde + phi_loss) * u + phi @ u

@@ -18,9 +18,9 @@ def sample_counts(spec, t_final, n_trajectories, seed, bisect_iters=48):
     """Counted emissions per trajectory up to t_final, steady-state start."""
     rng = np.random.default_rng(seed)
     r = spec.r_max
-    gam = spec.gammas()
-    phi = spec.rates.phi
-    gcross = spec.rates.gamma_cross
+    gam = spec.gamma
+    phi = spec.phi
+    gcross = spec.gamma_cross
     phi_loss = phi.sum(axis=0)
     gtilde = spec.effective_decays()
 

@@ -44,8 +44,8 @@ def test_parse_minimal_config_fills_defaults():
 def test_parse_fig2a_fixture():
     cfg = cli.parse_config(json.dumps(FIG2A_CONFIG))
     spec = cli.build_model(cfg)
-    assert spec.per_state[0].delta_omega == 0.1
-    assert spec.rates.phi[0, 1] == 0.008
+    assert spec.delta_omega[0] == 0.1
+    assert spec.phi[0, 1] == 0.008
     assert cfg.grids["omega"].count == 41
 
 
@@ -118,8 +118,8 @@ def test_inline_model_config():
         "task": "steady"}))
     spec = cli.build_model(cfg)
     assert spec.r_max == 2
-    assert spec.rates.phi[0, 1] == 0.01
-    assert spec.space.labels == ("open", "closed")
+    assert spec.phi[0, 1] == 0.01
+    assert spec.labels == ("open", "closed")
 
 
 def test_run_steady_symmetric_two_state(tmp_path):
@@ -389,8 +389,8 @@ _NAMED = {"cubic_spacing": "config.grids.omega.spacing",
           "negative_n_max": "config.n_max: must be >= 0",
           "counting_without_n_max": "config.n_max: required",
           "one_site_chain": "config.model: n_sites must be >= 2",
-          "scenario_negative_gamma": "config.model: invalid model spec:\n  per_state[0].gamma",
-          "inline_negative_gamma": "config.model: invalid model spec:\n  per_state[0].gamma",
+          "scenario_negative_gamma": "config.model: invalid model spec:\n  gamma[0]",
+          "inline_negative_gamma": "config.model: invalid model spec:\n  gamma[0]",
           "array_detuning": "config.model: invalid model spec:\n  detuning"}
 
 
@@ -574,8 +574,10 @@ def test_run_builds_each_grid_once(task, tmp_path, monkeypatch):
     """parse_config builds each grid once, to check it, and the run reads
     those points: one build per grid of the config per run."""
     calls = []
-    build = cli.GridSpec.build
-    monkeypatch.setattr(cli.GridSpec, "build", lambda g: calls.append(g) or build(g))
+    for name in ("linspace", "geomspace"):
+        space = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda start, *args, space=space, **kwargs:
+                            calls.append(start) or space(start, *args, **kwargs))
     grids = {"tau": {"start": 0.0, "stop": 2.0, "count": 3},
              "time": {"start": 0.0, "stop": 2.0, "count": 3},
              "delta": {"start": -1.0, "stop": 1.0, "count": 3}}
@@ -584,7 +586,7 @@ def test_run_builds_each_grid_once(task, tmp_path, monkeypatch):
                    grids={n: dict(FIG2A_CONFIG["grids"], **grids)[n] for n in names})
         calls.clear()
         assert cli.main([task, "--config", str(write_config(tmp_path, cfg))]) == 0
-        assert sorted(g.start for g in calls) == sorted(cfg["grids"][n]["start"] for n in names)
+        assert sorted(calls) == sorted(cfg["grids"][n]["start"] for n in names)
 
 
 @pytest.mark.parametrize("task", ["spectrum", "counting"])

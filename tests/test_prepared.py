@@ -101,8 +101,8 @@ def test_prepared_gives_bit_identical_results(name, spec, shared):
 def test_invalid_spec_rejected(name, spec):
     """A spec that is not valid cannot be made, so no observable, here
     ``name``, can receive one."""
-    with pytest.raises(ValueError, match="per_state"):
-        fs.ModelSpec(space=spec.space, per_state=spec.per_state[:1], rates=spec.rates)
+    with pytest.raises(ValueError, match=r"delta_omega: shape \(1,\) != \(3,\)"):
+        dataclasses.replace(spec, delta_omega=spec.delta_omega[:1])
 
 
 def test_steady_state_solved_on_first_use_only(spec, steady_calls):

@@ -2,6 +2,7 @@
 coordinates (aa, bb, Re ba, Im ba) per block, and the kernels that factor
 it, checked against the complex generator L in the vec order
 (aa, ba, ab, bb)."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -44,8 +45,7 @@ def test_real_form_exact_for_every_channel_operator(kind):
     spec = random_spec(rng, 3)
     eta = rng.uniform(0.0, 0.5, (3, 3))
     np.fill_diagonal(eta, 0.0)
-    spec = fs.ModelSpec(spec.space, spec.per_state, spec.rates,
-                        (fs.GeneralJumpChannel(kind, eta),), spec.detuning)
+    spec = dataclasses.replace(spec, extra_channels=(fs.GeneralJumpChannel(kind, eta),))
     gen = fs.build_generator(spec)
     assert gen.matrix.dtype == np.float64
     assert detection_jump(spec).dtype == np.float64
@@ -189,7 +189,7 @@ def test_observables_match_complex_basis_oracles(r_max, eta):
     rho_blocks = rho.reshape(-1, 2, 2).transpose(0, 2, 1)
     assert _close(p.steady.blocks, rho_blocks)
 
-    j = np.kron(np.diag(spec.gammas()) + spec.rates.gamma_cross,
+    j = np.kron(np.diag(spec.gamma) + spec.gamma_cross,
                 np.kron(SIGMA.conj(), SIGMA))
     q_st = fs.stationary_mandel(p)
     assert _close(q_st, _mandel(j, theta, rho, proj, r0, rho))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -16,11 +17,11 @@ def test_all_fixture_constructors_validate(markovian, fig2a, fig2b, fig3a, fig3b
 
 
 def test_spectral_two_state_parameters(fig2a):
-    assert fig2a.per_state[0].delta_omega == +0.1
-    assert fig2a.per_state[1].delta_omega == -0.1
-    assert fig2a.per_state[0].gamma == fig2a.per_state[1].gamma == 1.0
-    assert fig2a.rates.phi[0, 1] == fig2a.rates.phi[1, 0] == 1.0 / 125.0
-    assert np.all(fig2a.rates.gamma_cross == 0.0)
+    assert fig2a.delta_omega[0] == +0.1
+    assert fig2a.delta_omega[1] == -0.1
+    assert fig2a.gamma[0] == fig2a.gamma[1] == 1.0
+    assert fig2a.phi[0, 1] == fig2a.phi[1, 0] == 1.0 / 125.0
+    assert np.all(fig2a.gamma_cross == 0.0)
 
 
 def test_spectral_degenerate_shift_is_markovian(markovian):
@@ -76,7 +77,7 @@ def test_lifetime_fast_mixing_motional_average():
 def test_diffusion_chain_structure():
     spec = fs.diffusion_chain(n_sites=5, omega_profile=np.full(5, 0.7),
                               phi_hop=0.2, gamma=1.0)
-    phi = spec.rates.phi
+    phi = spec.phi
     assert phi[0, 1] == phi[1, 0] == 0.2
     assert phi[0, 2] == 0.0              # nearest neighbours only
     assert phi[4, 3] == 0.2
@@ -227,19 +228,19 @@ def test_two_state_closed_forms_reject_other_specs(closed_form, what, fig2a):
 def test_mapped_self_fluct_structure(fig5):
     mapped = fs.mapped_self_fluct(fig5)
     approx = fs.blinking_rates(fig5)
-    assert mapped.per_state[0].gamma == pytest.approx(1.0015)
-    assert mapped.per_state[1].gamma == pytest.approx(10.02)
-    assert mapped.rates.phi[1, 0] == pytest.approx(approx.big_gamma[1, 0])
-    assert mapped.rates.phi[0, 1] == pytest.approx(approx.big_gamma[0, 1])
-    assert np.all(mapped.rates.gamma_cross == 0.0)
+    assert mapped.gamma[0] == pytest.approx(1.0015)
+    assert mapped.gamma[1] == pytest.approx(10.02)
+    assert mapped.phi[1, 0] == pytest.approx(approx.big_gamma[1, 0])
+    assert mapped.phi[0, 1] == pytest.approx(approx.big_gamma[0, 1])
+    assert np.all(mapped.gamma_cross == 0.0)
 
 
 def test_mapped_identity_when_cross_rates_vanish():
     base = fs.light_assisted(gammas=[1.0, 2.0],
                              gamma_cross=np.zeros((2, 2)), omega_rabi=0.7)
     mapped = fs.mapped_self_fluct(base)
-    assert np.all(mapped.rates.phi == 0.0)
-    assert [p.gamma for p in mapped.per_state] == [1.0, 2.0]
+    assert np.all(mapped.phi == 0.0)
+    assert mapped.gamma.tolist() == [1.0, 2.0]
 
 
 def test_mapping_fidelity_spectrum_and_g2(fig5):
@@ -268,8 +269,8 @@ def test_mapping_mandel_divergence(fig5):
 def test_scaled_triplet_zero_detuning_is_base(fig5):
     scaled = fs.scaled_triplet(fig5, detuning=0.0, delta0=1.0,
                                omega_bar=0.25, gamma12_bar=0.007)
-    assert np.array_equal(scaled.rates.gamma_cross, fig5.rates.gamma_cross)
-    assert scaled.per_state[0].omega_rabi == fig5.per_state[0].omega_rabi
+    assert np.array_equal(scaled.gamma_cross, fig5.gamma_cross)
+    assert scaled.omega_rabi[0] == fig5.omega_rabi[0]
     assert scaled.detuning == 0.0
 
 
@@ -290,7 +291,10 @@ def test_scaled_triplet_bright_rate_plateaus(fig5):
     for d in (1e3, 1e4, 1e5):
         scaled = fs.scaled_triplet(fig5, d, delta0=1.0, omega_bar=0.25,
                                    gamma12_bar=0.007)
-        plateau.append(fs.blinking_rates(scaled).big_gamma[0, 1])
+        # at 1e3 the scaled gamma_12 = 7.02 is comparable to gamma_1 = 1
+        with (pytest.warns(UserWarning, match="min gamma = 7.02 is neither")
+              if d == 1e3 else contextlib.nullcontext()):
+            plateau.append(fs.blinking_rates(scaled).big_gamma[0, 1])
         bare = fs.blinking_rates(dataclasses.replace(fig5, detuning=d))
         assert bare.big_gamma[0, 1] < 0.1 * plateau[-1]
     assert plateau[2] > 0.5 * plateau[0]

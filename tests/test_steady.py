@@ -340,8 +340,7 @@ def test_steady_state_matches_dense_oracle(kind):
     eta = rng.uniform(0.0, 0.5, (5, 5))
     np.fill_diagonal(eta, 0.0)
     base = random_spec(rng, 5)
-    specs.append(fs.ModelSpec(base.space, base.per_state, base.rates,
-                              (fs.GeneralJumpChannel(kind, eta),), base.detuning))
+    specs.append(dataclasses.replace(base, extra_channels=(fs.GeneralJumpChannel(kind, eta),)))
     for spec in specs:
         gen = fs.build_generator(spec)
         x = fs.steady_state(gen).to_vector()
@@ -406,7 +405,7 @@ def test_fig5_populations_at_large_detuning(fig5, detuning):
     spec = dataclasses.replace(fig5, detuning=detuning)
     pops = fs.config_populations(fs.steady_state(fs.build_generator(spec)))
     e = 0.25 / (detuning**2 + spec.effective_decays() ** 2 / 4 + 0.5)
-    cross = spec.rates.gamma_cross
+    cross = spec.gamma_cross
     expected = np.array([cross[0, 1] * e[1], cross[1, 0] * e[0]])
     assert np.abs(pops / (expected / expected.sum()) - 1).max() <= 1e-13
 
@@ -441,10 +440,9 @@ def test_fast_block_failure_names_its_backward_error(fig5, monkeypatch):
 def _two_blocks(kind, phi, eta, driven=(0.0, 1.0, 1.0), dark_shift=0.0, detuning=0.0):
     """A driven block 0 (delta_omega, gamma, omega_rabi) and a dark block 1
     (no decay, no drive) that hop by phi and by an eta channel of kind."""
-    return fs.ModelSpec(fs.ConfigSpace(2),
-                        (fs.PerStateParams(*driven), fs.PerStateParams(dark_shift, 0.0, 0.0)),
-                        fs.FluctuationRates(np.array(phi), np.zeros((2, 2))),
-                        (fs.GeneralJumpChannel(kind, np.array(eta)),), detuning)
+    return fs.ModelSpec(*zip(driven, (dark_shift, 0.0, 0.0)), phi=phi,
+                        extra_channels=(fs.GeneralJumpChannel(kind, np.array(eta)),),
+                        detuning=detuning)
 
 
 def test_trapped_excited_state_solved_densely(monkeypatch):

@@ -153,7 +153,9 @@ class ModelSpec:
     @functools.cached_property
     def _detection_jump(self) -> np.ndarray:
         # built on first use by detection_jump, which documents it
-        return _frozen_array(_kron(np.diag(self.gamma) + self.gamma_cross, _DETECTION))
+        j = _kron(np.diag(self.gamma) + self.gamma_cross, _DETECTION)
+        j.setflags(write=False)                # frozen in place, not copied
+        return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +179,6 @@ class BlockState:
     @property
     def r_max(self) -> int:
         return self.blocks.shape[-3]
-
-    def total_trace(self) -> complex:
-        return self.blocks[..., 0, 0].sum(axis=-1) + self.blocks[..., 1, 1].sum(axis=-1)
 
     def to_vector(self) -> np.ndarray:
         """Block-major (aa, bb, Re ba, Im ba) vector, T vec(x) per block
@@ -357,10 +356,19 @@ _EYE4 = np.eye(4)
 
 
 def _kron(table: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """np.kron(table, s) for an r x r table and a 4x4 s, by one broadcast
-    product (the same products as np.kron, without its dispatch cost)."""
+    """np.kron(table, s) for an r x r table and a 4x4 s, bit for bit (the
+    same products), in an array that owns its memory, so that
+    ``_frozen_array`` keeps it without a copy. Each entry of s scales the
+    table into its strided slice of the result: a broadcast product would
+    make numpy allocate iterator buffers of about a quarter of the result
+    at r = 60."""
     r = table.shape[0]
-    return (table[:, None, :, None] * s[None, :, None, :]).reshape(4 * r, 4 * r)
+    out = np.empty((4 * r, 4 * r), np.result_type(table, s))
+    blocks = out.reshape(r, 4, r, 4)
+    for k in range(4):
+        for l in range(4):
+            np.multiply(table, s[k, l], out=blocks[:, k, :, l])
+    return out
 
 
 def detection_jump(spec: ModelSpec) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .correl import ObservableSeries, _c1_pieces, _increasing, stationary_intensity
 from .model import BlockState, ModelSpec, trace_functional
-from .steady import Prepared, prepare, resolve_deflated
+from .steady import Prepared, prepare, resolve_deflated, resolve_krylov
 
 
 def coherent_weight(model: ModelSpec | Prepared) -> float:
@@ -32,9 +32,15 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     the steady state), which regularizes the u -> 0 pole; each frequency
     is then one trace-deflated resolvent solve at u = -i(omega - omega_L)
     and the two conjugate Laplace evaluations combine to 2 Re[...], real
-    by construction. L is real, so the solve at -omega is the complex
+    by construction. The whole grid is first solved from one shift-invert
+    Krylov basis (``steady.resolve_krylov``): each omega's column is
+    accepted at the first checkpoint of the basis where its residual
+    estimate shows it converged and its computed residual is within 1/30
+    of the backward-error bound of the bordered solve, a checkpoint set by
+    the model and that omega alone. Every omega not accepted takes the
+    bordered solve: L is real, so the solve at -omega is the complex
     conjugate of the solve at omega with the conjugate seed
-    (``steady.resolve_deflated``): each distinct |omega| of the grid takes
+    (``steady.resolve_deflated``), and each distinct |omega| of them takes
     one LU at u = -i|omega|, solved for the two columns [v_dec, conj v_dec];
     omega >= 0 reads the first column and -|omega| the conjugate of the
     second. Each column is certified by its backward error, the column of
@@ -51,13 +57,16 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     v = BlockState(seeds).to_vector()
     theta = trace_functional(p.spec.r_max)
     v_dec = v - p.steady.to_vector() * (theta @ v)
-    mags, at = np.unique(np.abs(omega), return_inverse=True)
-    neg = omega < 0
-    # each omega's column, a contiguous copy: its dot sums as that of an
+    x, accepted = resolve_krylov(p.generator, -1j * omega, v_dec)
+    rest = ~accepted
+    if rest.any():
+        mags, at = np.unique(np.abs(omega[rest]), return_inverse=True)
+        neg = omega[rest] < 0
+        y = resolve_deflated(p.generator, -1j * mags,
+                             np.column_stack([v_dec, v_dec.conj()]))[at, :, neg.astype(int)]
+        x[rest] = np.conjugate(y, out=y, where=neg[:, None])
+    # each omega's column is a contiguous row: its dot sums as that of an
     # omega solved alone
-    x = resolve_deflated(p.generator, -1j * mags,
-                         np.column_stack([v_dec, v_dec.conj()]))[at, :, neg.astype(int)]
-    np.conjugate(x, out=x, where=neg[:, None])
     return ObservableSeries(omega, 2.0 * np.real([w @ col for col in x]))
 
 

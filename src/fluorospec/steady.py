@@ -5,8 +5,10 @@ stationary counting moments (L x = (P - Id) v, Tr x = 0) are solved by
 elimination onto the r_max-state configurational chain, with the dense
 bordered solve, ``resolve_deflated``, as the fallback where the
 elimination is not certified; the spectrum's trace-free resolvent
-((u - L) x = v, Tr x = 0) by the same bordered solve, one LU per shift in
-one reused workspace. The elimination (``eliminate``) is an
+((u - L) x = v, Tr x = 0) from one shift-invert Krylov basis for all its
+shifts (``resolve_krylov``), with the same bordered solve, one LU per shift
+in one reused workspace, for each shift that basis leaves. The
+elimination (``eliminate``) is an
 ``Elimination`` record that lives only inside the call that makes it.
 Every right-hand side is solved against it by ``Elimination.resolve``,
 with no second LU of the fast block: the steady state is rhs = 0 with
@@ -109,6 +111,35 @@ under conjugation, so its LU is the conjugate one, with the same pivots:
 x at conj(u) is conj(y), y the solve at u with the right-hand side
 conj(rhs), with the backward error the solve at conj(u) would have. The
 spectrum pairs each frequency with its negation that way.
+
+Krylov. ``resolve_krylov`` takes the spectrum's columns, (u - L) x = v
+with Tr x = 0 for the trace-free seed v at every u = -i omega of a grid,
+from one Arnoldi basis of A = B_0^-1, B_0 the bordered matrix above at
+u = 0, inverted once (``numpy.linalg.inv``). On a trace-free z, A z is
+B_0^-1 of z with z_0 replaced by 0: theta A z = 0, rows 1.. of -L A z are
+z's, and row 0 follows from theta L = 0, so -L A = I there. The bordering
+regularizes the steady pole u = 0, so the shift needs no tuning. Arnoldi
+(classical Gram-Schmidt, twice) gives A V_m = V_m H_m + h_{m+1,m} v_{m+1}
+e_m^T with v_1 = v / beta (van den Eshof & Hochbruck, SIAM J. Sci. Comput.
+27, 1438 (2006); Guettel, GAMM-Mitt. 36, 8 (2013)). For each u, y solves
+(I + u H_m) y = beta e_1 and x = V_m H_m y; in exact arithmetic its
+residual is (u - L) x - v = h_{m+1,m} y_m L v_{m+1}, whose 1-norm costs
+O(1) per shift once L v_{m+1} is made. H_m is Hessenberg, so y_m = beta /
+c_m with c_m from the left vector l of I + u H_m that zeroes its first
+m - 1 columns (l_1 = 1): one recurrence step per basis vector, c_k = l_k +
+u sum_{i<=k} l_i H_ik and l_{k+1} = -c_k / (u h_{k+1,k}), with no m x m
+solve. At each checkpoint (every _KRYLOV_STEP vectors, and at an
+invariant subspace: a breakdown, or dim - 1 vectors, the whole trace-free
+space) a shift whose estimate is within 2 dim eps |v|_1 is solved from its
+own LU of I + u H_m, and accepted only if it has converged, its estimate
+within dim eps (|[u - L; theta]|_1 |x|_1 + |v|_1), and its computed
+residual, ``resolve_deflated``'s in every row of u - L and in the border
+theta, is within that too: 1/_BACKWARD_ERROR_FACTOR of the bound of that
+solve's check, which each accepted column so passes. The checkpoint at
+which a shift is accepted depends only on L, v and u, so a column never
+depends on the rest of the grid. Every shift not accepted, and every
+shift where the basis would not pay or B_0 is too ill-conditioned for
+it, takes ``resolve_deflated``, paired with its negation as above.
 """
 from __future__ import annotations
 
@@ -382,6 +413,140 @@ def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray,
     return out
 
 
+def resolve_krylov(generator: SuperOp, shifts,
+                   rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trace-free bordered solve of ``resolve_deflated`` for one
+    trace-free right-hand side rhs (dim,), (u - L) x = rhs with Tr x = 0,
+    at every shift u of the 1-d ``shifts``, from one Arnoldi basis of
+    B_0^-1 (see the module docstring): the columns x (len(shifts), dim),
+    complex, and the mask of the shifts whose column was accepted; every
+    other column is zeros, left to ``resolve_deflated``.
+
+    Past each checkpoint the basis is extended only if the budget of
+    ``_krylov_affordable`` reaches the checkpoint at which the closest
+    pending column would converge at the rate of its last stretch, and not
+    at all once a converged column fails its residual check. Nothing is
+    accepted for rhs = 0 or where B_0 is singular or too ill-conditioned
+    (``_KRYLOV_CONDITION``).
+    """
+    l, dim = generator.matrix, generator.dim
+    u = np.asarray(shifts, dtype=complex)
+    x, accepted = np.zeros((u.size, dim), complex), np.zeros(u.size, bool)
+    lu_all = np.unique(np.abs(u)).size * _lu_flops(dim)
+    m_next = min(_KRYLOV_STEP, dim - 1)
+    beta = np.sqrt(np.vdot(rhs, rhs).real)
+    if not _krylov_affordable(dim, u.size, lu_all, lu_all, 0.0, 0, m_next) or beta == 0.0:
+        return x, accepted
+    spent = _krylov_cost(dim, u.size, 0, m_next)
+    theta = trace_functional(generator.r_max)
+    b0 = np.negative(l)
+    b0[0] = theta
+    try:
+        inv = np.linalg.inv(b0)
+    except np.linalg.LinAlgError:
+        return x, accepted
+    if not (np.abs(b0).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+            <= _KRYLOV_CONDITION):                 # NaN fails too
+        return x, accepted
+    a = inv[:, 1:]                                 # on z: B_0^-1 of z with z_0 = 0
+    abs_off = np.abs(l)
+    np.fill_diagonal(abs_off, 0.0)
+    norm_a = (abs_off.sum(axis=0) + np.abs(u[:, None] - np.diagonal(l)) + theta).max(axis=1)
+    norm_b = np.abs(rhs).sum()
+    tol = dim * _EPS
+    # room for the whole trace-free space; only the rows reached are touched
+    basis = np.empty((dim, dim), complex)
+    conj = np.empty((dim, dim), complex)          # conj(basis), for V^H w
+    hess = np.zeros((dim, dim - 1), complex)
+    np.divide(rhs, beta, out=basis[0])
+    np.conjugate(basis[0], out=conj[0])
+    # A is real: it takes the real and imaginary parts of v_k at once
+    real = basis.view(float).reshape(dim, dim, 2)
+    w_real = np.empty((dim, 2))
+    w = w_real.view(complex).ravel()
+    # per pending shift: its index, u, -1/u, the row l of the recurrence and
+    # its ratio est / (2 dim eps |rhs|_1) at the last checkpoint, which is
+    # 1 / (2 dim eps) for x = 0 before the basis
+    pending, up = np.arange(u.size), u
+    last = np.full(u.size, 0.5 / tol)
+    left = np.zeros((u.size, dim), complex)
+    left[:, 0] = 1.0
+    with np.errstate(all="ignore"):        # overflow and u = 0 give inf or NaN
+        neg_inv = -1.0 / u
+        for k in range(dim - 1):
+            m = k + 1
+            np.matmul(a, real[k, 1:], out=w_real)  # w = A v_k
+            col = conj[:m] @ w                     # classical Gram-Schmidt, twice
+            w -= col @ basis[:m]
+            c = conj[:m] @ w
+            w -= c @ basis[:m]
+            col += c
+            hess[:m, k] = col
+            h = np.sqrt(np.vdot(w, w).real)
+            # an invariant subspace: all of the trace-free space, or w lost
+            # to rounding against |A v_k|^2 = |col|^2 + h^2
+            exact = m == dim - 1 or h * h <= tol * tol * np.vdot(col, col).real
+            c = left[:, k] + up * (left[:, :m] @ col)
+            if not exact:
+                hess[m, k] = h
+                np.divide(w, h, out=basis[m])
+                np.conjugate(basis[m], out=conj[m])
+                np.multiply(c, neg_inv / h, out=left[:, m])
+            if m < m_next and not exact:
+                continue
+            lv = 0.0 if exact else np.abs((l @ real[m]).view(complex)).sum()
+            ratio = h * lv * np.abs(beta / c) / (2.0 * tol * norm_b)
+            if m > 1:
+                ratio[up == 0.0] = 0.0             # x = A rhs exactly
+            cand = np.flatnonzero(ratio <= 1.0)  # NaN is not a candidate
+            failed = False
+            if cand.size:
+                ok, xs, failed = _krylov_accept(l, theta, basis[:m], hess[:m + 1, :m], beta,
+                                                rhs, up[cand], norm_a[pending[cand]], norm_b, lv)
+                idx = pending[cand[ok]]
+                x[idx], accepted[idx] = xs[ok], True
+            keep = ~accepted[pending]
+            if failed or exact or not keep.any():
+                break
+            pending, up, neg_inv, left = pending[keep], up[keep], neg_inv[keep], left[keep]
+            ratio, last = ratio[keep], last[keep]
+            # the checkpoint at which the closest column is due, had each
+            # kept the rate of its last stretch (Krylov convergence tends to
+            # speed up, so this tends to be late)
+            due = np.where(last > ratio, np.log(ratio) / np.log(last / ratio), np.inf)
+            m_next = min(m + _KRYLOV_STEP, dim - 1)
+            target = min(m + _KRYLOV_STEP * max(1.0, np.ceil(due.min())), dim - 1)
+            lu_pending = np.unique(np.abs(up)).size * _lu_flops(dim)
+            if not _krylov_affordable(dim, up.size, lu_all, lu_pending, spent, m, int(target)):
+                break
+            spent += _krylov_cost(dim, up.size, m, m_next)
+            last = ratio
+    return x, accepted
+
+
+def _krylov_accept(l, theta, basis, hess, beta, rhs, u, norm_a, norm_b,
+                   lv) -> tuple[np.ndarray, np.ndarray, bool]:
+    """For the candidate shifts u at basis size m = len(basis), with
+    lv = |L v_{m+1}|_1: the mask of those accepted, the columns x of all,
+    and whether a converged column failed its residual check (see the
+    module docstring). Each projected solve is its own LU; a singular one
+    gives NaN, which is not converged.
+    """
+    m, dim = basis.shape
+    h_m = hess[:m]
+    e1 = np.zeros((u.size, m, 1), complex)
+    e1[:, 0] = beta
+    y, _ = _solve("projected solve", np.eye(m) + u[:, None, None] * h_m, e1)
+    x = (basis.T @ (h_m @ y))[..., 0]
+    lx = (l @ x.view(float).reshape(-1, dim, 2)).view(complex)[..., 0]
+    with np.errstate(all="ignore"):            # NaN is not converged
+        scale = dim * _EPS * (norm_a * np.abs(x).sum(axis=1) + norm_b)
+        converged = abs(hess[m, m - 1]) * lv * np.abs(y[:, -1, 0]) <= scale
+        certified = (np.abs(u[:, None] * x - lx - rhs).sum(axis=1)
+                     + np.abs(x @ theta)) <= scale
+    return converged & certified, x, bool((converged & ~certified).any())
+
+
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a solve:
 # LAPACK's test suite accepts an LU solve when |b - A x|_1 /
 # (|A|_1 |x|_1 n eps) < 30 (xGET02); |b|_1 <= |A|_1 |x|_1 up to rounding,
@@ -391,6 +556,54 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
 # a slow rate may be formed from fluxes up to 1/sqrt(eps) times larger
 _CANCELLATION = 2.0 ** 26
+# the Krylov basis is checked every _KRYLOV_STEP vectors
+_KRYLOV_STEP = 8
+# resolve_krylov is not tried above this |B_0|_1 |B_0^-1|_1: the ratio of
+# its columns' computed residuals to their bound grows with it (measured
+# 6e-3 at 1e2, 0.6 at 5.9e3, 44 at 6e4 and 18 at 7.5e4)
+_KRYLOV_CONDITION = 2.0 ** 14
+# one numpy call's overhead, counted as flops by _krylov_cost
+_CALL_FLOPS = 2.0 ** 14
+
+
+def _lu_flops(dim: int) -> float:
+    """The cost of one shift of ``resolve_deflated``: a complex LU of
+    8/3 dim^3 flops and 24 numpy calls (see ``_krylov_cost``)."""
+    return 8 / 3 * dim ** 3 + 24 * _CALL_FLOPS
+
+
+def _krylov_cost(dim: int, n: int, m: int, m_next: int) -> float:
+    """The flops of extending ``resolve_krylov``'s basis from m to the
+    checkpoint m_next for n pending shifts, each numpy call counted as
+    _CALL_FLOPS: before the basis (m = 0), the inverse (8/3 dim^3, 12
+    calls); for each basis vector k, the product with A, two Gram-Schmidt
+    passes and the recurrence of each shift (4 dim^2 + 32 dim k + 8 n k, 24
+    calls); for each checkpoint, L v_{m+1} and its tests (4 dim^2, 36
+    calls)."""
+    checkpoints = -(-(m_next - m) // _KRYLOV_STEP)
+    cost = ((m_next - m) * (4 * dim ** 2 + 24 * _CALL_FLOPS)
+            + (32 * dim + 8 * n) * (m_next * (m_next + 1) - m * (m + 1)) / 2
+            + checkpoints * (4 * dim ** 2 + 36 * _CALL_FLOPS))
+    if m == 0:
+        cost += 8 / 3 * dim ** 3 + 12 * _CALL_FLOPS
+    return cost
+
+
+def _krylov_affordable(dim: int, n: int, lu_all: float, lu_pending: float,
+                       spent: float, m: int, m_next: int) -> bool:
+    """Whether ``resolve_krylov``, having spent ``spent`` flops up to basis
+    size m, may extend its basis to m_next for n pending shifts. The LU
+    path costs lu_all for all shifts and lu_pending for the pending ones
+    (``_lu_flops`` per distinct |u|). Should nothing more be accepted, the
+    attempt and that fallback may cost at most 3/2 lu_all; should every
+    pending shift be accepted at m_next, the extension and their acceptance
+    (a projected solve, column and residual each, 8/3 m^3 + 8 m^2 + 8 dim m
+    + 8 dim^2 flops and 3 calls) must cost no more than their fallback.
+    """
+    cost = _krylov_cost(dim, n, m, m_next)
+    accept = (8 / 3 * m_next ** 3 + 8 * m_next ** 2 + 8 * dim * m_next + 8 * dim ** 2
+              + 3 * _CALL_FLOPS)
+    return 2 * (spent + cost + lu_pending) <= 3 * lu_all and cost + n * accept <= lu_pending
 
 
 def _certify(what: str, a: np.ndarray, x: np.ndarray, b: np.ndarray,

@@ -68,6 +68,11 @@ def random_spec(rng, r_max, with_channels=False, with_cross=True):
                         detuning=rng.normal(0.0, 0.5))
 
 
+def total_trace(x):
+    """The total trace of a BlockState: the sum of its blocks' traces."""
+    return x.blocks[..., 0, 0].sum(axis=-1) + x.blocks[..., 1, 1].sum(axis=-1)
+
+
 def random_block_state(rng, r_max, physical=False):
     b = rng.normal(size=(r_max, 2, 2)) + 1j * rng.normal(size=(r_max, 2, 2))
     if physical:

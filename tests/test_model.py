@@ -6,10 +6,10 @@ import pytest
 import scipy.linalg as la
 
 import fluorospec as fs
-from fluorospec.model import (SIGMA, SuperOp, detection_jump, shift_detuning,
-                              trace_functional)
+from fluorospec.model import (_DETECTION, SIGMA, SuperOp, detection_jump,
+                              shift_detuning, trace_functional)
 
-from conftest import random_block_state, random_spec
+from conftest import random_block_state, random_spec, total_trace
 import markovian_oracle
 from generator_oracle import (T, T_INV, apply_generator, kron_generator,
                               to_real_coordinates)
@@ -215,6 +215,26 @@ def test_fresh_generator_kept_and_caller_arrays_copied():
     assert all(op.matrix[0, 0] == fs.build_generator(spec).matrix[0, 0] != 7.0 for op in ops)
 
 
+def test_detection_jump_built_in_place():
+    """J is written straight into the array that the spec keeps, with no
+    second copy (the peak of its first build was 2.00 times J's bytes):
+    the peak is J, its r x r table (1/16 of J) and the buffer of about the
+    table's size that numpy takes for a product into a strided slice, 1.13
+    times J's bytes at r_max = 60. J equals np.kron of its table and
+    sigma . sigma† byte for byte, signed zeros included."""
+    spec = random_spec(np.random.default_rng(1), 60)
+    tracemalloc.start()
+    try:
+        j = detection_jump(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * j.nbytes
+    assert j.base is None and not j.flags.writeable
+    ref = np.kron(np.diag(spec.gamma) + spec.gamma_cross, _DETECTION)
+    assert j.tobytes() == ref.tobytes()
+
+
 def test_dense_matches_matrix_free_fig2a(fig2a):
     rng = np.random.default_rng(2)
     m = fs.build_generator(fig2a).matrix
@@ -259,7 +279,7 @@ def test_trace_preservation_under_application(r_max):
     for _ in range(5):
         x = random_block_state(rng, r_max, physical=True)
         dx = apply_generator(spec, x)
-        assert abs(dx.total_trace()) < 1e-12
+        assert abs(total_trace(dx)) < 1e-12
 
 
 @pytest.mark.parametrize("r_max", [1, 3])

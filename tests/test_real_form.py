@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as la
-from conftest import random_block_state, random_spec
+from conftest import random_block_state, random_spec, total_trace
 from generator_oracle import T, T_INV, vec_generator
 from steady_oracle import dense_steady
 
@@ -195,7 +195,7 @@ def test_observables_match_complex_basis_oracles(r_max, eta):
     assert _close(q_st, _mandel(j, theta, rho, proj, r0, rho))
     # the limit forgets the initial state, even a non-Hermitian one of trace 1
     init = random_block_state(rng, r_max)
-    init = fs.BlockState(init.blocks / init.total_trace())
+    init = fs.BlockState(init.blocks / total_trace(init))
     assert _close(q_st, _mandel(j, theta, rho, proj, r0, _vec(init.blocks)))
 
     tau = np.linspace(0.0, 6.0, 5)

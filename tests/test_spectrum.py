@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import fluorospec as fs
+from fluorospec import steady
 from fluorospec.correl import _c1_pieces
 from fluorospec.model import trace_functional
+from fluorospec.steady import _EPS as EPS
+from fluorospec.steady import _backward_failures, resolve_deflated, resolve_krylov
 
 import markovian_oracle
 import propagation_oracle
@@ -116,15 +119,29 @@ def test_spectrum_rejects_grid_before_any_solve(markovian, monkeypatch):
     assert calls
 
 
-def test_spectrum_one_lu_per_conjugate_pair(markovian, monkeypatch):
-    """On linspace(-15, 15, 24) 16 points have their negation exactly in
-    the grid: 8 pairs share an LU and the other 8 points take one each, 16
-    LUs where one per point would be 24, each for the two columns
-    [v_dec, conj v_dec]."""
+def _stiff(detuning=0.0):
+    """A spectrum that the Krylov path leaves to resolve_deflated: slow
+    switching at rates 1e-8 and 2e-8 makes |B_0|_1 |B_0^-1|_1 about 6e8,
+    above _KRYLOV_CONDITION."""
+    return fs.prepare(fs.lifetime_fluct([1.0, 3.0], 1e-8 * np.array([[0.0, 1.0], [2.0, 0.0]]),
+                                        0.5, detuning))
+
+
+def _no_krylov_column(p, grid):
+    _, v_dec = _c1_seed(p)
+    return not resolve_krylov(p.generator, -1j * np.asarray(grid), v_dec)[1].any()
+
+
+def test_spectrum_one_lu_per_conjugate_pair(monkeypatch):
+    """On the fallback, linspace(-15, 15, 24) has 16 points whose negation
+    is exactly in the grid: 8 pairs share an LU and the other 8 points take
+    one each, 16 LUs where one per point would be 24, each for the two
+    columns [v_dec, conj v_dec]."""
     grid = np.linspace(-15.0, 15.0, 24)
     assert np.isin(grid, -grid).sum() == 16
-    p = fs.prepare(markovian)
+    p = _stiff()
     p.steady
+    assert _no_krylov_column(p, grid)
     calls = _count_solves(monkeypatch)
     fs.incoherent_spectrum(p, grid)
     assert len(calls) == 16
@@ -153,9 +170,10 @@ def test_paired_spectrum_matches_each_point_alone(case, fig2a, fig5):
     ([-1.0, -0.0, 1.0], 2),                      # and so is -0.0
     ([-0.3, -0.1, np.nextafter(0.1, 1.0), 0.1 + 0.2], 4),   # no exact negation
 ])
-def test_spectrum_pairs_only_exact_negations(grid, lus, fig2a, monkeypatch):
-    p = fs.prepare(dataclasses.replace(fig2a, detuning=0.5))
+def test_spectrum_pairs_only_exact_negations(grid, lus, monkeypatch):
+    p = _stiff(detuning=0.5)
     p.steady
+    assert _no_krylov_column(p, grid)
     alone = [fs.incoherent_spectrum(p, [om]).values[0] for om in grid]
     calls = _count_solves(monkeypatch)
     vals = fs.incoherent_spectrum(p, grid).values
@@ -169,11 +187,13 @@ def test_spectrum_pairs_only_exact_negations(grid, lus, fig2a, monkeypatch):
     [-1.0, -0.0, 1.0],
     [-0.3, -0.1, np.nextafter(0.1, 1.0), 0.1 + 0.2],
 ])
-def test_spectrum_one_bordered_solve_over_distinct_magnitudes(grid, fig2a, monkeypatch):
-    """One resolve_deflated call, at u = -i|omega| for each distinct |omega|
-    of the grid in increasing order, for the columns [v_dec, conj v_dec]."""
-    p = fs.prepare(dataclasses.replace(fig2a, detuning=0.5))
+def test_spectrum_one_bordered_solve_over_distinct_magnitudes(grid, monkeypatch):
+    """On the fallback, one resolve_deflated call, at u = -i|omega| for
+    each distinct |omega| of the grid in increasing order, for the columns
+    [v_dec, conj v_dec]."""
+    p = _stiff(detuning=0.5)
     p.steady
+    assert _no_krylov_column(p, grid)
     calls, resolve = [], fs.spectrum.resolve_deflated
 
     def counted(gen, shifts, rhs, *args):
@@ -185,6 +205,101 @@ def test_spectrum_one_bordered_solve_over_distinct_magnitudes(grid, fig2a, monke
     [(shifts, rhs)] = calls
     assert np.array_equal(shifts, -1j * np.unique(np.abs(grid)))
     assert np.array_equal(rhs[:, 1], rhs[:, 0].conj())
+
+
+def _lu_spectrum(p, grid):
+    """S_inc from resolve_deflated alone, one shift per omega."""
+    w, v_dec = _c1_seed(p)
+    x = resolve_deflated(p.generator, -1j * np.asarray(grid), v_dec[:, None])[..., 0]
+    return 2.0 * np.real(x @ w)
+
+
+def test_spectrum_krylov_takes_one_inverse_and_no_lu(monkeypatch):
+    """A random r_max = 20 model over linspace(-15, 15, 24) is solved from
+    one Krylov basis: one dense inverse, no resolve_deflated call."""
+    p = fs.prepare(random_spec(np.random.default_rng(20), 20))
+    grid = np.linspace(-15.0, 15.0, 24)
+    p.steady
+    calls, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    monkeypatch.setattr(fs.spectrum, "resolve_deflated",
+                        lambda *args: pytest.fail("resolve_deflated called"))
+    vals = fs.incoherent_spectrum(p, grid).values
+    assert calls == [(80, 80)]
+    monkeypatch.undo()
+    assert np.abs(vals - _lu_spectrum(p, grid)).max() <= 1e-14 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("r_max, seed", [(20, 20), (60, 1)])
+def test_krylov_columns_pass_the_bordered_check(r_max, seed):
+    """Each accepted column passes resolve_deflated's backward-error check,
+    on its residual in every row of u - L and in the border theta, with
+    |[u - L; theta]|_1 and |v_dec|_1."""
+    p = fs.prepare(random_spec(np.random.default_rng(seed), r_max))
+    _, v_dec = _c1_seed(p)
+    u = -1j * np.linspace(-15.0, 15.0, 24)
+    x, accepted = resolve_krylov(p.generator, u, v_dec)
+    assert accepted.all()
+    l, theta = p.generator.matrix, trace_functional(r_max)
+    resid = np.abs(u[:, None] * x - x @ l.T - v_dec).sum(axis=1) + np.abs(x @ theta)
+    norm_a = np.array([(np.abs(s * np.eye(len(l)) - l).sum(axis=0) + theta).max() for s in u])
+    assert _backward_failures("bordered solve", x[..., None], resid[:, None], norm_a,
+                              np.full((u.size, 1), np.abs(v_dec).sum())) == {}
+
+
+def test_krylov_residual_identity(monkeypatch):
+    """x = V_m H_m y with (I + u H_m) y = beta e_1 has the residual
+    (u - L) x - v_dec = h_{m+1,m} y_m L v_{m+1} of exact arithmetic: its
+    1-norm matches |h_{m+1,m} y_m| |L v_{m+1}|_1 to 1e-6 wherever it is
+    above rounding (1e6 eps |[u - L; theta]|_1 |x|_1), here at m = 8 and
+    12 of the basis that the first acceptance is made from."""
+    p = fs.prepare(random_spec(np.random.default_rng(20), 20))
+    _, v_dec = _c1_seed(p)
+    u = -1j * np.linspace(-15.0, 15.0, 24)
+    seen, accept = [], steady._krylov_accept
+    monkeypatch.setattr(steady, "_krylov_accept",
+                        lambda *args: seen.append(args) or accept(*args))
+    resolve_krylov(p.generator, u, v_dec)
+    (l, _, basis, hess, beta, rhs, *_), *_ = seen
+    norm_a = np.abs(l).sum(axis=0).max() + np.abs(u)
+    checked = 0
+    for m in (8, 12):
+        e1 = np.zeros((u.size, m, 1), complex)
+        e1[:, 0] = beta
+        y = np.linalg.solve(np.eye(m) + u[:, None, None] * hess[:m, :m], e1)
+        x = (basis[:m].T @ (hess[:m, :m] @ y))[..., 0]
+        resid = np.abs(u[:, None] * x - x @ l.T - rhs).sum(axis=1)
+        identity = np.abs(hess[m, m - 1] * y[:, -1, 0]) * np.abs(l @ basis[m]).sum()
+        above = resid >= 1e6 * EPS * norm_a * np.abs(x).sum(axis=1)
+        assert np.allclose(identity[above], resid[above], rtol=1e-6, atol=0.0), m
+        checked += above.sum()
+    assert checked >= 24
+
+
+def test_krylov_matches_lu_on_diffusion_chain():
+    """A 20-site diffusion chain over 200 omega is taken by the Krylov path
+    and agrees with resolve_deflated to 1e-14 of the maximum."""
+    profile = 2.0 * np.exp(-((np.arange(20) - 9.5) / 5.0) ** 2)
+    p = fs.prepare(fs.diffusion_chain(20, profile, 0.5, 1.0))
+    grid = np.linspace(-15.0, 15.0, 200)
+    _, v_dec = _c1_seed(p)
+    assert resolve_krylov(p.generator, -1j * grid, v_dec)[1].all()
+    vals = fs.incoherent_spectrum(p, grid).values
+    assert np.abs(vals - _lu_spectrum(p, grid)).max() <= 1e-14 * np.abs(vals).max()
+
+
+def test_krylov_column_does_not_depend_on_the_grid():
+    """A column is accepted at a checkpoint set by L, v_dec and its own u:
+    on a grid and on every second point of it, the columns accepted on
+    both are equal bit for bit."""
+    p = fs.prepare(random_spec(np.random.default_rng(20), 20))
+    _, v_dec = _c1_seed(p)
+    u = -1j * np.linspace(-15.0, 15.0, 24)
+    x, accepted = resolve_krylov(p.generator, u, v_dec)
+    x2, accepted2 = resolve_krylov(p.generator, u[::2], v_dec)
+    both = accepted[::2] & accepted2
+    assert both.sum() >= 8
+    assert np.array_equal(x[::2][both], x2[both])
 
 
 def test_sum_rule_markovian(markovian):

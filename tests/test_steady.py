@@ -10,7 +10,7 @@ import fluorospec as fs
 from fluorospec.model import trace_functional
 from fluorospec.steady import NullSpaceDegenerate, SingularShift
 
-from conftest import random_block_state, random_spec
+from conftest import random_block_state, random_spec, total_trace
 from propagation_oracle import evolve, resolve
 from steady_oracle import dense_steady
 
@@ -31,7 +31,7 @@ def test_evolve_pure_decay_exponential():
     for t in (0.3, 1.0, 4.0):
         xt = evolve(gen, x0, t)
         assert abs(xt.blocks[0, 1, 1] - np.exp(-t)) < 1e-10
-        assert abs(xt.total_trace() - 1.0) < 1e-12
+        assert abs(total_trace(xt) - 1.0) < 1e-12
 
 
 def test_evolve_rejects_bad_inputs(fig2a):
@@ -63,7 +63,7 @@ def test_evolve_preserves_trace_and_hermiticity(r_max):
     x = random_block_state(rng, r_max, physical=True)
     for t in (0.1, 1.0, 10.0):
         xt = evolve(gen, x, t)
-        assert abs(xt.total_trace() - 1.0) < 1e-10
+        assert abs(total_trace(xt) - 1.0) < 1e-10
         b = xt.blocks
         assert np.abs(b - b.conj().transpose(0, 2, 1)).max() < 1e-10
 

@@ -74,10 +74,16 @@ class GridSpec:
 
     @functools.cached_property
     def points(self) -> np.ndarray:
-        """The grid, built once and read-only; not a field, so not in the sidecar."""
+        """The grid, built once and read-only; not a field, so not in the
+        sidecar. A linear grid from -a to a is the negation of its upper
+        half (0.0 in the middle), so the spectrum pairs every omega with -omega."""
         space = np.linspace if self.spacing == "linear" else np.geomspace
         with np.errstate(all="ignore"):        # an overflow shows as inf or NaN
             grid = space(self.start, self.stop, self.count)
+        if self.spacing == "linear" and self.start == -self.stop:
+            half = self.count // 2
+            np.negative(grid[:-half - 1:-1], out=grid[:half])
+            grid[half:self.count - half] = 0.0     # the middle point, if any
         grid.flags.writeable = False
         return grid
 

@@ -33,21 +33,15 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     is then one trace-deflated resolvent solve at u = -i(omega - omega_L)
     and the two conjugate Laplace evaluations combine to 2 Re[...], real
     by construction. The whole grid is first solved from one shift-invert
-    Krylov basis (``steady.resolve_krylov``): each omega's column is
-    accepted at the first checkpoint of the basis where its residual
-    estimate shows it converged and its computed residual is within 1/30
-    of the backward-error bound of the bordered solve, a checkpoint set by
-    the model and that omega alone. Every omega not accepted takes the
-    bordered solve: L is real, so the solve at -omega is the complex
-    conjugate of the solve at omega with the conjugate seed
-    (``steady.resolve_deflated``), and each distinct |omega| of them takes
-    one LU at u = -i|omega|, solved for the two columns [v_dec, conj v_dec];
-    omega >= 0 reads the first column and -|omega| the conjugate of the
-    second. Each column is certified by its backward error, the column of
-    -|omega| by exactly the one its own solve would have; an omega near a
-    purely imaginary eigenvalue gives the large value of the resolvent
-    there, and SingularShift is raised only when a solve itself fails (a
-    shift on that eigenvalue to working precision).
+    Krylov basis (``steady.resolve_krylov``), each omega accepted at a
+    checkpoint set by the model and that omega alone. Every omega it
+    leaves takes the bordered solve (``steady.resolve_deflated``), one LU
+    at u = -i|omega| per distinct |omega|, for the columns
+    [v_dec, conj v_dec]: L is real, so omega >= 0 reads the first column
+    and -|omega| the conjugate of the second. Every column passes the
+    bordered check of ``steady``. An omega near a purely imaginary
+    eigenvalue gives the large value of the resolvent there; SingularShift
+    is raised only when a solve fails (a shift on it to working precision).
     """
     omega = _increasing(omega_grid)
     if not np.all(np.isfinite(omega)):

@@ -6,15 +6,14 @@ elimination onto the r_max-state configurational chain, with the dense
 bordered solve, ``resolve_deflated``, as the fallback where the
 elimination is not certified; the spectrum's trace-free resolvent
 ((u - L) x = v, Tr x = 0) from one shift-invert Krylov basis for all its
-shifts (``resolve_krylov``), with the same bordered solve, one LU per shift
-in one reused workspace, for each shift that basis leaves. The
-elimination (``eliminate``) is an
-``Elimination`` record that lives only inside the call that makes it.
-Every right-hand side is solved against it by ``Elimination.resolve``,
-with no second LU of the fast block: the steady state is rhs = 0 with
-trace 1, and Q_st solves both the steady state and its own column against
-one record. The dense Laurent decomposition (steady projector + reduced
-resolvent) is their cross-check.
+shifts (``resolve_krylov``), with the bordered solve for each shift that
+basis leaves. The elimination (``eliminate``) is an ``Elimination``
+record that lives only inside the call that makes it. Every right-hand
+side is solved against it by ``Elimination.resolve``, with no second LU
+of the fast block: the steady state is rhs = 0 with trace 1, and Q_st
+solves both the steady state and its own column against one record. The
+dense Laurent decomposition (steady projector + reduced resolvent) is
+their cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred. The kernels are numpy's: ``numpy.linalg.solve`` (LAPACK
@@ -69,48 +68,52 @@ others (its overflows and NaNs silenced), and then takes the dense
 fallback on its own, in stack order; the first point whose fallback fails
 raises what it raises alone.
 
-Certificates. The solve with Z_ff, each product with Z_ff^-1
-and every solution on the full system [L; theta] are checked by their
-normwise backward error, the ratio LAPACK's tests check (xGET02). A
-product with an inverse is not backward stable in general, so a point
-whose product fails takes the dense path like any other failure. Nullity
-1 of L rests on rank L = rank Z_ff + rank S, which holds when Z_ff is
-nonsingular. The elimination shows that Z_ff is nonsingular to working
-precision from the norm of Z_ff^-1, taken from the same LU
-(``_require_nonsingular``), and counts the nullity of S by the singular
-values of the scaled r_max x r_max S against a bound on the error of the
-computed S (``_chain_nullity``). Where the elimination fails (a fast
-block singular to working precision, such as a block that traps its
-excited population, a slow rate lost to cancellation, a failed backward
-error, or a negative block eigenvalue of the state), the dense nullity
-check of ``_check_nullity`` (singular values of the whole 4 r_max x
-4 r_max L) names the nullity of L, and with nullity 1 the bordered solve
-on the whole L takes over. Q_st takes that dense solve at each point
-where the elimination or its own resolve fails a check
-(``Elimination.solve``).
+Certificates. The solve with Z_ff, each product with Z_ff^-1 and every
+solution of the full system are checked by their normwise backward error,
+the ratio LAPACK's tests check (xGET02). A product with an inverse is not
+backward stable in general, so a point whose product fails takes the
+dense path like any other failure. The full system is [u - L; theta] x =
+[rhs; trace] at a shift u, L y = rhs taken as (0 - L) y = -rhs, with the
+same backward error (|-L| = |L|). Its one check, the bordered check
+(``_bordered_residual``), gives each column's residual 1-norm over every
+row of u - L, row 0 included, and the border theta, and its scale
+|[u - L; theta]|_1 |x|_1 + |[rhs; trace]|_1. A solve passes within
+_BACKWARD_ERROR_FACTOR dim eps of the scale (``_backward_failures``), a
+Krylov column below only within dim eps. Nullity 1 of L rests on
+rank L = rank Z_ff + rank S, which holds when Z_ff is nonsingular. The
+elimination shows that Z_ff is nonsingular to working precision from the
+norm of Z_ff^-1, taken from the same LU (``_require_nonsingular``), and
+counts the nullity of S by the singular values of the scaled r_max x
+r_max S against a bound on the error of the computed S
+(``_chain_nullity``). Where the elimination fails (a fast block singular
+to working precision, such as a block that traps its excited population,
+a slow rate lost to cancellation, a failed backward error, or a negative
+block eigenvalue of the state), the dense nullity check of
+``_check_nullity`` (singular values of the whole 4 r_max x 4 r_max L)
+names the nullity of L, and with nullity 1 the bordered solve on the
+whole L takes over. Q_st takes that dense solve at each point where the
+elimination or its own resolve fails a check (``Elimination.solve``).
 
 The dense bordered solve, ``resolve_deflated``, gives the x with
 (u - L) x = rhs and Tr x = trace at each shift u of a 1-d array, on vectors
 in the coordinates of ``BlockState.to_vector``. Its callers are the
 spectrum, at u = -i omega with trace 0, and the dense fallbacks at u = 0:
-the steady state (rhs = 0, trace 1) and Q_st (``Elimination.solve``), whose
-L y = rhs is the same system as (0 - L) y = -rhs, with the same backward
-error, since |-L| = |L| and |-rhs| = |rhs|. One workspace of the dtype of
-L, the shifts and rhs (real for the fallbacks, complex for the spectrum)
-holds -L with row 0, the aa entry of block 0, replaced by theta; each
-shift refills only its diagonal, u - L_jj, and takes one LU for all
-right-hand sides. Dropping that row loses no equation: theta (u - L) =
-u theta and theta rhs = u Tr x, so row 0's equation is minus the sum of
-the other aa and bb rows'; all nonzero entries of theta equal 1, so no row
-search is needed. Each column is certified by its backward error on
-[u - L; theta] x = [rhs; trace], the dropped row 0 included, with
-|u - L|_1 made in O(dim) per shift from the off-diagonal column sums of
-|L|, taken once. L and theta are real, so the bordered matrix at conj(u)
-is the complex conjugate of the one at u; every rounding is symmetric
-under conjugation, so its LU is the conjugate one, with the same pivots:
-x at conj(u) is conj(y), y the solve at u with the right-hand side
-conj(rhs), with the backward error the solve at conj(u) would have. The
-spectrum pairs each frequency with its negation that way.
+the steady state (rhs = 0, trace 1) and Q_st (``Elimination.solve``). One
+workspace of the dtype of L, the shifts and rhs (real for the fallbacks,
+complex for the spectrum) holds -L with row 0, the aa entry of block 0,
+replaced by theta; each shift refills only its diagonal, u - L_jj, and
+takes one LU for all right-hand sides. Dropping that row loses no
+equation: theta (u - L) = u theta and theta rhs = u Tr x, so row 0's
+equation is minus the sum of the other aa and bb rows'; all nonzero
+entries of theta equal 1, so no row search is needed. A zero pivot ends
+the loop of LUs; the shifts solved take the bordered check in one
+stacked call, and the first failing shift in order raises. L and theta
+are real, so the bordered matrix at conj(u) is the complex conjugate of
+the one at u; every rounding is symmetric under conjugation, so its LU is
+the conjugate one, with the same pivots: x at conj(u) is conj(y), y the
+solve at u with the right-hand side conj(rhs), with the backward error
+the solve at conj(u) would have. The spectrum pairs each frequency with
+its negation that way.
 
 Krylov. ``resolve_krylov`` takes the spectrum's columns, (u - L) x = v
 with Tr x = 0 for the trace-free seed v at every u = -i omega of a grid,
@@ -131,11 +134,8 @@ u sum_{i<=k} l_i H_ik and l_{k+1} = -c_k / (u h_{k+1,k}), with no m x m
 solve. At each checkpoint (every _KRYLOV_STEP vectors, and at an
 invariant subspace: a breakdown, or dim - 1 vectors, the whole trace-free
 space) a shift whose estimate is within 2 dim eps |v|_1 is solved from its
-own LU of I + u H_m, and accepted only if it has converged, its estimate
-within dim eps (|[u - L; theta]|_1 |x|_1 + |v|_1), and its computed
-residual, ``resolve_deflated``'s in every row of u - L and in the border
-theta, is within that too: 1/_BACKWARD_ERROR_FACTOR of the bound of that
-solve's check, which each accepted column so passes. The checkpoint at
+own LU of I + u H_m, and accepted only if its estimate and its residual
+are both within dim eps of the bordered check's scale. The checkpoint at
 which a shift is accepted depends only on L, v and u, so a column never
 depends on the rest of the grid. Every shift not accepted, and every
 shift where the basis would not pay or B_0 is too ill-conditioned for
@@ -204,8 +204,8 @@ class Elimination:
         chain solve of S for x_t and back-substitution for x_f. The failures
         map each failed point to the first of these checks it fails: those
         of the elimination, the fast solve's backward error on w, a zero
-        pivot of the chain solve, the backward error of y on [L; theta].
-        The columns of a failed point are stand-ins."""
+        pivot of the chain solve, the bordered check of y at u = 0 (see the
+        module docstring). The columns of a failed point are stand-ins."""
         n, r, k = len(self.s), self.s.shape[-1], rhs.shape[-1]
         c = rhs.reshape(n, r, 4, k)
         c_f = c[:, :, 1:].reshape(n, 3 * r, k)
@@ -222,8 +222,9 @@ class Elimination:
             y[:, :, 1:] = (w - self.x @ x_t).reshape(n, r, 3, k)
             y[:, :, 0] = x_t - y[:, :, 1]
             y = y.reshape(n, 4 * r, k)
-        return y, _certify("chain solve", self.generator, y, rhs,
-                           trace_functional(r), trace) | failed
+        l = self.generator                     # L y = rhs as (0 - L) y = -rhs
+        return y, _backward_failures("chain solve", y, *_bordered_residual(
+            l, _off_diagonal_sums(l), np.zeros(n), y, -rhs, trace)) | failed
 
     def solve(self, rhs: np.ndarray, trace: float) -> np.ndarray:
         """The real columns of ``resolve``, and for each point where it
@@ -365,18 +366,13 @@ def _block_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray,
                      trace: float = 0.0) -> np.ndarray:
-    """The bordered solve, on vectors in the coordinates of
-    ``BlockState.to_vector``: for each shift u of the 1-d ``shifts``, the
-    columns x (dim, k) with (u - L) x = rhs and Tr x = trace, as an array
-    (len(shifts), dim, k) of the dtype of L, the shifts and rhs.
-
-    Valid only where theta rhs = u trace; with trace 0 the bordering also
-    regularizes u = 0 (the steady pole), where the plain resolvent is
-    singular but the complement solve is not. One ``numpy.linalg.solve``
-    per shift, in one workspace, each column certified by its backward
-    error (see the module docstring). SingularShift, for the first shift
-    in order, when that fails or the LU meets an exactly zero pivot.
-    """
+    """The bordered solve (see the module docstring), on vectors in the
+    coordinates of ``BlockState.to_vector``: for each shift u of the 1-d
+    ``shifts``, the columns x (dim, k) with (u - L) x = rhs and Tr x =
+    trace, (len(shifts), dim, k) of the dtype of L, the shifts and rhs.
+    Valid only where theta rhs = u trace; at trace 0 it regularizes u = 0,
+    the steady pole. SingularShift for the first shift in order that fails
+    the bordered check or whose LU meets an exactly zero pivot."""
     l, dim = generator.matrix, generator.dim
     if rhs.ndim != 2 or rhs.shape[0] != dim:
         raise ValueError(f"right-hand side shape {rhs.shape} != (generator dim {dim}, k)")
@@ -387,29 +383,22 @@ def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray,
     work[0] = theta
     diag = work.reshape(-1)[::dim + 1]          # a view: refilled per shift
     l_diag = np.diagonal(l)
-    abs_off = np.abs(l)
-    np.fill_diagonal(abs_off, 0.0)
-    abs_off = abs_off.sum(axis=0)               # |L|_1 of each column, off the diagonal
     b = rhs.astype(dtype)
     b[0] = trace
-    norm_b = np.abs(rhs).sum(axis=0) + abs(trace)
     out = np.empty((shifts.size, dim, rhs.shape[1]), dtype)
+    solved, failed = shifts.size, {}
     for i, u in enumerate(shifts):
         np.subtract(u, l_diag, out=diag)
         diag[0] = theta[0]
         try:
-            x = out[i] = np.linalg.solve(work, b)
+            out[i] = np.linalg.solve(work, b)
         except np.linalg.LinAlgError as exc:
-            raise SingularShift(f"bordered solve failed: {exc}") from None
-        with np.errstate(all="ignore"):   # a solve that is not finite fails
-            # rows 1.. of u - L and theta in row 0, then the dropped row 0
-            resid = (np.abs(work @ x - b).sum(axis=0)
-                     + np.abs(u * x[0] - l[0] @ x - rhs[0]))
-            norm_a = (abs_off + np.abs(u - l_diag) + theta).max()
-        failed = _backward_failures("bordered solve", x[None], resid[None],
-                                    norm_a[None], norm_b[None])
-        if failed:
-            raise failed[0]
+            solved, failed = i, {i: SingularShift(f"bordered solve failed: {exc}")}
+            break
+    failed = _backward_failures("bordered solve", out[:solved], *_bordered_residual(
+        l, _off_diagonal_sums(l), shifts[:solved], out[:solved], rhs, trace)) | failed
+    if failed:
+        raise failed[min(failed)] from None
     return out
 
 
@@ -425,7 +414,7 @@ def resolve_krylov(generator: SuperOp, shifts,
     Past each checkpoint the basis is extended only if the budget of
     ``_krylov_affordable`` reaches the checkpoint at which the closest
     pending column would converge at the rate of its last stretch, and not
-    at all once a converged column fails its residual check. Nothing is
+    at all once a converged column fails the bordered check. Nothing is
     accepted for rhs = 0 or where B_0 is singular or too ill-conditioned
     (``_KRYLOV_CONDITION``).
     """
@@ -438,9 +427,8 @@ def resolve_krylov(generator: SuperOp, shifts,
     if not _krylov_affordable(dim, u.size, lu_all, lu_all, 0.0, 0, m_next) or beta == 0.0:
         return x, accepted
     spent = _krylov_cost(dim, u.size, 0, m_next)
-    theta = trace_functional(generator.r_max)
     b0 = np.negative(l)
-    b0[0] = theta
+    b0[0] = trace_functional(generator.r_max)
     try:
         inv = np.linalg.inv(b0)
     except np.linalg.LinAlgError:
@@ -449,9 +437,7 @@ def resolve_krylov(generator: SuperOp, shifts,
             <= _KRYLOV_CONDITION):                 # NaN fails too
         return x, accepted
     a = inv[:, 1:]                                 # on z: B_0^-1 of z with z_0 = 0
-    abs_off = np.abs(l)
-    np.fill_diagonal(abs_off, 0.0)
-    norm_a = (abs_off.sum(axis=0) + np.abs(u[:, None] - np.diagonal(l)) + theta).max(axis=1)
+    abs_off = _off_diagonal_sums(l)
     norm_b = np.abs(rhs).sum()
     tol = dim * _EPS
     # room for the whole trace-free space; only the rows reached are touched
@@ -501,8 +487,8 @@ def resolve_krylov(generator: SuperOp, shifts,
             cand = np.flatnonzero(ratio <= 1.0)  # NaN is not a candidate
             failed = False
             if cand.size:
-                ok, xs, failed = _krylov_accept(l, theta, basis[:m], hess[:m + 1, :m], beta,
-                                                rhs, up[cand], norm_a[pending[cand]], norm_b, lv)
+                ok, xs, failed = _krylov_accept(l, abs_off, basis[:m], hess[:m + 1, :m], beta,
+                                                rhs, up[cand], lv)
                 idx = pending[cand[ok]]
                 x[idx], accepted[idx] = xs[ok], True
             keep = ~accepted[pending]
@@ -524,27 +510,25 @@ def resolve_krylov(generator: SuperOp, shifts,
     return x, accepted
 
 
-def _krylov_accept(l, theta, basis, hess, beta, rhs, u, norm_a, norm_b,
+def _krylov_accept(l, abs_off, basis, hess, beta, rhs, u,
                    lv) -> tuple[np.ndarray, np.ndarray, bool]:
     """For the candidate shifts u at basis size m = len(basis), with
     lv = |L v_{m+1}|_1: the mask of those accepted, the columns x of all,
-    and whether a converged column failed its residual check (see the
+    and whether a converged column failed the bordered check (see the
     module docstring). Each projected solve is its own LU; a singular one
-    gives NaN, which is not converged.
-    """
+    gives NaN, which is not converged."""
     m, dim = basis.shape
     h_m = hess[:m]
-    e1 = np.zeros((u.size, m, 1), complex)
-    e1[:, 0] = beta
-    y, _ = _solve("projected solve", np.eye(m) + u[:, None, None] * h_m, e1)
-    x = (basis.T @ (h_m @ y))[..., 0]
-    lx = (l @ x.view(float).reshape(-1, dim, 2)).view(complex)[..., 0]
+    a = u[:, None, None] * h_m
+    a.reshape(u.size, -1)[:, ::m + 1] += 1.0    # I + u H_m, built in place
+    y, _ = _solve("projected solve", a, np.broadcast_to(beta * np.eye(m, 1), (u.size, m, 1)))
+    x = basis.T @ (h_m @ y)
+    resid, scale = _bordered_residual(l, abs_off, u, x, rhs[:, None], 0.0)
     with np.errstate(all="ignore"):            # NaN is not converged
-        scale = dim * _EPS * (norm_a * np.abs(x).sum(axis=1) + norm_b)
+        scale = dim * _EPS * scale[:, 0]
         converged = abs(hess[m, m - 1]) * lv * np.abs(y[:, -1, 0]) <= scale
-        certified = (np.abs(u[:, None] * x - lx - rhs).sum(axis=1)
-                     + np.abs(x @ theta)) <= scale
-    return converged & certified, x, bool((converged & ~certified).any())
+        certified = resid[:, 0] <= scale
+    return converged & certified, x[..., 0], bool((converged & ~certified).any())
 
 
 # Bound on |b - A x|_1 / ((|A|_1 |x|_1 + |b|_1) dim eps) for a solve:
@@ -606,32 +590,46 @@ def _krylov_affordable(dim: int, n: int, lu_all: float, lu_pending: float,
     return 2 * (spent + cost + lu_pending) <= 3 * lu_all and cost + n * accept <= lu_pending
 
 
-def _certify(what: str, a: np.ndarray, x: np.ndarray, b: np.ndarray,
-             theta: np.ndarray | None = None, trace: float = 0.0) -> dict:
-    """The failures of a stacked solve a x = b by ``_backward_failures``,
-    with the row theta x = trace appended when theta is given."""
+def _certify(what: str, a: np.ndarray, x: np.ndarray, b: np.ndarray) -> dict:
+    """The failures of a stacked solve a x = b by ``_backward_failures``."""
     with np.errstate(all="ignore"):     # a point that is not finite fails
         resid = np.abs(a @ x - b).sum(axis=-2)
-        norm_a = np.abs(a).sum(axis=-2)
-        norm_b = np.abs(b).sum(axis=-2)
-        if theta is not None:
-            resid += np.abs(theta @ x - trace)
-            norm_a += theta
-            norm_b += abs(trace)
-    return _backward_failures(what, x, resid, norm_a.max(axis=-1), norm_b)
+        scale = (np.abs(a).sum(axis=-2).max(axis=-1)[:, None] * np.abs(x).sum(axis=-2)
+                 + np.abs(b).sum(axis=-2))
+    return _backward_failures(what, x, resid, scale)
+
+
+def _off_diagonal_sums(l: np.ndarray) -> np.ndarray:
+    """The column sums of |L| off its diagonal, of L or of each L of a
+    stack: the part of |u - L|_1 that no shift u changes."""
+    a = np.abs(l)
+    a.reshape(*l.shape[:-2], -1)[..., ::l.shape[-1] + 1] = 0.0
+    return a.sum(axis=-2)
+
+
+def _bordered_residual(l: np.ndarray, abs_off: np.ndarray, u: np.ndarray, x: np.ndarray,
+                       rhs: np.ndarray, trace: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bordered check (see the module docstring) of the columns x
+    (n, dim, k) at the shifts u (n,), L real, one matrix or a stack of n,
+    abs_off its ``_off_diagonal_sums``: the residual 1-norms and scales."""
+    theta = trace_functional(l.shape[-1] // 4)
+    with np.errstate(all="ignore"):     # a column that is not finite fails
+        lx = (l @ x.view(float)).view(x.dtype)    # Re x and Im x at once
+        resid = np.abs(u[:, None, None] * x - lx - rhs).sum(axis=-2) + np.abs(theta @ x - trace)
+        norm_a = (abs_off + np.abs(u[:, None] - np.diagonal(l, 0, -2, -1)) + theta).max(axis=-1)
+        return resid, (norm_a[:, None] * np.abs(x).sum(axis=-2)
+                       + (np.abs(rhs).sum(axis=-2) + abs(trace)))
 
 
 def _backward_failures(what: str, x: np.ndarray, resid: np.ndarray,
-                       norm_a: np.ndarray, norm_b: np.ndarray) -> dict:
+                       scale: np.ndarray) -> dict:
     """For each point of a stacked solve whose columns x (n, dim, k) are
-    not finite, or whose 1-norm backward error of a column, resid /
-    (|A|_1 |x|_1 + |b|_1) from the residual 1-norms resid (n, k), the
-    |A|_1 norm_a (n,) and the |b|_1 norm_b (n, k), exceeds
-    _BACKWARD_ERROR_FACTOR * dim * eps, its index and its SingularShift."""
+    not finite, or whose residual 1-norm resid (n, k) of a column exceeds
+    _BACKWARD_ERROR_FACTOR * dim * eps times its scale |A|_1 |x|_1 + |b|_1
+    (n, k), its index and its SingularShift."""
     dim = x.shape[-2]
     bound = _BACKWARD_ERROR_FACTOR * dim * _EPS
     with np.errstate(all="ignore"):
-        scale = norm_a[:, None] * np.abs(x).sum(axis=-2) + norm_b
         finite = np.isfinite(x).all(axis=(-2, -1))
         ok = finite & (resid <= bound * scale).all(axis=-1)
         if ok.all():

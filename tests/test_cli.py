@@ -531,7 +531,7 @@ def test_csv_equals_library_series(tmp_path):
                  if not l.startswith("#")][1:]
         rows = np.array([[float(x) for x in l.split(",")] for l in lines])
         (name, g), = grids.items()
-        series = fn(spec, np.linspace(g["start"], g["stop"], g["count"]))
+        series = fn(spec, cli.GridSpec(g["start"], g["stop"], g["count"]).points)
         assert np.array_equal(rows[:, 0], series.abscissa), task
         assert np.array_equal(rows[:, 1], np.real(series.values)), task
         if task == "c1":
@@ -549,7 +549,7 @@ def test_csv_equals_library_series(tmp_path):
         csv = tmp_path / f"sweep_{task.replace('-', '_')}.csv"
         lines = [l for l in csv.read_text().splitlines() if not l.startswith("#")][1:]
         rows = np.array([[float(x) for x in l.split(",")] for l in lines])
-        grid = np.linspace(delta["start"], delta["stop"], delta["count"])
+        grid = cli.GridSpec(delta["start"], delta["stop"], delta["count"]).points
         want = [fn(dataclasses.replace(spec, detuning=float(d))) for d in grid]
         assert np.array_equal(rows[:, 0], grid), task
         assert np.array_equal(rows[:, 1], want), task
@@ -567,6 +567,37 @@ def test_run_builds_its_model_once(task, tmp_path, monkeypatch):
                           delta={"start": -1.0, "stop": 1.0, "count": 3}))
     assert cli.main([task, "--config", str(write_config(tmp_path, cfg))]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stop", [1e-3, 0.1, 3.0, 15.0, 60.0, 1e6])
+@pytest.mark.parametrize("count", [2, 3, 7, 24, 200, 201, 2001])
+def test_symmetric_linear_grid_is_antisymmetric(stop, count):
+    """A linear grid from -stop to stop is the negation of its upper half,
+    bit for bit, with 0.0 in the middle of an odd count, and each point
+    lies within a few ulps of stop of numpy.linspace's."""
+    grid = cli.GridSpec(-stop, stop, count).points
+    assert np.array_equal(grid, -grid[::-1])
+    assert np.array_equal(np.signbit(grid), np.arange(count) < count // 2)
+    assert np.abs(grid - np.linspace(-stop, stop, count)).max() <= 4 * np.spacing(stop)
+    # any other grid is numpy's own
+    for g in (cli.GridSpec(-stop, 2 * stop, count), cli.GridSpec(stop, 3 * stop, count, "log")):
+        space = np.linspace if g.spacing == "linear" else np.geomspace
+        assert np.array_equal(g.points, space(g.start, g.stop, g.count))
+
+
+def test_stiff_cli_spectrum_pairs_every_omega(tmp_path, monkeypatch):
+    """A stiff spectrum, which the Krylov basis leaves to the LU path, over
+    24 points from -15 to 15 takes 12 LUs, one per pair omega, -omega."""
+    cfg = dict(FIG2A_CONFIG, output=str(tmp_path / "stiff"),
+               model={"scenario": "lifetime_fluct",
+                      "params": {"gammas": [1.0, 3.0], "phi": [[0.0, 1e-8], [2e-8, 0.0]],
+                                 "omega_rabi": 0.5}},
+               grids={"omega": {"start": -15.0, "stop": 15.0, "count": 24}})
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: (a.ndim == 2 and calls.append(a.shape)) or solve(a, b))
+    assert cli.main(["spectrum", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert calls == [(8, 8)] * 12
 
 
 @pytest.mark.parametrize("task", ["c1", "spectrum", "counting", "mandel-sweep"])

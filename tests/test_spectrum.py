@@ -181,6 +181,16 @@ def test_spectrum_pairs_only_exact_negations(grid, lus, monkeypatch):
     assert np.abs(vals - alone).max() <= 1e-14 * np.abs(vals).max()
 
 
+def _counted_bordered(monkeypatch):
+    """The shifts and right-hand sides of every resolve_deflated call of the
+    spectrum from now on."""
+    calls, resolve = [], fs.spectrum.resolve_deflated
+    monkeypatch.setattr(fs.spectrum, "resolve_deflated",
+                        lambda gen, shifts, rhs, *args: calls.append((np.array(shifts), rhs))
+                        or resolve(gen, shifts, rhs, *args))
+    return calls
+
+
 @pytest.mark.parametrize("grid", [
     np.linspace(-15.0, 15.0, 24),
     [-2.0, -1.0, 0.0, 1.0, 2.0],
@@ -194,13 +204,7 @@ def test_spectrum_one_bordered_solve_over_distinct_magnitudes(grid, monkeypatch)
     p = _stiff(detuning=0.5)
     p.steady
     assert _no_krylov_column(p, grid)
-    calls, resolve = [], fs.spectrum.resolve_deflated
-
-    def counted(gen, shifts, rhs, *args):
-        calls.append((np.array(shifts), rhs))
-        return resolve(gen, shifts, rhs, *args)
-
-    monkeypatch.setattr(fs.spectrum, "resolve_deflated", counted)
+    calls = _counted_bordered(monkeypatch)
     fs.incoherent_spectrum(p, grid)
     [(shifts, rhs)] = calls
     assert np.array_equal(shifts, -1j * np.unique(np.abs(grid)))
@@ -230,6 +234,49 @@ def test_spectrum_krylov_takes_one_inverse_and_no_lu(monkeypatch):
     assert np.abs(vals - _lu_spectrum(p, grid)).max() <= 1e-14 * np.abs(vals).max()
 
 
+def test_krylov_stops_at_a_converged_column_that_fails_the_check(monkeypatch):
+    """With every projected solve off by a relative 1e-7, the converged
+    columns fail the bordered check: none is accepted and the basis stops
+    there, and every omega takes one resolve_deflated call."""
+    p = fs.prepare(random_spec(np.random.default_rng(20), 20))
+    grid = np.linspace(-15.0, 15.0, 24)
+    _, v_dec = _c1_seed(p)
+    solve, projected = steady._solve, []
+
+    def off(what, a, b):
+        x, failed = solve(what, a, b)
+        if what == "projected solve":
+            projected.append(len(a))
+            x = x * (1.0 + 1e-7)
+        return x, failed
+
+    monkeypatch.setattr(steady, "_solve", off)
+    assert not resolve_krylov(p.generator, -1j * grid, v_dec)[1].any()
+    assert len(projected) == 1
+    calls = _counted_bordered(monkeypatch)
+    vals = fs.incoherent_spectrum(p, grid).values
+    [(shifts, _)] = calls
+    assert np.array_equal(shifts, -1j * np.unique(np.abs(grid)))
+    monkeypatch.undo()
+    assert np.abs(vals - _lu_spectrum(p, grid)).max() <= 1e-14 * np.abs(vals).max()
+
+
+def test_fig2a_grid_split_between_basis_and_lu(fig2a, monkeypatch):
+    """fig2a over linspace(-60, 60, 200): the basis accepts 170 omega, and
+    the other 30 take one resolve_deflated call over their distinct
+    |omega|; the spectrum equals the LU path's."""
+    p = fs.prepare(fig2a)
+    grid = np.linspace(-60.0, 60.0, 200)
+    _, v_dec = _c1_seed(p)
+    accepted = resolve_krylov(p.generator, -1j * grid, v_dec)[1]
+    assert accepted.sum() == 170
+    calls = _counted_bordered(monkeypatch)
+    vals = fs.incoherent_spectrum(p, grid).values
+    [(shifts, _)] = calls
+    assert np.array_equal(shifts, -1j * np.unique(np.abs(grid[~accepted])))
+    assert np.abs(vals - _lu_spectrum(p, grid)).max() <= 1e-14 * np.abs(vals).max()
+
+
 @pytest.mark.parametrize("r_max, seed", [(20, 20), (60, 1)])
 def test_krylov_columns_pass_the_bordered_check(r_max, seed):
     """Each accepted column passes resolve_deflated's backward-error check,
@@ -243,8 +290,8 @@ def test_krylov_columns_pass_the_bordered_check(r_max, seed):
     l, theta = p.generator.matrix, trace_functional(r_max)
     resid = np.abs(u[:, None] * x - x @ l.T - v_dec).sum(axis=1) + np.abs(x @ theta)
     norm_a = np.array([(np.abs(s * np.eye(len(l)) - l).sum(axis=0) + theta).max() for s in u])
-    assert _backward_failures("bordered solve", x[..., None], resid[:, None], norm_a,
-                              np.full((u.size, 1), np.abs(v_dec).sum())) == {}
+    scale = norm_a[:, None] * np.abs(x).sum(axis=1)[:, None] + np.abs(v_dec).sum()
+    assert _backward_failures("bordered solve", x[..., None], resid[:, None], scale) == {}
 
 
 def test_krylov_residual_identity(monkeypatch):

@@ -224,6 +224,71 @@ def test_exactly_singular_bordered_solve_raises_singular_shift():
     assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
+@pytest.mark.parametrize("bad, match", [({2: "off", 4: "zero"}, "backward error"),
+                                        ({4: "zero"}, "bordered solve failed")],
+                         ids=["off_then_zero", "zero"])
+def test_bordered_solve_raises_its_first_failing_shift(bad, match, fig5, monkeypatch):
+    """A zero pivot ends the loop of LUs, and the shifts solved before it
+    are certified in one call after it: the first shift in order that
+    fails raises, with the message it raises alone, from no other
+    exception and without a warning. Shift 2 is off by a relative 1e-7 and
+    shift 4 meets a zero pivot."""
+    p = fs.prepare(fig5)
+    v = p.steady.to_vector().real[:, None]
+    w = np.random.default_rng(4).normal(size=v.shape)
+    w = w - v * (trace_functional(2) @ w)        # trace-free: solvable
+    shifts = 1j * np.arange(6.0)
+    calls, solve = [], np.linalg.solve
+
+    def patched(a, b):
+        calls.append(bad.get(len(calls)))
+        if calls[-1] == "zero":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b) * (1.0 + 1e-7 if calls[-1] == "off" else 1.0)
+
+    monkeypatch.setattr(np.linalg, "solve", patched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularShift, match=match) as info:
+            fs.steady.resolve_deflated(p.generator, shifts, w)
+    assert len(calls) == 5                       # no LU after the zero pivot
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    first = min(bad)
+    calls[:] = [None] * first                    # that shift alone, as patched
+    with pytest.raises(SingularShift) as alone:
+        fs.steady.resolve_deflated(p.generator, shifts[first:first + 1], w)
+    assert str(info.value) == str(alone.value)
+
+
+def test_chain_solve_failure_takes_one_point_dense(fig5, monkeypatch):
+    """A chain solve off by a relative 1e-7 at one point of a stacked sweep
+    fails only that point's final check on [L; theta]; that point alone
+    takes the dense path, and its steady state and Q_st equal the point
+    solved alone to 1e-13."""
+    deltas, bad = np.array([-3.0, -1.0, 0.0, 1.0, 3.0]), 2
+    alone = [fs.prepare(dataclasses.replace(fig5, detuning=float(d))) for d in deltas]
+    want_st = np.array([a.steady.blocks for a in alone])
+    want_q = np.array([fs.stationary_mandel(a) for a in alone])
+    stack = fs.prepare(fig5).at_detuning(deltas)
+    solve, bordered, dense = fs.steady._solve, fs.steady.resolve_deflated, []
+
+    def off(what, a, b):
+        x, failed = solve(what, a, b)
+        if what == "chain solve":
+            x[bad] *= 1.0 + 1e-7
+        return x, failed
+
+    monkeypatch.setattr(fs.steady, "_solve", off)
+    monkeypatch.setattr(fs.steady, "resolve_deflated",
+                        lambda g, *args: dense.append(g.matrix) or bordered(g, *args))
+    failed = _null(stack.generator)[1]
+    assert list(failed) == [bad] and "chain solve backward error" in str(failed[bad])
+    st, q = stack.steady.blocks, fs.stationary_mandel(stack)
+    assert dense and all(np.array_equal(g, stack.generator.matrix[bad]) for g in dense)
+    assert np.abs(st - want_st).max() <= 1e-13
+    assert np.abs(q - want_q).max() <= 1e-13 * np.abs(want_q).max()
+
+
 def test_resolvent_certifies_the_dropped_row(fig5):
     """Row 0 of u - L, which the bordered matrix replaces by theta, is part
     of the certificate: with a right-hand side of trace 1, (u - L) x = rhs

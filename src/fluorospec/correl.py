@@ -45,11 +45,12 @@ class ObservableSeries:
 
 
 def _increasing(grid) -> np.ndarray:
-    """grid as a float array; ValueError unless it is strictly increasing.
-    Every grid is checked here before its first point is computed."""
+    """grid as a float array; ValueError unless it is finite and strictly
+    increasing. Every grid is checked here before its first point is
+    computed."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing")
+    if not (np.isfinite(grid).all() and (grid.size < 2 or (np.diff(grid) > 0).all())):
+        raise ValueError("grid must be finite and strictly increasing")
     return grid
 
 
@@ -63,8 +64,8 @@ def propagate_on_grid(generator: SuperOp, v0: np.ndarray, grid: np.ndarray) -> n
     first such t, when e^{t L} v0 is not finite (an overflow, unwarned).
     """
     grid = _increasing(grid)
-    if grid.size and (grid[0] < 0 or not np.all(np.isfinite(grid))):
-        raise ValueError("grid must be finite and nonnegative")
+    if grid.size and grid[0] < 0:
+        raise ValueError("grid must be nonnegative")
     m = generator.matrix
     out = np.empty((v0.size, grid.size), dtype=complex)
     v = np.column_stack([v0.real, v0.imag])    # real products with the propagators

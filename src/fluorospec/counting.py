@@ -309,8 +309,8 @@ def detuning_sweep(observable, spec: ModelSpec, delta_grid,
     is solved and certified on its own, so no value depends on the
     chunking. When a chunk raises, its points are evaluated again one at a
     time, each as a stack of one, so the first failing point in grid order
-    raises what it raises alone. ValueError, before any point, when the
-    grid is not increasing."""
+    raises what it raises alone. ValueError, before the model is prepared,
+    when the grid is not finite and strictly increasing."""
     grid = _increasing(delta_grid)
     at_zero = spec.detuning == 0 and not np.signbit(spec.detuning)
     base = prepare(spec if at_zero else dataclasses.replace(spec, detuning=0.0))

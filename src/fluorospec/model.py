@@ -254,33 +254,24 @@ def readout(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def validate(spec: ModelSpec) -> list[str]:
-    """Return every invariant violation as a path-like message; [] when valid."""
-    out: list[str] = []
+    """Return every invariant violation as a path-like message; [] when valid.
+    Every array, each channel's eta too, is checked by ``_array_problems``."""
     if spec.gamma.ndim != 1 or spec.r_max < 1:
-        out.append(f"gamma: must be a 1-d array of r_max >= 1 rates, got shape "
-                   f"{spec.gamma.shape}")
-        return out
+        return [f"gamma: must be a 1-d array of r_max >= 1 rates, got shape "
+                f"{spec.gamma.shape}"]
     r = spec.r_max
+    out = []
     if spec.labels is not None and len(spec.labels) != r:
         out.append(f"labels: length {len(spec.labels)} != r_max {r}")
-    for name in ("delta_omega", "gamma", "omega_rabi"):
-        a = getattr(spec, name)
-        if a.shape != (r,):
-            out.append(f"{name}: shape {a.shape} != ({r},)")
-            continue
-        for i, x in enumerate(a.tolist()):
-            if not math.isfinite(x):
-                out.append(f"{name}[{i}]: not finite")
-            elif x < 0 and name != "delta_omega":
-                out.append(f"{name}[{i}]: negative ({x})")
-    out.extend(_validate_table(spec.phi, r, "phi"))
-    out.extend(_validate_table(spec.gamma_cross, r, "gamma_cross"))
+    for name, shape in (("delta_omega", (r,)), ("gamma", (r,)), ("omega_rabi", (r,)),
+                        ("phi", (r, r)), ("gamma_cross", (r, r))):
+        out += _array_problems(getattr(spec, name), name, shape, rates=name != "delta_omega")
     kinds_seen = set()
     for k, ch in enumerate(spec.extra_channels):
         if ch.operator_kind in kinds_seen:
             out.append(f"extra_channels[{k}]: duplicate operator_kind {ch.operator_kind.value}")
         kinds_seen.add(ch.operator_kind)
-        out.extend(_validate_table(ch.eta, r, f"extra_channels[{k}].eta"))
+        out += _array_problems(ch.eta, f"extra_channels[{k}].eta", (r, r))
     if np.ndim(spec.detuning) != 0:
         out.append(f"detuning: must be a number, got shape {np.shape(spec.detuning)}")
     elif not math.isfinite(spec.detuning):
@@ -288,19 +279,24 @@ def validate(spec: ModelSpec) -> list[str]:
     return out
 
 
-def _validate_table(t: np.ndarray, r: int, path: str) -> list[str]:
-    out = []
-    if t.shape != (r, r):
-        out.append(f"{path}: shape {t.shape} != ({r}, {r})")
-        return out
-    if not np.all(np.isfinite(t)):
-        i, j = np.argwhere(~np.isfinite(t))[0]
-        out.append(f"{path}[{i}][{j}]: not finite")
-    for i, j in np.argwhere(t < 0):
-        out.append(f"{path}[{i}][{j}]: negative ({t[i, j]})")
-    for i in np.flatnonzero(np.diag(t) != 0):
-        out.append(f"{path}[{i}][{i}]: diagonal must be zero (got {t[i, i]})")
-    return out
+def _array_problems(a: np.ndarray, path: str, shape: tuple, rates: bool = True) -> list[str]:
+    """The problems of one array of a ModelSpec: its shape, if not shape;
+    else one per entry that is not finite, per negative entry of rates and
+    per nonzero diagonal entry of a table. A valid array passes one test
+    and builds no message: finite, min >= 0 for rates (NaN fails it) and a
+    zero trace, which for nonnegative entries means a zero diagonal."""
+    if a.shape != shape:
+        return [f"{path}: shape {a.shape} != {shape}"]
+    if (a.min() >= 0 and a.max() < np.inf and (a.ndim == 1 or a.trace() == 0)
+            if rates else np.isfinite(a).all()):
+        return []
+    bad = [(i, "not finite") for i in np.argwhere(~np.isfinite(a))]
+    if rates:
+        bad += [(i, f"negative ({a[tuple(i)]})") for i in np.argwhere(a < 0)]
+    if a.ndim == 2:
+        bad += [((i, i), f"diagonal must be zero (got {a[i, i]})")
+                for i in np.flatnonzero(np.diagonal(a) != 0)]
+    return [path + "".join(f"[{k}]" for k in i) + f": {what}" for i, what in bad]
 
 
 def require_valid(spec: ModelSpec) -> None:

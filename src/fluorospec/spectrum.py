@@ -44,8 +44,6 @@ def incoherent_spectrum(model: ModelSpec | Prepared, omega_grid) -> ObservableSe
     is raised only when a solve fails (a shift on it to working precision).
     """
     omega = _increasing(omega_grid)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("omega grid must be finite")
     p = prepare(model)
     seeds, w = _c1_pieces(p.spec, p.steady)
     v = BlockState(seeds).to_vector()

@@ -133,6 +133,13 @@ def test_run_steady_symmetric_two_state(tmp_path):
     assert pops == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+def test_verbose_prints_the_written_paths(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG, task="steady"))
+    out = str(tmp_path / "loud")
+    assert cli.main(["steady", "--config", str(cfg_path), "--out", out, "--verbose"]) == 0
+    assert capsys.readouterr().err.splitlines() == [out + "_steady.csv", out + ".meta.json"]
+
+
 def test_run_writes_metadata_sidecar(tmp_path):
     cfg_path = write_config(tmp_path, dict(FIG2A_CONFIG,
                                            output=str(tmp_path / "meta")))

@@ -410,10 +410,13 @@ def test_detuning_sweep_validates_only_a_replaced_spec(model, observable, fig5,
     assert runs[0] == runs[1] == runs[2]
 
 
-@pytest.mark.parametrize("deltas", [[3.0, 2.0, 1.0], [1.0, 1.0]],
-                         ids=["decreasing", "repeated"])
-def test_detuning_sweep_rejects_grid_before_any_point(deltas):
+@pytest.mark.parametrize("deltas", [[3.0, 2.0, 1.0], [1.0, 1.0], [-2.0, -1.0, 0.0, np.inf]],
+                         ids=["decreasing", "repeated", "non_finite"])
+def test_detuning_sweep_rejects_grid_before_any_point(deltas, monkeypatch):
+    """A grid that is not finite and strictly increasing is refused before
+    the model is prepared, so no point is evaluated."""
     calls = []
+    monkeypatch.setattr(counting, "prepare", lambda *args: pytest.fail("model prepared"))
 
     def observable(model):
         calls.append(model)
@@ -422,6 +425,22 @@ def test_detuning_sweep_rejects_grid_before_any_point(deltas):
     with pytest.raises(ValueError, match="strictly increasing"):
         fs.detuning_sweep(observable, fs.single_state(1.0, 0.7), deltas)
     assert calls == []
+
+
+def test_detuning_sweep_reraises_a_chunk_whose_points_pass_alone():
+    """When a chunk raises and each of its points then passes alone, the
+    chunk's own exception is raised."""
+    sizes = []
+
+    def observable(p):
+        sizes.append(len(p.generator.matrix))
+        if sizes[-1] > 1:
+            raise RuntimeError("only stacks fail")
+        return np.zeros(1)
+
+    with pytest.raises(RuntimeError, match="only stacks fail"):
+        fs.detuning_sweep(observable, fs.single_state(1.0, 0.7), [0.0, 1.0, 2.0])
+    assert sizes == [3, 1, 1, 1]
 
 
 def test_thread_map_bounds_its_workers(monkeypatch, fig5):

@@ -30,6 +30,16 @@ def test_validate_negative_phi_entry_named():
     assert "phi[0][1]" in problems[0]
 
 
+def test_block_state_and_super_op_reject_shapes():
+    with pytest.raises(ValueError, match=r"blocks must have shape \(r_max, 2, 2\), got \(3, 2\)"):
+        fs.BlockState(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="vector length 6 is not a multiple of 4"):
+        fs.BlockState.from_vector(np.zeros(6))
+    for m in (np.zeros((4, 8)), np.zeros((6, 6)), np.zeros(4)):
+        with pytest.raises(ValueError, match="matrix must be square with dim divisible by 4"):
+            SuperOp(m)
+
+
 def test_validate_per_state_length_mismatch():
     spec = fs.single_state(1.0, 0.7)
     with pytest.raises(ValueError, match=r"delta_omega: shape \(1,\) != \(2,\)"):
@@ -62,9 +72,10 @@ def _spec_with(labels=None, delta_omega=(0.0, 0.0), gamma=(1.0, 1.0),
     ({"omega_rabi": (0.7, -0.7)}, "omega_rabi[1]: negative"),
     ({"detuning": np.nan}, "detuning: not finite"),
     ({"phi": [[0.0, np.nan], [0.1, 0.0]]}, "phi[0][1]: not finite"),
+    ({"phi": [[0.0, np.nan], [np.inf, 0.0]]}, "phi[0][1]: not finite\n  phi[1][0]: not finite"),
     ({"phi": [[0.0, 0.1], [0.1, 0.2]]}, "phi[1][1]: diagonal must be zero"),
 ], ids=["r_max_zero", "labels_length", "infinite_shift", "negative_rabi",
-        "nan_detuning", "nan_phi", "phi_diagonal"])
+        "nan_detuning", "nan_phi", "nan_and_inf_phi", "phi_diagonal"])
 def test_invalid_spec_names_its_problem(kwargs, problem):
     with pytest.raises(ValueError, match="invalid model spec") as err:
         _spec_with(**kwargs)

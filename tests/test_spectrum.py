@@ -1,10 +1,12 @@
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
 
 import fluorospec as fs
-from fluorospec import steady
+from fluorospec import cli, steady
 from fluorospec.correl import _c1_pieces
 from fluorospec.model import trace_functional
 from fluorospec.steady import _EPS as EPS
@@ -333,6 +335,48 @@ def test_krylov_matches_lu_on_diffusion_chain():
     assert resolve_krylov(p.generator, -1j * grid, v_dec)[1].all()
     vals = fs.incoherent_spectrum(p, grid).values
     assert np.abs(vals - _lu_spectrum(p, grid)).max() <= 1e-14 * np.abs(vals).max()
+
+
+def test_krylov_takes_the_whole_ci_chain_grid():
+    """The 20-site chain at hop 2 of the CI's console-script run, over its
+    48-point CLI grid from -5 to 5 (24 distinct |omega|), is accepted whole
+    by the Krylov basis, so that run exercises the basis through the CLI."""
+    cfg = cli.parse_config(json.dumps({
+        "schema": 1, "task": "spectrum",
+        "model": {"scenario": "diffusion_chain", "params": {
+            "n_sites": 20, "phi_hop": 2.0, "gamma": 1.0,
+            "omega_profile": [0.11, 0.19, 0.32, 0.5, 0.74, 1.03, 1.34, 1.63, 1.86, 1.98,
+                              1.98, 1.86, 1.63, 1.34, 1.03, 0.74, 0.5, 0.32, 0.19, 0.11]}},
+        "grids": {"omega": {"start": -5.0, "stop": 5.0, "count": 48}}}))
+    p = fs.prepare(cfg.spec)
+    grid = cfg.grids["omega"].points
+    assert np.array_equal(grid, cli.GridSpec(-5.0, 5.0, 48).points)
+    _, v_dec = _c1_seed(p)
+    assert resolve_krylov(p.generator, -1j * grid, v_dec)[1].all()
+
+
+def test_krylov_with_singular_b0_accepts_nothing(monkeypatch):
+    """L = 0 makes B_0 exactly singular: over 100 distinct shifts the basis
+    is affordable, its inverse raises, nothing is accepted and no warning
+    is drawn."""
+    raised, inv = [], np.linalg.inv
+
+    def recorded(a):
+        try:
+            return inv(a)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, accepted = resolve_krylov(fs.SuperOp(np.zeros((4, 4))),
+                                     -1j * np.linspace(0.1, 10.0, 100),
+                                     np.array([0.0, 0.0, 1.0, 0.5]))
+    assert raised == [(4, 4)]
+    assert not accepted.any()
+    assert not x.any()
 
 
 def test_krylov_column_does_not_depend_on_the_grid():

@@ -65,8 +65,8 @@ depends on the other points of its stack. Every certificate below is made
 per point. A point that fails one is reported with the exception of its
 first failed check, goes on through the stacked arithmetic with the
 others (its overflows and NaNs silenced), and then takes the dense
-fallback on its own, in stack order; the first point whose fallback fails
-raises what it raises alone.
+fallback alone, in stack order (``Elimination.dense``); the first point
+whose fallback fails raises what it raises alone.
 
 Certificates. The solve with Z_ff, each product with Z_ff^-1 and every
 solution of the full system are checked by their normwise backward error,
@@ -85,20 +85,20 @@ elimination shows that Z_ff is nonsingular to working precision from the
 norm of Z_ff^-1, taken from the same LU (``_require_nonsingular``), and
 counts the nullity of S by the singular values of the scaled r_max x
 r_max S against a bound on the error of the computed S
-(``_chain_nullity``). Where the elimination fails (a fast block singular
-to working precision, such as a block that traps its excited population,
-a slow rate lost to cancellation, a failed backward error, or a negative
-block eigenvalue of the state), the dense nullity check of
-``_check_nullity`` (singular values of the whole 4 r_max x 4 r_max L)
-names the nullity of L, and with nullity 1 the bordered solve on the
-whole L takes over. Q_st takes that dense solve at each point where the
-elimination or its own resolve fails a check (``Elimination.solve``).
+(``_chain_nullity``). A point that the failure record of the elimination
+or of a resolve against it names (a fast block singular to working
+precision, such as one that traps its excited population, a slow rate
+lost to cancellation, a failed backward error), or for the steady state
+a negative block eigenvalue, takes the dense path: ``_check_nullity``
+(singular values of the whole 4 r_max x 4 r_max L) names the nullity of
+L, and with nullity 1 the bordered solve on the whole L takes over. Q_st's
+column takes that solve alone: the steady state named the nullity.
 
 The dense bordered solve, ``resolve_deflated``, gives the x with
 (u - L) x = rhs and Tr x = trace at each shift u of a 1-d array, on vectors
 in the coordinates of ``BlockState.to_vector``. Its callers are the
-spectrum, at u = -i omega with trace 0, and the dense fallbacks at u = 0:
-the steady state (rhs = 0, trace 1) and Q_st (``Elimination.solve``). One
+spectrum, at u = -i omega with trace 0, and the dense fallback at u = 0
+(``Elimination.dense``): the steady state (rhs = 0, trace 1) and Q_st. One
 workspace of the dtype of L, the shifts and rhs (real for the fallbacks,
 complex for the spectrum) holds -L with row 0, the aa entry of block 0,
 replaced by theta; each shift refills only its diagonal, u - L_jj, and
@@ -180,8 +180,8 @@ class Elimination:
     """The elimination onto the configurational chain of a generator, or of
     each generator of a stack (see the module docstring), against which
     every right-hand side, the steady state's included, is solved with no
-    second LU of the fast block (``resolve``, and ``solve`` with its dense
-    fallback). It holds about 25 r_max^2 floats per point (0.7 MB at
+    second LU of the fast block (``resolve``; ``solve`` adds the dense loop,
+    ``dense``). It holds about 25 r_max^2 floats per point (0.7 MB at
     r_max = 60) and lives only in the call that made it, never a Prepared.
 
     Per point, on a leading stack axis: L, Z_ff, Z_ff^-1, X = Z_ff^-1 Z_ft,
@@ -227,12 +227,21 @@ class Elimination:
             l, _off_diagonal_sums(l), np.zeros(n), y, -rhs, trace)) | failed
 
     def solve(self, rhs: np.ndarray, trace: float) -> np.ndarray:
-        """The real columns of ``resolve``, and for each point where it
-        fails, the dense bordered solve on its own, in stack order, as
-        (0 - L) y = -rhs (``resolve_deflated`` at the shift 0;
-        SingularShift when that fails too)."""
-        y, failed = self.resolve(rhs, trace)
+        """The real columns of ``resolve``, with the dense path (``dense``)
+        at each point where it fails."""
+        return self.dense(*self.resolve(rhs, trace), rhs, trace)
+
+    def dense(self, y: np.ndarray, failed: dict, rhs: np.ndarray, trace: float) -> np.ndarray:
+        """y, the columns of ``resolve``, with the column of each point of
+        ``failed`` replaced in stack order by the dense path: the point's
+        recorded NullSpaceDegenerate raises, the null vector (trace 1) takes
+        the dense check (``_check_nullity``), and ``resolve_deflated`` at
+        the shift 0 solves (0 - L) y = -rhs on the point alone."""
         for i in sorted(failed):
+            if isinstance(failed[i], NullSpaceDegenerate):
+                raise failed[i]
+            if trace:                          # Q_st's column: checked by the steady state
+                _check_nullity(self.generator[i])
             y[i] = resolve_deflated(SuperOp(self.generator[i]), [0.0], -rhs[i],
                                     trace)[0]
         return y
@@ -324,33 +333,26 @@ def steady_state(generator: SuperOp | Elimination) -> BlockState:
     Solved by elimination onto the configurational chain in real
     arithmetic (see the module docstring), so the blocks are exactly
     Hermitian; the singular values of the stochastic complement certify
-    nullity 1. Each point where the elimination is not certified goes
-    through the dense path on its own, in stack order: the dense check
-    names the nullity and the dense bordered solve takes over,
-    ``resolve_deflated`` at the shift 0 with Tr x = 1.
-    NullSpaceDegenerate when the nullity is not 1, SingularShift when a
-    solve fails its backward-error check, ValueError when a block of the
-    state has a negative eigenvalue; the first such point of the stack
-    raises.
+    nullity 1. Each point where the elimination is not certified (a
+    failure of its record, or a negative block eigenvalue) takes the dense
+    path of ``Elimination.dense`` in stack order. NullSpaceDegenerate when
+    the nullity is not 1, SingularShift when a solve fails its
+    backward-error check; the first such point of the stack raises.
+    ValueError when a block of a dense solution has a negative eigenvalue,
+    checked once after every dense solve of the stack.
     """
     e = generator if isinstance(generator, Elimination) else eliminate(generator)
-    gen = e.generator
-    y, failed = e.resolve(np.zeros((*gen.shape[:2], 1)), 1.0)
-    y[list(failed)] = np.eye(gen.shape[-1], 1)  # a trace-1 stand-in
+    zero = np.zeros((*e.generator.shape[:2], 1))
+    y, failed = e.resolve(zero, 1.0)
+    y[list(failed)] = np.eye(y.shape[1], 1)    # a trace-1 stand-in
     blocks, eigmin = _block_state(y)
-    dense = eigmin < -1e-10                    # the elimination is not certified here
-    dense[list(failed)] = True
-    for i in np.flatnonzero(dense):
-        if isinstance(failed.get(i), NullSpaceDegenerate):
-            raise failed[i]
-        _check_nullity(gen[i])                 # names the nullity of L when it is not 1
-        zero = np.zeros((gen.shape[-1], 1))
-        st, low = _block_state(resolve_deflated(SuperOp(gen[i]), [0.0], zero, 1.0))
-        if low[0] < -1e-10:
-            raise ValueError(
-                f"steady-state block eigenvalue {low[0]:.3e} < -1e-10; "
-                "model or assembly bug")
-        blocks[i] = st[0]
+    # the elimination is not certified where a block eigenvalue is negative
+    dense = dict.fromkeys(np.flatnonzero(eigmin < -1e-10)) | failed
+    if dense:
+        blocks, eigmin = _block_state(e.dense(y, dense, zero, 1.0))
+        if (low := eigmin[eigmin < -1e-10]).size:
+            raise ValueError(f"steady-state block eigenvalue {low[0]:.3e} < -1e-10; "
+                             "model or assembly bug")
     single = isinstance(generator, SuperOp) and generator.matrix.ndim == 2
     return BlockState(blocks[0] if single else blocks)
 
@@ -704,15 +706,12 @@ def eliminate(generator: SuperOp) -> Elimination:
         # scale by a power of two, exactly, so that max |S| lies in [1/2, 1)
         exp = -np.frexp(np.abs(s).max(axis=(-2, -1)))[1]
         s = np.ldexp(s, exp[:, None, None])
-        live = np.ones(n, bool)
-        live[list(failed)] = False
-        s[~live] = np.eye(r)                   # a stand-in for an S that may be NaN
-        if live.any():
-            nullity = _chain_nullity(blocks, x, s, exp, live)
-            bad = nullity != 1
-            failed = {i: NullSpaceDegenerate(f"generator nullity is {k}, expected 1 "
-                                             "(disconnected configurational space?)")
-                      for i, k in zip(np.flatnonzero(live)[bad], nullity[bad])} | failed
+        s[list(failed)] = np.eye(r)            # a stand-in for an S that may be NaN
+        if len(failed) < n:
+            nullity = _chain_nullity(blocks, x, s, exp)
+            failed = {i: NullSpaceDegenerate(f"generator nullity is {nullity[i]}, "
+                                             "expected 1 (disconnected configurational space?)")
+                      for i in np.flatnonzero(nullity != 1)} | failed
         s[:, 0] = 1.0
     return Elimination(gen, z_ff, inverse, x, z_tf, s, exp, failed)
 
@@ -736,10 +735,11 @@ def _require_nonsingular(z_ff: np.ndarray, inv: np.ndarray) -> dict:
 
 
 def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray,
-                   exp: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """For each live point of the stack, the number of singular values of
-    the scaled S = 2^exp S_computed at or below the bound on the error of
-    the computed S.
+                   exp: np.ndarray) -> np.ndarray:
+    """For every point of the stack, the number of singular values of the
+    scaled S = 2^exp S_computed at or below the bound on the error of the
+    computed S; a point that failed an earlier check has the stand-in
+    S = I, and its count is not read.
 
     S_computed is the exact stochastic complement of L with Z_ff and Z_ft
     perturbed within the certified backward error of the fast solve, plus
@@ -760,7 +760,7 @@ def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray,
     bound = abs_t[..., 0] + abs_t[..., 1:].reshape(-1, r, 3 * r) @ np.abs(x)
     bound.reshape(len(bound), -1)[:, ::r + 1] = 0.0
     tol = np.ldexp((7 * r + 7) * (_EPS * bound.sum(axis=(-2, -1)) + r * r * _TINY), exp)
-    return (np.linalg.svd(s[live], compute_uv=False) <= tol[live, None]).sum(axis=-1)
+    return (np.linalg.svd(s, compute_uv=False) <= tol[:, None]).sum(axis=-1)
 
 
 # theta_13 of Higham (2005): the largest 1-norm at which the [13/13] Pade

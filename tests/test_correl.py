@@ -128,7 +128,7 @@ def test_g2_within_cptp_bound(fig5):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: an expm result that is finite but "
+                   reason="ROADMAP item 6: an expm result that is finite but "
                           "wrong passes every check")
 def test_g2_within_cptp_bound_at_huge_rabi_frequency():
     """A Rabi frequency of 1e20 on one site of a 3-site chain: the step

@@ -95,6 +95,25 @@ def test_spectrum_positivity(markovian, fig2a, fig3a, fig5):
         assert vals.min() >= -1e-10 * vals.max()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the dense resolvent loses the narrow "
+                          "component of a slow hop to eps / (slow rate)")
+def test_spectrum_nonnegative_at_zero_on_a_slow_one_way_hop():
+    """S_inc(omega) >= 0, the spectrum of the stationary fluctuation
+    (Wiener-Khinchin). With a one-way hop of 2.2e-10, S_inc(0) reads
+    -5.77e-11 and passes every check; a 50-digit solve of the same double
+    L gives +1.45e-10."""
+    spec = fs.ModelSpec([11.659420742321373, -0.33413180298312234],
+                        [0.44787421713225223, 0.09347482627091254],
+                        [2.917604994735511, 0.3327869952719285],
+                        phi=[[0.0, 0.0], [2.1951676569358567e-10, 0.0]],
+                        detuning=10.185100425645969)
+    gamma_max = max(spec.gamma)
+    omega = np.linspace(-3.0 * gamma_max, 3.0 * gamma_max, 11)
+    assert omega[5] == 0.0
+    assert fs.incoherent_spectrum(spec, omega).values[5] >= 0.0
+
+
 def test_spectrum_symmetry_resonant(fig2a):
     x = np.linspace(0.01, 10.0, 50)
     left = fs.incoherent_spectrum(fig2a, -x[::-1]).values[::-1]

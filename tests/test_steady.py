@@ -510,14 +510,34 @@ def _two_blocks(kind, phi, eta, driven=(0.0, 1.0, 1.0), dark_shift=0.0, detuning
                         detuning=detuning)
 
 
-def test_trapped_excited_state_solved_densely(monkeypatch):
-    """Block 1 keeps its excited population forever (no decay, and the
-    lower-projector channel drains only its ground state), so the fast
-    block is singular while L has nullity 1: the dense solve takes over
-    and finds the trap, bb_1 = 1."""
-    spec = _two_blocks(fs.OperatorKind.LOWER_PROJECTOR, [[0.0, 0.0], [0.01, 0.0]],
+def _trapped():
+    """Block 1 keeps its excited population forever: no decay, and the
+    lower-projector channel drains only its ground state."""
+    return _two_blocks(fs.OperatorKind.LOWER_PROJECTOR, [[0.0, 0.0], [0.01, 0.0]],
                        [[0.0, 0.3], [0.0, 0.0]])
-    gen = fs.build_generator(spec)
+
+
+def _counted_dense(monkeypatch, change=None):
+    """The shapes of the generators of every ``resolve_deflated`` call of
+    steady.py, whose returned columns ``change`` may alter in place."""
+    shapes = []
+    bordered = fs.steady.resolve_deflated
+
+    def counted(generator, *args):
+        shapes.append(generator.matrix.shape)
+        x = bordered(generator, *args)
+        if change:
+            change(x)
+        return x
+
+    monkeypatch.setattr(fs.steady, "resolve_deflated", counted)
+    return shapes
+
+
+def test_trapped_excited_state_solved_densely(monkeypatch):
+    """The trapped spec's fast block is singular while L has nullity 1:
+    the dense solve takes over and finds the trap, bb_1 = 1."""
+    gen = fs.build_generator(_trapped())
     with pytest.raises(SingularShift, match="fast block"):
         raise _chain_failure(gen)
     seen = _recording_svd(monkeypatch)
@@ -528,6 +548,52 @@ def test_trapped_excited_state_solved_densely(monkeypatch):
     expected = np.zeros((2, 2, 2))
     expected[1, 1, 1] = 1.0
     assert np.abs(st.blocks - expected).max() <= 1e-12
+
+
+def test_trapped_mandel_checks_the_nullity_once(monkeypatch):
+    """Q_st's column takes the dense path where the elimination failed, at
+    the same point as the steady state, but only the steady state's dense
+    check names the nullity: one dense SVD, two dense solves. Q_st, about
+    200, agrees with the Laurent decomposition's."""
+    spec = _trapped()
+    p = fs.prepare(spec)
+    laurent = fs.laurent_decomposition(p)
+    rho = laurent.steady.to_vector().real
+    tj = trace_functional(2) @ p.jump
+    expected = 2.0 * tj @ laurent.reduced_resolvent.matrix @ p.jump @ rho / (tj @ rho)
+    seen = _recording_svd(monkeypatch)
+    shapes = _counted_dense(monkeypatch)
+    q_st = fs.stationary_mandel(spec)
+    assert [m.shape for m in seen] == [(8, 8)]
+    assert shapes == [(8, 8)] * 2
+    assert q_st == pytest.approx(expected, rel=1e-12)
+
+
+def test_negative_block_eigenvalue_of_the_dense_solve_raises(monkeypatch):
+    """A dense steady solve whose state has a negative block eigenvalue is
+    a model or assembly bug, not a state: Re ba of block 0 shifted by 1
+    in the trapped spec's dense column gives the eigenvalue -1."""
+    def off(x):
+        x[:, 2] += 1.0           # Re ba of block 0, whose populations are 0
+
+    _counted_dense(monkeypatch, off)
+    with pytest.raises(ValueError, match=r"^steady-state block eigenvalue -1\.000e\+00 "
+                                         r"< -1e-10; model or assembly bug$"):
+        fs.steady_state(fs.build_generator(_trapped()))
+
+
+@pytest.mark.xfail(strict=True, raises=SingularShift,
+                   reason="ROADMAP item 1: the bordered check counts the rounding of "
+                          "the right-hand side's trace against the solve")
+@pytest.mark.parametrize("observable", [
+    lambda spec: fs.incoherent_spectrum(spec, np.linspace(-3.0, 3.0, 11)).values,
+    fs.stationary_mandel], ids=["spectrum", "stationary_mandel"])
+def test_weakly_driven_single_emitter_is_solved(observable):
+    """A single emitter driven at a Rabi frequency 1e-4 of its decay rate,
+    the paper's plainest case, is refused by the bordered check. Only
+    finiteness is asserted: the accuracy of the closed forms at this drive
+    is not known yet."""
+    assert np.isfinite(observable(fs.single_state(gamma=1.0, omega_rabi=1e-4))).all()
 
 
 def test_cancelling_slow_rates_solved_densely():

@@ -19,7 +19,9 @@ Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred. The kernels are numpy's: ``numpy.linalg.solve`` (LAPACK
 gesv, one LU) and ``numpy.linalg.svd`` (gesdd, singular values only).
 The matrix exponential of every propagation, ``expm``, is built on them
-too, and takes a leading stack axis like the elimination kernels.
+too, and takes a leading stack axis like the elimination kernels; its
+squaring count (``_squarings``) also sets the bound of the stepping's
+trace check in ``correl``.
 
 Elimination. On the generator L, real in the coordinates (aa, bb, Re ba,
 Im ba) per block (see ``model``), one more exact per-block change of
@@ -122,9 +124,11 @@ u = 0, inverted once (``numpy.linalg.inv``). On a trace-free z, A z is
 B_0^-1 of z with z_0 replaced by 0: theta A z = 0, rows 1.. of -L A z are
 z's, and row 0 follows from theta L = 0, so -L A = I there. The bordering
 regularizes the steady pole u = 0, so the shift needs no tuning. Arnoldi
-(classical Gram-Schmidt, twice) gives A V_m = V_m H_m + h_{m+1,m} v_{m+1}
-e_m^T with v_1 = v / beta (van den Eshof & Hochbruck, SIAM J. Sci. Comput.
-27, 1438 (2006); Guettel, GAMM-Mitt. 36, 8 (2013)). For each u, y solves
+(``_arnoldi_step``: one product of the real A with the real view of v_k,
+then classical Gram-Schmidt, twice; the tau basis of ``correl`` takes the
+same step) gives A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T with v_1 = v /
+beta (van den Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006);
+Guettel, GAMM-Mitt. 36, 8 (2013)). For each u, y solves
 (I + u H_m) y = beta e_1 and x = V_m H_m y; in exact arithmetic its
 residual is (u - L) x - v = h_{m+1,m} y_m L v_{m+1}, whose 1-norm costs
 O(1) per shift once L v_{m+1} is made. H_m is Hessenberg, so y_m = beta /
@@ -463,14 +467,8 @@ def resolve_krylov(generator: SuperOp, shifts,
         neg_inv = -1.0 / u
         for k in range(dim - 1):
             m = k + 1
-            np.matmul(a, real[k, 1:], out=w_real)  # w = A v_k
-            col = conj[:m] @ w                     # classical Gram-Schmidt, twice
-            w -= col @ basis[:m]
-            c = conj[:m] @ w
-            w -= c @ basis[:m]
-            col += c
+            col, h = _arnoldi_step(a, real[k, 1:], basis[:m], conj[:m], w_real)
             hess[:m, k] = col
-            h = np.sqrt(np.vdot(w, w).real)
             # an invariant subspace: all of the trace-free space, or w lost
             # to rounding against |A v_k|^2 = |col|^2 + h^2
             exact = m == dim - 1 or h * h <= tol * tol * np.vdot(col, col).real
@@ -510,6 +508,24 @@ def resolve_krylov(generator: SuperOp, shifts,
             spent += _krylov_cost(dim, up.size, m, m_next)
             last = ratio
     return x, accepted
+
+
+def _arnoldi_step(a: np.ndarray, v: np.ndarray, basis: np.ndarray, conj: np.ndarray,
+                  w_real: np.ndarray) -> tuple[np.ndarray, float]:
+    """One Arnoldi step of a complex basis under a real A: w = A v, with v
+    the real view (rows, 2) of the last basis vector, so that one product
+    takes its real and imaginary parts at once, written to w_real (dim, 2),
+    the real view of w, and orthogonalized in place against the basis
+    (m, dim), conj its conjugate, by classical Gram-Schmidt, twice. Returns
+    the Hessenberg column h_{1..m} and |w|_2."""
+    np.matmul(a, v, out=w_real)
+    w = w_real.view(complex).ravel()
+    col = conj @ w
+    w -= col @ basis
+    c = conj @ w
+    w -= c @ basis
+    col += c
+    return col, np.sqrt(np.vdot(w, w).real)
 
 
 def _krylov_accept(l, abs_off, basis, hess, beta, rhs, u,
@@ -791,8 +807,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     stack = a.reshape(-1, *a.shape[-2:])
     diag = (slice(None), *np.diag_indices(a.shape[-1]))
     with np.errstate(all="ignore"):
-        mant, exp = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA_13)
-        s = np.maximum(0, exp - (mant == 0.5))     # ceil(log2), exactly
+        s = _squarings(np.abs(stack).sum(axis=-2).max(axis=-1))
         # one workspace for every intermediate, each sum of terms made in
         # place: a fresh array per intermediate costs more than its work
         work = np.empty((7, *stack.shape), np.result_type(stack, 1.0))
@@ -817,6 +832,14 @@ def expm(a: np.ndarray) -> np.ndarray:
                 r[live] = r[live] @ r[live]
     # a copy, not a view that would keep the whole workspace alive
     return (r.copy() if r.base is work else r).reshape(a.shape)
+
+
+def _squarings(norm) -> np.ndarray:
+    """The squaring count s = max(0, ceil(log2(|A|_1 / theta_13))) that
+    ``expm`` takes for a matrix of 1-norm ``norm`` (an array of them),
+    exactly."""
+    mant, exp = np.frexp(np.asarray(norm) / _THETA_13)
+    return np.maximum(0, exp - (mant == 0.5))
 
 
 def _add_terms(out: np.ndarray, scratch: np.ndarray, *terms) -> np.ndarray:

@@ -6,6 +6,7 @@ from fluorospec import correl
 from fluorospec.model import IDENTITY2, SIGMA, SIGMA_DAG
 
 import markovian_oracle
+import propagation_oracle
 from conftest import random_spec
 
 
@@ -127,14 +128,11 @@ def test_g2_within_cptp_bound(fig5):
                           np.linspace(0.0, 20.0, 21))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 6: an expm result that is finite but "
-                          "wrong passes every check")
 def test_g2_within_cptp_bound_at_huge_rabi_frequency():
     """A Rabi frequency of 1e20 on one site of a 3-site chain: the step
     propagator e^{(4/3) L} comes out with 1-norm 9.8e126 where the exact
-    one is a contraction, and g2 reads 7.7e126 and 7.5e253 against the
-    bound 3.08, with no error."""
+    one is a contraction, and g2 would read 7.7e126 and 7.5e253 against the
+    bound 3.08; the trace check of the step propagator raises instead."""
     _g2_within_cptp_bound(fs.diffusion_chain(3, [1e20, 1.0, 0.5], 0.5, 1.0),
                           [0.0, 4.0 / 3.0, 8.0 / 3.0])
 
@@ -194,11 +192,156 @@ def test_conjugate_symmetry_under_detuning():
                          ids=["first_step_equal", "three_distinct_steps"])
 def test_propagation_one_expm_per_distinct_step(tau, n_expm, fig2a, monkeypatch):
     """A step propagator is reused while the next step equals its step,
-    the first step included, and C1 still equals one expm per point."""
+    the first step included, and C1 still equals one expm per point.
+    fig2a's generator is 8 x 8, far below the size at which the tau basis
+    pays, so the basis is not tried and every expm is one 8 x 8 step."""
     want = [fs.c1(fig2a, [t]).values[0] for t in tau]
     calls = []
     expm = correl.expm
     monkeypatch.setattr(correl, "expm", lambda a: calls.append(a) or expm(a))
     got = fs.c1(fig2a, tau).values
     assert len(calls) == n_expm
+    assert all(a.shape == (8, 8) for a in calls)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def _c1_seed(p):
+    """The C1 seed vector and readout of a Prepared."""
+    seeds, w = correl._c1_pieces(p.spec, p.steady)
+    return fs.BlockState(seeds).to_vector(), w
+
+
+_UNIFORM = np.linspace(0.0, 8.0, 12)
+_LOG = np.concatenate([[0.0], np.logspace(-2.0, 2.0, 25)])
+
+
+@pytest.mark.parametrize("tau", [_UNIFORM, _LOG], ids=["uniform", "log"])
+def test_tau_basis_matches_the_expm_oracle(tau):
+    """C1, C2 and g2 of a random r_max = 40 model (dim 160), taken wholly
+    from the tau basis on a uniform and on a log grid, equal w . e^{tL} v
+    by scipy's expm point by point to 1e-12 of their largest value."""
+    p = fs.prepare(random_spec(np.random.default_rng(40), 40))
+    v1, w1 = _c1_seed(p)
+    v2 = p.jump @ p.steady.to_vector()
+    w2 = fs.model.trace_functional(p.spec.r_max) @ p.jump
+    for v in (v1, v2):
+        assert correl._krylov_on_grid(p.generator, v, tau)[1].all()
+    i_st = fs.stationary_intensity(p)
+    for got, v, w, scale in ((fs.c1(p, tau).values, v1, w1, 1.0),
+                             (fs.c2(p, tau).values, v2, w2, 1.0),
+                             (fs.g2(p, tau).values, v2, w2, i_st ** 2)):
+        want = np.array([w @ propagation_oracle.evolve(
+            p.generator, fs.BlockState.from_vector(v), t).to_vector() for t in tau]) / scale
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_tau_basis_takes_the_whole_spectral_grid(monkeypatch):
+    """A random r_max = 60 model (dim 240) over 12 uniform tau in [0, 8],
+    the grid of the benchmark's spectral workload: C1, C2 and g2 are taken
+    wholly from the basis, with no expm of the generator itself."""
+    p = fs.prepare(random_spec(np.random.default_rng(1), 60))
+    expm = correl.expm
+
+    def small_only(a):
+        assert a.shape[-1] < p.generator.dim, "an expm of the generator"
+        return expm(a)
+
+    monkeypatch.setattr(correl, "expm", small_only)
+    for observable in (fs.c1, fs.c2, fs.g2):
+        assert np.isfinite(observable(p, _UNIFORM).values).all()
+
+
+def test_a_point_failing_its_check_takes_the_stepping_bit_for_bit(monkeypatch):
+    """A point whose checks are made to fail takes expm stepping and equals
+    the stepping of the whole grid bit for bit; every other point keeps
+    its column from the basis."""
+    p = fs.prepare(random_spec(np.random.default_rng(40), 40))
+    v, _ = _c1_seed(p)
+    stepping = correl._expm_on_grid(p.generator, v, _UNIFORM)
+    basis, accepted = correl._krylov_on_grid(p.generator, v, _UNIFORM)
+    assert accepted.all()
+    accept = correl._tau_accept
+
+    def fail_fifth(*args):
+        ok, xs, failed = accept(*args)
+        ok[5] = False
+        return ok, xs, failed
+
+    monkeypatch.setattr(correl, "_tau_accept", fail_fifth)
+    got = correl.propagate_on_grid(p.generator, v, _UNIFORM)
+    assert np.array_equal(got[5], stepping[5])
+    rest = np.arange(_UNIFORM.size) != 5
+    assert np.array_equal(got[rest], basis[rest])
+
+
+def test_truncation_bound_refuses_a_short_basis():
+    """At m = 8 the basis of the random r_max = 40 model is far from
+    converged (its truncation bound at t = 8 is about 4e-5 |v|_1): with the
+    screen of ``_krylov_on_grid`` passed by, the truncation bound of
+    ``_tau_accept`` refuses every point t > 0, though the relation holds."""
+    p = fs.prepare(random_spec(np.random.default_rng(40), 40))
+    v, _ = _c1_seed(p)
+    l, dim, m, gamma = p.generator.matrix, p.generator.dim, 8, _UNIFORM[-1] / 10.0
+    b = np.eye(dim) - gamma * l
+    a = np.linalg.inv(b)
+    beta = np.linalg.norm(v)
+    basis, hess = np.zeros((m + 1, dim), complex), np.zeros((m + 1, m), complex)
+    basis[0] = v / beta
+    w_real = np.empty((dim, 2))
+    for k in range(m):
+        hess[:k + 1, k], hess[k + 1, k] = correl._arnoldi_step(
+            a, basis[k:k + 1].view(float).reshape(dim, 2), basis[:k + 1],
+            basis[:k + 1].conj(), w_real)
+        basis[k + 1] = w_real.view(complex).ravel() / hess[k + 1, k]
+    h_inv = np.linalg.inv(hess[:m])
+    c = (correl._CONTRACTION * beta * hess[m, m - 1].real / gamma
+         * np.abs(b @ basis[m]).sum())
+    tol_v = dim * np.finfo(float).eps * np.abs(v).sum()
+    steps, new = correl._steps(_UNIFORM)
+    ok, _, failed = correl._tau_accept(b, basis, hess, h_inv, c, beta, v,
+                                       fs.model.trace_functional(p.spec.r_max), _UNIFORM,
+                                       steps, new, gamma, tol_v)
+    assert not failed and ok[0] and not ok[1:].any()
+
+
+def test_tau_basis_refuses_a_wrong_hessenberg_column(monkeypatch):
+    """Each Hessenberg column of the basis off by 1e-8 relative: the
+    relation check fails and nothing is accepted."""
+    p = fs.prepare(random_spec(np.random.default_rng(40), 40))
+    v, _ = _c1_seed(p)
+    step = correl._arnoldi_step
+
+    def off(*args):
+        col, h = step(*args)
+        return col * (1.0 + 1e-8), h
+
+    monkeypatch.setattr(correl, "_arnoldi_step", off)
+    assert not correl._krylov_on_grid(p.generator, v, _UNIFORM)[1].any()
+
+
+def test_tau_basis_refuses_a_wrong_projected_propagator(monkeypatch):
+    """The basis's m x m half-step propagators scaled by 1 + 1e-9, a finite
+    error that neither the relation nor the truncation bound sees: the
+    trace check refuses every point t > 0."""
+    p = fs.prepare(random_spec(np.random.default_rng(40), 40))
+    v, _ = _c1_seed(p)
+    expm = correl.expm
+    monkeypatch.setattr(correl, "expm",
+                        lambda a: expm(a) * (1.0 + 1e-9) if a.ndim == 3 else expm(a))
+    accepted = correl._krylov_on_grid(p.generator, v, _UNIFORM)[1]
+    assert accepted[0] and not accepted[1:].any()
+
+
+def test_tau_basis_never_accepts_the_huge_rabi_chain(monkeypatch):
+    """The 3-site chain with a Rabi frequency of 1e20 on one site, with
+    the basis made affordable at any cost: no point t > 0 of C2's seed
+    passes its checks, on the grid of the huge-Rabi g2 test or a longer
+    one, and the stepping's trace check raises."""
+    spec = fs.diffusion_chain(3, [1e20, 1.0, 0.5], 0.5, 1.0)
+    p = fs.prepare(spec)
+    v = p.jump @ p.steady.to_vector()
+    monkeypatch.setattr(correl, "_expm_cost", lambda dim, s: np.full(np.shape(s), np.inf))
+    for tau in ([0.0, 4.0 / 3.0, 8.0 / 3.0], np.linspace(0.0, 4.0, 4), _LOG):
+        assert not correl._krylov_on_grid(p.generator, v, np.asarray(tau))[1][1:].any()
+    with pytest.raises(FloatingPointError, match="t = 1.3333333333333333 fails the trace check"):
+        fs.g2(p, [0.0, 4.0 / 3.0, 8.0 / 3.0])

@@ -193,8 +193,9 @@ def test_conjugate_symmetry_under_detuning():
 def test_propagation_one_expm_per_distinct_step(tau, n_expm, fig2a, monkeypatch):
     """A step propagator is reused while the next step equals its step,
     the first step included, and C1 still equals one expm per point.
-    fig2a's generator is 8 x 8, far below the size at which the tau basis
-    pays, so the basis is not tried and every expm is one 8 x 8 step."""
+    The tau basis is not tried: fig2a's generator is 8 x 8, no larger
+    than the basis's first checkpoint, and C1's seed is complex. So every
+    expm is one 8 x 8 step."""
     want = [fs.c1(fig2a, [t]).values[0] for t in tau]
     calls = []
     expm = correl.expm
@@ -205,10 +206,12 @@ def test_propagation_one_expm_per_distinct_step(tau, n_expm, fig2a, monkeypatch)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
-def _c1_seed(p):
-    """The C1 seed vector and readout of a Prepared."""
-    seeds, w = correl._c1_pieces(p.spec, p.steady)
-    return fs.BlockState(seeds).to_vector(), w
+def _seeds(p):
+    """The C1 seed and readout (complex) and the C2 seed and readout (real)
+    of a Prepared, as vectors."""
+    seeds, w1 = correl._c1_pieces(p.spec, p.steady)
+    w2 = fs.model.trace_functional(p.spec.r_max) @ p.jump
+    return fs.BlockState(seeds).to_vector(), w1, p.jump @ p.steady.to_vector(), w2
 
 
 _UNIFORM = np.linspace(0.0, 8.0, 12)
@@ -217,15 +220,14 @@ _LOG = np.concatenate([[0.0], np.logspace(-2.0, 2.0, 25)])
 
 @pytest.mark.parametrize("tau", [_UNIFORM, _LOG], ids=["uniform", "log"])
 def test_tau_basis_matches_the_expm_oracle(tau):
-    """C1, C2 and g2 of a random r_max = 40 model (dim 160), taken wholly
-    from the tau basis on a uniform and on a log grid, equal w . e^{tL} v
-    by scipy's expm point by point to 1e-12 of their largest value."""
+    """C2 and g2 of a random r_max = 40 model (dim 160), taken wholly from
+    the tau basis on a uniform and on a log grid, and C1, whose complex
+    seed the basis leaves to the stepping, equal w . e^{tL} v by scipy's
+    expm point by point to 1e-12 of their largest value."""
     p = fs.prepare(random_spec(np.random.default_rng(40), 40))
-    v1, w1 = _c1_seed(p)
-    v2 = p.jump @ p.steady.to_vector()
-    w2 = fs.model.trace_functional(p.spec.r_max) @ p.jump
-    for v in (v1, v2):
-        assert correl._krylov_on_grid(p.generator, v, tau)[1].all()
+    v1, w1, v2, w2 = _seeds(p)
+    assert not correl._krylov_on_grid(p.generator, v1, tau)[1].any()
+    assert correl._krylov_on_grid(p.generator, v2, tau)[1].all()
     i_st = fs.stationary_intensity(p)
     for got, v, w, scale in ((fs.c1(p, tau).values, v1, w1, 1.0),
                              (fs.c2(p, tau).values, v2, w2, 1.0),
@@ -237,7 +239,7 @@ def test_tau_basis_matches_the_expm_oracle(tau):
 
 def test_tau_basis_takes_the_whole_spectral_grid(monkeypatch):
     """A random r_max = 60 model (dim 240) over 12 uniform tau in [0, 8],
-    the grid of the benchmark's spectral workload: C1, C2 and g2 are taken
+    the grid of the benchmark's spectral workload: C2 and g2 are taken
     wholly from the basis, with no expm of the generator itself."""
     p = fs.prepare(random_spec(np.random.default_rng(1), 60))
     expm = correl.expm
@@ -247,7 +249,7 @@ def test_tau_basis_takes_the_whole_spectral_grid(monkeypatch):
         return expm(a)
 
     monkeypatch.setattr(correl, "expm", small_only)
-    for observable in (fs.c1, fs.c2, fs.g2):
+    for observable in (fs.c2, fs.g2):
         assert np.isfinite(observable(p, _UNIFORM).values).all()
 
 
@@ -256,7 +258,7 @@ def test_a_point_failing_its_check_takes_the_stepping_bit_for_bit(monkeypatch):
     the stepping of the whole grid bit for bit; every other point keeps
     its column from the basis."""
     p = fs.prepare(random_spec(np.random.default_rng(40), 40))
-    v, _ = _c1_seed(p)
+    v = _seeds(p)[2]
     stepping = correl._expm_on_grid(p.generator, v, _UNIFORM)
     basis, accepted = correl._krylov_on_grid(p.generator, v, _UNIFORM)
     assert accepted.all()
@@ -274,41 +276,72 @@ def test_a_point_failing_its_check_takes_the_stepping_bit_for_bit(monkeypatch):
     assert np.array_equal(got[rest], basis[rest])
 
 
-def test_truncation_bound_refuses_a_short_basis():
-    """At m = 8 the basis of the random r_max = 40 model is far from
-    converged (its truncation bound at t = 8 is about 4e-5 |v|_1): with the
-    screen of ``_krylov_on_grid`` passed by, the truncation bound of
-    ``_tau_accept`` refuses every point t > 0, though the relation holds."""
-    p = fs.prepare(random_spec(np.random.default_rng(40), 40))
-    v, _ = _c1_seed(p)
-    l, dim, m, gamma = p.generator.matrix, p.generator.dim, 8, _UNIFORM[-1] / 10.0
-    b = np.eye(dim) - gamma * l
+def _real_basis(p, v, m, gamma):
+    """I - gamma L, the first m + 1 Arnoldi vectors of (I - gamma L)^-1 from
+    a real v, and H_m underlined, real, as ``_krylov_on_grid`` makes them."""
+    dim = p.generator.dim
+    b = np.eye(dim) - gamma * p.generator.matrix
     a = np.linalg.inv(b)
-    beta = np.linalg.norm(v)
     basis, hess = np.zeros((m + 1, dim), complex), np.zeros((m + 1, m), complex)
-    basis[0] = v / beta
+    basis[0] = v / np.linalg.norm(v)
     w_real = np.empty((dim, 2))
     for k in range(m):
         hess[:k + 1, k], hess[k + 1, k] = correl._arnoldi_step(
             a, basis[k:k + 1].view(float).reshape(dim, 2), basis[:k + 1],
             basis[:k + 1].conj(), w_real)
         basis[k + 1] = w_real.view(complex).ravel() / hess[k + 1, k]
-    h_inv = np.linalg.inv(hess[:m])
-    c = (correl._CONTRACTION * beta * hess[m, m - 1].real / gamma
-         * np.abs(b @ basis[m]).sum())
-    tol_v = dim * np.finfo(float).eps * np.abs(v).sum()
+    return b, basis.real, hess.real
+
+
+def test_truncation_estimate_refuses_a_short_basis():
+    """At m = 8 the basis of the random r_max = 40 model is far from
+    converged: with the screen of ``_krylov_on_grid`` passed by, the
+    truncation estimate of ``_tau_accept`` refuses every point t > 0,
+    though the relation holds."""
+    p = fs.prepare(random_spec(np.random.default_rng(40), 40))
+    v = _seeds(p)[2].real
+    m, gamma = 8, _UNIFORM[-1] / 10.0
+    b, basis, hess = _real_basis(p, v, m, gamma)
+    theta = fs.model.trace_functional(p.spec.r_max)
+    beta = np.linalg.norm(v)
+    l = p.generator.matrix
+    c = correl._residual_constant(l, basis, theta, hess[m, m - 1], gamma, beta)
+    tol_v = p.generator.dim * np.finfo(float).eps * np.abs(v).sum()
     steps, new = correl._steps(_UNIFORM)
-    ok, _, failed = correl._tau_accept(b, basis, hess, h_inv, c, beta, v,
-                                       fs.model.trace_functional(p.spec.r_max), _UNIFORM,
+    ok, _, failed = correl._tau_accept(l, np.abs(b).sum(axis=0).max(), basis, hess,
+                                       np.linalg.inv(hess[:m]), c, beta, v, theta, _UNIFORM,
                                        steps, new, gamma, tol_v)
     assert not failed and ok[0] and not ok[1:].any()
+
+
+def test_truncation_estimate_covers_a_fine_quadrature():
+    """The premise of the truncation estimate, which samples |phi| at both
+    ends and the midpoint of each step: on a random r_max = 60 model (dim
+    240) over 12 uniform tau in [0, 8], the grid of the benchmark's spectral
+    workload, at m = 24, where the basis takes that grid, the estimate of
+    int_0^t |phi| exceeds a trapezoid quadrature of 400 samples per step at
+    every point t > 0."""
+    p = fs.prepare(random_spec(np.random.default_rng(1), 60))
+    v = _seeds(p)[2].real
+    m, gamma = 24, _UNIFORM[-1] / 10.0
+    _, basis, hess = _real_basis(p, v, m, gamma)
+    h_inv = np.linalg.inv(hess[:m])
+    theta = fs.model.trace_functional(p.spec.r_max)
+    _, estimate = correl._projected_propagation(basis, hess, h_inv, theta, gamma,
+                                                *correl._steps(_UNIFORM))
+    fine = np.linspace(0.0, 8.0, 11 * 400 + 1)
+    psis, _ = correl._projected_propagation(basis, hess, h_inv, theta, gamma,
+                                            *correl._steps(fine))
+    phi = np.abs(psis[:, 1] @ h_inv[-1])
+    quadrature = np.cumsum(np.append(0.0, (phi[1:] + phi[:-1]) / 2 * np.diff(fine)))[::400]
+    assert (estimate[1:] >= quadrature[1:]).all()
 
 
 def test_tau_basis_refuses_a_wrong_hessenberg_column(monkeypatch):
     """Each Hessenberg column of the basis off by 1e-8 relative: the
     relation check fails and nothing is accepted."""
     p = fs.prepare(random_spec(np.random.default_rng(40), 40))
-    v, _ = _c1_seed(p)
+    v = _seeds(p)[2]
     step = correl._arnoldi_step
 
     def off(*args):
@@ -320,27 +353,53 @@ def test_tau_basis_refuses_a_wrong_hessenberg_column(monkeypatch):
 
 
 def test_tau_basis_refuses_a_wrong_projected_propagator(monkeypatch):
-    """The basis's m x m half-step propagators scaled by 1 + 1e-9, a finite
-    error that neither the relation nor the truncation bound sees: the
-    trace check refuses every point t > 0."""
+    """The basis's m x m step propagators off by 1e-9 in each entry of their
+    first row: they no longer conserve the trace on the decaying part of
+    psi, an error that neither the relation nor the truncation estimate
+    sees (phi weighs that row by |phi(0)|, 1e-15 here). The trace check
+    refuses the first points t > 0, where that part is large, and every
+    point it passes agrees with the stepping within its tolerance."""
     p = fs.prepare(random_spec(np.random.default_rng(40), 40))
-    v, _ = _c1_seed(p)
+    v = _seeds(p)[2]
+    stepping = correl._expm_on_grid(p.generator, v, _UNIFORM)
     expm = correl.expm
-    monkeypatch.setattr(correl, "expm",
-                        lambda a: expm(a) * (1.0 + 1e-9) if a.ndim == 3 else expm(a))
-    accepted = correl._krylov_on_grid(p.generator, v, _UNIFORM)[1]
-    assert accepted[0] and not accepted[1:].any()
+
+    def off(a):
+        if a.ndim < 3:
+            return expm(a)
+        return expm(a) + 1e-9 * np.eye(a.shape[-1], 1)
+
+    monkeypatch.setattr(correl, "expm", off)
+    got, accepted = correl._krylov_on_grid(p.generator, v, _UNIFORM)
+    assert accepted[0] and not accepted[1:3].any()
+    tol = correl._BACKWARD_ERROR_FACTOR * p.generator.dim * np.finfo(float).eps
+    assert np.abs(got - stepping)[accepted].max() <= tol * np.abs(stepping).max()
+
+
+def test_tau_basis_conserves_the_trace_on_a_long_log_grid():
+    """g2 of the 20-site chain over 40 log tau in [0.01, 1000], taken wholly
+    from the basis: the trace-conserving projection keeps its tail within
+    1e-14 of 1, as L conserves the trace exactly (a plain T_m, whose
+    slow mode each m x m exponential rounds, left it 2.8e-13 off)."""
+    spec = fs.diffusion_chain(20, [0.11, 0.19, 0.32, 0.5, 0.74, 1.03, 1.34, 1.63, 1.86, 1.98,
+                                   1.98, 1.86, 1.63, 1.34, 1.03, 0.74, 0.5, 0.32, 0.19, 0.11],
+                              2.0, 1.0)
+    p = fs.prepare(spec)
+    tau = np.logspace(-2.0, 3.0, 40)
+    assert correl._krylov_on_grid(p.generator, _seeds(p)[2], tau)[1].all()
+    assert np.abs(fs.g2(p, tau).values[-5:] - 1.0).max() <= 1e-14
 
 
 def test_tau_basis_never_accepts_the_huge_rabi_chain(monkeypatch):
     """The 3-site chain with a Rabi frequency of 1e20 on one site, with
-    the basis made affordable at any cost: no point t > 0 of C2's seed
-    passes its checks, on the grid of the huge-Rabi g2 test or a longer
-    one, and the stepping's trace check raises."""
+    the basis given the largest size below dim at any cost: no point t > 0
+    of C2's seed passes its checks, on the grid of the huge-Rabi g2 test
+    or a longer one, and the stepping's trace check raises."""
     spec = fs.diffusion_chain(3, [1e20, 1.0, 0.5], 0.5, 1.0)
     p = fs.prepare(spec)
     v = p.jump @ p.steady.to_vector()
-    monkeypatch.setattr(correl, "_expm_cost", lambda dim, s: np.full(np.shape(s), np.inf))
+    step = correl._KRYLOV_STEP
+    monkeypatch.setattr(correl, "_tau_basis_size", lambda dim, n, s: (dim - 1) // step * step)
     for tau in ([0.0, 4.0 / 3.0, 8.0 / 3.0], np.linspace(0.0, 4.0, 4), _LOG):
         assert not correl._krylov_on_grid(p.generator, v, np.asarray(tau))[1][1:].any()
     with pytest.raises(FloatingPointError, match="t = 1.3333333333333333 fails the trace check"):

@@ -19,11 +19,12 @@ resolvent, applied to one vector: R0 J rho_inf is the trace-free solution
 of L x = (P - Id) J rho_inf, one real column solved against the
 elimination onto the configurational chain (``steady.eliminate``) that
 rho_inf is solved against too, by the same ``Elimination.resolve``: one
-product with its Z_ff^-1, no second LU of the fast block, then the
-r_max x r_max stochastic complement S with sum x_t = 0, so that slow
-configurational hops enter Q_st only through S, as they enter the
-steady state; the product and the result on the full
-system are certified by their backward errors. ``detuning_sweep``
+solve with Z_ff for its fast part, then the r_max x r_max stochastic
+complement S with sum x_t = 0, so that slow configurational hops enter
+Q_st only through S, as they enter the steady state; that solve and the
+result on the full system are certified by their backward errors, the
+latter with the formation error of the right-hand side as its data
+term. ``detuning_sweep``
 evaluates Q_st or the line shape over a grid of laser detunings: it
 prepares the model once, at detuning 0 (the spec is replaced only when
 its detuning is not +0.0), and cuts the grid into contiguous chunks, at
@@ -353,10 +354,16 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     solution of L x = (P - Id) J rho_inf = I_st rho_inf - J rho_inf: one
     real column. Both rho_inf (``steady_state`` of the record) and this
     column are solved against one elimination onto the configurational
-    chain (``steady.eliminate``) by ``Elimination.resolve``, each with one
-    product with its Z_ff^-1 and one r_max x r_max LU, and at each point
-    where a check fails, the dense bordered solve at the shift 0
-    (``Elimination.solve``; SingularShift if its backward error fails).
+    chain (``steady.eliminate``), whose fast LU solves for X alone, by
+    ``Elimination.resolve``: rho_inf with one r_max x r_max LU, the column
+    with one more LU of the fast block, for its c_f, and one r_max x r_max
+    LU; at each point where a check fails, the dense bordered solve at the
+    shift 0 (``Elimination.solve``; SingularShift if its backward error
+    fails). The bordered check of the column takes f = I_st |rho_inf| +
+    |J rho_inf|, which bounds the rounding of its right-hand side, as its
+    data term (see ``steady``): where the drive is weak the two terms
+    cancel, and their rounding alone, a trace that is not 0, failed the
+    check with |rhs|_1.
     The record is let go on return, and a Prepared's solved steady state
     is not read. The limit does not depend on the initial state x0 of
     trace 1: the asymptotes 2(a + b t) of the mean count and
@@ -376,6 +383,10 @@ def stationary_mandel(model: ModelSpec | Prepared) -> float:
     if (i_st <= 1e-300).any():
         raise ZeroCounts("stationary intensity is zero; Mandel factor undefined")
     j_rho = p.jump @ rho_inf
-    x = e.solve(rho_inf * (theta @ j_rho)[..., None] - j_rho, 0.0)
+    i_j = theta @ j_rho
+    # the rounding of the right-hand side I_st rho - J rho is bounded by
+    # that of its terms, f = I_st |rho| + |J rho| (steady module docstring)
+    f = np.abs(rho_inf).sum(axis=-2) * np.abs(i_j) + np.abs(j_rho).sum(axis=-2)
+    x = e.solve(rho_inf * i_j[..., None] - j_rho, 0.0, f)
     q_st = (2.0 * (tj @ x) / i_st)[:, 0]
     return q_st if p.generator.matrix.ndim == 3 else float(q_st[0])

@@ -9,11 +9,12 @@ elimination is not certified; the spectrum's trace-free resolvent
 shifts (``resolve_krylov``), with the bordered solve for each shift that
 basis leaves. The elimination (``eliminate``) is an ``Elimination``
 record that lives only inside the call that makes it. Every right-hand
-side is solved against it by ``Elimination.resolve``, with no second LU
-of the fast block: the steady state is rhs = 0 with trace 1, and Q_st
-solves both the steady state and its own column against one record. The
-dense Laurent decomposition (steady projector + reduced resolvent) is
-their cross-check.
+side is solved against it by ``Elimination.resolve``: the steady state
+is rhs = 0 with trace 1 and takes no second LU of the fast block, and
+Q_st solves both the steady state and its own column against one record,
+the column with one more LU of the fast block. The dense Laurent
+decomposition (steady projector + reduced resolvent) is their
+cross-check.
 
 Everything is dense: dimensions are 4*r_max with r_max expected well below
 a few hundred. The kernels are numpy's: ``numpy.linalg.solve`` (LAPACK
@@ -29,20 +30,21 @@ coordinates, aa -> t = aa + bb, gives Z: add each bb row to its aa row
 and subtract each aa column from its bb column. The trace functional
 reads 1 on every t and 0 elsewhere, so theta L = 0 says that the columns
 of the t rows of Z sum to zero. With t the r_max trace coordinates and f
-the 3 r_max others, one LU of the fast block Z_ff gives X = Z_ff^-1 Z_ft,
-Z_ff^-1 itself and the r_max x r_max stochastic complement S = Z_tt -
+the 3 r_max others, one LU of the fast block Z_ff gives X = Z_ff^-1 Z_ft
+(r_max columns) and so the r_max x r_max stochastic complement S = Z_tt -
 Z_tf X (Meyer, SIAM Rev. 31, 240 (1989)), the generator of the slow hops
 between configurations. 1^T S = 0 exactly, so the diagonal of S is reset
 to minus its off-diagonal column sums (as in Grassmann, Taksar & Heyman,
 Oper. Res. 33, 1107 (1985)); that drops the rounding of the fast decay
 rates, which the dense path carried as an error eps |L| / (slow rate).
 For a right-hand side c in these coordinates the t part of the solution
-solves S x_t = c_t - Z_tf Z_ff^-1 c_f with sum x_t = Tr x, as a bordered
-solve of S (row 0 replaced by ones, which drops no equation since
-1^T S = 0), and back-substitution gives x_f = Z_ff^-1 c_f - X x_t.
-Z_ff^-1 c_f is one product with the record's Z_ff^-1, certified by the
-backward error of the fast solve as the LU's X is; for the steady state
-(c = 0) it is exactly 0 and passes. S is scaled by a power of two before
+solves S x_t = c_t - Z_tf w, w = Z_ff^-1 c_f, with sum x_t = Tr x, as a
+bordered solve of S (row 0 replaced by ones, which drops no equation
+since 1^T S = 0), and back-substitution gives x_f = w - X x_t. w is one
+more stacked solve with Z_ff, certified by its backward error as the
+LU's X is (a solve is backward stable; a product with an inverse is
+not); for the steady state (c = 0) it is exactly 0 and takes no solve.
+S is scaled by a power of two before
 it is factored, so tiny slow rates neither lose bits nor draw warnings.
 Where S is nonnegative off its diagonal it generates a Markov chain,
 whose stationary vector is well conditioned in the off-diagonal rates:
@@ -70,24 +72,36 @@ others (its overflows and NaNs silenced), and then takes the dense
 fallback alone, in stack order (``Elimination.dense``); the first point
 whose fallback fails raises what it raises alone.
 
-Certificates. The solve with Z_ff, each product with Z_ff^-1 and every
-solution of the full system are checked by their normwise backward error,
-the ratio LAPACK's tests check (xGET02). A product with an inverse is not
-backward stable in general, so a point whose product fails takes the
-dense path like any other failure. The full system is [u - L; theta] x =
+Certificates. Each solve with Z_ff (X, and w) and every solution of the
+full system are checked by their normwise backward error, the ratio
+LAPACK's tests check (xGET02). The full system is [u - L; theta] x =
 [rhs; trace] at a shift u, L y = rhs taken as (0 - L) y = -rhs, with the
 same backward error (|-L| = |L|). Its one check, the bordered check
 (``_bordered_residual``), gives each column's residual 1-norm over every
 row of u - L, row 0 included, and the border theta, and its scale
 |[u - L; theta]|_1 |x|_1 + |[rhs; trace]|_1. A solve passes within
 _BACKWARD_ERROR_FACTOR dim eps of the scale (``_backward_failures``), a
-Krylov column below only within dim eps. Nullity 1 of L rests on
-rank L = rank Z_ff + rank S, which holds when Z_ff is nonsingular. The
-elimination shows that Z_ff is nonsingular to working precision from the
-norm of Z_ff^-1, taken from the same LU (``_require_nonsingular``), and
-counts the nullity of S by the singular values of the scaled r_max x
-r_max S against a bound on the error of the computed S
-(``_chain_nullity``). A point that the failure record of the elimination
+Krylov column below only within dim eps. The data term |rhs|_1 gives
+way to |f|_1 where rhs is known only within eps times a bound f >= |rhs|:
+|r|_1 / (|A|_1 |x|_1 + |f|_1) is the least eps such that (A + dA) x =
+b + db with |dA|_1 <= eps |A|_1 and |db|_1 <= eps |f|_1 (Rigal & Gaches,
+J. ACM 14, 543 (1967)). Q_st's right-hand side I_st rho - J rho, with
+I_st = theta J rho, is formed in floating point, so each entry carries a
+rounding of up to a few eps (I_st |rho| + |J rho|), and its trace, 0 in
+exact arithmetic, one of that size, which no x can absorb: theta L = 0,
+so the residual's trace is theta rhs whatever x is. Where the drive is
+weak the two terms cancel, |rhs|_1 << I_st |rho|_1 + |J rho|_1, and that
+rounding alone failed the check. So Q_st's column takes f = I_st |rho| +
+|J rho|, on the elimination and on the dense path alike: a residual of
+the size of the data's own rounding says no more than the data did.
+Nullity 1 of
+L rests on rank L = rank Z_ff + rank S, which holds when Z_ff is
+nonsingular. The elimination shows that Z_ff is nonsingular to working
+precision by the log-norm screen below, or where the screen fails from
+the norm of Z_ff^-1 (``_require_nonsingular``), and counts the nullity
+of S by the singular values of the scaled r_max x r_max S against a
+bound on the error of the computed S (``_chain_nullity``). A point that
+the failure record of the elimination
 or of a resolve against it names (a fast block singular to working
 precision, such as one that traps its excited population, a slow rate
 lost to cancellation, a failed backward error), or for the steady state
@@ -95,6 +109,38 @@ a negative block eigenvalue, takes the dense path: ``_check_nullity``
 (singular values of the whole 4 r_max x 4 r_max L) names the nullity of
 L, and with nullity 1 the bordered solve on the whole L takes over. Q_st's
 column takes that solve alone: the steady state named the nullity.
+
+Screen. "Nonsingular to working precision" means sigma_min(D Z_ff) >
+dim eps |D Z_ff|_F, D scaling each row of Z_ff to max 1. Let A_IJ be the
+3 x 3 blocks of Z_ff, rows of configuration I and columns of J, in the
+coordinates (bb, Re ba, Im ba), and |v| = sum_J |v_J|_2. Since
+|A_JJ u|_2 |u|_2 >= -u^T A_JJ u >= -lambda_max(sym A_JJ) |u|_2^2,
+|Z_ff v| = sum_I |sum_J A_IJ v_J|_2 >= sum_J |v_J|_2 (-lambda_max(sym
+A_JJ) - sum_{I != J} |A_IJ|_2) >= -mu |v|, with mu = max_J
+[lambda_max(sym A_JJ) + sum_{I != J} |A_IJ|_2], the bound on the
+logarithmic norm of Z_ff in this norm (Strom, SIAM J. Numer. Anal. 12,
+741 (1975); Soderlind, BIT 46, 631 (2006)). lambda_max is bounded by
+Gershgorin's row sums a_ii + sum_{k != i} |(a_ik + a_ki)/2|, and
+|A_IJ|_2 by sqrt(|A_IJ|_1 |A_IJ|_inf). With |v|_2 <= |v| <= sqrt(r_max)
+|v|_2, and D shrinking no vector by more than 1/max|Z_ff|, mu < 0 gives
+sigma_min(D Z_ff) >= -mu / (sqrt(r_max) max|Z_ff|). No entry of D Z_ff
+exceeds 1, so |D Z_ff|_F <= dim = 3 r_max, and the screen
+(``_log_norm_screen``) passes a point when -mu exceeds sqrt(r_max)
+max|Z_ff| dim^2 eps plus 3 r_max (r_max + 5) eps max|Z_ff|, a bound on
+the rounding of the computed mu: each mu_J is at most r_max + 4 rounded
+operations deep, so its error is at most gamma_{r_max+4} < (r_max + 5)
+eps / 2 times the same sums taken in modulus, at most 3 max|Z_ff| for
+the Gershgorin row and 3 (r_max - 1) max|Z_ff| for the off-diagonal
+blocks; the factor 2 over gamma covers the rounding of the bound itself.
+After the t = aa + bb fold the drive and detuning terms of each A_JJ are
+antisymmetric, and a hop's loss from J equals the sum of its gains into
+the other I, so on the paper's models mu = -min_J gammat_J / 2, half the
+least effective decay rate, and every point passes. The screen leaves
+undamped or dark configurations (mu >= 0), eta channels, whose hops mix
+populations and coherences, and Rabi frequencies so large that the
+bound falls below the tolerance. Only those points form their own
+Z_ff^-1 and take its check, 1/|Z_ff^-1 D^-1|_F > dim eps |D Z_ff|_F:
+one more LU of the fast block per point.
 
 The dense bordered solve, ``resolve_deflated``, gives the x with
 (u - L) x = rhs and Tr x = trace at each shift u of a 1-d array, on vectors
@@ -183,39 +229,48 @@ class SteadyDecomposition:
 class Elimination:
     """The elimination onto the configurational chain of a generator, or of
     each generator of a stack (see the module docstring), against which
-    every right-hand side, the steady state's included, is solved with no
-    second LU of the fast block (``resolve``; ``solve`` adds the dense loop,
-    ``dense``). It holds about 25 r_max^2 floats per point (0.7 MB at
-    r_max = 60) and lives only in the call that made it, never a Prepared.
+    every right-hand side, the steady state's included, is solved
+    (``resolve``; ``solve`` adds the dense loop, ``dense``). It holds
+    about 16 r_max^2 floats per point (Z_ff 9, X and Z_tf 3 each, S 1;
+    0.46 MB at r_max = 60, against 25 r_max^2 with Z_ff^-1) and lives only
+    in the call that made it, never a Prepared.
 
-    Per point, on a leading stack axis: L, Z_ff, Z_ff^-1, X = Z_ff^-1 Z_ft,
-    Z_tf, and S scaled by 2^exp with row 0 replaced by ones; ``failed``
-    maps each point that failed a check of ``eliminate`` to its first
-    failure, and its entries are stand-ins."""
+    Per point, on a leading stack axis: L, Z_ff, X = Z_ff^-1 Z_ft, Z_tf,
+    and S scaled by 2^exp with row 0 replaced by ones; ``failed`` maps each
+    point that failed a check of ``eliminate`` to its first failure, and
+    its entries are stand-ins (Z_ff = I and S = I)."""
 
     generator: np.ndarray
     z_ff: np.ndarray
-    inverse: np.ndarray
     x: np.ndarray
     z_tf: np.ndarray
     s: np.ndarray
     exp: np.ndarray
     failed: dict
 
-    def resolve(self, rhs: np.ndarray, trace: float) -> tuple[np.ndarray, dict]:
+    def resolve(self, rhs: np.ndarray, trace: float,
+                data: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
         """The real columns y with L y = rhs (n, 4 r_max, k) and theta y =
-        trace for each point: w = Z_ff^-1 c_f (one stacked matmul), the
-        chain solve of S for x_t and back-substitution for x_f. The failures
-        map each failed point to the first of these checks it fails: those
-        of the elimination, the fast solve's backward error on w, a zero
-        pivot of the chain solve, the bordered check of y at u = 0 (see the
-        module docstring). The columns of a failed point are stand-ins."""
+        trace for each point: w = Z_ff^-1 c_f (one stacked solve, none
+        where c_f = 0, as for the steady state, whose w is exactly 0), the
+        chain solve of S for x_t and back-substitution for x_f. ``data``
+        (n, k), the 1-norm of the bound on the formation error of rhs,
+        takes the place of |rhs|_1 in the bordered check (see the module
+        docstring). The failures map each failed point to the first of
+        these checks it fails: those of the elimination, a zero pivot or
+        the backward error of the solve for w, a zero pivot of the chain
+        solve, the bordered check of y at u = 0. The columns of a failed
+        point are stand-ins."""
         n, r, k = len(self.s), self.s.shape[-1], rhs.shape[-1]
         c = rhs.reshape(n, r, 4, k)
         c_f = c[:, :, 1:].reshape(n, 3 * r, k)
+        failed = self.failed
         with np.errstate(all="ignore"):
-            w = self.inverse @ c_f
-            failed = _certify("fast block solve", self.z_ff, w, c_f) | self.failed
+            if c_f.any():
+                w, singular = _solve("fast block solve", self.z_ff, c_f)
+                failed = _certify("fast block solve", self.z_ff, w, c_f) | singular | failed
+            else:
+                w = c_f
             g = np.ldexp(c[:, :, 0] + c[:, :, 1] - self.z_tf @ w,
                          self.exp[:, None, None])
             g[list(failed)] = 0.0              # a stand-in for a g that may be NaN
@@ -228,26 +283,29 @@ class Elimination:
             y = y.reshape(n, 4 * r, k)
         l = self.generator                     # L y = rhs as (0 - L) y = -rhs
         return y, _backward_failures("chain solve", y, *_bordered_residual(
-            l, _off_diagonal_sums(l), np.zeros(n), y, -rhs, trace)) | failed
+            l, _off_diagonal_sums(l), np.zeros(n), y, -rhs, trace, data)) | failed
 
-    def solve(self, rhs: np.ndarray, trace: float) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, trace: float,
+              data: np.ndarray | None = None) -> np.ndarray:
         """The real columns of ``resolve``, with the dense path (``dense``)
         at each point where it fails."""
-        return self.dense(*self.resolve(rhs, trace), rhs, trace)
+        return self.dense(*self.resolve(rhs, trace, data), rhs, trace, data)
 
-    def dense(self, y: np.ndarray, failed: dict, rhs: np.ndarray, trace: float) -> np.ndarray:
+    def dense(self, y: np.ndarray, failed: dict, rhs: np.ndarray, trace: float,
+              data: np.ndarray | None = None) -> np.ndarray:
         """y, the columns of ``resolve``, with the column of each point of
         ``failed`` replaced in stack order by the dense path: the point's
         recorded NullSpaceDegenerate raises, the null vector (trace 1) takes
         the dense check (``_check_nullity``), and ``resolve_deflated`` at
-        the shift 0 solves (0 - L) y = -rhs on the point alone."""
+        the shift 0 solves (0 - L) y = -rhs on the point alone, with the
+        point's ``data`` term."""
         for i in sorted(failed):
             if isinstance(failed[i], NullSpaceDegenerate):
                 raise failed[i]
             if trace:                          # Q_st's column: checked by the steady state
                 _check_nullity(self.generator[i])
-            y[i] = resolve_deflated(SuperOp(self.generator[i]), [0.0], -rhs[i],
-                                    trace)[0]
+            y[i] = resolve_deflated(SuperOp(self.generator[i]), [0.0], -rhs[i], trace,
+                                    None if data is None else data[i:i + 1])[0]
         return y
 
 
@@ -371,14 +429,16 @@ def _block_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray,
-                     trace: float = 0.0) -> np.ndarray:
+                     trace: float = 0.0, data: np.ndarray | None = None) -> np.ndarray:
     """The bordered solve (see the module docstring), on vectors in the
     coordinates of ``BlockState.to_vector``: for each shift u of the 1-d
     ``shifts``, the columns x (dim, k) with (u - L) x = rhs and Tr x =
     trace, (len(shifts), dim, k) of the dtype of L, the shifts and rhs.
     Valid only where theta rhs = u trace; at trace 0 it regularizes u = 0,
-    the steady pole. SingularShift for the first shift in order that fails
-    the bordered check or whose LU meets an exactly zero pivot."""
+    the steady pole. ``data`` (len(shifts), k), the 1-norm of the bound on
+    the formation error of rhs, takes the place of |rhs|_1 in the bordered
+    check. SingularShift for the first shift in order that fails the
+    bordered check or whose LU meets an exactly zero pivot."""
     l, dim = generator.matrix, generator.dim
     if rhs.ndim != 2 or rhs.shape[0] != dim:
         raise ValueError(f"right-hand side shape {rhs.shape} != (generator dim {dim}, k)")
@@ -402,7 +462,8 @@ def resolve_deflated(generator: SuperOp, shifts, rhs: np.ndarray,
             solved, failed = i, {i: SingularShift(f"bordered solve failed: {exc}")}
             break
     failed = _backward_failures("bordered solve", out[:solved], *_bordered_residual(
-        l, _off_diagonal_sums(l), shifts[:solved], out[:solved], rhs, trace)) | failed
+        l, _off_diagonal_sums(l), shifts[:solved], out[:solved], rhs, trace,
+        None if data is None else data[:solved])) | failed
     if failed:
         raise failed[min(failed)] from None
     return out
@@ -626,17 +687,20 @@ def _off_diagonal_sums(l: np.ndarray) -> np.ndarray:
 
 
 def _bordered_residual(l: np.ndarray, abs_off: np.ndarray, u: np.ndarray, x: np.ndarray,
-                       rhs: np.ndarray, trace: float) -> tuple[np.ndarray, np.ndarray]:
+                       rhs: np.ndarray, trace: float,
+                       data: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The bordered check (see the module docstring) of the columns x
     (n, dim, k) at the shifts u (n,), L real, one matrix or a stack of n,
-    abs_off its ``_off_diagonal_sums``: the residual 1-norms and scales."""
+    abs_off its ``_off_diagonal_sums``: the residual 1-norms and scales.
+    The data term of the scale is |rhs|_1, or ``data`` (n, k) if given."""
     theta = trace_functional(l.shape[-1] // 4)
     with np.errstate(all="ignore"):     # a column that is not finite fails
         lx = (l @ x.view(float)).view(x.dtype)    # Re x and Im x at once
         resid = np.abs(u[:, None, None] * x - lx - rhs).sum(axis=-2) + np.abs(theta @ x - trace)
         norm_a = (abs_off + np.abs(u[:, None] - np.diagonal(l, 0, -2, -1)) + theta).max(axis=-1)
-        return resid, (norm_a[:, None] * np.abs(x).sum(axis=-2)
-                       + (np.abs(rhs).sum(axis=-2) + abs(trace)))
+        if data is None:
+            data = np.abs(rhs).sum(axis=-2)
+        return resid, norm_a[:, None] * np.abs(x).sum(axis=-2) + (data + abs(trace))
 
 
 def _backward_failures(what: str, x: np.ndarray, resid: np.ndarray,
@@ -681,11 +745,12 @@ def eliminate(generator: SuperOp) -> Elimination:
     onto its trace coordinates (see the module docstring); a single model
     is a stack of one.
 
-    One LU of each fast block solves for [Z_ft, I]: X and Z_ff^-1. Its
-    checks, each made per point, in this order: the LU and its backward
-    error on Z_ft (SingularShift), Z_ff nonsingular to working precision
-    (``_require_nonsingular``; SingularShift), no slow rate lost to
-    cancellation (``_CANCELLATION``; SingularShift), and nullity 1 of S
+    One LU of each fast block solves for Z_ft alone: X. Its checks, each
+    made per point, in this order: the LU (SingularShift), Z_ff
+    nonsingular to working precision (``_require_nonsingular``, by the
+    log-norm screen or, where that fails, by Z_ff^-1; SingularShift), the
+    backward error of X (SingularShift), no slow rate lost to cancellation
+    (``_CANCELLATION``; SingularShift), and nullity 1 of S
     (``_chain_nullity``; NullSpaceDegenerate), so that L has nullity 1. A
     point that fails goes on through the stacked arithmetic with the
     others, so its overflows and NaNs draw no warning.
@@ -698,15 +763,11 @@ def eliminate(generator: SuperOp) -> Elimination:
     z_ff = blocks[:, :, 1:, :, 1:].copy()      # fast rows and columns
     z_ff[..., 0] -= blocks[:, :, 1:, :, 0]
     z_ff = z_ff.reshape(n, 3 * r, 3 * r)
-    cols = 4 * r                               # [Z_ft, I]
-    b = np.zeros((n, 3 * r, cols))
-    b.reshape(n, r, 3, cols)[..., :r] = blocks[:, :, 1:, :, 0]
-    b.reshape(n, -1)[:, r::cols + 1] = 1.0
+    z_ft = blocks[:, :, 1:, :, 0].reshape(n, 3 * r, r)
     with np.errstate(all="ignore"):
-        xi, failed = _solve("fast block solve", z_ff, b)
-        x, inverse = xi[..., :r], xi[..., r:]
-        failed = _require_nonsingular(z_ff, inverse) | failed
-        failed = _certify("fast block solve", z_ff, x, b[..., :r]) | failed
+        x, failed = _solve("fast block solve", z_ff, z_ft)
+        failed = _require_nonsingular(z_ff, failed) | failed
+        failed = _certify("fast block solve", z_ff, x, z_ft) | failed
         z_tf = z_t[..., 1:].reshape(n, r, 3 * r)
         s = z_t[..., 0] - z_tf @ x
         # a slow rate that is the difference of much larger fluxes has lost
@@ -722,32 +783,65 @@ def eliminate(generator: SuperOp) -> Elimination:
         # scale by a power of two, exactly, so that max |S| lies in [1/2, 1)
         exp = -np.frexp(np.abs(s).max(axis=(-2, -1)))[1]
         s = np.ldexp(s, exp[:, None, None])
-        s[list(failed)] = np.eye(r)            # a stand-in for an S that may be NaN
+        if failed:                             # stand-ins for an S that may be NaN
+            s[list(failed)] = np.eye(r)        # and a Z_ff that may be singular
+            z_ff[list(failed)] = np.eye(3 * r)
         if len(failed) < n:
             nullity = _chain_nullity(blocks, x, s, exp)
             failed = {i: NullSpaceDegenerate(f"generator nullity is {nullity[i]}, "
                                              "expected 1 (disconnected configurational space?)")
                       for i in np.flatnonzero(nullity != 1)} | failed
         s[:, 0] = 1.0
-    return Elimination(gen, z_ff, inverse, x, z_tf, s, exp, failed)
+    return Elimination(gen, z_ff, x, z_tf, s, exp, failed)
 
 
-def _require_nonsingular(z_ff: np.ndarray, inv: np.ndarray) -> dict:
-    """The index and SingularShift of each point of the stack unless its
-    D Z_ff is nonsingular to working precision, D scaling each row to max 1
-    (so that a strong drive or detuning counts relative to its own row):
-    its smallest singular value, at least 1/|Z_ff^-1 D^-1|_F, must exceed
-    dim eps |D Z_ff|_F, the tolerance of the dense check. A backward error
-    alone does not show this: blocks sharing an undamped mode make Z_ff
-    singular and still give a small one.
+def _require_nonsingular(z_ff: np.ndarray, skip: dict) -> dict:
+    """The index and SingularShift of each point of the stack but those of
+    ``skip`` (whose LU failed) unless its D Z_ff is nonsingular to working
+    precision, D scaling each row to max 1 (so that a strong drive or
+    detuning counts relative to its own row): its smallest singular value
+    must exceed dim eps |D Z_ff|_F, the tolerance of the dense check. A
+    backward error alone does not show this: blocks sharing an undamped
+    mode make Z_ff singular and still give a small one.
+
+    A point passes on the log-norm screen (``_log_norm_screen``). Only the
+    points that the screen leaves form their own Z_ff^-1, and pass if
+    1/|Z_ff^-1 D^-1|_F, a lower bound on the smallest singular value,
+    exceeds the tolerance.
     """
+    left = [i for i in np.flatnonzero(~_log_norm_screen(z_ff)) if i not in skip]
+    if not left:
+        return {}
+    z_ff = z_ff[left]
+    inv = np.linalg.inv(z_ff)
     rows = np.abs(z_ff).max(axis=-1)
     ok = np.isfinite(inv).all(axis=(-2, -1)) & (
         z_ff.shape[-1] * _EPS * _frobenius(z_ff / rows[..., None])
         * _frobenius(inv * rows[:, None, :]) < 1.0)
-    return {} if ok.all() else {
-        i: SingularShift("fast block solve failed: the fast block is singular "
-                         "to working precision") for i in np.flatnonzero(~ok)}
+    return {left[i]: SingularShift("fast block solve failed: the fast block is "
+                                   "singular to working precision")
+            for i in np.flatnonzero(~ok)}
+
+
+def _log_norm_screen(z_ff: np.ndarray) -> np.ndarray:
+    """The mask of the points of the stack whose Z_ff the log-norm screen
+    of the module docstring certifies: mu, from the 3 x 3 blocks A_IJ of
+    Z_ff, is max_J of the Gershgorin bound on lambda_max(sym A_JJ) plus
+    sum_{I != J} sqrt(|A_IJ|_1 |A_IJ|_inf), and must lie below
+    -eps max|Z_ff| (9 r^(5/2) + 3 r (r + 5)), r = r_max: the first term is
+    sqrt(r) max|Z_ff| dim eps dim, dim eps |D Z_ff|_F at most, and the
+    second bounds the rounding of mu."""
+    n, r = len(z_ff), z_ff.shape[-1] // 3
+    z = z_ff.reshape(n, r, 3, r, 3)
+    a = np.abs(z)
+    off = np.sqrt(a.sum(axis=2).max(axis=-1) * a.sum(axis=-1).max(axis=2))
+    off.reshape(n, -1)[:, ::r + 1] = 0.0
+    d = np.diagonal(z, axis1=1, axis2=3)       # A_JJ as (n, 3, 3, r)
+    s = np.abs(d + d.swapaxes(1, 2))           # 2 |sym A_JJ|
+    i = np.arange(3)
+    s[:, i, i] = 2.0 * d[:, i, i]              # Gershgorin rows, doubled
+    mu = (0.5 * s.sum(axis=2).max(axis=1) + off.sum(axis=1)).max(axis=-1)
+    return -mu > _EPS * a.max(axis=(1, 2, 3, 4)) * (9 * r ** 2.5 + 3 * r * (r + 5))
 
 
 def _chain_nullity(blocks: np.ndarray, x: np.ndarray, s: np.ndarray,

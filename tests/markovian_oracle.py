@@ -111,3 +111,10 @@ def factorial_moments(gamma, omega, t, delta=0.0):
 def mandel_q(gamma, omega, t, delta=0.0):
     n, n2 = factorial_moments(gamma, omega, t, delta)
     return (n2 + n - n**2) / n - 1.0
+
+
+def stationary_mandel(gamma, omega, delta=0.0):
+    """Closed form of the t -> infinity limit of mandel_q,
+    Q_st = 2 Omega^2 (4 delta^2 - 3 gamma^2) / (gamma^2 + 2 Omega^2 + 4 delta^2)^2."""
+    return (2.0 * omega**2 * (4.0 * delta**2 - 3.0 * gamma**2)
+            / (gamma**2 + 2.0 * omega**2 + 4.0 * delta**2) ** 2)

@@ -524,6 +524,51 @@ def test_stationary_mandel_matches_laurent_oracle(r_max, eta, initial):
     assert fs.stationary_mandel(p) == pytest.approx(_laurent_mandel(p, x0), rel=1e-12)
 
 
+def test_stationary_mandel_closed_form_long_time():
+    """The oracle's closed Q_st is the long-time limit of its own Q(t) =
+    Q_st + c/t + O(e^-t), taken as 2 Q(2t) - Q(t), which drops the 1/t."""
+    for omega, delta in ((1.0, 0.0), (0.3, 0.8), (0.1, 10.0)):
+        q = [markovian_oracle.mandel_q(1.0, omega, t, delta) for t in (200.0, 400.0)]
+        assert 2.0 * q[1] - q[0] == pytest.approx(
+            markovian_oracle.stationary_mandel(1.0, omega, delta), rel=1e-6)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("omega", [1.0, 0.1, 1e-2, 1e-3, 1e-4])
+def test_stationary_mandel_single_emitter_closed_form(omega, delta):
+    """A single emitter (gamma 1) down to a Rabi frequency 1e-4 and out to
+    a detuning 100 matches the closed form within the error that the fast
+    solves' certificates allow.
+
+    With one configuration the chain solve is x_t = trace exactly, so the
+    steady state's fast part is -X, X = Z_ff^-1 Z_ft, and Q_st's column is
+    w = Z_ff^-1 c_f with c_f = I_st rho_f (J writes only aa): Q_st =
+    2 gamma w_bb / I_st = -2 gamma V_bb with V = Z_ff^-1 X. Each of the two
+    solves is certified to a backward error beta = 30 dim eps (dim 3), so
+    |dX|_1 <= |Z_ff^-1|_1 beta (|Z_ff|_1 |X|_1 + |Z_ft|_1), and V moves by
+    |Z_ff^-1|_1 (|dX|_1 + beta (|Z_ff|_1 |V|_1 + |X|_1)). The roundings of
+    c_f, of the trace normalization and of I_st add 4 eps |Q_st|."""
+    spec = fs.single_state(gamma=1.0, omega_rabi=omega, detuning=delta)
+    gen = fs.build_generator(spec).matrix
+    z_ff = gen[1:, 1:].copy()
+    z_ff[:, 0] -= gen[1:, 0]
+    z_ft = gen[1:, :1]
+    inv = np.linalg.inv(z_ff)
+    x = inv @ z_ft
+    v = inv @ x
+
+    def norm(m):
+        return np.abs(m).sum(axis=0).max()
+
+    beta = 30 * 3 * np.finfo(float).eps
+    want = markovian_oracle.stationary_mandel(1.0, omega, delta)
+    bound = (2.0 * norm(inv) * beta * (norm(inv) * (norm(z_ff) * norm(x) + norm(z_ft))
+                                       + norm(z_ff) * norm(v) + norm(x))
+             + 4 * np.finfo(float).eps * abs(want))
+    assert bound < 1e-5 * abs(want)
+    assert abs(fs.stationary_mandel(spec) - want) <= bound
+
+
 def test_stationary_mandel_stiff_telegraph_limit():
     """Lifetimes 1 and 3 switching at rates 2 phi and phi: Q_st tends to the
     telegraph term 2 p0 p1 (I0 - I1)^2 / (I_bar 3 phi) plus the constant
@@ -590,35 +635,35 @@ def test_stationary_mandel_takes_no_dense_solve(name, fig5):
     assert q == pytest.approx(_laurent_mandel(p), rel=1e-12)
 
 
-def test_corrupted_inverse_fails_its_point_alone(fig5, monkeypatch):
-    """A Z_ff^-1 corrupted at one point of a stacked elimination fails the
-    backward error of that point's fast solve: that point alone takes the
-    dense solve, which gives its Q_st, and every other point keeps its Q_st
-    bit for bit."""
+def test_corrupted_w_solve_fails_its_point_alone(fig5, monkeypatch):
+    """A solve for Q_st's w = Z_ff^-1 c_f corrupted at one point of a
+    stacked elimination fails the backward error of that point's fast
+    solve: that point alone takes the dense solve, which gives its Q_st,
+    and every other point keeps its Q_st bit for bit."""
     deltas = np.array([-30.0, -3.0, 0.0, 2.0, 40.0])
     base = fs.prepare(fig5)
     want = fs.stationary_mandel(base.at_detuning(deltas))
-    eliminate = fs.steady.eliminate
+    solve = fs.steady._solve
 
-    def corrupted(generator):
-        e = eliminate(generator)
-        e.inverse[2] *= 1.0 + 1e-9
-        return e
+    def corrupted(what, a, b):
+        x, failed = solve(what, a, b)
+        if what == "fast block solve" and b.shape[-1] == 1:    # w, not X
+            x[2] *= 1.0 + 1e-9
+        return x, failed
 
     failures = []
     resolve = fs.steady.Elimination.resolve
 
-    def recorded(self, rhs, trace):
-        y, failed = resolve(self, rhs, trace)
+    def recorded(self, *args):
+        y, failed = resolve(self, *args)
         failures.append(failed)
         return y, failed
 
-    monkeypatch.setattr(fs.steady, "eliminate", corrupted)
-    monkeypatch.setattr(counting, "eliminate", corrupted)
+    monkeypatch.setattr(fs.steady, "_solve", corrupted)
     monkeypatch.setattr(fs.steady.Elimination, "resolve", recorded)
     with _dense_solves() as dense:
         got = fs.stationary_mandel(base.at_detuning(deltas))
-    # the steady state's Z_ff^-1 0 is exactly 0 and passes; Q_st's fails
+    # the steady state's w = 0 takes no solve and passes; Q_st's fails
     assert [list(f) for f in failures] == [[], [2]]
     assert "fast block solve backward error" in str(failures[1][2])
     assert dense == [(8, 8)]
@@ -650,11 +695,12 @@ def test_stationary_mandel_certifies_solve(fig5, corrupt, monkeypatch):
         fs.stationary_mandel(p)
 
 
-def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
-    """Q_st makes one elimination of its own, whose fast LU of [Z_ft, I]
-    gives the X and Z_ff^-1 that both the steady state and its own column
-    are solved against, and one r_max x r_max LU for each of the two chain
-    solves: three LUs in all, the Prepared's steady state solved or not,
+def test_stationary_mandel_lus_per_call(fig5, monkeypatch):
+    """Q_st makes one elimination of its own, whose fast LU of Z_ft gives
+    the X that both the steady state and its own column are solved
+    against, one fast LU of its column's c_f for w (the steady state's w is
+    0 and takes none) and one r_max x r_max LU for each of the two chain
+    solves: four LUs in all, the Prepared's steady state solved or not,
     since a Prepared keeps no elimination record (the steady solve takes
     two)."""
     solved = []
@@ -669,10 +715,12 @@ def test_stationary_mandel_one_lu_per_call(fig5, monkeypatch):
     fs.stationary_mandel(p)
     real = np.dtype(np.float64)
     chain = (real, (1, 2, 2), (1, 2, 1))
-    assert solved == [(real, (1, 6, 6), (1, 6, 8)), chain, chain]
+    fast = (real, (1, 6, 6), (1, 6, 2))
+    w = (real, (1, 6, 6), (1, 6, 1))
+    assert solved == [fast, chain, w, chain]
     solved.clear()
     fs.stationary_mandel(fs.prepare(fig5))
-    assert len(solved) == 3
+    assert len(solved) == 4
 
 
 def test_stationary_mandel_one_elimination_per_model_and_chunk(fig5, monkeypatch):

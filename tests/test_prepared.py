@@ -139,8 +139,8 @@ def test_stationary_mandel_solves_its_own_steady_state(fig5, steady_calls):
 
 
 def test_prepared_keeps_no_elimination_record(spec, monkeypatch):
-    """The steady solve's elimination record (Z_ff^-1, X and S, 0.7 MB at
-    r_max = 60) lives only inside ``steady_state``: once the steady state
+    """The steady solve's elimination record (Z_ff, X, Z_tf and S, 0.46 MB
+    at r_max = 60) lives only inside ``steady_state``: once the steady state
     is solved, and while the spectrum and C1 run on the live Prepared,
     nothing holds it, and the Prepared holds only its spec, L, J and steady
     state."""

@@ -43,10 +43,10 @@ every healthy step lies within 7.8e-3 of its bound; the step e^{(4/3) L}
 of a 3-site chain at Rabi frequency 1e20 reads 9.8e126, 8.4e93 times it.
 
 Krylov (``_krylov_on_grid``). One Arnoldi basis of A = (I - gamma L)^-1,
-inverted once (``numpy.linalg.inv``), with the step that the spectrum's
-basis takes too (``steady._arnoldi_step``): from v_1 = v0 / beta, A V_m =
-V_{m+1} H_m underlined, with h = h_{m+1,m} (van den Eshof & Hochbruck,
-SIAM J. Sci. Comput. 27, 1438 (2006)). The pole is gamma = t_max / 10,
+inverted once (``numpy.linalg.inv``), from the driver of the spectrum's
+basis (``steady._arnoldi``; the Arnoldi paragraph of ``steady`` describes
+the process and its checkpoints): from v_1 = v0 / beta, A V_m = V_{m+1}
+H_m underlined, with h = h_{m+1,m}. The pole is gamma = t_max / 10,
 so the grid sets it and no knob does: the convergence of the basis does
 not depend on |L| (|L|_1 = 90 on the benchmark's random r_max = 60 model,
 whose 12 uniform points to t_max = 8 it takes at m = 24). Multiplied by
@@ -137,7 +137,7 @@ import numpy as np
 from .model import (SIGMA, SIGMA_DAG, BlockState, ModelSpec, SuperOp, readout,
                     trace_functional)
 from .steady import (_BACKWARD_ERROR_FACTOR, _CALL_FLOPS, _EPS, _KRYLOV_STEP, Prepared,
-                     _arnoldi_step, _krylov_cost, _squarings, expm, prepare)
+                     _arnoldi, _krylov_cost, _squarings, expm, prepare)
 
 
 # |e^{tL}|_1 <= 4 in the real coordinates, for every t >= 0 (see the
@@ -281,8 +281,8 @@ def _krylov_on_grid(generator: SuperOp, v0: np.ndarray,
     (len(grid), dim), complex, and the mask of the points accepted; every
     other point is left to ``_expm_on_grid``.
 
-    The basis is checked every _KRYLOV_STEP vectors, and at an invariant
-    subspace, on the points up to the last one not yet accepted, once the
+    The basis of ``steady._arnoldi`` is checked at each of its
+    checkpoints, on the points up to the last one not yet accepted, once the
     ratio of the truncation estimate there, were |phi| no larger than at
     0, to dim eps |v0|_1 is at most 1. It stops at the largest size that
     ``_tau_basis_size`` allows, and once the relation check fails. Nothing
@@ -316,40 +316,22 @@ def _krylov_on_grid(generator: SuperOp, v0: np.ndarray,
     # the checks form (I - gamma L) X as X - gamma L X: one dim x dim array
     # less held through the basis
     del b
-    tol = dim * _EPS
-    tol_v = tol * np.abs(v0).sum()
-    basis = np.empty((m_max + 1, dim), complex)
-    hess = np.zeros((m_max + 1, m_max), complex)
-    np.divide(v0, beta, out=basis[0])
-    # A and v0 are real, so the basis and H_m are: the basis is its own
-    # conjugate, and the checks take the real parts
-    real = basis.view(float).reshape(m_max + 1, dim, 2)
-    w_real = np.empty((dim, 2))
-    w = w_real.view(complex).ravel()          # A v_k, orthogonalized in place
+    tol_v = dim * _EPS * np.abs(v0).sum()
+    # A and v0 are real, so the basis and H_m are: the checks take the real parts
     with np.errstate(all="ignore"):        # a basis that overflows is not accepted
-        for k in range(m_max):
-            m = k + 1
-            col, h = _arnoldi_step(a, real[k], basis[:m], basis[:m], w_real)
-            hess[:m, k] = col
-            # an invariant subspace: w lost to rounding
-            exact = h * h <= tol * tol * np.vdot(col, col).real
-            if not exact:
-                hess[m, k] = h
-                np.divide(w, h, out=basis[m])
-            if m % _KRYLOV_STEP and not exact:
-                continue
+        for m, basis, hess, exact in _arnoldi(a, v0, beta, m_max):
             n = np.flatnonzero(~accepted)[-1] + 1
             try:
-                h_inv = np.linalg.inv(hess[:m, :m].real)
+                h_inv = np.linalg.inv(hess[:m].real)
             except np.linalg.LinAlgError:
                 break
             rows = m if exact else m + 1           # H_m underlined, or H_m alone
-            c = 0.0 if exact else _residual_constant(l, basis[:rows].real, theta, h, gamma, beta)
+            basis, hess = basis[:rows].real, hess[:rows].real
+            c = 0.0 if exact else _residual_constant(l, basis, theta, hess[m, m - 1], gamma, beta)
             # the screen: the estimate at t_n, were |phi| no larger than at 0
             if c * grid[n - 1] * abs(h_inv[-1, 0]) <= tol_v:
-                ok, xs, failed = _tau_accept(l, norm_b, basis[:rows].real, hess[:rows, :m].real,
-                                             h_inv, c, beta, v0, theta, grid[:n], steps[:n],
-                                             new[:n], gamma, tol_v)
+                ok, xs, failed = _tau_accept(l, norm_b, basis, hess, h_inv, c, beta, v0, theta,
+                                             grid[:n], steps[:n], new[:n], gamma, tol_v)
                 idx = np.flatnonzero(ok & ~accepted[:n])
                 x[idx], accepted[idx] = xs[idx], True
                 if failed:

@@ -169,32 +169,44 @@ from one Arnoldi basis of A = B_0^-1, B_0 the bordered matrix above at
 u = 0, inverted once (``numpy.linalg.inv``). On a trace-free z, A z is
 B_0^-1 of z with z_0 replaced by 0: theta A z = 0, rows 1.. of -L A z are
 z's, and row 0 follows from theta L = 0, so -L A = I there. The bordering
-regularizes the steady pole u = 0, so the shift needs no tuning. Arnoldi
-(``_arnoldi_step``: one product of the real A with the real view of v_k,
-then classical Gram-Schmidt, twice; the tau basis of ``correl`` takes the
-same step) gives A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T with v_1 = v /
-beta (van den Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006);
-Guettel, GAMM-Mitt. 36, 8 (2013)). For each u, y solves
-(I + u H_m) y = beta e_1 and x = V_m H_m y; in exact arithmetic its
-residual is (u - L) x - v = h_{m+1,m} y_m L v_{m+1}, whose 1-norm costs
-O(1) per shift once L v_{m+1} is made. H_m is Hessenberg, so y_m = beta /
-c_m with c_m from the left vector l of I + u H_m that zeroes its first
-m - 1 columns (l_1 = 1): one recurrence step per basis vector, c_k = l_k +
-u sum_{i<=k} l_i H_ik and l_{k+1} = -c_k / (u h_{k+1,k}), with no m x m
-solve. At each checkpoint (every _KRYLOV_STEP vectors, and at an
-invariant subspace: a breakdown, or dim - 1 vectors, the whole trace-free
-space) a shift whose estimate is within 2 dim eps |v|_1 is solved from its
-own LU of I + u H_m, and accepted only if its estimate and its residual
-are both within dim eps of the bordered check's scale. The checkpoint at
-which a shift is accepted depends only on L, v and u, so a column never
-depends on the rest of the grid. Every shift not accepted, and every
-shift where the basis would not pay or B_0 is too ill-conditioned for
-it, takes ``resolve_deflated``, paired with its negation as above.
+regularizes the steady pole u = 0, so the shift needs no tuning.
+
+Arnoldi. One driver, ``_arnoldi``, builds this basis and the tau basis of
+``correl``, of a real A that acts on the trailing coordinates of a vector
+(here rows 1.., the columns of B_0^-1 past the first). Each step takes one
+product of A with the real view of v_k, its real and imaginary parts at
+once, and orthogonalizes w = A v_k against v_1 .. v_k by classical
+Gram-Schmidt, twice. That gives A V_m = V_m H_m + h_{m+1,m} v_{m+1}
+e_m^T with v_1 = v / beta (van den Eshof & Hochbruck, SIAM J. Sci.
+Comput. 27, 1438 (2006); Guettel, GAMM-Mitt. 36, 8 (2013)). The subspace
+is invariant, and the process ends, once the basis spans all that A
+reaches (dim - 1 vectors here, the whole trace-free space) or at a
+breakdown: w lost to rounding against |A v_k|_2^2 = |h_{1..k,k}|_2^2 +
+h_{k+1,k}^2. Its caller reads the basis only at a checkpoint: every
+_KRYLOV_STEP vectors, at the cap the caller sets, and at an invariant
+subspace; each caller keeps its own budget and acceptance.
+
+For each u, y solves (I + u H_m) y = beta e_1 and x = V_m H_m y; in exact
+arithmetic its residual is (u - L) x - v = h_{m+1,m} y_m L v_{m+1}, whose
+1-norm costs O(1) per shift once L v_{m+1} is made. H_m is Hessenberg, so
+y_m = beta / c_m with c_m from the left vector l of I + u H_m that zeroes
+its first m - 1 columns (l_1 = 1): one recurrence step per basis vector,
+c_k = l_k + u sum_{i<=k} l_i H_ik and l_{k+1} = -c_k / (u h_{k+1,k}),
+with no m x m solve, taken at each checkpoint over the vectors added since
+the last. At each checkpoint a shift whose estimate is within 2 dim eps
+|v|_1 is solved from its own LU of I + u H_m, and accepted only if its
+estimate and its residual are both within dim eps of the bordered check's
+scale. The checkpoint at which a shift is accepted depends only on L, v
+and u, so a column never depends on the rest of the grid. Every shift not
+accepted, and every shift where the basis would not pay or B_0 is too
+ill-conditioned for it, takes ``resolve_deflated``, paired with its
+negation as above.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -474,7 +486,8 @@ def resolve_krylov(generator: SuperOp, shifts,
     """The trace-free bordered solve of ``resolve_deflated`` for one
     trace-free right-hand side rhs (dim,), (u - L) x = rhs with Tr x = 0,
     at every shift u of the 1-d ``shifts``, from one Arnoldi basis of
-    B_0^-1 (see the module docstring): the columns x (len(shifts), dim),
+    B_0^-1 (``_arnoldi``, see the module docstring): the columns x
+    (len(shifts), dim),
     complex, and the mask of the shifts whose column was accepted; every
     other column is zeros, left to ``resolve_deflated``.
 
@@ -503,20 +516,9 @@ def resolve_krylov(generator: SuperOp, shifts,
     if not (np.abs(b0).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
             <= _KRYLOV_CONDITION):                 # NaN fails too
         return x, accepted
-    a = inv[:, 1:]                                 # on z: B_0^-1 of z with z_0 = 0
     abs_off = _off_diagonal_sums(l)
     norm_b = np.abs(rhs).sum()
     tol = dim * _EPS
-    # room for the whole trace-free space; only the rows reached are touched
-    basis = np.empty((dim, dim), complex)
-    conj = np.empty((dim, dim), complex)          # conj(basis), for V^H w
-    hess = np.zeros((dim, dim - 1), complex)
-    np.divide(rhs, beta, out=basis[0])
-    np.conjugate(basis[0], out=conj[0])
-    # A is real: it takes the real and imaginary parts of v_k at once
-    real = basis.view(float).reshape(dim, dim, 2)
-    w_real = np.empty((dim, 2))
-    w = w_real.view(complex).ravel()
     # per pending shift: its index, u, -1/u, the row l of the recurrence and
     # its ratio est / (2 dim eps |rhs|_1) at the last checkpoint, which is
     # 1 / (2 dim eps) for x = 0 before the basis
@@ -524,32 +526,27 @@ def resolve_krylov(generator: SuperOp, shifts,
     last = np.full(u.size, 0.5 / tol)
     left = np.zeros((u.size, dim), complex)
     left[:, 0] = 1.0
+    done = 0                               # the vectors the recurrence has taken
     with np.errstate(all="ignore"):        # overflow and u = 0 give inf or NaN
         neg_inv = -1.0 / u
-        for k in range(dim - 1):
-            m = k + 1
-            col, h = _arnoldi_step(a, real[k, 1:], basis[:m], conj[:m], w_real)
-            hess[:m, k] = col
-            # an invariant subspace: all of the trace-free space, or w lost
-            # to rounding against |A v_k|^2 = |col|^2 + h^2
-            exact = m == dim - 1 or h * h <= tol * tol * np.vdot(col, col).real
-            c = left[:, k] + up * (left[:, :m] @ col)
-            if not exact:
-                hess[m, k] = h
-                np.divide(w, h, out=basis[m])
-                np.conjugate(basis[m], out=conj[m])
-                np.multiply(c, neg_inv / h, out=left[:, m])
-            if m < m_next and not exact:
-                continue
-            lv = 0.0 if exact else np.abs((l @ real[m]).view(complex)).sum()
+        # on z: B_0^-1 of z with z_0 = 0; room for the whole trace-free space
+        for m, basis, hess, exact in _arnoldi(inv[:, 1:], rhs, beta, dim - 1):
+            for k in range(done, m):
+                c = left[:, k] + up * (left[:, :k + 1] @ hess[:k + 1, k])
+                if k + 1 < m or not exact:
+                    np.multiply(c, neg_inv / hess[k + 1, k].real, out=left[:, k + 1])
+            done = m
+            h = hess[m, m - 1].real
+            lv = 0.0 if exact else np.abs((l @ basis[m].view(float).reshape(dim, 2))
+                                          .view(complex)).sum()
             ratio = h * lv * np.abs(beta / c) / (2.0 * tol * norm_b)
             if m > 1:
                 ratio[up == 0.0] = 0.0             # x = A rhs exactly
             cand = np.flatnonzero(ratio <= 1.0)  # NaN is not a candidate
             failed = False
             if cand.size:
-                ok, xs, failed = _krylov_accept(l, abs_off, basis[:m], hess[:m + 1, :m], beta,
-                                                rhs, up[cand], lv)
+                ok, xs, failed = _krylov_accept(l, abs_off, basis[:m], hess, beta, rhs,
+                                                up[cand], lv)
                 idx = pending[cand[ok]]
                 x[idx], accepted[idx] = xs[ok], True
             keep = ~accepted[pending]
@@ -571,22 +568,50 @@ def resolve_krylov(generator: SuperOp, shifts,
     return x, accepted
 
 
-def _arnoldi_step(a: np.ndarray, v: np.ndarray, basis: np.ndarray, conj: np.ndarray,
-                  w_real: np.ndarray) -> tuple[np.ndarray, float]:
-    """One Arnoldi step of a complex basis under a real A: w = A v, with v
-    the real view (rows, 2) of the last basis vector, so that one product
-    takes its real and imaginary parts at once, written to w_real (dim, 2),
-    the real view of w, and orthogonalized in place against the basis
-    (m, dim), conj its conjugate, by classical Gram-Schmidt, twice. Returns
-    the Hessenberg column h_{1..m} and |w|_2."""
-    np.matmul(a, v, out=w_real)
+def _arnoldi(a: np.ndarray, v: np.ndarray, beta: float,
+             m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, bool]]:
+    """The Arnoldi process of the module docstring: a real A (dim, n), n <=
+    dim, acting on the trailing n coordinates of each vector, from v_1 = v /
+    beta, up to m_max vectors. Each step is one product of A with the real
+    view of v_k and two classical Gram-Schmidt passes; the process ends at
+    an invariant subspace: n vectors, or w lost to rounding against
+    |A v_k|_2^2 = |h_{1..k,k}|_2^2 + h_{k+1,k}^2. At each checkpoint (every
+    _KRYLOV_STEP vectors, at m_max, and at an invariant subspace) it yields
+    (m, basis, hess, exact): the vectors v_1 .. v_{m+1} (m + 1, dim),
+    complex, H_m underlined (m + 1, m), and whether the subspace is
+    invariant, where h_{m+1,m} = 0 and v_{m+1} is not set. Both are views
+    of its storage that later steps leave as they are; only the rows and
+    columns reached are touched."""
+    dim = v.size
+    basis = np.empty((m_max + 1, dim), complex)
+    # conj(basis), for V^H w: a real v makes the basis real, its own conjugate
+    conj = np.empty_like(basis) if np.iscomplexobj(v) else basis
+    hess = np.zeros((m_max + 1, m_max), complex)
+    np.divide(v, beta, out=basis[0])
+    real = basis.view(float).reshape(m_max + 1, dim, 2)[:, dim - a.shape[1]:]
+    w_real = np.empty((dim, 2))
     w = w_real.view(complex).ravel()
-    col = conj @ w
-    w -= col @ basis
-    c = conj @ w
-    w -= c @ basis
-    col += c
-    return col, np.sqrt(np.vdot(w, w).real)
+    tol = dim * _EPS
+    for k in range(m_max):
+        m = k + 1
+        if conj is not basis:
+            np.conjugate(basis[k], out=conj[k])
+        np.matmul(a, real[k], out=w_real)
+        col = conj[:m] @ w
+        w -= col @ basis[:m]
+        c = conj[:m] @ w
+        w -= c @ basis[:m]
+        col += c
+        hess[:m, k] = col
+        h = np.sqrt(np.vdot(w, w).real)
+        exact = m == a.shape[1] or h * h <= tol * tol * np.vdot(col, col).real
+        if not exact:
+            hess[m, k] = h
+            np.divide(w, h, out=basis[m])
+        if exact or m == m_max or not m % _KRYLOV_STEP:
+            yield m, basis[:m + 1], hess[:m + 1, :m], exact
+        if exact:
+            return
 
 
 def _krylov_accept(l, abs_off, basis, hess, beta, rhs, u,

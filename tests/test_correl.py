@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fluorospec as fs
-from fluorospec import correl
+from fluorospec import correl, steady
 from fluorospec.model import IDENTITY2, SIGMA, SIGMA_DAG
 
 import markovian_oracle
@@ -278,18 +278,11 @@ def test_a_point_failing_its_check_takes_the_stepping_bit_for_bit(monkeypatch):
 
 def _real_basis(p, v, m, gamma):
     """I - gamma L, the first m + 1 Arnoldi vectors of (I - gamma L)^-1 from
-    a real v, and H_m underlined, real, as ``_krylov_on_grid`` makes them."""
-    dim = p.generator.dim
-    b = np.eye(dim) - gamma * p.generator.matrix
-    a = np.linalg.inv(b)
-    basis, hess = np.zeros((m + 1, dim), complex), np.zeros((m + 1, m), complex)
-    basis[0] = v / np.linalg.norm(v)
-    w_real = np.empty((dim, 2))
-    for k in range(m):
-        hess[:k + 1, k], hess[k + 1, k] = correl._arnoldi_step(
-            a, basis[k:k + 1].view(float).reshape(dim, 2), basis[:k + 1],
-            basis[:k + 1].conj(), w_real)
-        basis[k + 1] = w_real.view(complex).ravel() / hess[k + 1, k]
+    a real v, and H_m underlined, real, from the driver that
+    ``_krylov_on_grid`` takes them from."""
+    b = np.eye(p.generator.dim) - gamma * p.generator.matrix
+    *_, (size, basis, hess, exact) = steady._arnoldi(np.linalg.inv(b), v, np.linalg.norm(v), m)
+    assert size == m and not exact
     return b, basis.real, hess.real
 
 
@@ -342,13 +335,17 @@ def test_tau_basis_refuses_a_wrong_hessenberg_column(monkeypatch):
     relation check fails and nothing is accepted."""
     p = fs.prepare(random_spec(np.random.default_rng(40), 40))
     v = _seeds(p)[2]
-    step = correl._arnoldi_step
+    arnoldi = steady._arnoldi
 
     def off(*args):
-        col, h = step(*args)
-        return col * (1.0 + 1e-8), h
+        done = 0
+        for m, basis, hess, exact in arnoldi(*args):
+            for k in range(done, m):               # each column once, h_{k+1,k} kept
+                hess[:k + 1, k] *= 1.0 + 1e-8
+            done = m
+            yield m, basis, hess, exact
 
-    monkeypatch.setattr(correl, "_arnoldi_step", off)
+    monkeypatch.setattr(correl, "_arnoldi", off)
     assert not correl._krylov_on_grid(p.generator, v, _UNIFORM)[1].any()
 
 

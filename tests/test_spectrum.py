@@ -412,6 +412,72 @@ def test_krylov_column_does_not_depend_on_the_grid():
     assert np.array_equal(x[::2][both], x2[both])
 
 
+def _b0_inverse(p):
+    """B_0^-1 restricted to rows 1.. of its argument, as resolve_krylov
+    applies it: B_0 is -L with row 0 replaced by theta."""
+    b0 = -p.generator.matrix
+    b0[0] = trace_functional(p.spec.r_max)
+    return np.linalg.inv(b0)[:, 1:]
+
+
+def test_arnoldi_checkpoints_and_invariant_subspace(fig5, monkeypatch):
+    """The one Arnoldi driver of the omega and tau bases. Under B_0^-1 of a
+    random r_max = 20 model capped at 20 vectors it yields at 8, 16 and
+    its cap; under B_0^-1 of fig5 (dim 8) it ends at m = dim - 1, the whole
+    trace-free space, as an invariant subspace. Each basis is orthonormal
+    within 10 dim eps. resolve_krylov and _krylov_on_grid each draw their
+    basis from one call of it."""
+    p20, p5 = fs.prepare(random_spec(np.random.default_rng(20), 20)), fs.prepare(fig5)
+    for p, m_max, sizes in ((p20, 20, [8, 16, 20]), (p5, 7, [7])):
+        _, v_dec = _c1_seed(p)
+        steps = [(m, basis[:m], exact) for m, basis, _, exact in
+                 steady._arnoldi(_b0_inverse(p), v_dec, np.linalg.norm(v_dec), m_max)]
+        assert [m for m, *_ in steps] == sizes
+        assert [exact for *_, exact in steps] == [False] * (len(sizes) - 1) + [p is p5]
+        basis = steps[-1][1]
+        dim = p.generator.dim
+        assert np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max() <= 10 * dim * EPS
+    calls, arnoldi = [], steady._arnoldi
+
+    def counted(*args):
+        calls.append(args[-1])
+        return arnoldi(*args)
+
+    monkeypatch.setattr(steady, "_arnoldi", counted)
+    monkeypatch.setattr(fs.correl, "_arnoldi", counted)
+    _, v_dec = _c1_seed(p20)
+    assert resolve_krylov(p20.generator, -1j * np.linspace(-15.0, 15.0, 24), v_dec)[1].all()
+    assert calls == [p20.generator.dim - 1]
+    jump_seed = p20.jump @ p20.steady.to_vector()
+    assert fs.correl._krylov_on_grid(p20.generator, jump_seed, np.logspace(-2.0, 3.0, 40))[1].all()
+    assert len(calls) == 2
+
+
+def test_krylov_budget_abandons_a_slow_chain(monkeypatch):
+    """The refusing side of the omega budget: the 20-site chain at hop 0.5
+    over linspace(-15, 15, 24) needs about 40 vectors. The rate of its
+    first stretch puts its closest column beyond what the budget affords,
+    so the attempt stops at its first checkpoint, 8 vectors, and accepts
+    no omega; the spectrum is the LU path's."""
+    profile = 2.0 * np.exp(-((np.arange(20) - 9.5) / 5.0) ** 2)
+    p = fs.prepare(fs.diffusion_chain(20, profile, 0.5, 1.0))
+    grid = np.linspace(-15.0, 15.0, 24)
+    _, v_dec = _c1_seed(p)
+    sizes, arnoldi = [], steady._arnoldi
+
+    def counted(*args):
+        for step in arnoldi(*args):
+            sizes.append(step[0])
+            yield step
+
+    monkeypatch.setattr(steady, "_arnoldi", counted)
+    assert not resolve_krylov(p.generator, -1j * grid, v_dec)[1].any()
+    assert sizes == [8]
+    monkeypatch.undo()
+    vals = fs.incoherent_spectrum(p, grid).values
+    assert np.abs(vals - _lu_spectrum(p, grid)).max() <= 1e-14 * np.abs(vals).max()
+
+
 def test_sum_rule_markovian(markovian):
     grid = log_symmetric_grid(1e-4, 40.0, 400)
     assert fs.sum_rule_check(markovian, grid) < 1e-3

@@ -588,9 +588,10 @@ def test_negative_block_eigenvalue_of_the_dense_solve_raises(monkeypatch):
         marks=pytest.mark.xfail(
             strict=True, raises=SingularShift,
             reason="ROADMAP item 1: the bordered check counts the rounding of the "
-                   "right-hand side's trace against the solve; the formation error "
-                   "of the spectrum's seed as its data term changes which omega the "
-                   "Krylov basis accepts, so it needs its own change"),
+                   "seed's trace against the solve; the formation error of the seed "
+                   "as its data term alone passes the check but leaves the spectrum "
+                   "up to 6.5e-4 off, from the cancellation in v - rho (theta v), so "
+                   "the mend needs a seed formed without that cancellation"),
         id="spectrum"),
     pytest.param(fs.stationary_mandel, id="stationary_mandel")])
 def test_weakly_driven_single_emitter_is_solved(observable):

@@ -6,6 +6,7 @@ dangling breaks only the traced benchmark run, so it is checked here. The
 names are read from the source of layers.py, which is not imported."""
 import ast
 import importlib
+import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +83,13 @@ def test_src_opens_text_files_with_an_encoding():
             if not (binary or "encoding" in keywords or len(node.args) > 3):
                 bare.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not bare, bare
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blank_lines():
+    """tools/code_lines.py counts each line that holds a token other than a
+    comment, outside the docstrings of modules, classes and functions."""
+    count = runpy.run_path(str(ROOT / "tools" / "code_lines.py"))["code_lines"]
+    source = ('"""Module\ndocstring."""\n\nimport os  # why\n\n\nclass A:\n'
+              '    """Doc."""\n\n    def f(self, x):\n        """Doc\n        string."""\n'
+              '        # a comment\n        return (x +\n                1)\n')
+    assert count(source) == 5
